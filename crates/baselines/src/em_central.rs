@@ -62,11 +62,15 @@ pub fn avg_log_likelihood(
             constraint: "at least one point",
         });
     }
+    // One factorization per component. A failed one is reported at the
+    // first point, where evaluating that component fails.
+    let factors: Vec<_> = model.iter().map(|(g, _)| g.density_factor(reg)).collect();
     let mut total = 0.0;
     for p in points {
         let mut density = 0.0;
-        for (g, pi) in model {
-            density += pi * g.pdf(p, reg)?;
+        for ((g, pi), factor) in model.iter().zip(&factors) {
+            let factor = factor.as_ref().map_err(Clone::clone)?;
+            density += pi * g.log_pdf_factored(factor, p)?.exp();
         }
         total += density.max(1e-300).ln();
     }
@@ -105,6 +109,39 @@ mod tests {
         let ll1 = avg_log_likelihood(&pts, &m1.model, 1e-6).unwrap();
         let ll2 = avg_log_likelihood(&pts, &m2.model, 1e-6).unwrap();
         assert!(ll2 > ll1, "ll2 {ll2} should beat ll1 {ll1}");
+    }
+
+    #[test]
+    fn likelihood_matches_per_point_densities_bit_for_bit() {
+        let pts = blobs();
+        let model = fit(&pts, 2, &EmConfig::default()).unwrap().model;
+        let mut total = 0.0;
+        for p in &pts {
+            let mut density = 0.0;
+            for (g, pi) in &model {
+                density += pi * g.pdf(p, 1e-6).unwrap();
+            }
+            total += density.max(1e-300).ln();
+        }
+        let ll = avg_log_likelihood(&pts, &model, 1e-6).unwrap();
+        assert_eq!(ll.to_bits(), (total / pts.len() as f64).to_bits());
+    }
+
+    #[test]
+    fn likelihood_reports_the_first_failing_density() {
+        let pts = blobs();
+        let model = fit(&pts, 2, &EmConfig::default()).unwrap().model;
+        let mut broken = model.clone();
+        broken[1].0.cov[(0, 0)] = f64::NAN;
+        assert_eq!(
+            avg_log_likelihood(&pts, &broken, 1e-6),
+            Err(broken[1].0.pdf(&pts[0], 1e-6).unwrap_err())
+        );
+        let flat = [Vector::from([0.0])];
+        assert_eq!(
+            avg_log_likelihood(&flat, &model, 1e-6),
+            Err(model[0].0.pdf(&flat[0], 1e-6).unwrap_err())
+        );
     }
 
     #[test]

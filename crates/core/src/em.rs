@@ -16,7 +16,9 @@
 //! [`fit_points`] a standard weighted GMM fit — exactly what the
 //! centralized EM baseline uses.
 
-use distclass_linalg::{merge_moments, Moments};
+use distclass_linalg::{
+    back_substitute, cholesky_factor, forward_substitute, LinalgError, Matrix, Vector,
+};
 
 use crate::error::CoreError;
 use crate::gaussian::GaussianSummary;
@@ -83,8 +85,12 @@ pub struct EmOutcome {
     /// dropped, so `groups.len() <= k`, and every input index appears in
     /// exactly one group.
     pub groups: Vec<Vec<usize>>,
-    /// The fitted model as `(summary, mixing weight)` pairs; mixing
-    /// weights sum to 1.
+    /// The fitted model as `(summary, mixing weight)` pairs, one per model
+    /// component, including those whose group came out empty. A
+    /// moment-matched component's weight is its share of the total input
+    /// weight; a component reseeded because it starved in the last M-step
+    /// carries `1 / max(total weight, 1)` instead, so the weights need not
+    /// sum to 1.
     pub model: Vec<(GaussianSummary, f64)>,
     /// EM iterations executed.
     pub iterations: usize,
@@ -152,39 +158,19 @@ pub fn reduce(
         });
     }
 
-    let global = global_moments(components);
-    let mut model = seed_model(components, k, &global, cfg);
-
-    let mut resp = e_step(components, &model, cfg)?;
+    let mut em = Kernel::new(components, k, total_weight, cfg.reg)?;
+    em.seed();
+    em.e_step()?;
     let mut iterations = 0;
     for _ in 0..cfg.max_iters {
         iterations += 1;
-        let new_model = m_step(components, &resp, &model, &global, total_weight, cfg);
-        let shift = model
-            .iter()
-            .zip(new_model.iter())
-            .map(|((a, _), (b, _))| a.mean.distance(&b.mean))
-            .fold(0.0, f64::max);
-        model = new_model;
-        resp = e_step(components, &model, cfg)?;
+        let shift = em.m_step();
+        em.e_step()?;
         if shift < cfg.tol {
             break;
         }
     }
-
-    // Hard assignment by maximum responsibility.
-    let mut groups: Vec<Vec<usize>> = vec![Vec::new(); model.len()];
-    for (i, r) in resp.iter().enumerate() {
-        let j = argmax(r);
-        groups[j].push(i);
-    }
-    groups.retain(|g| !g.is_empty());
-
-    Ok(EmOutcome {
-        groups,
-        model,
-        iterations,
-    })
+    Ok(em.outcome(iterations))
 }
 
 /// Fits a `k`-component Gaussian Mixture to weighted *points* — classic
@@ -214,202 +200,423 @@ pub fn fit_points(
     reduce(&components, k, cfg)
 }
 
-fn global_moments(components: &[(GaussianSummary, f64)]) -> Moments {
-    let moments: Vec<Moments> = components.iter().map(|(s, w)| s.to_moments(*w)).collect();
-    merge_moments(moments.iter()).expect("non-empty components")
+/// Model-covariance factorizations retried with growing jitter.
+const JITTER_TRIES: usize = 40;
+
+/// The working state of one [`reduce`] call: the inputs, the current and
+/// next model, each model component's factorization and the
+/// responsibilities, all in flat row-major `f64` buffers sized once on
+/// entry. Seeding, the E-step, the M-step and the hard assignment run in
+/// place, so the iterations allocate nothing.
+///
+/// Every float operation, and the order of operations, is part of the
+/// output contract (DESIGN.md §5); `tests/em_golden.rs` pins the outputs
+/// bit for bit. Sums start from `-0.0`, as `Iterator::sum` does: it is
+/// the additive identity of every `f64`, so a sum's first term is
+/// bitwise the term itself.
+struct Kernel {
+    d: usize,
+    l: usize,
+    k: usize,
+    /// The inputs' total weight and the covariance regularization.
+    total_weight: f64,
+    reg: f64,
+    /// Input means (`l × d`), covariances (`l × d × d`) and weights (`l`).
+    means: Vec<f64>,
+    covs: Vec<f64>,
+    weights: Vec<f64>,
+    /// The model; the M-step writes `next`, then the two swap.
+    model: Model,
+    next: Model,
+    /// Per model component, from the E-step: the Cholesky factor and the
+    /// inverse of its regularized covariance (`k × d × d`),
+    /// `d·ln 2π + log det` and `log πⱼ` (`k`).
+    chol: Vec<f64>,
+    inv: Vec<f64>,
+    norm: Vec<f64>,
+    log_pi: Vec<f64>,
+    /// Responsibilities `r[i][j]`, `l × k`.
+    resp: Vec<f64>,
+    /// Work space: a `d × d` matrix and a `d`-vector.
+    work: Vec<f64>,
+    vec: Vec<f64>,
+    /// The seed widening: `0.05 · tr Σ / d` for the moment-matched
+    /// covariance `Σ` of all inputs (set by [`Kernel::seed`]).
+    iso: f64,
 }
 
-fn seed_model(
-    components: &[(GaussianSummary, f64)],
-    k: usize,
-    global: &Moments,
-    cfg: &EmConfig,
-) -> Vec<(GaussianSummary, f64)> {
-    let mut seeds: Vec<usize> = Vec::with_capacity(k);
-    let heaviest = components
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
-        .map(|(i, _)| i)
-        .expect("non-empty components");
-    seeds.push(heaviest);
-    while seeds.len() < k {
-        let (mut best_i, mut best_score) = (0, -1.0);
-        for (i, (s, w)) in components.iter().enumerate() {
-            if seeds.contains(&i) {
+impl Kernel {
+    /// Copies the inputs in.
+    fn new(
+        components: &[(GaussianSummary, f64)],
+        k: usize,
+        total_weight: f64,
+        reg: f64,
+    ) -> Result<Self, CoreError> {
+        let d = components[0].0.dim();
+        let l = components.len();
+        let (dd, zeros) = (d * d, |n: usize| vec![0.0; n]);
+        let mut means = Vec::with_capacity(l * d);
+        let mut covs = Vec::with_capacity(l * dd);
+        for (s, _) in components {
+            if s.mean.dim() != d || s.cov.rows() != d || s.cov.cols() != d {
+                return Err(CoreError::InvalidParameter {
+                    name: "components",
+                    constraint: "all components of one dimension",
+                });
+            }
+            means.extend_from_slice(s.mean.as_slice());
+            covs.extend_from_slice(s.cov.as_slice());
+        }
+        Ok(Kernel {
+            d,
+            l,
+            k,
+            total_weight,
+            reg,
+            means,
+            covs,
+            weights: components.iter().map(|(_, w)| *w).collect(),
+            model: Model::zeros(k, d),
+            next: Model::zeros(k, d),
+            chol: zeros(k * dd),
+            inv: zeros(k * dd),
+            norm: zeros(k),
+            log_pi: zeros(k),
+            resp: zeros(l * k),
+            work: zeros(dd),
+            vec: zeros(d),
+            iso: 0.0,
+        })
+    }
+
+    /// Seeds the model: the heaviest input first (the last on ties), then
+    /// repeatedly the input maximizing weight × squared distance to the
+    /// nearest seed (the first on ties).
+    ///
+    /// Each seed is widened by an isotropic sliver of the overall spread:
+    /// degenerate (zero-covariance) seeds must still attract their
+    /// neighborhoods, but blending the full overall covariance would import
+    /// its correlation structure and can produce a near-singular ridge
+    /// metric (observed on diagonally correlated inputs), so only the
+    /// average variance is used.
+    fn seed(&mut self) {
+        let (d, l, k) = (self.d, self.l, self.k);
+        let dd = d * d;
+        // The diagonal of the moment merge of every input.
+        let s = 1.0 / self.total_weight;
+        for c in 0..d {
+            let (mut mean, mut raw) = (-0.0, -0.0);
+            for i in 0..l {
+                let (m, w) = (self.means[i * d + c], self.weights[i]);
+                mean += w * m;
+                raw += w * (self.covs[i * dd + c * d + c] + m * m);
+            }
+            let mean = mean * s;
+            self.vec[c] = raw * s - mean * mean;
+        }
+        self.iso = 0.05 * self.vec.iter().sum::<f64>() / d as f64;
+
+        let weights = &self.weights;
+        let mut seed = (0..l)
+            .max_by(|&a, &b| weights[a].total_cmp(&weights[b]))
+            .expect("non-empty components");
+        let mut dmin = vec![f64::INFINITY; l];
+        let mut is_seed = vec![false; l];
+        for j in 0..k {
+            is_seed[seed] = true;
+            let (mean, cov) = (at(&self.means, seed, d), at(&self.covs, seed, dd));
+            let widen = self.iso + self.reg;
+            self.model.place(j, mean, cov, widen, 1.0 / k as f64);
+            if j + 1 == k {
+                break;
+            }
+            let (mut best_i, mut best_score) = (0, -1.0);
+            for i in 0..l {
+                if is_seed[i] {
+                    continue;
+                }
+                dmin[i] = f64::min(dmin[i], distance(at(&self.means, i, d), mean));
+                let score = self.weights[i] * dmin[i] * dmin[i];
+                if score > best_score {
+                    best_score = score;
+                    best_i = i;
+                }
+            }
+            seed = best_i;
+        }
+    }
+
+    /// Factorizes every model component and scores every input against
+    /// it by the expected log-likelihood, normalized per input in log
+    /// space.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::EmFailed`] when a model covariance cannot be
+    /// factorized.
+    fn e_step(&mut self) -> Result<(), CoreError> {
+        let (d, l, k) = (self.d, self.l, self.k);
+        let dd = d * d;
+        for j in 0..k {
+            let chol = at_mut(&mut self.chol, j, dd);
+            let cov = at(&self.model.covs, j, dd);
+            factor_regularized(cov, self.reg, &mut self.work, chol, d).map_err(|e| {
+                CoreError::EmFailed {
+                    reason: format!("model covariance factorization failed: {e}"),
+                }
+            })?;
+            let inv = at_mut(&mut self.inv, j, dd);
+            for c in 0..d {
+                self.vec.fill(0.0);
+                self.vec[c] = 1.0;
+                forward_substitute(chol, &mut self.vec);
+                back_substitute(chol, &mut self.vec);
+                for a in 0..d {
+                    inv[a * d + c] = self.vec[a];
+                }
+            }
+            let log_det = (0..d).map(|a| chol[a * d + a].ln()).sum::<f64>() * 2.0;
+            self.norm[j] = d as f64 * LN_2PI + log_det;
+            self.log_pi[j] = self.model.pi[j].max(1e-300).ln();
+        }
+
+        for i in 0..l {
+            let (mean, cov) = (at(&self.means, i, d), at(&self.covs, i, dd));
+            let row = at_mut(&mut self.resp, i, k);
+            for (j, score) in row.iter_mut().enumerate() {
+                // E[log N(x; μⱼ, Σⱼ)] for x ~ N(μᵢ, Σᵢ): the Mahalanobis
+                // term of μᵢ, then tr(Σⱼ⁻¹ Σᵢ).
+                for ((v, x), mu) in self
+                    .vec
+                    .iter_mut()
+                    .zip(mean)
+                    .zip(at(&self.model.means, j, d))
+                {
+                    *v = x - mu;
+                }
+                forward_substitute(at(&self.chol, j, dd), &mut self.vec);
+                let maha: f64 = self.vec.iter().map(|y| y * y).sum();
+                let inv = at(&self.inv, j, dd);
+                let mut trace = 0.0;
+                for a in 0..d {
+                    for b in 0..d {
+                        trace += inv[a * d + b] * cov[b * d + a];
+                    }
+                }
+                *score = self.log_pi[j] - 0.5 * (self.norm[j] + maha + trace);
+            }
+            // Log-sum-exp normalization; when every score is −∞, uniform.
+            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            if !max.is_finite() {
+                row.fill(1.0 / k as f64);
                 continue;
             }
-            let dmin = seeds
-                .iter()
-                .map(|&j| s.mean.distance(&components[j].0.mean))
-                .fold(f64::INFINITY, f64::min);
-            let score = w * dmin * dmin;
-            if score > best_score {
-                best_score = score;
-                best_i = i;
+            for r in row.iter_mut() {
+                *r = (*r - max).exp();
+            }
+            let sum: f64 = row.iter().sum();
+            for r in row.iter_mut() {
+                *r /= sum;
             }
         }
-        seeds.push(best_i);
-    }
-    // Isotropic sliver of the global spread: degenerate (zero-covariance)
-    // seeds must still attract their neighborhoods, but blending the full
-    // global covariance would import its correlation structure and can
-    // produce a near-singular ridge metric (observed on diagonally
-    // correlated inputs), so only the average variance is used.
-    let iso = 0.05 * global.cov.trace() / global.mean.dim() as f64;
-    seeds
-        .into_iter()
-        .map(|i| {
-            let mut cov = components[i].0.cov.clone();
-            cov.add_diagonal(iso + cfg.reg);
-            (
-                GaussianSummary::new(components[i].0.mean.clone(), cov),
-                1.0 / k as f64,
-            )
-        })
-        .collect()
-}
-
-/// Computes responsibilities `r[i][j]` of model component `j` for input
-/// component `i`, normalized per `i` in log space.
-fn e_step(
-    components: &[(GaussianSummary, f64)],
-    model: &[(GaussianSummary, f64)],
-    cfg: &EmConfig,
-) -> Result<Vec<Vec<f64>>, CoreError> {
-    struct Pre {
-        chol: distclass_linalg::Cholesky,
-        inv: distclass_linalg::Matrix,
-        log_pi: f64,
-        log_det: f64,
-    }
-    let d = components[0].0.dim() as f64;
-    let mut pre = Vec::with_capacity(model.len());
-    for (summary, pi) in model {
-        let mut cov = summary.cov.clone();
-        cov.add_diagonal(cfg.reg);
-        let chol = cov
-            .cholesky_with_jitter(cfg.reg, 40)
-            .map_err(|e| CoreError::EmFailed {
-                reason: format!("model covariance factorization failed: {e}"),
-            })?;
-        let inv = chol.inverse().map_err(|e| CoreError::EmFailed {
-            reason: format!("model covariance inversion failed: {e}"),
-        })?;
-        let log_det = chol.log_det();
-        pre.push(Pre {
-            chol,
-            inv,
-            log_pi: pi.max(1e-300).ln(),
-            log_det,
-        });
+        Ok(())
     }
 
-    let mut resp = Vec::with_capacity(components.len());
-    for (s, _) in components {
-        let mut scores = Vec::with_capacity(model.len());
-        for (p, (m, _)) in pre.iter().zip(model.iter()) {
-            let maha =
-                p.chol
-                    .mahalanobis_sq(&s.mean, &m.mean)
-                    .map_err(|e| CoreError::EmFailed {
-                        reason: format!("dimension mismatch in E-step: {e}"),
-                    })?;
-            let trace_term = trace_product(&p.inv, &s.cov);
-            scores.push(p.log_pi - 0.5 * (d * LN_2PI + p.log_det + maha + trace_term));
+    /// Moment-matches each model component to its responsibility-weighted
+    /// inputs; a starved component is reseeded at the input the model
+    /// explains worst (the lowest maximum responsibility, the first on
+    /// ties). Returns how far the farthest model mean moved.
+    fn m_step(&mut self) -> f64 {
+        let (d, l, k, total_weight) = (self.d, self.l, self.k, self.total_weight);
+        let dd = d * d;
+        let resp = &self.resp;
+        let mut worst = None;
+        for j in 0..k {
+            let parts = || (0..l).filter(move |&i| resp[i * k + j] > 1e-12);
+            let wj: f64 = parts().map(|i| self.weights[i] * resp[i * k + j]).sum();
+            if parts().next().is_none() || wj < 1e-9 * total_weight {
+                let worst = *worst.get_or_insert_with(|| {
+                    let best = |i| at(resp, i, k).iter().cloned().fold(0.0, f64::max);
+                    (0..l)
+                        .min_by(|&a, &b| best(a).total_cmp(&best(b)))
+                        .expect("non-empty components")
+                });
+                let (mean, cov) = (at(&self.means, worst, d), at(&self.covs, worst, dd));
+                let (widen, pi) = (self.iso + self.reg, 1.0 / total_weight.max(1.0));
+                self.next.place(j, mean, cov, widen, pi);
+                continue;
+            }
+            // The moment merge of the parts: running sums of w·μ and
+            // w·(Σ + μμᵀ), scaled by 1/w, less μμᵀ, symmetrized.
+            let mean = at_mut(&mut self.next.means, j, d);
+            let cov = at_mut(&mut self.next.covs, j, dd);
+            mean.fill(-0.0);
+            cov.fill(-0.0);
+            for i in parts() {
+                let w = self.weights[i] * resp[i * k + j];
+                let (mi, ci) = (at(&self.means, i, d), at(&self.covs, i, dd));
+                for a in 0..d {
+                    mean[a] += w * mi[a];
+                    for b in 0..d {
+                        cov[a * d + b] += w * (ci[a * d + b] + mi[a] * mi[b]);
+                    }
+                }
+            }
+            let s = 1.0 / wj;
+            mean.iter_mut().for_each(|m| *m *= s);
+            cov.iter_mut().for_each(|c| *c *= s);
+            for a in 0..d {
+                for b in 0..d {
+                    cov[a * d + b] -= mean[a] * mean[b];
+                }
+            }
+            for a in 0..d {
+                for b in (a + 1)..d {
+                    let avg = 0.5 * (cov[a * d + b] + cov[b * d + a]);
+                    cov[a * d + b] = avg;
+                    cov[b * d + a] = avg;
+                }
+            }
+            self.next.pi[j] = wj / total_weight;
         }
-        resp.push(log_normalize(&scores));
+        let shift = (0..k)
+            .map(|j| distance(at(&self.model.means, j, d), at(&self.next.means, j, d)))
+            .fold(0.0, f64::max);
+        std::mem::swap(&mut self.model, &mut self.next);
+        shift
     }
-    Ok(resp)
-}
 
-/// Moment-matches each model component to its responsibility-weighted
-/// inputs; starved components are reseeded to the worst-explained input.
-fn m_step(
-    components: &[(GaussianSummary, f64)],
-    resp: &[Vec<f64>],
-    model: &[(GaussianSummary, f64)],
-    global: &Moments,
-    total_weight: f64,
-    cfg: &EmConfig,
-) -> Vec<(GaussianSummary, f64)> {
-    let k = model.len();
-    let mut out = Vec::with_capacity(k);
-    for j in 0..k {
-        let parts: Vec<Moments> = components
-            .iter()
-            .zip(resp.iter())
-            .filter(|(_, r)| r[j] > 1e-12)
-            .map(|((s, w), r)| s.to_moments(w * r[j]))
+    /// Hard-assigns each input to its most responsible component (the
+    /// first on ties) and hands the model out.
+    fn outcome(self, iterations: usize) -> EmOutcome {
+        let (d, l, k) = (self.d, self.l, self.k);
+        let owner: Vec<usize> = (0..l)
+            .map(|i| {
+                let row = at(&self.resp, i, k);
+                let mut best = 0;
+                for (j, &r) in row.iter().enumerate() {
+                    if r > row[best] {
+                        best = j;
+                    }
+                }
+                best
+            })
             .collect();
-        let wj: f64 = parts.iter().map(|m| m.weight).sum();
-        if parts.is_empty() || wj < 1e-9 * total_weight {
-            // Starved component: reseed at the input explained worst by the
-            // current model (lowest maximum responsibility).
-            let worst = components
-                .iter()
-                .enumerate()
-                .min_by(|(ia, _), (ib, _)| {
-                    let ma = resp[*ia].iter().cloned().fold(0.0, f64::max);
-                    let mb = resp[*ib].iter().cloned().fold(0.0, f64::max);
-                    ma.total_cmp(&mb)
-                })
-                .map(|(i, _)| i)
-                .expect("non-empty components");
-            let iso = 0.05 * global.cov.trace() / global.mean.dim() as f64;
-            let mut cov = components[worst].0.cov.clone();
-            cov.add_diagonal(iso + cfg.reg);
-            out.push((
-                GaussianSummary::new(components[worst].0.mean.clone(), cov),
-                1.0 / total_weight.max(1.0),
-            ));
-            continue;
+        // Exact capacities: the outcome's allocations depend only on which
+        // groups are non-empty.
+        let mut groups = Vec::with_capacity(k);
+        for j in 0..k {
+            let size = owner.iter().filter(|&&o| o == j).count();
+            if size > 0 {
+                let mut group = Vec::with_capacity(size);
+                group.extend((0..l).filter(|&i| owner[i] == j));
+                groups.push(group);
+            }
         }
-        let merged = merge_moments(parts.iter()).expect("non-empty positive-weight merge");
-        out.push((GaussianSummary::from_moments(&merged), wj / total_weight));
-    }
-    out
-}
-
-/// `tr(A · B)` for square matrices of equal side.
-fn trace_product(a: &distclass_linalg::Matrix, b: &distclass_linalg::Matrix) -> f64 {
-    debug_assert_eq!(a.rows(), b.rows());
-    let n = a.rows();
-    let mut t = 0.0;
-    for i in 0..n {
-        for j in 0..n {
-            t += a[(i, j)] * b[(j, i)];
+        let model = (0..k)
+            .map(|j| {
+                let mut cov = Matrix::zeros(d, d);
+                cov.as_mut_slice()
+                    .copy_from_slice(at(&self.model.covs, j, d * d));
+                let mean = Vector::from(at(&self.model.means, j, d));
+                (GaussianSummary::new(mean, cov), self.model.pi[j])
+            })
+            .collect();
+        EmOutcome {
+            groups,
+            model,
+            iterations,
         }
     }
-    t
 }
 
-/// Converts log scores to a normalized probability vector (log-sum-exp).
-fn log_normalize(scores: &[f64]) -> Vec<f64> {
-    let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        // All components scored −∞; fall back to uniform.
-        return vec![1.0 / scores.len() as f64; scores.len()];
-    }
-    let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+/// Item `i` of a buffer of `n`-wide items.
+fn at(buf: &[f64], i: usize, n: usize) -> &[f64] {
+    &buf[i * n..(i + 1) * n]
 }
 
-fn argmax(xs: &[f64]) -> usize {
-    let mut best = 0;
-    for (i, &x) in xs.iter().enumerate() {
-        if x > xs[best] {
-            best = i;
+/// Item `i` of a buffer of `n`-wide items, mutably.
+fn at_mut(buf: &mut [f64], i: usize, n: usize) -> &mut [f64] {
+    &mut buf[i * n..(i + 1) * n]
+}
+
+/// A model's `k` components: means (`k × d`), covariances (`k × d × d`)
+/// and mixing weights (`k`).
+struct Model {
+    means: Vec<f64>,
+    covs: Vec<f64>,
+    pi: Vec<f64>,
+}
+
+impl Model {
+    fn zeros(k: usize, d: usize) -> Self {
+        Model {
+            means: vec![0.0; k * d],
+            covs: vec![0.0; k * d * d],
+            pi: vec![0.0; k],
         }
     }
-    best
+
+    /// Sets component `j` to `mean` and `cov`, the diagonal widened by
+    /// `widen`, with mixing weight `pi`.
+    fn place(&mut self, j: usize, mean: &[f64], cov: &[f64], widen: f64, pi: f64) {
+        let d = mean.len();
+        at_mut(&mut self.means, j, d).copy_from_slice(mean);
+        let out = at_mut(&mut self.covs, j, d * d);
+        out.copy_from_slice(cov);
+        for a in 0..d {
+            out[a * d + a] += widen;
+        }
+        self.pi[j] = pi;
+    }
+}
+
+/// Factorizes the `d × d` matrix `cov + reg·I` into `l` (`work` holds the
+/// matrix factorized).
+/// When that fails, retries on `(cov + reg·I) + jitter·I`, the jitter
+/// starting at `reg` and growing tenfold, up to [`JITTER_TRIES`] times.
+fn factor_regularized(
+    cov: &[f64],
+    reg: f64,
+    work: &mut [f64],
+    l: &mut [f64],
+    d: usize,
+) -> Result<(), LinalgError> {
+    let mut attempt = |jitter: Option<f64>| {
+        work.copy_from_slice(cov);
+        for a in 0..d {
+            work[a * d + a] += reg;
+            if let Some(j) = jitter {
+                work[a * d + a] += j;
+            }
+        }
+        cholesky_factor(work, l, d)
+    };
+    let mut result = attempt(None);
+    let mut jitter = reg;
+    for _ in 0..JITTER_TRIES {
+        if result.is_ok() {
+            break;
+        }
+        result = attempt(Some(jitter));
+        jitter *= 10.0;
+    }
+    result
+}
+
+/// Euclidean distance between two equal-length slices.
+fn distance(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use distclass_linalg::{Matrix, Vector};
 
     fn point(x: f64, y: f64) -> (GaussianSummary, f64) {
         (GaussianSummary::from_point(&Vector::from([x, y])), 1.0)
@@ -498,6 +705,18 @@ mod tests {
     }
 
     #[test]
+    fn reduce_rejects_mixed_dimensions() {
+        let comps = vec![point(0.0, 0.0), point(1.0, 1.0), point(5.0, 5.0)];
+        let mut mixed = comps.clone();
+        mixed[1].0 = GaussianSummary::from_point(&Vector::from([1.0]));
+        assert!(matches!(
+            reduce(&mixed, 2, &EmConfig::default()),
+            Err(CoreError::InvalidParameter { .. })
+        ));
+        assert!(reduce(&comps, 2, &EmConfig::default()).is_ok());
+    }
+
+    #[test]
     fn config_validation() {
         let bad_iters = EmConfig {
             max_iters: 0,
@@ -549,22 +768,5 @@ mod tests {
             fit_points(&[Vector::from([0.0])], &[], 1, &EmConfig::default()),
             Err(CoreError::InvalidParameter { .. })
         ));
-    }
-
-    #[test]
-    fn log_normalize_handles_extremes() {
-        let r = log_normalize(&[-1e10, 0.0]);
-        assert!(r[1] > 0.999);
-        let sum: f64 = r.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        let uniform = log_normalize(&[f64::NEG_INFINITY, f64::NEG_INFINITY]);
-        assert_eq!(uniform, vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn trace_product_matches_direct() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        assert_eq!(trace_product(&a, &b), a.mul_mat(&b).trace());
     }
 }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use distclass_linalg::{merge_moments, Matrix, Moments, Vector};
+use distclass_linalg::{merge_moments, Cholesky, Matrix, Moments, Vector};
 
 use crate::classification::Classification;
 use crate::em::{self, EmConfig};
@@ -94,22 +94,42 @@ impl GaussianSummary {
     /// Returns [`CoreError::EmFailed`] when the covariance cannot be
     /// factorized even with jitter.
     pub fn log_pdf(&self, x: &Vector, reg: f64) -> Result<f64, CoreError> {
+        self.log_pdf_factored(&self.density_factor(reg)?, x)
+    }
+
+    /// Factorizes `cov + reg·I`, with jitter as in
+    /// [`GaussianSummary::log_pdf`], once: [`GaussianSummary::log_pdf_factored`]
+    /// then evaluates the density at any number of points.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`GaussianSummary::log_pdf`].
+    pub fn density_factor(&self, reg: f64) -> Result<Cholesky, CoreError> {
         let mut cov = self.cov.clone();
         if reg > 0.0 {
             cov.add_diagonal(reg);
         }
-        let chol = cov
-            .cholesky_with_jitter(1e-12, 40)
+        cov.cholesky_with_jitter(1e-12, 40)
             .map_err(|e| CoreError::EmFailed {
                 reason: format!("covariance factorization failed: {e}"),
-            })?;
-        let maha = chol
+            })
+    }
+
+    /// The log-density at `x`, given `factor` from
+    /// [`GaussianSummary::density_factor`]`(reg)`: the value
+    /// [`GaussianSummary::log_pdf`]`(x, reg)` returns.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::EmFailed`] when `x` has the wrong dimension.
+    pub fn log_pdf_factored(&self, factor: &Cholesky, x: &Vector) -> Result<f64, CoreError> {
+        let maha = factor
             .mahalanobis_sq(x, &self.mean)
             .map_err(|e| CoreError::EmFailed {
                 reason: format!("dimension mismatch in log_pdf: {e}"),
             })?;
         let d = self.dim() as f64;
-        Ok(-0.5 * (d * LN_2PI + chol.log_det() + maha))
+        Ok(-0.5 * (d * LN_2PI + factor.log_det() + maha))
     }
 
     /// The density of `N(mean, cov + reg·I)` at `x`.
@@ -371,6 +391,38 @@ mod tests {
         assert_eq!(g_of(1), g_of(2));
         assert_eq!(g_of(3), g_of(4));
         assert_ne!(g_of(0), g_of(3));
+    }
+
+    #[test]
+    fn non_finite_covariance_fails_em_and_partition_falls_back_to_greedy() {
+        let inst = GmInstance::new(2).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let big: Classification<GaussianSummary> = [0.0, 0.2, 0.4, 10.0, 10.2]
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    let mut s = GaussianSummary::from_point(&Vector::from([x, x]));
+                    if i == 1 {
+                        s.cov[(0, 0)] = bad;
+                    }
+                    Collection::new(s, Weight::from_grains(8))
+                })
+                .collect();
+            let comps: Vec<(GaussianSummary, f64)> = big
+                .iter()
+                .map(|c| (c.summary.clone(), c.weight.grains() as f64))
+                .collect();
+            assert!(matches!(
+                em::reduce(&comps, 2, inst.em_config()),
+                Err(CoreError::EmFailed { .. })
+            ));
+            let groups = inst.partition(&big);
+            assert_eq!(groups, greedy_partition(&inst, &big), "cov[0][0] = {bad}");
+            assert!(groups.len() <= 2);
+            let mut all = groups.concat();
+            all.sort_unstable();
+            assert_eq!(all, vec![0, 1, 2, 3, 4]);
+        }
     }
 
     #[test]

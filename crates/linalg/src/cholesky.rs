@@ -4,7 +4,7 @@ use crate::{LinalgError, Matrix, Vector};
 /// definite matrix `A = L Lᵀ`.
 ///
 /// Provides the derived quantities the Gaussian code needs: log-determinant,
-/// linear solves, inverses, Mahalanobis distances and sampling transforms.
+/// linear solves, Mahalanobis distances and sampling transforms.
 ///
 /// # Example
 ///
@@ -40,22 +40,7 @@ impl Cholesky {
         }
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite);
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
+        cholesky_factor(a.as_slice(), l.as_mut_slice(), n)?;
         Ok(Cholesky { l })
     }
 
@@ -88,43 +73,10 @@ impl Cholesky {
                 actual: b.dim(),
             });
         }
-        // Forward substitution: L y = b.
-        let mut y = Vector::zeros(n);
-        for i in 0..n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
-        // Back substitution: Lᵀ x = y.
-        let mut x = Vector::zeros(n);
-        for i in (0..n).rev() {
-            let mut sum = y[i];
-            for k in (i + 1)..n {
-                sum -= self.l[(k, i)] * x[k];
-            }
-            x[i] = sum / self.l[(i, i)];
-        }
+        let mut x = b.clone();
+        forward_substitute(self.l.as_slice(), x.as_mut_slice());
+        back_substitute(self.l.as_slice(), x.as_mut_slice());
         Ok(x)
-    }
-
-    /// The inverse `A⁻¹`, formed column by column.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a valid factorization; the `Result` mirrors
-    /// [`Cholesky::solve`].
-    pub fn inverse(&self) -> Result<Matrix, LinalgError> {
-        let n = self.dim();
-        let mut inv = Matrix::zeros(n, n);
-        for j in 0..n {
-            let col = self.solve(&Vector::basis(n, j))?;
-            for i in 0..n {
-                inv[(i, j)] = col[i];
-            }
-        }
-        Ok(inv)
     }
 
     /// The squared Mahalanobis distance `(x − μ)ᵀ A⁻¹ (x − μ)`.
@@ -139,23 +91,16 @@ impl Cholesky {
                 actual: x.dim(),
             });
         }
-        let diff = x - mu;
-        // Solve L y = diff; then distance² = ‖y‖².
+        // Solve L y = x − μ; then distance² = ‖y‖².
+        let mut y = x - mu;
         let n = self.dim();
-        if diff.dim() != n {
+        if y.dim() != n {
             return Err(LinalgError::DimensionMismatch {
                 expected: n,
-                actual: diff.dim(),
+                actual: y.dim(),
             });
         }
-        let mut y = Vector::zeros(n);
-        for i in 0..n {
-            let mut sum = diff[i];
-            for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
-            }
-            y[i] = sum / self.l[(i, i)];
-        }
+        forward_substitute(self.l.as_slice(), y.as_mut_slice());
         Ok(y.dot(&y))
     }
 
@@ -174,6 +119,59 @@ impl Cholesky {
     /// Panics if `z.dim() != self.dim()`.
     pub fn transform(&self, z: &Vector) -> Vector {
         self.l.mul_vec(z)
+    }
+}
+
+/// Factorizes the row-major `n × n` SPD matrix `a = L Lᵀ` (lower triangle
+/// read) into the lower triangle of `l` (upper triangle untouched).
+///
+/// # Errors
+///
+/// [`LinalgError::NotPositiveDefinite`] at a pivot that is not positive
+/// and finite.
+pub fn cholesky_factor(a: &[f64], l: &mut [f64], n: usize) -> Result<(), LinalgError> {
+    for i in 0..n {
+        for j in 0..=i {
+            let mut sum = a[i * n + j];
+            for k in 0..j {
+                sum -= l[i * n + k] * l[j * n + k];
+            }
+            if i == j {
+                if sum <= 0.0 || !sum.is_finite() {
+                    return Err(LinalgError::NotPositiveDefinite);
+                }
+                l[i * n + j] = sum.sqrt();
+            } else {
+                l[i * n + j] = sum / l[j * n + j];
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Forward substitution in place: `v ← L⁻¹ v` for the row-major
+/// lower-triangular factor `l` of side `v.len()`.
+pub fn forward_substitute(l: &[f64], v: &mut [f64]) {
+    let n = v.len();
+    for i in 0..n {
+        let mut sum = v[i];
+        for k in 0..i {
+            sum -= l[i * n + k] * v[k];
+        }
+        v[i] = sum / l[i * n + i];
+    }
+}
+
+/// Back substitution in place: `v ← L⁻ᵀ v` for the row-major
+/// lower-triangular factor `l` of side `v.len()`.
+pub fn back_substitute(l: &[f64], v: &mut [f64]) {
+    let n = v.len();
+    for i in (0..n).rev() {
+        let mut sum = v[i];
+        for k in (i + 1)..n {
+            sum -= l[k * n + i] * v[k];
+        }
+        v[i] = sum / l[i * n + i];
     }
 }
 
@@ -238,13 +236,6 @@ mod tests {
             chol.solve(&Vector::zeros(2)),
             Err(LinalgError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = spd_example();
-        let inv = a.cholesky().unwrap().inverse().unwrap();
-        assert!(a.mul_mat(&inv).approx_eq(&Matrix::identity(3), 1e-10));
     }
 
     #[test]

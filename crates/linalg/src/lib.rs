@@ -30,7 +30,7 @@ mod matrix;
 mod stats;
 mod vector;
 
-pub use cholesky::Cholesky;
+pub use cholesky::{back_substitute, cholesky_factor, forward_substitute, Cholesky};
 pub use error::LinalgError;
 pub use matrix::{EigenPair, Matrix};
 pub use stats::{merge_moments, Moments, WeightedAccumulator};

@@ -114,6 +114,11 @@ impl Matrix {
         &self.data
     }
 
+    /// A mutable borrowed view of the row-major storage.
+    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Returns row `i` as a slice.
     ///
     /// # Panics
@@ -308,16 +313,6 @@ impl Matrix {
             jitter *= 10.0;
         }
         Err(last)
-    }
-
-    /// The inverse, computed via Cholesky (symmetric positive definite
-    /// matrices only).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Matrix::cholesky`].
-    pub fn inverse_spd(&self) -> Result<Matrix, LinalgError> {
-        self.cholesky()?.inverse()
     }
 
     /// The eigenvalues and (unit) eigenvectors of a symmetric 2×2 matrix,
@@ -527,13 +522,6 @@ mod tests {
         assert_eq!((&a + &b).trace(), 6.0);
         assert_eq!((&b - &a).trace(), 2.0);
         assert_eq!((&a * 3.0).trace(), 6.0);
-    }
-
-    #[test]
-    fn inverse_spd_of_diagonal() {
-        let m = Matrix::diagonal(&[4.0, 2.0]);
-        let inv = m.inverse_spd().unwrap();
-        assert!(inv.approx_eq(&Matrix::diagonal(&[0.25, 0.5]), 1e-12));
     }
 
     #[test]

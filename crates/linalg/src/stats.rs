@@ -32,13 +32,6 @@ impl Moments {
     pub fn dim(&self) -> usize {
         self.mean.dim()
     }
-
-    /// The second raw moment `E[x xᵀ] = Σ + μ μᵀ`.
-    pub fn second_raw_moment(&self) -> Matrix {
-        let mut m = self.cov.clone();
-        m += &Matrix::outer(&self.mean, &self.mean);
-        m
-    }
 }
 
 /// Merges weighted moment sets: the result has the moments of the union of
@@ -71,14 +64,16 @@ pub fn merge_moments<'a, I>(parts: I) -> Result<Moments, LinalgError>
 where
     I: IntoIterator<Item = &'a Moments>,
 {
-    let mut iter = parts.into_iter();
-    let first = iter.next().ok_or(LinalgError::Empty)?;
-    let d = first.dim();
+    let mut iter = parts.into_iter().peekable();
+    let d = iter.peek().ok_or(LinalgError::Empty)?.dim();
 
-    let mut weight = first.weight;
-    let mut mean_acc = first.mean.scaled(first.weight);
-    let mut raw_acc = first.second_raw_moment().scaled(first.weight);
-
+    // Running sums of w·μ and w·(Σ + μμᵀ), added into in place. They start
+    // at -0.0, the additive identity of every f64, so the first part's
+    // terms are bitwise the terms themselves.
+    let mut weight = -0.0;
+    let mut mean = Vector::filled(d, -0.0);
+    let mut cov = Matrix::zeros(d, d);
+    cov.as_mut_slice().fill(-0.0);
     for m in iter {
         if m.dim() != d {
             return Err(LinalgError::DimensionMismatch {
@@ -87,17 +82,26 @@ where
             });
         }
         weight += m.weight;
-        mean_acc.axpy(m.weight, &m.mean);
-        raw_acc.axpy(m.weight, &m.second_raw_moment());
+        mean.axpy(m.weight, &m.mean);
+        for i in 0..d {
+            for j in 0..d {
+                cov[(i, j)] += m.weight * (m.cov[(i, j)] + m.mean[i] * m.mean[j]);
+            }
+        }
     }
 
     if weight <= 0.0 {
         return Err(LinalgError::Empty);
     }
 
-    let mean = mean_acc.scaled(1.0 / weight);
-    let mut cov = raw_acc.scaled(1.0 / weight);
-    cov.axpy(-1.0, &Matrix::outer(&mean, &mean));
+    let s = 1.0 / weight;
+    mean.scale(s);
+    cov.scale(s);
+    for i in 0..d {
+        for j in 0..d {
+            cov[(i, j)] -= mean[i] * mean[j];
+        }
+    }
     cov.symmetrize();
     Ok(Moments { weight, mean, cov })
 }
@@ -196,7 +200,6 @@ mod tests {
         let m = Moments::of_point(Vector::from([1.0, 2.0]), 0.5);
         assert_eq!(m.weight, 0.5);
         assert_eq!(m.cov, Matrix::zeros(2, 2));
-        assert_eq!(m.second_raw_moment()[(0, 1)], 2.0);
     }
 
     #[test]

@@ -12,7 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use distclass::core::CentroidInstance;
+use distclass::core::em::{self, EmConfig};
+use distclass::core::{CentroidInstance, GaussianSummary, GmInstance};
+use distclass::experiments::data::{figure2_components, sample_mixture};
 use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
@@ -152,4 +154,55 @@ fn fixed_seed_run_is_identical_with_profiler_on_and_off() {
     assert_eq!(off.1, on.1, "message/round counters must match");
     assert_eq!(off.2, on.2);
     assert_eq!(off.3, on.3, "per-node classifications must match");
+}
+
+/// A 14-component Fig. 2 input, as a k = 7 merge hands it to EM: the
+/// union of two nodes' classifications a few rounds into a GM run on
+/// Fig. 2 readings, each collection weighted by its grains.
+fn fig2_fourteen_components() -> Vec<(GaussianSummary, f64)> {
+    let n = 60;
+    let (values, _labels) = sample_mixture(n, &figure2_components(), 2);
+    let inst = Arc::new(GmInstance::new(7).expect("k > 0"));
+    let mut sim = RoundSim::new(
+        Topology::complete(n),
+        inst,
+        &values,
+        &GossipConfig::default(),
+    );
+    sim.run_rounds(6);
+    sim.live_classifications()
+        .into_iter()
+        .filter(|c| c.len() == 7)
+        .take(2)
+        .flat_map(|c| c.iter())
+        .map(|col| (col.summary.clone(), col.weight.grains() as f64))
+        .collect()
+}
+
+/// The EM iteration loop allocates nothing: with a tolerance no shift can
+/// meet, one and five iterations make the same number of allocations
+/// (the per-call copies in and the outcome out).
+#[test]
+fn em_reduce_allocations_do_not_grow_with_iterations() {
+    let comps = fig2_fourteen_components();
+    assert_eq!(comps.len(), 14);
+    let run = |max_iters: usize| {
+        let cfg = EmConfig {
+            max_iters,
+            tol: f64::MIN_POSITIVE,
+            ..EmConfig::default()
+        };
+        let mut groups = 0;
+        let n = allocations(|| {
+            let out = em::reduce(&comps, 7, &cfg).expect("valid input");
+            assert_eq!(out.iterations, max_iters, "tol must never be met");
+            groups = out.groups.len();
+        });
+        (n, groups)
+    };
+    let (one, five) = (run(1), run(5));
+    // Each non-empty group is one allocation of the outcome, so the
+    // comparison needs the same group count on both sides.
+    assert_eq!(one.1, five.1, "group counts differ");
+    assert_eq!(one.0, five.0, "allocations grew with iterations");
 }
