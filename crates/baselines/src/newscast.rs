@@ -214,7 +214,7 @@ pub fn run(
             rounds += 1;
             for i in 0..n {
                 let nbrs = topology.neighbors(i);
-                let partner: NodeId = nbrs[rng.gen_range(0..nbrs.len())];
+                let partner: NodeId = nbrs.get(rng.gen_range(0..nbrs.len()));
                 if partner == i {
                     continue;
                 }

@@ -108,9 +108,15 @@ pub fn greedy_partition<I: Instance>(
     // other group first.
     merge_quantum_singletons(instance, big, &mut groups);
 
-    // Greedy closest-pair merging down to k groups.
+    // Greedy closest-pair merging down to k groups. A group's summary
+    // only changes when the group does, so each step re-merges just the
+    // merged group: the same `merge_set` over the same parts in the same
+    // order as a full recomputation, hence the same bits.
+    if groups.len() <= instance.k() {
+        return groups;
+    }
+    let mut summaries: Vec<I::Summary> = groups.iter().map(|g| group_summary(g)).collect();
     while groups.len() > instance.k() {
-        let summaries: Vec<I::Summary> = groups.iter().map(|g| group_summary(g)).collect();
         let (mut bx, mut by, mut best) = (0, 1, f64::INFINITY);
         for x in 0..groups.len() {
             for y in (x + 1)..groups.len() {
@@ -123,7 +129,9 @@ pub fn greedy_partition<I: Instance>(
             }
         }
         let merged = groups.swap_remove(by);
+        summaries.swap_remove(by);
         groups[bx].extend(merged);
+        summaries[bx] = group_summary(&groups[bx]);
     }
     groups
 }

@@ -1,6 +1,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::topology::Neighbors;
 use crate::NodeId;
 
 /// A node-local protocol driven by a simulation engine.
@@ -40,7 +41,7 @@ pub trait Protocol {
 #[derive(Debug)]
 pub struct Context<'a, M> {
     node: NodeId,
-    neighbors: &'a [NodeId],
+    neighbors: Neighbors<'a>,
     // Liveness view for neighbor selection (perfect failure detector).
     // `None` means no fault information is available.
     alive: Option<&'a [bool]>,
@@ -53,7 +54,7 @@ pub struct Context<'a, M> {
 impl<'a, M> Context<'a, M> {
     pub(crate) fn new(
         node: NodeId,
-        neighbors: &'a [NodeId],
+        neighbors: Neighbors<'a>,
         rr_cursor: &'a mut usize,
         rng: &'a mut StdRng,
         outbox: &'a mut Vec<(NodeId, M)>,
@@ -84,8 +85,8 @@ impl<'a, M> Context<'a, M> {
         self.node
     }
 
-    /// This node's static out-neighbor list.
-    pub fn neighbors(&self) -> &[NodeId] {
+    /// This node's static out-neighbors, in ascending order.
+    pub fn neighbors(&self) -> Neighbors<'a> {
         self.neighbors
     }
 
@@ -104,10 +105,11 @@ impl<'a, M> Context<'a, M> {
     /// # Panics
     ///
     /// Panics if `to` is not one of this node's out-neighbors — the paper's
-    /// model only permits communication along topology edges.
+    /// model only permits communication along topology edges. The check
+    /// is O(1) on a complete graph and a binary search on a list.
     pub fn send(&mut self, to: NodeId, msg: M) {
         assert!(
-            self.neighbors.contains(&to),
+            self.neighbors.contains(to),
             "node {} tried to send to non-neighbor {}",
             self.node,
             to
@@ -131,7 +133,7 @@ impl<'a, M> Context<'a, M> {
         assert!(!self.neighbors.is_empty(), "node has no neighbors");
         let len = self.neighbors.len();
         for _ in 0..len {
-            let pick = self.neighbors[*self.rr_cursor % len];
+            let pick = self.neighbors.get(*self.rr_cursor % len);
             *self.rr_cursor = (*self.rr_cursor + 1) % len;
             if self.is_live(pick) {
                 return pick;
@@ -139,7 +141,7 @@ impl<'a, M> Context<'a, M> {
         }
         // Every neighbor has crashed; return the current cursor position —
         // the message will be dropped, which is all that can happen.
-        self.neighbors[*self.rr_cursor % len]
+        self.neighbors.get(*self.rr_cursor % len)
     }
 
     /// Returns a uniformly random neighbor (gossip-style push target),
@@ -153,22 +155,18 @@ impl<'a, M> Context<'a, M> {
     /// Panics if the node has no neighbors.
     pub fn random_neighbor(&mut self) -> NodeId {
         assert!(!self.neighbors.is_empty(), "node has no neighbors");
+        let len = self.neighbors.len();
         // Rejection-sample a few times, then fall back to an exact scan of
         // the live neighbors (only reached when most neighbors are dead).
         for _ in 0..8 {
-            let pick = self.neighbors[self.rng.gen_range(0..self.neighbors.len())];
+            let pick = self.neighbors.get(self.rng.gen_range(0..len));
             if self.is_live(pick) {
                 return pick;
             }
         }
-        let live: Vec<NodeId> = self
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|&n| self.is_live(n))
-            .collect();
+        let live: Vec<NodeId> = self.neighbors.iter().filter(|&n| self.is_live(n)).collect();
         if live.is_empty() {
-            return self.neighbors[self.rng.gen_range(0..self.neighbors.len())];
+            return self.neighbors.get(self.rng.gen_range(0..len));
         }
         live[self.rng.gen_range(0..live.len())]
     }
@@ -179,7 +177,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn with_ctx<R>(neighbors: &[NodeId], f: impl FnOnce(&mut Context<'_, u32>) -> R) -> R {
+    fn with_ctx<R>(neighbors: Neighbors<'_>, f: impl FnOnce(&mut Context<'_, u32>) -> R) -> R {
         let mut cursor = 0usize;
         let mut rng = StdRng::seed_from_u64(1);
         let mut outbox: Vec<(NodeId, u32)> = Vec::new();
@@ -189,9 +187,9 @@ mod tests {
 
     #[test]
     fn accessors() {
-        with_ctx(&[1, 2], |ctx| {
+        with_ctx(Neighbors::from_sorted(&[1, 2]), |ctx| {
             assert_eq!(ctx.id(), 0);
-            assert_eq!(ctx.neighbors(), &[1, 2]);
+            assert_eq!(ctx.neighbors().iter().collect::<Vec<_>>(), [1, 2]);
             assert_eq!(ctx.round(), 3);
         });
     }
@@ -204,7 +202,14 @@ mod tests {
         let mut outbox: Vec<(NodeId, u32)> = Vec::new();
         let mut picks = Vec::new();
         for _ in 0..6 {
-            let mut ctx = Context::new(0, &neighbors, &mut cursor, &mut rng, &mut outbox, 0);
+            let mut ctx = Context::new(
+                0,
+                Neighbors::from_sorted(&neighbors),
+                &mut cursor,
+                &mut rng,
+                &mut outbox,
+                0,
+            );
             picks.push(ctx.round_robin_neighbor());
         }
         assert_eq!(picks, vec![1, 2, 3, 1, 2, 3]);
@@ -212,7 +217,7 @@ mod tests {
 
     #[test]
     fn random_neighbor_is_a_neighbor() {
-        with_ctx(&[4, 7, 9], |ctx| {
+        with_ctx(Neighbors::from_sorted(&[4, 7, 9]), |ctx| {
             for _ in 0..50 {
                 let n = ctx.random_neighbor();
                 assert!([4, 7, 9].contains(&n));
@@ -223,7 +228,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-neighbor")]
     fn send_to_stranger_panics() {
-        with_ctx(&[1], |ctx| ctx.send(5, 0));
+        with_ctx(Neighbors::from_sorted(&[1]), |ctx| ctx.send(5, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-neighbor")]
+    fn send_to_self_on_complete_graph_panics() {
+        with_ctx(crate::Topology::complete(4).neighbors(0), |ctx| {
+            ctx.send(0, 0)
+        });
     }
 
     #[test]
@@ -233,7 +246,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut outbox: Vec<(NodeId, u32)> = Vec::new();
         {
-            let mut ctx = Context::new(0, &neighbors, &mut cursor, &mut rng, &mut outbox, 0);
+            let mut ctx = Context::new(
+                0,
+                Neighbors::from_sorted(&neighbors),
+                &mut cursor,
+                &mut rng,
+                &mut outbox,
+                0,
+            );
             ctx.send(1, 10);
             ctx.send(2, 20);
         }

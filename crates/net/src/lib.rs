@@ -60,7 +60,7 @@ pub use faults::CrashModel;
 pub use metrics::NetMetrics;
 pub use rng::{derive_seed, seeded_pick, SeedSequence};
 pub use rounds::RoundEngine;
-pub use topology::{Topology, TopologyError};
+pub use topology::{Neighbors, Topology, TopologyError};
 
 /// Identifies a node in a simulated network (dense indices `0..n`).
 pub type NodeId = usize;

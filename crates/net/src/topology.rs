@@ -62,6 +62,12 @@ impl Error for TopologyError {}
 /// convergence theorem. Undirected shapes (ring, grid, …) are represented
 /// by edges in both directions.
 ///
+/// The complete graph is stored implicitly (only its node count), so it
+/// costs O(1) memory however large; every other shape keeps one neighbor
+/// list per node, sorted ascending, deduplicated and free of self-loops.
+/// [`Topology::neighbors`] hides the difference behind [`Neighbors`], and
+/// equality compares the graphs, not their storage.
+///
 /// # Example
 ///
 /// ```
@@ -70,18 +76,128 @@ impl Error for TopologyError {}
 /// let t = Topology::grid(3, 4);
 /// assert_eq!(t.len(), 12);
 /// assert!(t.is_strongly_connected());
-/// assert_eq!(t.neighbors(0), &[1, 4]); // right and down from the corner
+/// // Right and down from the corner.
+/// assert_eq!(t.neighbors(0).iter().collect::<Vec<_>>(), [1, 4]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Topology {
-    out: Vec<Vec<NodeId>>,
+    repr: Repr,
+}
+
+#[derive(Debug, Clone)]
+enum Repr {
+    /// Every node links to every other node.
+    Complete(usize),
+    /// Per-node out-neighbor lists: ascending, deduplicated, no self-loops.
+    Lists(Vec<Vec<NodeId>>),
+}
+
+impl PartialEq for Topology {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && (0..self.len()).all(|i| self.neighbors(i) == other.neighbors(i))
+    }
+}
+
+impl Eq for Topology {}
+
+/// A node's out-neighbors in ascending order: a borrowed list, or the
+/// implicit "every node but this one" of a complete graph.
+///
+/// `Copy` and allocation-free. [`Neighbors::get`] is O(1);
+/// [`Neighbors::contains`] is O(1) on the complete graph and a binary
+/// search on a list.
+#[derive(Clone, Copy)]
+pub struct Neighbors<'a>(NeighborsRepr<'a>);
+
+#[derive(Clone, Copy)]
+enum NeighborsRepr<'a> {
+    /// `0..n` without `node`.
+    AllBut {
+        n: usize,
+        node: NodeId,
+    },
+    List(&'a [NodeId]),
+}
+
+impl<'a> Neighbors<'a> {
+    /// Views a list that is already sorted ascending and duplicate-free.
+    pub(crate) fn from_sorted(list: &'a [NodeId]) -> Self {
+        debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "unsorted list");
+        Neighbors(NeighborsRepr::List(list))
+    }
+
+    /// Number of neighbors (the out-degree).
+    pub fn len(&self) -> usize {
+        match self.0 {
+            NeighborsRepr::AllBut { n, .. } => n - 1,
+            NeighborsRepr::List(list) => list.len(),
+        }
+    }
+
+    /// `true` when the node has no neighbors.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `i`-th neighbor in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> NodeId {
+        match self.0 {
+            NeighborsRepr::AllBut { n, node } => {
+                assert!(
+                    i < n - 1,
+                    "neighbor index {i} out of range for degree {}",
+                    n - 1
+                );
+                if i < node {
+                    i
+                } else {
+                    i + 1
+                }
+            }
+            NeighborsRepr::List(list) => list[i],
+        }
+    }
+
+    /// `true` when `node` is one of the neighbors.
+    pub fn contains(&self, node: NodeId) -> bool {
+        match self.0 {
+            NeighborsRepr::AllBut { n, node: me } => node < n && node != me,
+            NeighborsRepr::List(list) => list.binary_search(&node).is_ok(),
+        }
+    }
+
+    /// The neighbors in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + 'a {
+        let view = *self;
+        (0..view.len()).map(move |i| view.get(i))
+    }
+}
+
+impl PartialEq for Neighbors<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Neighbors<'_> {}
+
+impl fmt::Debug for Neighbors<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 impl Topology {
     /// Builds a topology from explicit directed edges.
     ///
     /// Duplicate edges and self-loops are rejected implicitly: duplicates
-    /// are deduplicated, self-loops ignored.
+    /// are deduplicated, self-loops ignored. The result always keeps
+    /// explicit lists, even when the edges form a complete graph.
     ///
     /// # Errors
     ///
@@ -100,14 +216,15 @@ impl Topology {
             if b >= n {
                 return Err(TopologyError::NodeOutOfRange { node: b, n });
             }
-            if a != b && !out[a].contains(&b) {
+            if a != b {
                 out[a].push(b);
             }
         }
         for nbrs in &mut out {
             nbrs.sort_unstable();
+            nbrs.dedup();
         }
-        let topo = Topology { out };
+        let topo = Topology::lists(out);
         if !topo.is_strongly_connected() {
             return Err(TopologyError::NotConnected);
         }
@@ -133,16 +250,22 @@ impl Topology {
     }
 
     /// The complete graph on `n` nodes (the paper's simulation topology).
+    /// Stored implicitly: it allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `n < 2`.
     pub fn complete(n: usize) -> Self {
         assert!(n >= 2, "complete graph needs at least 2 nodes");
-        let out = (0..n)
-            .map(|i| (0..n).filter(|&j| j != i).collect())
-            .collect();
-        Topology { out }
+        Topology {
+            repr: Repr::Complete(n),
+        }
+    }
+
+    fn lists(out: Vec<Vec<NodeId>>) -> Self {
+        Topology {
+            repr: Repr::Lists(out),
+        }
     }
 
     /// A bidirectional ring.
@@ -160,7 +283,7 @@ impl Topology {
                 nbrs
             })
             .collect();
-        Topology { out }
+        Topology::lists(out)
     }
 
     /// A directed cycle `0 → 1 → … → n−1 → 0` — the sparsest strongly
@@ -172,7 +295,7 @@ impl Topology {
     pub fn directed_cycle(n: usize) -> Self {
         assert!(n >= 2, "cycle needs at least 2 nodes");
         let out = (0..n).map(|i| vec![(i + 1) % n]).collect();
-        Topology { out }
+        Topology::lists(out)
     }
 
     /// A bidirectional path (line) graph.
@@ -194,7 +317,7 @@ impl Topology {
                 nbrs
             })
             .collect();
-        Topology { out }
+        Topology::lists(out)
     }
 
     /// A star: node 0 is the hub connected to every leaf (both directions).
@@ -206,11 +329,10 @@ impl Topology {
         assert!(n >= 2, "star needs at least 2 nodes");
         let mut out = vec![Vec::new(); n];
         out[0] = (1..n).collect();
-        for (leaf, nbrs) in out.iter_mut().enumerate().skip(1) {
+        for nbrs in out.iter_mut().skip(1) {
             nbrs.push(0);
-            let _ = leaf;
         }
-        Topology { out }
+        Topology::lists(out)
     }
 
     /// A `rows × cols` 4-neighbor grid.
@@ -241,7 +363,7 @@ impl Topology {
                 out[idx(r, c)] = nbrs;
             }
         }
-        Topology { out }
+        Topology::lists(out)
     }
 
     /// An `rows × cols` torus: a grid with wrap-around edges, so every node
@@ -269,7 +391,7 @@ impl Topology {
                 out[idx(r, c)] = nbrs;
             }
         }
-        Topology { out }
+        Topology::lists(out)
     }
 
     /// An Erdős–Rényi `G(n, p)` graph (undirected), retried until strongly
@@ -347,21 +469,30 @@ impl Topology {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.out.len()
+        match &self.repr {
+            Repr::Complete(n) => *n,
+            Repr::Lists(out) => out.len(),
+        }
     }
 
     /// `true` when the topology has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
+        self.len() == 0
     }
 
-    /// The out-neighbors of `node`.
+    /// The out-neighbors of `node`, in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        &self.out[node]
+    pub fn neighbors(&self, node: NodeId) -> Neighbors<'_> {
+        match &self.repr {
+            Repr::Complete(n) => {
+                assert!(node < *n, "node {node} out of range for {n} nodes");
+                Neighbors(NeighborsRepr::AllBut { n: *n, node })
+            }
+            Repr::Lists(out) => Neighbors::from_sorted(&out[node]),
+        }
     }
 
     /// Out-degree of `node`.
@@ -370,12 +501,12 @@ impl Topology {
     ///
     /// Panics if `node` is out of range.
     pub fn degree(&self, node: NodeId) -> usize {
-        self.out[node].len()
+        self.neighbors(node).len()
     }
 
     /// Total number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.out.iter().map(Vec::len).sum()
+        (0..self.len()).map(|i| self.degree(i)).sum()
     }
 
     /// `true` when every node can reach every other node.
@@ -389,13 +520,12 @@ impl Topology {
         }
         // Strong connectivity also needs reachability in the reversed graph.
         let mut rev = vec![Vec::new(); n];
-        for (a, nbrs) in self.out.iter().enumerate() {
-            for &b in nbrs {
+        for a in 0..n {
+            for b in self.neighbors(a).iter() {
                 rev[b].push(a);
             }
         }
-        let rev_topo = Topology { out: rev };
-        rev_topo.reachable_from(0).iter().all(|&r| r)
+        Topology::lists(rev).reachable_from(0).iter().all(|&r| r)
     }
 
     /// The diameter (longest shortest path) of the graph, in hops.
@@ -423,7 +553,7 @@ impl Topology {
         queue.push_back(source);
         while let Some(u) = queue.pop_front() {
             let du = dist[u].expect("visited nodes have distances");
-            for &v in &self.out[u] {
+            for v in self.neighbors(u).iter() {
                 if dist[v].is_none() {
                     dist[v] = Some(du + 1);
                     queue.push_back(v);
@@ -447,6 +577,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn nbrs(t: &Topology, node: NodeId) -> Vec<NodeId> {
+        t.neighbors(node).iter().collect()
+    }
+
     #[test]
     fn complete_graph_shape() {
         let t = Topology::complete(5);
@@ -454,7 +588,7 @@ mod tests {
         assert_eq!(t.edge_count(), 20);
         assert!(t.is_strongly_connected());
         assert_eq!(t.diameter(), 1);
-        assert_eq!(t.neighbors(2), &[0, 1, 3, 4]);
+        assert_eq!(nbrs(&t, 2), [0, 1, 3, 4]);
     }
 
     #[test]
@@ -468,8 +602,8 @@ mod tests {
     #[test]
     fn two_node_ring_dedups() {
         let t = Topology::ring(2);
-        assert_eq!(t.neighbors(0), &[1]);
-        assert_eq!(t.neighbors(1), &[0]);
+        assert_eq!(nbrs(&t, 0), [1]);
+        assert_eq!(nbrs(&t, 1), [0]);
     }
 
     #[test]
@@ -484,8 +618,8 @@ mod tests {
     fn line_and_star() {
         let line = Topology::line(4);
         assert_eq!(line.diameter(), 3);
-        assert_eq!(line.neighbors(0), &[1]);
-        assert_eq!(line.neighbors(1), &[0, 2]);
+        assert_eq!(nbrs(&line, 0), [1]);
+        assert_eq!(nbrs(&line, 1), [0, 2]);
 
         let star = Topology::star(5);
         assert_eq!(star.degree(0), 4);
@@ -540,7 +674,7 @@ mod tests {
     #[test]
     fn from_edges_ignores_self_loops_and_duplicates() {
         let t = Topology::from_undirected_edges(2, &[(0, 0), (0, 1), (0, 1), (1, 0)]).unwrap();
-        assert_eq!(t.neighbors(0), &[1]);
+        assert_eq!(nbrs(&t, 0), [1]);
         assert_eq!(t.edge_count(), 2);
     }
 

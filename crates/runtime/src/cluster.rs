@@ -535,7 +535,7 @@ where
     // Adopt broadcast make the links bidirectional).
     let neighbors_of = |id: NodeId| -> Vec<NodeId> {
         if id < n {
-            topology.neighbors(id).to_vec()
+            topology.neighbors(id).iter().collect()
         } else if n == 0 {
             Vec::new()
         } else {

@@ -202,17 +202,21 @@ fn usage() -> &'static str {
 }
 
 fn build_topology(name: &str, n: usize) -> Result<Topology, String> {
-    match name {
-        "complete" => Ok(Topology::complete(n)),
-        "ring" => Ok(Topology::ring(n)),
-        "grid" => {
-            let side = (n as f64).sqrt().round() as usize;
-            Ok(Topology::grid(side.max(2), side.max(2)))
-        }
-        "star" => Ok(Topology::star(n)),
-        "cycle" => Ok(Topology::directed_cycle(n)),
-        other => Err(format!("unknown topology {other}")),
+    let build: fn(usize) -> Topology = match name {
+        "complete" => Topology::complete,
+        "ring" => Topology::ring,
+        "grid" => |n| {
+            let side = ((n as f64).sqrt().round() as usize).max(2);
+            Topology::grid(side, side)
+        },
+        "star" => Topology::star,
+        "cycle" => Topology::directed_cycle,
+        other => return Err(format!("unknown topology {other}")),
+    };
+    if n < 2 {
+        return Err(format!("topology {name} needs at least 2 nodes, got {n}"));
     }
+    Ok(build(n))
 }
 
 fn load_values(path: &str) -> Result<Vec<Vector>, String> {

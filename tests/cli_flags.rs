@@ -1,15 +1,20 @@
-//! `run-cluster` flag hygiene: contradictory or vacuous flag
-//! combinations must die with a clear usage error before any peer is
-//! spawned, not start a run with surprising defaults.
+//! CLI flag hygiene: contradictory or vacuous flag combinations, and
+//! node counts no topology can hold, must die with a clear usage error
+//! before any peer is spawned, not start a run with surprising defaults
+//! or panic.
 
 use std::process::Command;
 
-fn run_cluster(extra: &[&str]) -> std::process::Output {
+fn distclass(cmd: &str, extra: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_distclass"))
-        .arg("run-cluster")
+        .arg(cmd)
         .args(extra)
         .output()
         .expect("spawn distclass")
+}
+
+fn run_cluster(extra: &[&str]) -> std::process::Output {
+    distclass("run-cluster", extra)
 }
 
 #[test]
@@ -76,4 +81,43 @@ fn bad_churn_join_ids_are_spec_errors_not_panics() {
         stderr.contains("unknown node 99"),
         "unclear error:\n{stderr}"
     );
+}
+
+#[test]
+fn too_few_nodes_for_a_topology_is_an_error_not_a_panic() {
+    let one_line = std::env::temp_dir().join(format!("distclass-one-{}.csv", std::process::id()));
+    std::fs::write(&one_line, "1.0,2.0\n").expect("write values file");
+    let values = one_line.to_str().expect("utf-8 temp path");
+    let cases = [
+        (
+            "classify",
+            vec!["--n", "1"],
+            "topology complete needs at least 2 nodes, got 1",
+        ),
+        (
+            "classify",
+            vec!["--n", "0"],
+            "topology complete needs at least 2 nodes, got 0",
+        ),
+        (
+            "classify",
+            vec!["--n", "1", "--topology", "ring"],
+            "topology ring needs at least 2 nodes, got 1",
+        ),
+        (
+            "run-cluster",
+            vec!["--values", values],
+            "topology complete needs at least 2 nodes, got 1",
+        ),
+    ];
+    for (cmd, extra, error) in cases {
+        let out = distclass(cmd, &extra);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {extra:?}:\n{stderr}");
+        assert!(
+            stderr.contains(error),
+            "unclear error for {cmd} {extra:?}:\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_file(&one_line);
 }

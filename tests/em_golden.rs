@@ -1,4 +1,4 @@
-//! Golden bit-identity pins for the Gaussian-Mixture hot path.
+//! Golden bit-identity pins for the simulation hot paths.
 //!
 //! Two digests, recorded before the EM kernel was rewritten for speed,
 //! pin its outputs bit for bit:
@@ -12,20 +12,38 @@
 //! * every node's classification after 30 rounds of a fixed-seed GM
 //!   `RoundSim` on Fig. 2 readings (n = 200, k = 7).
 //!
+//! Five more, recorded before complete graphs became implicit and the
+//! greedy partition started caching group summaries, pin every node's
+//! classification (summary bits and grains) and the `NetMetrics` after
+//! 30 rounds (or 30 time units) of:
+//!
+//! * a centroid `RoundSim` on `Topology::complete(300)`, uniform selector;
+//! * the same with round-robin selection;
+//! * a centroid `RoundSim` on a 15 × 20 grid (explicit neighbor lists);
+//! * a centroid `AsyncSim` on `Topology::complete(300)`;
+//! * a GM `RoundSim` with `PartitionStrategy::Greedy` (n = 200, k = 7).
+//!
 //! A change that moves any bit fails here. If a change reorders float
-//! operations on purpose, it must say so and re-record both values.
+//! operations on purpose, it must say so and re-record the values.
 
 use std::sync::Arc;
 
 use distclass::core::em::{self, EmConfig};
-use distclass::core::{GaussianSummary, GmInstance};
+use distclass::core::{
+    CentroidInstance, Classification, GaussianSummary, GmInstance, PartitionStrategy,
+};
 use distclass::experiments::data::{figure2_components, sample_mixture};
-use distclass::gossip::{GossipConfig, RoundSim};
+use distclass::gossip::{AsyncSim, GossipConfig, RoundSim, SelectorKind};
 use distclass::linalg::{Matrix, Vector};
-use distclass::net::Topology;
+use distclass::net::{DelayModel, NetMetrics, Topology};
 
 const REDUCE_DIGEST: u64 = 0x58a1_369b_352e_6580;
 const ROUNDSIM_DIGEST: u64 = 0x546c_96f1_7429_e233;
+const CENTROID_COMPLETE_DIGEST: u64 = 0x5bf6_6f51_b8b5_646f;
+const CENTROID_ROUND_ROBIN_DIGEST: u64 = 0x54c1_3e9f_0fea_f4cd;
+const CENTROID_GRID_DIGEST: u64 = 0xea3f_3be0_69ab_d226;
+const CENTROID_ASYNC_DIGEST: u64 = 0xd3bd_b83c_911e_8336;
+const GM_GREEDY_DIGEST: u64 = 0xbcfb_89b1_9986_b735;
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);
@@ -51,6 +69,36 @@ impl Digest {
     fn summary(&mut self, s: &GaussianSummary) {
         self.f64s(s.mean.as_slice());
         self.f64s(s.cov.as_slice());
+    }
+
+    /// Every node's classification, then the engine counters.
+    fn run<'a, S: 'a>(
+        classifications: impl IntoIterator<Item = &'a Classification<S>>,
+        summary: impl Fn(&mut Self, &S),
+        m: NetMetrics,
+    ) -> u64 {
+        let mut digest = Digest::new();
+        for c in classifications {
+            digest.word(c.len() as u64);
+            for col in c.iter() {
+                summary(&mut digest, &col.summary);
+                digest.word(col.weight.grains());
+            }
+        }
+        for w in [
+            m.messages_sent,
+            m.messages_delivered,
+            m.messages_dropped,
+            m.ticks,
+            m.rounds,
+            m.crashes,
+            m.restarts,
+            m.bytes_sent,
+            m.bytes_delivered,
+        ] {
+            digest.word(w);
+        }
+        digest.0
     }
 }
 
@@ -206,4 +254,93 @@ fn gm_roundsim_classifications_match_the_recorded_digest() {
         "GM RoundSim classifications changed: digest {:#018x}",
         digest.0
     );
+}
+
+/// Fig. 2 readings for `n` nodes and a config on engine seed 12.
+fn fig2_inputs(n: usize, selector: SelectorKind) -> (Vec<Vector>, GossipConfig) {
+    let (values, _labels) = sample_mixture(n, &figure2_components(), 0xF162);
+    let cfg = GossipConfig {
+        seed: 12,
+        selector,
+        ..GossipConfig::default()
+    };
+    (values, cfg)
+}
+
+/// 30 rounds of a k = 2 centroid `RoundSim` with byte accounting.
+fn centroid_roundsim_digest(topo: Topology, selector: SelectorKind) -> u64 {
+    let (values, cfg) = fig2_inputs(topo.len(), selector);
+    let inst = Arc::new(CentroidInstance::new(2).expect("k > 0"));
+    let mut sim = RoundSim::new(topo, inst, &values, &cfg).with_byte_accounting();
+    sim.run_rounds(30);
+    Digest::run(
+        sim.live_classifications(),
+        |d, s: &Vector| d.f64s(s.as_slice()),
+        sim.metrics(),
+    )
+}
+
+fn check(name: &str, digest: u64, recorded: u64) {
+    assert_eq!(digest, recorded, "{name} changed: digest {digest:#018x}");
+}
+
+#[test]
+fn centroid_roundsim_on_complete_graph_matches_the_recorded_digest() {
+    let digest = centroid_roundsim_digest(Topology::complete(300), SelectorKind::UniformRandom);
+    check(
+        "complete-graph centroid RoundSim",
+        digest,
+        CENTROID_COMPLETE_DIGEST,
+    );
+}
+
+#[test]
+fn round_robin_centroid_roundsim_matches_the_recorded_digest() {
+    let digest = centroid_roundsim_digest(Topology::complete(300), SelectorKind::RoundRobin);
+    check(
+        "round-robin centroid RoundSim",
+        digest,
+        CENTROID_ROUND_ROBIN_DIGEST,
+    );
+}
+
+#[test]
+fn centroid_roundsim_on_grid_matches_the_recorded_digest() {
+    let digest = centroid_roundsim_digest(Topology::grid(15, 20), SelectorKind::UniformRandom);
+    check("grid centroid RoundSim", digest, CENTROID_GRID_DIGEST);
+}
+
+#[test]
+fn centroid_asyncsim_on_complete_graph_matches_the_recorded_digest() {
+    let (values, cfg) = fig2_inputs(300, SelectorKind::UniformRandom);
+    let inst = Arc::new(CentroidInstance::new(2).expect("k > 0"));
+    let delay = DelayModel::Uniform { min: 0.1, max: 2.5 };
+    let mut sim =
+        AsyncSim::new(Topology::complete(300), inst, &values, &cfg, delay).with_byte_accounting();
+    sim.run_until(30.0);
+    let digest = Digest::run(
+        sim.classifications(),
+        |d, s: &Vector| d.f64s(s.as_slice()),
+        sim.metrics(),
+    );
+    check(
+        "complete-graph centroid AsyncSim",
+        digest,
+        CENTROID_ASYNC_DIGEST,
+    );
+}
+
+#[test]
+fn greedy_gm_roundsim_matches_the_recorded_digest() {
+    let (values, cfg) = fig2_inputs(200, SelectorKind::UniformRandom);
+    let inst = Arc::new(
+        GmInstance::new(7)
+            .expect("k > 0")
+            .with_partition_strategy(PartitionStrategy::Greedy),
+    );
+    let mut sim =
+        RoundSim::new(Topology::complete(200), inst, &values, &cfg).with_byte_accounting();
+    sim.run_rounds(30);
+    let digest = Digest::run(sim.live_classifications(), Digest::summary, sim.metrics());
+    check("greedy GM RoundSim", digest, GM_GREEDY_DIGEST);
 }

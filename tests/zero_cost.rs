@@ -1,4 +1,5 @@
-//! Zero-cost-when-disabled guarantees for the observability handles.
+//! Zero-cost-when-disabled guarantees for the observability handles, and
+//! allocation counts for the hot paths that promise to make none.
 //!
 //! The runtime threads `Tracer`, `Live`, and `Profiler` handles through
 //! every hot path on the premise that the disabled state costs one
@@ -205,4 +206,18 @@ fn em_reduce_allocations_do_not_grow_with_iterations() {
     // comparison needs the same group count on both sides.
     assert_eq!(one.1, five.1, "group counts differ");
     assert_eq!(one.0, five.0, "allocations grew with iterations");
+}
+
+#[test]
+fn complete_graph_costs_no_allocation_at_any_size() {
+    let n = 1_000_000;
+    let mut degrees = 0;
+    let allocs = allocations(|| {
+        let topo = Topology::complete(n);
+        for i in [0, 1, n / 2, n - 1] {
+            degrees += topo.neighbors(i).len();
+        }
+    });
+    assert_eq!(degrees, 4 * (n - 1));
+    assert_eq!(allocs, 0, "Topology::complete allocated");
 }
