@@ -28,7 +28,7 @@
 //!   zero-cost-when-disabled handle pattern ([`Metrics`]).
 //! - [`prom`]: Prometheus text-format exposition of a registry snapshot,
 //!   plus a minimal routed std-only HTTP server ([`prom::HttpServer`])
-//!   behind the scrape endpoint ([`prom::PromServer`]).
+//!   behind the live console's `/metrics` endpoint.
 //! - [`live`]: the live operations console — a [`LiveAggregator`] tees
 //!   off the trace stream and [`LiveConsole`] serves the dashboard,
 //!   `/snapshot.json` and the `/events` long-poll while the run is

@@ -11,8 +11,8 @@
 //! exposes that view through the routed [`HttpServer`]:
 //!
 //! * `GET /` — a dependency-free embedded HTML/JS dashboard;
-//! * `GET /metrics` — the Prometheus page, byte-identical to
-//!   [`crate::prom::PromServer`]'s;
+//! * `GET /metrics` — the Prometheus page, byte-identical to the
+//!   original scrape-only endpoint's;
 //! * `GET /snapshot.json` — the full aggregator state as one JSON
 //!   document;
 //! * `GET /events?since=<id>` — long-poll stream of new telemetry

@@ -41,8 +41,8 @@ use distclass_gossip::wire::WireSummary;
 use distclass_gossip::SelectorKind;
 use distclass_net::{NodeId, Topology};
 use distclass_obs::{
-    prom::PromServer, EpisodeRule, Health, Live, LiveAggregator, LiveConsole, Metrics, Phase,
-    ProfileReport, Profiler, TraceEvent, Tracer,
+    EpisodeRule, Health, Live, LiveAggregator, LiveConsole, Metrics, Phase, ProfileReport,
+    Profiler, TraceEvent, Tracer,
 };
 
 use crate::audit::{run_audit, AuditReport, GrainLogs, Ledger, NodeLedger};
@@ -122,16 +122,11 @@ pub struct ClusterConfig {
     /// Metrics registry handle shared by every peer; disabled by default
     /// (no-op instruments, zero overhead).
     pub metrics: Metrics,
-    /// Address for a Prometheus scrape endpoint serving the registry
-    /// (e.g. `"127.0.0.1:9184"`). Only started when [`Self::metrics`] is
-    /// enabled; the listener lives for the duration of the run.
-    pub prom_listen: Option<String>,
     /// Address for the live operations console (dashboard at `/`,
     /// `/metrics`, `/snapshot.json`, `/events`). Starting it attaches a
     /// [`distclass_obs::LiveAggregator`] to the run's trace path (teed,
-    /// so a `--trace` file is unaffected) and serves it for the duration
-    /// of the run. Subsumes [`Self::prom_listen`]: `/metrics` responses
-    /// are byte-identical to the scrape-only listener's.
+    /// so a `--trace` file is unaffected, and shared by the supervisor
+    /// and every peer) and serves it for the duration of the run.
     pub dash_listen: Option<String>,
     /// Byzantine adversary script: which nodes lie on the wire, and how.
     /// `None` (the default) runs an all-honest cluster, byte-identical
@@ -176,7 +171,6 @@ impl Default for ClusterConfig {
             audit: false,
             tracer: Tracer::disabled(),
             metrics: Metrics::disabled(),
-            prom_listen: None,
             dash_listen: None,
             adversaries: None,
             defense: None,
@@ -327,6 +321,73 @@ struct Slot<S> {
     /// Told to retire (churn leave): its clean exit is reported as
     /// [`NodeOutcome::Retired`], and the convergence count excludes it.
     retiring: bool,
+    /// The node's latest status report.
+    latest: Option<Classification<S>>,
+    /// Every send settled: reported drained, or down for good. An
+    /// unspawned joiner is vacuously drained; its spawn clears this.
+    drained: bool,
+}
+
+impl<S> Slot<S> {
+    /// A node's slot: spawned now (`handle` set), or a scripted joiner's
+    /// placeholder (`handle` unset) until its join time arrives.
+    fn new(ctrl: Sender<Ctrl>, handle: Option<JoinHandle<PeerExit<S>>>) -> Slot<S> {
+        Slot {
+            spawned: handle.is_some(),
+            drained: handle.is_none(),
+            ctrl,
+            handle,
+            incarnation: 0,
+            restarts: 0,
+            pending_downtime: None,
+            respawn_at: None,
+            dead: false,
+            last_ckpt: None,
+            last_lamport: 0,
+            last_death: None,
+            final_exit: None,
+            durable: GrainLogs::default(),
+            voided: GrainLogs::default(),
+            prior_metrics: RuntimeMetrics::default(),
+            error: None,
+            inexact: None,
+            retiring: false,
+            latest: None,
+        }
+    }
+
+    /// Records that this node's thread panicked: no death receipt, so
+    /// its books are inexact.
+    fn panicked(&mut self, payload: Box<dyn Any + Send>) {
+        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        self.inexact
+            .get_or_insert(format!("thread panicked without a death receipt: {msg}"));
+        self.error = Some(msg);
+    }
+
+    /// Voids an incarnation's grain-log batch — a restore rolled back
+    /// everything in it — and traces the rollback.
+    fn void(&mut self, node: NodeId, incarnation: u16, logs: GrainLogs, tracer: &Tracer) {
+        tracer.emit(|| {
+            let (split, merged, returned) = logs.grain_sums();
+            TraceEvent::GrainsVoided {
+                node,
+                incarnation,
+                split,
+                merged,
+                returned,
+                injected: logs.injected,
+                forgotten: logs.forgotten,
+            }
+        });
+        self.voided.absorb(logs);
+    }
 }
 
 /// The supervisor's Byzantine court: a cluster-wide strike tally and the
@@ -390,69 +451,6 @@ fn unix_ms_now() -> Option<u64> {
         .duration_since(std::time::UNIX_EPOCH)
         .ok()
         .map(|d| d.as_millis() as u64)
-}
-
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn spawn_incarnation<I, T>(
-    id: NodeId,
-    node: ClassifierNode<I>,
-    transport: ChaosTransport<T>,
-    neighbors: Vec<NodeId>,
-    config: &ClusterConfig,
-    epoch: Instant,
-    announce_join: bool,
-    restore: RestoreState,
-    events: Sender<PeerEvent<I::Summary>>,
-) -> (Sender<Ctrl>, JoinHandle<PeerExit<I::Summary>>)
-where
-    I: Instance + Send + Sync + 'static,
-    I::Summary: WireSummary + Send + 'static,
-    T: Transport,
-{
-    let cfg = PeerConfig {
-        id,
-        neighbors,
-        tick: config.tick,
-        status_interval: config.status_interval,
-        checkpoint_interval: config.checkpoint_interval,
-        retry: config.retry,
-        selector: config.selector,
-        seed: config.seed,
-        tracer: config.tracer.clone(),
-        metrics: config.metrics.clone(),
-        profiler: config.profiler.clone(),
-        attack: config
-            .adversaries
-            .as_ref()
-            .and_then(|plan| AttackState::new(plan, id, config.quantum.grains_per_unit())),
-        defense: config.defense,
-        grains_per_unit: config.quantum.grains_per_unit(),
-        epoch,
-        drift: config
-            .drift
-            .as_ref()
-            .map(|d| d.events_for(id))
-            .unwrap_or_default(),
-        decay: config.drift.as_ref().map_or((1, 2), |d| d.decay),
-        announce_join,
-    };
-    let inc = restore.incarnation;
-    let (ctrl_tx, ctrl_rx) = mpsc::channel();
-    let handle = thread::Builder::new()
-        .name(format!("distclass-peer-{id}-i{inc}"))
-        .spawn(move || run_peer(node, transport, cfg, restore, ctrl_rx, events))
-        .expect("spawn peer thread");
-    (ctrl_tx, handle)
 }
 
 /// Runs a cluster over endpoints minted by `net`, under the fault plan.
@@ -554,8 +552,9 @@ where
     let health = config.dash_listen.as_ref().map(|_| Arc::new(Health::new()));
     // The live console, when asked for: an aggregator teed into the
     // run's trace path (the JSONL file, if any, sees the same events it
-    // always did) plus the routed HTTP server over it. Everything the
-    // supervisor and peers emit below goes through this teed tracer.
+    // always did) plus the routed HTTP server over it. The run's one
+    // shared config carries this teed tracer, so everything the
+    // supervisor and peers emit below reaches the console.
     let live = match &config.dash_listen {
         Some(_) => Live::new(Arc::new(LiveAggregator::new(EpisodeRule {
             window: 5,
@@ -564,12 +563,16 @@ where
         }))),
         None => Live::disabled(),
     };
-    let tracer = match live.aggregator() {
-        Some(agg) => config
-            .tracer
-            .tee(Arc::clone(agg) as Arc<dyn distclass_obs::TraceSink>),
-        None => config.tracer.clone(),
-    };
+    let config = Arc::new(ClusterConfig {
+        tracer: match live.aggregator() {
+            Some(agg) => config
+                .tracer
+                .tee(Arc::clone(agg) as Arc<dyn distclass_obs::TraceSink>),
+            None => config.tracer.clone(),
+        },
+        ..config.clone()
+    });
+    let tracer = &config.tracer;
     // Bind failures are reported but never kill the run; the servers
     // (and their ports) are dropped when the cluster returns.
     let _dash = match &config.dash_listen {
@@ -597,104 +600,68 @@ where
         }
         None => None,
     };
-    // The scrape-only endpoint for the run's metrics registry, when
-    // asked for separately from the console.
-    let _prom = match (&config.prom_listen, config.metrics.registry()) {
-        (Some(addr), Some(registry)) => {
-            match PromServer::start(addr.as_str(), Arc::clone(registry)) {
-                Ok(server) => Some(server),
-                Err(e) => {
-                    eprintln!("warning: could not bind prometheus listener on {addr}: {e}");
-                    None
-                }
-            }
-        }
-        _ => None,
-    };
     tracer.emit(|| TraceEvent::ClusterStarted {
         nodes: n,
         initial_grains: n as u64 * config.quantum.grains_per_unit(),
     });
     let (event_tx, event_rx) = mpsc::channel::<PeerEvent<I::Summary>>();
+    // Spawns one peer incarnation on its own thread: the endpoint behind
+    // the run's chaos layer, the run's shared config plus this peer's own
+    // fields, and the event channel back to this supervisor.
+    let spawn = |id: NodeId,
+                 node: ClassifierNode<I>,
+                 endpoint: N::T,
+                 announce_join: bool,
+                 restore: RestoreState| {
+        let inc = restore.incarnation;
+        let transport = ChaosTransport::new(endpoint, id, inc, Arc::clone(&plan), epoch);
+        let cfg = PeerConfig {
+            run: Arc::clone(&config),
+            id,
+            neighbors: neighbors_of(id),
+            attack: config
+                .adversaries
+                .as_ref()
+                .and_then(|plan| AttackState::new(plan, id, config.quantum.grains_per_unit())),
+            drift: config
+                .drift
+                .as_ref()
+                .map(|d| d.events_for(id))
+                .unwrap_or_default(),
+            announce_join,
+            epoch,
+        };
+        let (ctrl_tx, ctrl_rx) = mpsc::channel();
+        let events = event_tx.clone();
+        let handle = thread::Builder::new()
+            .name(format!("distclass-peer-{id}-i{inc}"))
+            .spawn(move || run_peer(node, transport, cfg, restore, ctrl_rx, events))
+            .expect("spawn peer thread");
+        (ctrl_tx, handle)
+    };
     let mut slots: Vec<Slot<I::Summary>> = Vec::with_capacity(n_total);
     for (id, value) in values.iter().enumerate() {
-        let node = ClassifierNode::new(Arc::clone(&instance), value, config.quantum);
-        let transport = ChaosTransport::new(
-            net.endpoint(id, 0)
-                .expect("mint initial transport endpoint"),
-            id,
-            0,
-            Arc::clone(&plan),
-            epoch,
-        );
         if let Some(role) = config.adversaries.as_ref().and_then(|p| p.role_of(id)) {
             tracer.emit(|| TraceEvent::AdversaryActivated {
                 node: id,
                 role: role.as_str().to_string(),
             });
         }
-        let (ctrl, handle) = spawn_incarnation(
-            id,
-            node,
-            transport,
-            neighbors_of(id),
-            config,
-            epoch,
-            false,
-            RestoreState::default(),
-            event_tx.clone(),
-        );
-        slots.push(Slot {
-            ctrl,
-            handle: Some(handle),
-            incarnation: 0,
-            restarts: 0,
-            pending_downtime: None,
-            respawn_at: None,
-            dead: false,
-            last_ckpt: None,
-            last_lamport: 0,
-            last_death: None,
-            final_exit: None,
-            durable: GrainLogs::default(),
-            voided: GrainLogs::default(),
-            prior_metrics: RuntimeMetrics::default(),
-            error: None,
-            inexact: None,
-            spawned: true,
-            retiring: false,
-        });
+        let node = ClassifierNode::new(Arc::clone(&instance), value, config.quantum);
+        let endpoint = net
+            .endpoint(id, 0)
+            .expect("mint initial transport endpoint");
+        let (ctrl, handle) = spawn(id, node, endpoint, false, RestoreState::default());
+        slots.push(Slot::new(ctrl, Some(handle)));
     }
     // Placeholder slots for scripted joiners: the dummy ctrl channel has
     // no receiver, so broadcasts to an unspawned joiner are silently (and
     // harmlessly) dropped.
     for _ in n..n_total {
         let (ctrl, _no_receiver) = mpsc::channel();
-        slots.push(Slot {
-            ctrl,
-            handle: None,
-            incarnation: 0,
-            restarts: 0,
-            pending_downtime: None,
-            respawn_at: None,
-            dead: false,
-            last_ckpt: None,
-            last_lamport: 0,
-            last_death: None,
-            final_exit: None,
-            durable: GrainLogs::default(),
-            voided: GrainLogs::default(),
-            prior_metrics: RuntimeMetrics::default(),
-            error: None,
-            inexact: None,
-            spawned: false,
-            retiring: false,
-        });
+        slots.push(Slot::new(ctrl, None));
     }
 
-    let mut latest: Vec<Option<Classification<I::Summary>>> = vec![None; n_total];
-    // An unspawned joiner is vacuously drained; its spawn flips this.
-    let mut drained: Vec<bool> = (0..n_total).map(|id| id >= n).collect();
     let mut tribunal = Tribunal::new(n_total, config.defense);
     let mut crash_schedule: Vec<CrashEvent> = plan.crashes.clone();
     crash_schedule.sort_by_key(|c| c.at);
@@ -727,16 +694,15 @@ where
     fn handle_event<S>(
         ev: PeerEvent<S>,
         slots: &mut [Slot<S>],
-        latest: &mut [Option<Classification<S>>],
-        drained: &mut [bool],
         tribunal: &mut Tribunal,
         tracer: &Tracer,
     ) {
         match ev {
             PeerEvent::Status(status) => {
-                latest[status.id] = Some(status.classification);
+                let slot = &mut slots[status.id];
+                slot.latest = Some(status.classification);
                 if status.drained {
-                    drained[status.id] = true;
+                    slot.drained = true;
                 }
             }
             PeerEvent::Strike { from, target, tick } => {
@@ -762,19 +728,7 @@ where
                         restore: msg.restore,
                     });
                 } else {
-                    tracer.emit(|| {
-                        let (split, merged, returned) = msg.logs.grain_sums();
-                        TraceEvent::GrainsVoided {
-                            node: msg.id,
-                            incarnation: msg.restore.incarnation,
-                            split,
-                            merged,
-                            returned,
-                            injected: msg.logs.injected,
-                            forgotten: msg.logs.forgotten,
-                        }
-                    });
-                    slot.voided.absorb(msg.logs);
+                    slot.void(msg.id, msg.restore.incarnation, msg.logs, tracer);
                 }
             }
         }
@@ -783,18 +737,18 @@ where
     fn drain_queue<S>(
         event_rx: &Receiver<PeerEvent<S>>,
         slots: &mut [Slot<S>],
-        latest: &mut [Option<Classification<S>>],
-        drained: &mut [bool],
         tribunal: &mut Tribunal,
         tracer: &Tracer,
     ) {
         while let Ok(ev) = event_rx.try_recv() {
-            handle_event(ev, slots, latest, drained, tribunal, tracer);
+            handle_event(ev, slots, tribunal, tracer);
         }
     }
 
-    // One supervisor housekeeping pass: execute due crash events, reap
-    // finished peer threads, respawn nodes whose downtime has elapsed.
+    // One supervisor step, shared by the gossip and drain loops: execute
+    // due churn and crash events, reap finished peer threads, respawn
+    // nodes whose downtime has elapsed, then wait up to 5 ms for the next
+    // peer event. Evaluates to `false` once every event sender is gone.
     macro_rules! supervise {
         () => {{
             // Scripted churn joins: a brand-new peer materializes with a
@@ -822,24 +776,11 @@ where
                             seed_value(id),
                             config.quantum,
                         );
-                        let transport =
-                            ChaosTransport::new(endpoint, id, 0, Arc::clone(&plan), epoch);
                         // A late joiner must know the convicted set it
                         // never saw announced.
                         let mut restore = RestoreState::default();
                         restore.convicted = tribunal.convicted_ids();
-                        let nbs = neighbors_of(id);
-                        let (ctrl, handle) = spawn_incarnation(
-                            id,
-                            node,
-                            transport,
-                            nbs.clone(),
-                            config,
-                            epoch,
-                            true,
-                            restore,
-                            event_tx.clone(),
-                        );
+                        let (ctrl, handle) = spawn(id, node, endpoint, true, restore);
                         let slot = &mut slots[id];
                         slot.ctrl = ctrl;
                         slot.handle = Some(handle);
@@ -847,11 +788,11 @@ where
                         // The joiner's unit enters the books as a
                         // declared, durable injection.
                         slot.durable.injected += config.quantum.grains_per_unit();
-                        drained[id] = false;
+                        slot.drained = false;
                         if quiescing {
                             let _ = slot.ctrl.send(Ctrl::Quiesce);
                         }
-                        for &nb in &nbs {
+                        for nb in neighbors_of(id) {
                             let _ = slots[nb].ctrl.send(Ctrl::Adopt(id));
                         }
                         tracer.emit(|| TraceEvent::PeerJoined {
@@ -888,16 +829,12 @@ where
                 }
                 tracer.emit(|| TraceEvent::PeerRetired {
                     node: id,
-                    grains: latest[id].as_ref().map_or(0, |c| c.total_weight().grains()),
+                    grains: slots[id]
+                        .latest
+                        .as_ref()
+                        .map_or(0, |c| c.total_weight().grains()),
                     at: epoch.elapsed().as_secs_f64(),
                 });
-            }
-            // A retiree that has drained (handoff settled) has nothing
-            // left to do: release it now rather than at shutdown.
-            for id in 0..slots.len() {
-                if slots[id].retiring && drained[id] && slots[id].handle.is_some() {
-                    let _ = slots[id].ctrl.send(Ctrl::Exit);
-                }
             }
             // Scripted crashes.
             while next_crash < crash_schedule.len()
@@ -925,14 +862,7 @@ where
             // before the receipt is interpreted.
             for id in 0..slots.len() {
                 if slots[id].handle.as_ref().is_some_and(|h| h.is_finished()) {
-                    drain_queue(
-                        &event_rx,
-                        &mut slots,
-                        &mut latest,
-                        &mut drained,
-                        &mut tribunal,
-                        &tracer,
-                    );
+                    drain_queue(&event_rx, &mut slots, &mut tribunal, tracer);
                     let handle = slots[id].handle.take().expect("handle present");
                     let slot = &mut slots[id];
                     match handle.join() {
@@ -957,22 +887,19 @@ where
                                 if permanent {
                                     slot.dead = true;
                                     slot.respawn_at = None;
-                                    drained[id] = true; // vacuously: nothing left to settle
+                                    slot.drained = true; // vacuously: nothing left to settle
                                 }
                             } else {
-                                // Clean exit (events channel went away):
-                                // final state; finalization folds its
-                                // metrics into the lineage total.
+                                // Clean exit (a retiree with nothing left
+                                // to hand off, or the events channel went
+                                // away): final state; finalization folds
+                                // its metrics into the lineage total.
                                 slot.final_exit = Some(exit);
-                                drained[id] = true;
+                                slot.drained = true;
                             }
                         }
                         Err(payload) => {
-                            let msg = panic_message(payload);
-                            slot.inexact.get_or_insert(format!(
-                                "thread panicked without a death receipt: {msg}"
-                            ));
-                            slot.error = Some(msg);
+                            slot.panicked(payload);
                             slot.pending_downtime = None;
                             // Try to recover it immediately from the last
                             // checkpoint; the respawn fails gracefully on
@@ -1013,41 +940,17 @@ where
                     Ok(endpoint) => {
                         // The restore is now real: everything the dead
                         // incarnation did since that checkpoint is void.
-                        if let Some(death) = slots[id].last_death.take() {
-                            tracer.emit(|| {
-                                let (split, merged, returned) = death.logs.grain_sums();
-                                TraceEvent::GrainsVoided {
-                                    node: id,
-                                    incarnation: slots[id].incarnation,
-                                    split,
-                                    merged,
-                                    returned,
-                                    injected: death.logs.injected,
-                                    forgotten: death.logs.forgotten,
-                                }
-                            });
-                            slots[id].voided.absorb(death.logs);
-                        }
-                        let transport =
-                            ChaosTransport::new(endpoint, id, inc, Arc::clone(&plan), epoch);
-                        let (ctrl, handle) = spawn_incarnation(
-                            id,
-                            node,
-                            transport,
-                            neighbors_of(id),
-                            config,
-                            epoch,
-                            false,
-                            restore,
-                            event_tx.clone(),
-                        );
                         let slot = &mut slots[id];
+                        if let Some(death) = slot.last_death.take() {
+                            slot.void(id, slot.incarnation, death.logs, tracer);
+                        }
+                        let (ctrl, handle) = spawn(id, node, endpoint, false, restore);
                         slot.ctrl = ctrl;
                         slot.handle = Some(handle);
                         slot.incarnation = inc;
                         slot.restarts += 1;
                         slot.respawn_at = None;
-                        drained[id] = false;
+                        slot.drained = false;
                         tracer.emit(|| TraceEvent::PeerRestarted {
                             node: id,
                             incarnation: inc,
@@ -1070,10 +973,21 @@ where
                         let slot = &mut slots[id];
                         slot.dead = true;
                         slot.respawn_at = None;
-                        drained[id] = true;
+                        slot.drained = true;
                         slot.error.get_or_insert(format!("respawn failed: {e}"));
                     }
                 }
+            }
+            let idle_span = sup_prof.span(Phase::IdleWait);
+            let received = event_rx.recv_timeout(Duration::from_millis(5));
+            drop(idle_span);
+            match received {
+                Ok(ev) => {
+                    handle_event(ev, &mut slots, &mut tribunal, tracer);
+                    true
+                }
+                Err(RecvTimeoutError::Timeout) => true,
+                Err(RecvTimeoutError::Disconnected) => false,
             }
         }};
     }
@@ -1087,21 +1001,8 @@ where
     let mut last_telemetry: Option<Instant> = None;
     let deadline = epoch + config.max_wall;
     while Instant::now() < deadline {
-        supervise!();
-        let idle_span = sup_prof.span(Phase::IdleWait);
-        let received = event_rx.recv_timeout(Duration::from_millis(5));
-        drop(idle_span);
-        match received {
-            Ok(ev) => handle_event(
-                ev,
-                &mut slots,
-                &mut latest,
-                &mut drained,
-                &mut tribunal,
-                &tracer,
-            ),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+        if !supervise!() {
+            break;
         }
         let schedule_done = next_crash >= crash_schedule.len()
             && next_join >= join_schedule.len()
@@ -1121,10 +1022,9 @@ where
             |id: NodeId, s: &Slot<I::Summary>| !s.dead && !s.retiring && !tribunal.is_convicted(id);
         let live: Vec<&Classification<I::Summary>> = slots
             .iter()
-            .zip(&latest)
             .enumerate()
-            .filter(|(id, (s, _))| counted(*id, s))
-            .filter_map(|(_, (_, l))| l.as_ref())
+            .filter(|(id, s)| counted(*id, s))
+            .filter_map(|(_, s)| s.latest.as_ref())
             .collect();
         let counted_nodes = slots
             .iter()
@@ -1168,25 +1068,12 @@ where
         let _ = slot.ctrl.send(Ctrl::Quiesce);
     }
     let drain_deadline = Instant::now() + config.drain_wall;
-    while !drained.iter().all(|&d| d) && Instant::now() < drain_deadline {
-        supervise!();
-        let idle_span = sup_prof.span(Phase::IdleWait);
-        let received = event_rx.recv_timeout(Duration::from_millis(5));
-        drop(idle_span);
-        match received {
-            Ok(ev) => handle_event(
-                ev,
-                &mut slots,
-                &mut latest,
-                &mut drained,
-                &mut tribunal,
-                &tracer,
-            ),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+    while !slots.iter().all(|s| s.drained) && Instant::now() < drain_deadline {
+        if !supervise!() {
+            break;
         }
     }
-    let drained_all = drained.iter().all(|&d| d);
+    let drained_all = slots.iter().all(|s| s.drained);
 
     // Snapshot: stop everyone and collect final reports. Draining the
     // queue after the joins folds any last checkpoint batches (they are
@@ -1198,23 +1085,11 @@ where
         if let Some(handle) = slot.handle.take() {
             match handle.join() {
                 Ok(exit) => slot.final_exit = Some(exit),
-                Err(payload) => {
-                    let msg = panic_message(payload);
-                    slot.inexact
-                        .get_or_insert(format!("thread panicked without a death receipt: {msg}"));
-                    slot.error = Some(msg);
-                }
+                Err(payload) => slot.panicked(payload),
             }
         }
     }
-    drain_queue(
-        &event_rx,
-        &mut slots,
-        &mut latest,
-        &mut drained,
-        &mut tribunal,
-        &tracer,
-    );
+    drain_queue(&event_rx, &mut slots, &mut tribunal, tracer);
     drop(event_tx);
 
     let mut nodes: Vec<NodeReport<I::Summary>> = Vec::with_capacity(n_total);

@@ -200,21 +200,34 @@ fn dash_listen_serves_the_console_during_a_run() {
     assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
     assert!(body.contains("distclass live console"));
 
-    // Snapshot parses mid-run; wait until telemetry starts flowing.
-    let mut saw_samples = false;
+    // Snapshot parses mid-run; wait until the supervisor's telemetry and
+    // the peers' grain movements have both reached the view.
+    let (mut saw_samples, mut merged, mut hops) = (false, 0, 0);
     for _ in 0..100 {
         let Some((head, body)) = http_get(addr, "/snapshot.json") else {
             break; // run (and console) already over
         };
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         let doc = Json::parse(&body).expect("snapshot parses mid-run");
-        if doc.get("sample_count").and_then(Json::as_u64).unwrap_or(0) > 0 {
-            saw_samples = true;
+        let count = |section: &str, key: &str| {
+            doc.get(section)
+                .and_then(|s| s.get(key))
+                .and_then(Json::as_u64)
+                .unwrap_or(0)
+        };
+        saw_samples = doc.get("sample_count").and_then(Json::as_u64).unwrap_or(0) > 0;
+        merged = count("audit_running", "merged");
+        hops = count("hops", "count");
+        if saw_samples && merged > 0 && hops > 0 {
             break;
         }
         thread::sleep(Duration::from_millis(20));
     }
     assert!(saw_samples, "telemetry samples appeared while running");
+    // Peers emit through the run's teed tracer too: their checkpoints
+    // and stamped merges reach the console, not just the trace file.
+    assert!(merged > 0, "peer checkpoints reached the live view");
+    assert!(hops > 0, "stamped hops reached the live view");
 
     let report = runner.join().expect("cluster thread");
     let audit = report.audit.as_ref().expect("audit was requested");
