@@ -28,12 +28,12 @@
 //!   panicked peers, stalled peers, stale unmatched sends, and audit
 //!   verdict mismatches.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 
-use crate::event::{GrainOp, TraceEvent};
+use crate::event::{Fold, GrainOp, TraceEvent};
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
-use crate::metrics::{Histogram, HistogramSnapshot};
+use crate::metrics::HistogramSnapshot;
 use crate::telemetry::{TelemetrySample, TelemetrySeries};
 
 /// Latencies are observed in thousandths of a trace clock unit so the
@@ -64,7 +64,7 @@ impl Default for AnalyzeOptions {
 }
 
 /// Send→deliver statistics for one directed link.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkStats {
     /// Sender node.
     pub from: usize,
@@ -360,279 +360,334 @@ pub struct TraceReport {
     pub anomalies: Vec<Anomaly>,
 }
 
-/// Per-link accumulator used during the replay.
-struct LinkAcc {
-    pending: VecDeque<f64>,
-    delivered: u64,
-    dropped: u64,
-    hist: Histogram,
+/// The round timeline the trace and causal replays both walk: the round
+/// (or telemetry sample) marker current as the stream advances, and the
+/// point where each telemetry series first satisfied the convergence
+/// rule, found sample by sample.
+#[derive(Default)]
+pub(crate) struct Timeline {
+    opts: AnalyzeOptions,
+    /// The marker current at the latest event.
+    pub(crate) marker: Option<u64>,
+    rounds: SeriesScan,
+    cluster: SeriesScan,
 }
 
-impl Default for LinkAcc {
-    fn default() -> Self {
-        LinkAcc {
-            pending: VecDeque::new(),
-            delivered: 0,
-            dropped: 0,
-            hist: Histogram::standalone(),
+/// One telemetry series, scanned online for the convergence rule.
+#[derive(Default)]
+pub(crate) struct SeriesScan {
+    /// Samples seen.
+    pub(crate) samples: usize,
+    /// Dispersion of the latest sample.
+    pub(crate) last_dispersion: Option<f64>,
+    /// `(round, stamp)` of the sample where the rule first held; the
+    /// stamp is what the caller passed when that sample arrived.
+    pub(crate) hit: Option<(u64, usize)>,
+    /// The trailing samples the rule looks at, until it holds.
+    tail: TelemetrySeries,
+}
+
+impl Timeline {
+    pub(crate) fn new(opts: &AnalyzeOptions) -> Self {
+        Timeline {
+            opts: opts.clone(),
+            ..Timeline::default()
+        }
+    }
+
+    /// Advances over `ev`; `stamp` labels a convergence point found here.
+    pub(crate) fn on_event(&mut self, ev: &TraceEvent, stamp: usize) {
+        let sample = match ev {
+            TraceEvent::RoundCompleted { round, .. } => {
+                self.marker = Some(*round);
+                return;
+            }
+            TraceEvent::Telemetry(sample) => sample.clone(),
+            // The runtime's wall-clock samples, numbered as they arrive.
+            TraceEvent::ClusterTelemetry {
+                live,
+                dispersion,
+                unix_ms,
+                ..
+            } => TelemetrySample {
+                round: self.cluster.samples as u64,
+                live: *live,
+                dispersion: dispersion.is_finite().then_some(*dispersion),
+                unix_ms: *unix_ms,
+                ..TelemetrySample::default()
+            },
+            _ => return,
+        };
+        let scan = match ev {
+            TraceEvent::Telemetry(_) => &mut self.rounds,
+            _ => &mut self.cluster,
+        };
+        self.marker = Some(sample.round);
+        scan.samples += 1;
+        scan.last_dispersion = sample.dispersion;
+        if scan.hit.is_none() {
+            let (round, o) = (sample.round, &self.opts);
+            scan.tail.push(sample);
+            if scan.tail.len() > o.window {
+                scan.tail.samples.remove(0);
+            }
+            if scan.tail.converged(o.window, o.delta_tol, o.level) {
+                scan.hit = Some((round, stamp));
+            }
+        }
+    }
+
+    /// The series convergence is judged on: per-round samples when the
+    /// trace has any, the runtime's wall-clock samples otherwise.
+    pub(crate) fn series(&self) -> &SeriesScan {
+        if self.rounds.samples > 0 {
+            &self.rounds
+        } else {
+            &self.cluster
         }
     }
 }
 
-impl TraceReport {
-    /// Replays a parsed event stream (in trace-file order).
-    pub fn from_events(events: &[TraceEvent], opts: &AnalyzeOptions) -> TraceReport {
-        let mut nodes = 0usize;
-        let mut initial_grains = 0u64;
-        let mut rounds = RoundsSummary::default();
-        let mut links: BTreeMap<(usize, usize), LinkAcc> = BTreeMap::new();
-        let mut max_at = f64::NEG_INFINITY;
-        let mut faults: Vec<FaultWindow> = Vec::new();
-        let mut deltas: HashMap<usize, i64> = HashMap::new();
-        let mut voided: HashMap<usize, i64> = HashMap::new();
-        // Dynamic-workload mass: drift injections net of forgetting, plus
-        // each joiner's declared unit (joiners start from a base of 0).
-        let mut dynamic: HashMap<usize, i64> = HashMap::new();
-        let mut joined: HashMap<usize, ()> = HashMap::new();
-        let mut finals: BTreeMap<usize, (String, u64)> = BTreeMap::new();
-        let mut audit: Option<AuditVerdict> = None;
-        // Telemetry: per-round samples when present, wall-clock cluster
-        // samples synthesized into a series otherwise.
-        let mut series = TelemetrySeries::new();
-        let mut cluster_series = TelemetrySeries::new();
-        // The round/sample marker current as the stream advances, used to
-        // place fault windows on the round timeline.
-        let mut marker: Option<u64> = None;
-        // Anomalies raised while streaming (the rest come from the
-        // post-pass reconciliations below).
-        let mut anomalies_pre: Vec<Anomaly> = Vec::new();
+/// The trace replay as a one-pass fold ([`TraceReport::fold`]).
+#[derive(Default)]
+struct TraceFold {
+    events: usize,
+    nodes: usize,
+    initial_grains: u64,
+    rounds: RoundsSummary,
+    /// Per-link stats in order of first appearance; `in_flight` and
+    /// `unmatched` are settled in `finish`.
+    links: Vec<LinkStats>,
+    link_index: HashMap<(usize, usize), usize>,
+    /// Send instants not yet delivered or dropped, oldest first, for
+    /// the links that have any.
+    pending: HashMap<(usize, usize), VecDeque<f64>>,
+    /// The newest trace instant of any message event.
+    max_at: f64,
+    faults: Vec<FaultWindow>,
+    deltas: HashMap<usize, i64>,
+    voided: HashMap<usize, i64>,
+    /// Dynamic-workload mass: drift injections net of forgetting, plus
+    /// each joiner's declared unit (joiners start from a base of 0).
+    dynamic: HashMap<usize, i64>,
+    joined: HashSet<usize>,
+    finals: BTreeMap<usize, (String, u64)>,
+    audit: Option<AuditVerdict>,
+    timeline: Timeline,
+    /// Anomalies raised while streaming (the rest come from the
+    /// reconciliations in `finish`).
+    anomalies: Vec<Anomaly>,
+}
 
-        for ev in events {
-            match ev {
-                TraceEvent::ClusterStarted {
-                    nodes: n,
-                    initial_grains: g,
-                } => {
-                    nodes = *n;
-                    initial_grains = *g;
-                }
-                TraceEvent::RoundCompleted {
-                    round,
-                    sent,
-                    delivered,
-                    dropped,
-                    ..
-                } => {
-                    rounds.count = rounds.count.max(round + 1);
-                    rounds.sent = *sent;
-                    rounds.delivered = *delivered;
-                    rounds.dropped = *dropped;
-                    marker = Some(*round);
-                }
-                TraceEvent::MessageSent { from, to, at, .. } => {
-                    max_at = max_at.max(*at);
-                    links
-                        .entry((*from, *to))
-                        .or_default()
-                        .pending
-                        .push_back(*at);
-                }
-                TraceEvent::MessageDelivered { from, to, at, .. } => {
-                    max_at = max_at.max(*at);
-                    let link = links.entry((*from, *to)).or_default();
-                    link.delivered += 1;
-                    if let Some(sent_at) = link.pending.pop_front() {
-                        let dt = (at - sent_at).max(0.0);
-                        link.hist.observe((dt * LATENCY_SCALE).round() as u64);
-                    }
-                }
-                TraceEvent::MessageDropped { from, to, .. } => {
-                    let link = links.entry((*from, *to)).or_default();
-                    link.dropped += 1;
-                    link.pending.pop_front();
-                }
-                TraceEvent::FaultActivated { kind, node, at } => {
-                    faults.push(FaultWindow {
-                        kind: kind.clone(),
-                        node: *node,
-                        activated_at: *at,
-                        healed_at: None,
-                        round: marker,
-                        healed_round: None,
-                    });
-                }
-                TraceEvent::FaultHealed { kind, node, at } => {
-                    if let Some(w) = faults
-                        .iter_mut()
-                        .find(|w| w.healed_at.is_none() && w.kind == *kind && w.node == *node)
-                    {
-                        w.healed_at = Some(*at);
-                        w.healed_round = marker;
-                    }
-                }
-                TraceEvent::GrainDelta {
-                    node, op, grains, ..
-                } => {
-                    let signed = match op {
-                        GrainOp::Merge | GrainOp::Return => *grains as i64,
-                        GrainOp::Split => -(*grains as i64),
-                    };
-                    *deltas.entry(*node).or_default() += signed;
-                }
-                TraceEvent::GrainsVoided {
-                    node,
-                    split,
-                    merged,
-                    returned,
-                    injected,
-                    forgotten,
-                    ..
-                } => {
-                    *voided.entry(*node).or_default() +=
-                        *merged as i64 + *returned as i64 - *split as i64 + *injected as i64
-                            - *forgotten as i64;
-                }
-                TraceEvent::SensorDrift {
-                    node,
-                    injected,
-                    forgotten,
-                    ..
-                } => {
-                    *dynamic.entry(*node).or_default() += *injected as i64 - *forgotten as i64;
-                }
-                TraceEvent::PeerJoined { node, grains, .. } => {
-                    joined.insert(*node, ());
-                    *dynamic.entry(*node).or_default() += *grains as i64;
-                }
-                TraceEvent::PeerFinal {
-                    node,
-                    outcome,
-                    grains,
-                } => {
-                    finals.insert(*node, (outcome.clone(), *grains));
-                }
-                TraceEvent::AuditSummary {
-                    initial,
-                    final_grains,
-                    gains,
-                    losses,
-                    injected,
-                    forgotten,
-                    exact,
-                    conserved,
-                } => {
-                    audit = Some(AuditVerdict {
-                        initial: *initial,
-                        final_grains: *final_grains,
-                        gains: *gains,
-                        losses: *losses,
-                        injected: *injected,
-                        forgotten: *forgotten,
-                        exact: *exact,
-                        conserved: *conserved,
-                    });
-                }
-                TraceEvent::Telemetry(sample) => {
-                    marker = Some(sample.round);
-                    series.push(sample.clone());
-                }
-                TraceEvent::ClusterTelemetry {
-                    live,
-                    dispersion,
-                    unix_ms,
-                    ..
-                } => {
-                    let round = cluster_series.len() as u64;
-                    marker = Some(round);
-                    cluster_series.push(TelemetrySample {
-                        round,
-                        live: *live,
-                        classifications_mean: 0.0,
-                        classifications_max: 0,
-                        weight_spread: 0.0,
-                        mean_error: None,
-                        max_error: None,
-                        dispersion: dispersion.is_finite().then_some(*dispersion),
-                        unix_ms: *unix_ms,
-                    });
-                }
-                TraceEvent::TraceTruncated { bytes_written } => {
-                    anomalies_pre.push(Anomaly::TraceTruncated {
-                        bytes_written: *bytes_written,
-                    });
-                }
-                // A retirement's handoff already shows up as an ordinary
-                // split delta on the retiring node, so the event itself
-                // carries no extra ledger weight here.
-                TraceEvent::TickCompleted { .. }
-                | TraceEvent::PeerCrashed { .. }
-                | TraceEvent::PeerRestarted { .. }
-                | TraceEvent::PeerCheckpoint { .. }
-                | TraceEvent::PeerRetired { .. }
-                | TraceEvent::AdversaryActivated { .. }
-                | TraceEvent::AuditProbe { .. }
-                | TraceEvent::AuditVerdict { .. }
-                | TraceEvent::PeerStrike { .. }
-                | TraceEvent::PeerConvicted { .. }
-                | TraceEvent::FrameRejected { .. }
-                | TraceEvent::PeerBandwidth { .. }
-                | TraceEvent::ByzSummary { .. } => {}
-            }
+impl TraceFold {
+    /// The stats of link `from → to`, created on first sight.
+    fn link(&mut self, from: usize, to: usize) -> &mut LinkStats {
+        let fresh = self.links.len();
+        let i = *self.link_index.entry((from, to)).or_insert(fresh);
+        if i == fresh {
+            self.links.push(LinkStats {
+                from,
+                to,
+                ..LinkStats::default()
+            });
         }
+        &mut self.links[i]
+    }
 
-        let mut anomalies: Vec<Anomaly> = anomalies_pre;
+    /// Resolves the oldest pending send on `from → to`, if any.
+    fn resolve(&mut self, from: usize, to: usize) -> Option<f64> {
+        let queue = self.pending.get_mut(&(from, to))?;
+        let sent_at = queue.pop_front();
+        if queue.is_empty() {
+            self.pending.remove(&(from, to));
+        }
+        sent_at
+    }
+}
+
+impl Fold for TraceFold {
+    type Report = TraceReport;
+
+    fn on_event(&mut self, ev: &TraceEvent) {
+        self.events += 1;
+        self.timeline.on_event(ev, 0);
+        match ev {
+            TraceEvent::ClusterStarted {
+                nodes,
+                initial_grains,
+            } => {
+                self.nodes = *nodes;
+                self.initial_grains = *initial_grains;
+            }
+            TraceEvent::RoundCompleted {
+                round,
+                sent,
+                delivered,
+                dropped,
+                ..
+            } => {
+                self.rounds.count = self.rounds.count.max(round + 1);
+                self.rounds.sent = *sent;
+                self.rounds.delivered = *delivered;
+                self.rounds.dropped = *dropped;
+            }
+            TraceEvent::MessageSent { from, to, at, .. } => {
+                self.max_at = self.max_at.max(*at);
+                self.link(*from, *to);
+                self.pending.entry((*from, *to)).or_default().push_back(*at);
+            }
+            TraceEvent::MessageDelivered { from, to, at, .. } => {
+                self.max_at = self.max_at.max(*at);
+                let sent_at = self.resolve(*from, *to);
+                let link = self.link(*from, *to);
+                link.delivered += 1;
+                if let Some(sent_at) = sent_at {
+                    let dt = (at - sent_at).max(0.0);
+                    link.latency.observe((dt * LATENCY_SCALE).round() as u64);
+                }
+            }
+            TraceEvent::MessageDropped { from, to, .. } => {
+                self.resolve(*from, *to);
+                self.link(*from, *to).dropped += 1;
+            }
+            TraceEvent::FaultActivated { kind, node, at } => {
+                self.faults.push(FaultWindow {
+                    kind: kind.clone(),
+                    node: *node,
+                    activated_at: *at,
+                    healed_at: None,
+                    round: self.timeline.marker,
+                    healed_round: None,
+                });
+            }
+            TraceEvent::FaultHealed { kind, node, at } => {
+                if let Some(w) = self
+                    .faults
+                    .iter_mut()
+                    .find(|w| w.healed_at.is_none() && w.kind == *kind && w.node == *node)
+                {
+                    w.healed_at = Some(*at);
+                    w.healed_round = self.timeline.marker;
+                }
+            }
+            TraceEvent::GrainDelta {
+                node, op, grains, ..
+            } => {
+                let signed = match op {
+                    GrainOp::Merge | GrainOp::Return => *grains as i64,
+                    GrainOp::Split => -(*grains as i64),
+                };
+                *self.deltas.entry(*node).or_default() += signed;
+            }
+            TraceEvent::GrainsVoided {
+                node,
+                split,
+                merged,
+                returned,
+                injected,
+                forgotten,
+                ..
+            } => {
+                *self.voided.entry(*node).or_default() +=
+                    *merged as i64 + *returned as i64 - *split as i64 + *injected as i64
+                        - *forgotten as i64;
+            }
+            TraceEvent::SensorDrift {
+                node,
+                injected,
+                forgotten,
+                ..
+            } => {
+                *self.dynamic.entry(*node).or_default() += *injected as i64 - *forgotten as i64;
+            }
+            TraceEvent::PeerJoined { node, grains, .. } => {
+                self.joined.insert(*node);
+                *self.dynamic.entry(*node).or_default() += *grains as i64;
+            }
+            TraceEvent::PeerFinal {
+                node,
+                outcome,
+                grains,
+            } => {
+                self.finals.insert(*node, (outcome.clone(), *grains));
+            }
+            TraceEvent::AuditSummary {
+                initial,
+                final_grains,
+                gains,
+                losses,
+                injected,
+                forgotten,
+                exact,
+                conserved,
+            } => {
+                self.audit = Some(AuditVerdict {
+                    initial: *initial,
+                    final_grains: *final_grains,
+                    gains: *gains,
+                    losses: *losses,
+                    injected: *injected,
+                    forgotten: *forgotten,
+                    exact: *exact,
+                    conserved: *conserved,
+                });
+            }
+            TraceEvent::TraceTruncated { bytes_written } => {
+                self.anomalies.push(Anomaly::TraceTruncated {
+                    bytes_written: *bytes_written,
+                });
+            }
+            // Telemetry moves the timeline only. A retirement's handoff
+            // already shows up as an ordinary split delta on the retiring
+            // node, so the event itself carries no extra ledger weight.
+            _ => {}
+        }
+    }
+
+    fn finish(mut self, unknown: usize) -> TraceReport {
+        let (nodes, finals, deltas) = (self.nodes, &self.finals, &self.deltas);
+        let mut anomalies = std::mem::take(&mut self.anomalies);
 
         // Per-link stats. Unresolved sends from the newest trace instant
         // were legitimately in flight at shutdown; anything older had
         // later traffic pass it by and counts as unmatched.
-        let links: Vec<LinkStats> = links
-            .into_iter()
-            .map(|((from, to), acc)| {
-                let (mut in_flight, mut unmatched) = (0u64, 0u64);
-                for &sent_at in &acc.pending {
-                    if sent_at < max_at {
-                        unmatched += 1;
-                    } else {
-                        in_flight += 1;
-                    }
-                }
-                if unmatched > 0 {
-                    anomalies.push(Anomaly::UnmatchedSends {
-                        from,
-                        to,
-                        count: unmatched,
-                    });
-                }
-                LinkStats {
-                    from,
-                    to,
-                    delivered: acc.delivered,
-                    dropped: acc.dropped,
-                    in_flight,
-                    unmatched,
-                    latency: acc.hist.snapshot(),
-                }
-            })
-            .collect();
+        self.link_index = HashMap::new();
+        let mut links = std::mem::take(&mut self.links);
+        links.sort_unstable_by_key(|l| (l.from, l.to));
+        links.shrink_to_fit();
+        for l in &mut links {
+            let Some(queue) = self.pending.remove(&(l.from, l.to)) else {
+                continue;
+            };
+            l.unmatched = queue.iter().filter(|&&at| at < self.max_at).count() as u64;
+            l.in_flight = queue.len() as u64 - l.unmatched;
+            if l.unmatched > 0 {
+                anomalies.push(Anomaly::UnmatchedSends {
+                    from: l.from,
+                    to: l.to,
+                    count: l.unmatched,
+                });
+            }
+        }
 
         // Grain ledgers, with the auditor's exact arithmetic. Ledgers
         // only exist when the trace carries grain accounting at all.
         let mut ledgers: Vec<PeerLedger> = Vec::new();
         if !finals.is_empty() && nodes > 0 {
-            let per_node = (initial_grains / nodes as u64) as i64;
+            let per_node = (self.initial_grains / nodes as u64) as i64;
             for node in 0..nodes {
                 if !finals.contains_key(&node) {
                     anomalies.push(Anomaly::MissingPeerFinal { node });
                 }
             }
             let any_active = !deltas.is_empty();
-            for (&node, (outcome, grains)) in &finals {
+            for (&node, (outcome, grains)) in finals {
                 let d = deltas.get(&node).copied().unwrap_or(0);
-                let v = voided.get(&node).copied().unwrap_or(0);
-                let dy = dynamic.get(&node).copied().unwrap_or(0);
+                let v = self.voided.get(&node).copied().unwrap_or(0);
+                let dy = self.dynamic.get(&node).copied().unwrap_or(0);
                 // Joiners were minted nothing at start: their whole base
                 // arrives as a declared injection.
-                let base = if joined.contains_key(&node) {
+                let base = if self.joined.contains(&node) {
                     0
                 } else {
                     per_node
@@ -667,7 +722,7 @@ impl TraceReport {
 
         // The replayed books must agree with the in-run auditor, whose
         // final count covers completed peers only.
-        if let Some(a) = &audit {
+        if let Some(a) = &self.audit {
             if !a.exact {
                 anomalies.push(Anomaly::AuditInexact);
             }
@@ -688,81 +743,58 @@ impl TraceReport {
                 }
             }
         }
-
-        // Convergence: scan the telemetry trajectory for the earliest
-        // prefix satisfying the stopping rule.
-        let series = if series.is_empty() {
-            cluster_series
-        } else {
-            series
-        };
-        let mut convergence = Convergence {
-            samples: series.len(),
-            round: None,
-            final_dispersion: series.last().and_then(|s| s.dispersion),
-        };
-        let mut prefix = TelemetrySeries::new();
-        for sample in &series.samples {
-            let round = sample.round;
-            prefix.push(sample.clone());
-            if prefix.converged(opts.window, opts.delta_tol, opts.level) {
-                convergence.round = Some(round);
-                break;
-            }
+        if unknown > 0 {
+            anomalies.push(Anomaly::UnknownEvents { count: unknown });
         }
 
+        let series = self.timeline.series();
         TraceReport {
-            events: events.len(),
+            events: self.events,
             nodes,
-            initial_grains,
-            rounds,
+            initial_grains: self.initial_grains,
+            rounds: self.rounds,
             links,
-            faults,
+            faults: self.faults,
             ledgers,
-            convergence,
-            audit,
-            unknown_events: 0,
+            convergence: Convergence {
+                samples: series.samples,
+                round: series.hit.map(|(round, _)| round),
+                final_dispersion: series.last_dispersion,
+            },
+            audit: self.audit,
+            unknown_events: unknown,
             anomalies,
         }
     }
+}
 
-    /// Parses a JSONL trace and replays it.
-    ///
-    /// Lines whose `"type"` this binary does not know are *skipped and
-    /// counted* (surfacing as an [`Anomaly::UnknownEvents`]) rather than
-    /// failing the replay, so traces from a newer event taxonomy stay
-    /// readable. Extra keys on known events are ignored by the parser.
+impl TraceReport {
+    /// The replay as a one-pass fold: feed it events in trace-file order.
+    /// It keeps per-link, per-node and per-fault state, not the events.
+    pub fn fold(opts: &AnalyzeOptions) -> impl Fold<Report = TraceReport> {
+        TraceFold {
+            max_at: f64::NEG_INFINITY,
+            timeline: Timeline::new(opts),
+            ..TraceFold::default()
+        }
+    }
+
+    /// Replays a parsed event stream (in trace-file order).
+    pub fn from_events(events: &[TraceEvent], opts: &AnalyzeOptions) -> TraceReport {
+        Self::fold(opts).fold_events(events)
+    }
+
+    /// Parses a JSONL trace and replays it, one line at a time
+    /// ([`read_jsonl`](crate::event::read_jsonl)): lines of unknown
+    /// event types are skipped and counted, surfacing as an
+    /// [`Anomaly::UnknownEvents`].
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] naming the offending line on the first
     /// malformed line (bad JSON or a known event with broken fields).
     pub fn from_jsonl(text: &str, opts: &AnalyzeOptions) -> Result<TraceReport, JsonError> {
-        let mut events = Vec::new();
-        let mut unknown = 0usize;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match TraceEvent::from_json(line) {
-                Ok(ev) => events.push(ev),
-                Err(e) if e.message.contains("unknown event type") => unknown += 1,
-                Err(e) => {
-                    return Err(JsonError {
-                        message: format!("trace line {}: {}", i + 1, e.message),
-                        offset: e.offset,
-                    })
-                }
-            }
-        }
-        let mut report = TraceReport::from_events(&events, opts);
-        if unknown > 0 {
-            report.unknown_events = unknown;
-            report
-                .anomalies
-                .push(Anomaly::UnknownEvents { count: unknown });
-        }
-        Ok(report)
+        Self::fold(opts).fold_jsonl(text.as_bytes())
     }
 
     /// Whether the replay raised no red flags.

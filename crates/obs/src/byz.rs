@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::TraceEvent;
+use crate::event::{Fold, TraceEvent};
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
 
 /// One conviction, matched against the scripted cast.
@@ -122,7 +122,7 @@ impl fmt::Display for ByzAnomaly {
 }
 
 /// The Byzantine story of one traced run, replayed offline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ByzReport {
     /// Events consumed.
     pub events: usize,
@@ -157,86 +157,67 @@ pub struct ByzReport {
     pub anomalies: Vec<ByzAnomaly>,
 }
 
-impl ByzReport {
-    /// Replays a JSONL trace file into a report. Unknown event types
-    /// are skipped (forward compatibility); malformed lines are errors.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError`] naming the offending line, as for
-    /// [`crate::analyze::TraceReport::from_jsonl`].
-    pub fn from_jsonl(text: &str) -> Result<ByzReport, JsonError> {
-        let (events, _unknown) = crate::causal::parse_jsonl(text)?;
-        Ok(ByzReport::from_events(&events))
+/// The byz replay as a one-pass fold ([`ByzReport::fold`]): the report's
+/// tallies fill in as events arrive, its verdicts at the end.
+struct ByzFold(ByzReport);
+
+impl Fold for ByzFold {
+    type Report = ByzReport;
+
+    fn on_event(&mut self, ev: &TraceEvent) {
+        let report = &mut self.0;
+        report.events += 1;
+        match ev {
+            TraceEvent::ClusterStarted { nodes, .. } => report.nodes = *nodes,
+            TraceEvent::AdversaryActivated { node, role } => {
+                report.adversaries.insert(*node, role.clone());
+            }
+            TraceEvent::AuditProbe { .. } => report.probes += 1,
+            TraceEvent::AuditVerdict {
+                passed, vacuous, ..
+            } => {
+                report.verdicts += 1;
+                if !passed {
+                    report.failed_verdicts += 1;
+                }
+                if *vacuous {
+                    report.vacuous_verdicts += 1;
+                }
+            }
+            TraceEvent::PeerStrike { target, .. } => {
+                *report.strikes.entry(*target).or_insert(0) += 1;
+            }
+            TraceEvent::PeerConvicted {
+                target,
+                strikes,
+                tick,
+            } => report.convictions.push(Conviction {
+                node: *target,
+                strikes: *strikes,
+                tick: *tick,
+                role: None, // filled in at the end, once the cast is complete
+            }),
+            TraceEvent::FrameRejected { sender, grains, .. } => {
+                let r = report.rejections.entry(*sender).or_default();
+                r.frames += 1;
+                r.claimed_grains += grains;
+            }
+            TraceEvent::PeerBandwidth {
+                bytes, audit_bytes, ..
+            } => {
+                report.bytes += bytes;
+                report.audit_bytes += audit_bytes;
+            }
+            TraceEvent::ByzSummary {
+                minted_grains,
+                rejected_frames,
+            } => report.summary = Some((*minted_grains, *rejected_frames)),
+            _ => {}
+        }
     }
 
-    /// Replays a stream of events (in file order) into a report.
-    pub fn from_events(events: &[TraceEvent]) -> ByzReport {
-        let mut report = ByzReport {
-            events: events.len(),
-            nodes: 0,
-            adversaries: BTreeMap::new(),
-            probes: 0,
-            verdicts: 0,
-            failed_verdicts: 0,
-            vacuous_verdicts: 0,
-            strikes: BTreeMap::new(),
-            convictions: Vec::new(),
-            rejections: BTreeMap::new(),
-            bytes: 0,
-            audit_bytes: 0,
-            summary: None,
-            anomalies: Vec::new(),
-        };
-        for ev in events {
-            match ev {
-                TraceEvent::ClusterStarted { nodes, .. } => report.nodes = *nodes,
-                TraceEvent::AdversaryActivated { node, role } => {
-                    report.adversaries.insert(*node, role.clone());
-                }
-                TraceEvent::AuditProbe { .. } => report.probes += 1,
-                TraceEvent::AuditVerdict {
-                    passed, vacuous, ..
-                } => {
-                    report.verdicts += 1;
-                    if !passed {
-                        report.failed_verdicts += 1;
-                    }
-                    if *vacuous {
-                        report.vacuous_verdicts += 1;
-                    }
-                }
-                TraceEvent::PeerStrike { target, .. } => {
-                    *report.strikes.entry(*target).or_insert(0) += 1;
-                }
-                TraceEvent::PeerConvicted {
-                    target,
-                    strikes,
-                    tick,
-                } => report.convictions.push(Conviction {
-                    node: *target,
-                    strikes: *strikes,
-                    tick: *tick,
-                    role: None, // filled in below, once the cast is complete
-                }),
-                TraceEvent::FrameRejected { sender, grains, .. } => {
-                    let r = report.rejections.entry(*sender).or_default();
-                    r.frames += 1;
-                    r.claimed_grains += grains;
-                }
-                TraceEvent::PeerBandwidth {
-                    bytes, audit_bytes, ..
-                } => {
-                    report.bytes += bytes;
-                    report.audit_bytes += audit_bytes;
-                }
-                TraceEvent::ByzSummary {
-                    minted_grains,
-                    rejected_frames,
-                } => report.summary = Some((*minted_grains, *rejected_frames)),
-                _ => {}
-            }
-        }
+    fn finish(self, _unknown: usize) -> ByzReport {
+        let mut report = self.0;
         for c in &mut report.convictions {
             c.role = report.adversaries.get(&c.node).cloned();
         }
@@ -279,6 +260,31 @@ impl ByzReport {
             report.anomalies.push(ByzAnomaly::DefenseInactive);
         }
         report
+    }
+}
+
+impl ByzReport {
+    /// The replay as a one-pass fold: feed it events in trace-file
+    /// order. It keeps per-node tallies and the convictions.
+    pub fn fold() -> impl Fold<Report = ByzReport> {
+        ByzFold(ByzReport::default())
+    }
+
+    /// Replays a JSONL trace file into a report, one line at a time.
+    /// Unknown event types are skipped (forward compatibility); malformed
+    /// lines are errors.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] naming the offending line, as for
+    /// [`crate::analyze::TraceReport::from_jsonl`].
+    pub fn from_jsonl(text: &str) -> Result<ByzReport, JsonError> {
+        Self::fold().fold_jsonl(text.as_bytes())
+    }
+
+    /// Replays a stream of events (in file order) into a report.
+    pub fn from_events(events: &[TraceEvent]) -> ByzReport {
+        Self::fold().fold_events(events)
     }
 
     /// Convicted adversaries over scripted adversaries; `1.0` when

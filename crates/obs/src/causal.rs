@@ -48,11 +48,10 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
-use crate::analyze::AnalyzeOptions;
-use crate::event::{GrainOp, TraceEvent};
+use crate::analyze::{AnalyzeOptions, Timeline};
+use crate::event::{Fold, GrainOp, TraceEvent};
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
-use crate::metrics::{Histogram, HistogramSnapshot, Metrics};
-use crate::telemetry::{TelemetrySample, TelemetrySeries};
+use crate::metrics::{HistogramSnapshot, Metrics};
 
 /// A message span id: `(origin node, origin incarnation, sequence)`.
 ///
@@ -60,6 +59,11 @@ use crate::telemetry::{TelemetrySample, TelemetrySeries};
 /// minting incarnation so a restarted peer's sequence space stays
 /// disjoint from its predecessor's.
 pub type SpanId = (usize, u64, u64);
+
+/// The influence matrix's empty cell: the origin never reached the node.
+const NEVER: u64 = u64::MAX;
+/// No vertex.
+const NONE: usize = usize::MAX;
 
 /// What a causal DAG vertex describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,24 +92,33 @@ impl VertexKind {
     }
 }
 
+/// The timing a vertex carries for the hop it ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Stamp {
+    /// Runtime grain events without frame time stamps.
+    None,
+    /// Simulator sends and deliveries: the trace clock `at`.
+    At(f64),
+    /// Runtime grain events with the delivered frame's stamps: how long
+    /// it sat in the sender's retry queue and how long it spent on the
+    /// wire plus the receiver's ingress queue, in microseconds.
+    Hop(u64, u64),
+}
+
 /// One causally stamped event, as a DAG vertex.
 #[derive(Debug, Clone, PartialEq)]
 struct Vertex {
-    /// Node the event happened on.
-    node: usize,
     /// The node's Lamport clock at the event.
     lamport: u64,
-    /// Index into the original event slice (file order).
-    pos: usize,
-    /// Trace clock (`at`) for message events, `None` for grain events.
-    at: Option<f64>,
-    /// The span this vertex mints (sends and splits).
-    span: Option<SpanId>,
-    /// Merge vertices: the delivered frame's `(wait_us, transit_us)`
-    /// stamps — how long it sat in the sender's retry queue and how long
-    /// it spent on the wire plus the receiver's ingress queue. `None`
-    /// for every other kind and for legacy traces.
-    hop_us: Option<(u64, u64)>,
+    stamp: Stamp,
+    /// The span this vertex carries as `(incarnation, seq)` on its own
+    /// node: every send, and grain events with a `seq`.
+    span: Option<(u16, u64)>,
+    /// Dense index of the node the event happened on.
+    node: u32,
+    /// The node's next vertex: the program-order edge (`NONE` for the
+    /// node's last).
+    next: usize,
     kind: VertexKind,
 }
 
@@ -184,31 +197,49 @@ pub struct NodeProvenance {
 /// Per-pair causal reachability: did node `i`'s initial state reach `j`?
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct InfluenceMatrix {
-    /// Matrix dimension (node count).
+    /// Matrix dimension: how many distinct node ids the trace names.
     pub nodes: usize,
-    /// `earliest[i][j]` is the earliest marker at which origin `i`'s
-    /// state had causally reached node `j` (`Some(0)` on the diagonal),
-    /// `None` if it never did. The marker is the current round index
-    /// when the trace carries round/telemetry markers, otherwise the
-    /// receiving event's Lamport clock.
-    pub earliest: Vec<Vec<Option<u64>>>,
+    /// The node id of each row and column, ascending: `0..nodes` on a
+    /// trace whose ids are contiguous. An id the trace never names has
+    /// no row, however large the ids around it.
+    pub ids: Vec<usize>,
+    /// `order[k]`: the stored row and column of node `ids[k]`.
+    order: Vec<usize>,
+    /// Row-major `nodes × nodes` earliest markers, rows and columns in
+    /// the order nodes appeared in the trace, `NEVER` where the origin
+    /// never reached the destination.
+    cells: Vec<u64>,
 }
 
 impl InfluenceMatrix {
+    /// The earliest marker at which origin `i`'s state had causally
+    /// reached node `j` (`Some(0)` on the diagonal), `None` if it never
+    /// did or either id is absent from the trace. The marker is the
+    /// current round index when the trace carries round/telemetry
+    /// markers, otherwise the receiving event's Lamport clock.
+    pub fn earliest(&self, i: usize, j: usize) -> Option<u64> {
+        let (r, c) = (
+            self.ids.binary_search(&i).ok()?,
+            self.ids.binary_search(&j).ok()?,
+        );
+        self.row(r).nth(c).flatten()
+    }
+
     /// Whether origin `i`'s state causally reached node `j`.
     pub fn reached(&self, i: usize, j: usize) -> bool {
-        self.earliest
-            .get(i)
-            .and_then(|row| row.get(j))
-            .is_some_and(Option::is_some)
+        self.earliest(i, j).is_some()
     }
 
     /// Ordered pairs (including the diagonal) that were reached.
     pub fn pairs_reached(&self) -> usize {
-        self.earliest
-            .iter()
-            .map(|row| row.iter().filter(|e| e.is_some()).count())
-            .sum()
+        self.cells.iter().filter(|&&m| m != NEVER).count()
+    }
+
+    /// Row `k`: origin `ids[k]`'s earliest marker at each destination,
+    /// in `ids` order.
+    fn row(&self, k: usize) -> impl Iterator<Item = Option<u64>> + '_ {
+        let row = &self.cells[self.order[k] * self.nodes..][..self.nodes];
+        (self.order.iter()).map(|&c| Some(row[c]).filter(|&m| m != NEVER))
     }
 }
 
@@ -360,7 +391,8 @@ pub struct CausalReport {
     pub events: usize,
     /// Events carrying causal stamps (DAG vertices).
     pub causal_events: usize,
-    /// Nodes (declared by `cluster_started`, or inferred from indices).
+    /// Nodes: what `cluster_started` declares, or how many distinct ids
+    /// the trace names when that is more.
     pub nodes: usize,
     /// Whether the happens-before graph is cycle-free.
     pub acyclic: bool,
@@ -404,460 +436,394 @@ pub struct CausalReport {
 /// Largest matrix Display renders cell-by-cell; bigger runs summarize.
 const DISPLAY_MATRIX_MAX: usize = 16;
 
-/// Finds the file position and round marker of the earliest convergence
-/// point, mirroring the `analyze` replay's telemetry scan.
-fn convergence_position(
-    events: &[TraceEvent],
-    opts: &AnalyzeOptions,
-) -> (Option<usize>, Option<u64>) {
-    let mut round_samples: Vec<(usize, TelemetrySample)> = Vec::new();
-    let mut cluster_samples: Vec<(usize, TelemetrySample)> = Vec::new();
-    for (pos, ev) in events.iter().enumerate() {
-        match ev {
-            TraceEvent::Telemetry(sample) => round_samples.push((pos, sample.clone())),
-            TraceEvent::ClusterTelemetry {
-                live, dispersion, ..
-            } => {
-                let round = cluster_samples.len() as u64;
-                cluster_samples.push((
-                    pos,
-                    TelemetrySample {
-                        round,
-                        live: *live,
-                        classifications_mean: 0.0,
-                        classifications_max: 0,
-                        weight_spread: 0.0,
-                        mean_error: None,
-                        max_error: None,
-                        dispersion: dispersion.is_finite().then_some(*dispersion),
-                        unix_ms: None,
-                    },
-                ));
-            }
-            _ => {}
-        }
-    }
-    let chosen = if round_samples.is_empty() {
-        cluster_samples
-    } else {
-        round_samples
-    };
-    let mut prefix = TelemetrySeries::new();
-    for (pos, sample) in chosen {
-        let round = sample.round;
-        prefix.push(sample);
-        if prefix.converged(opts.window, opts.delta_tol, opts.level) {
-            return (Some(pos), Some(round));
-        }
-    }
-    (None, None)
+/// A span key in the mint maps: `(dense node, incarnation, seq)`;
+/// simulator messages use incarnation 0 in a map of their own.
+type SpanKey = (u32, u64, u64);
+
+/// The causal replay as a one-pass fold ([`CausalReport::fold`]).
+#[derive(Default)]
+struct CausalFold {
+    timeline: Timeline,
+    events: usize,
+    declared_nodes: usize,
+    initial_grains: u64,
+    /// Node ids in order of first appearance: a node's dense index is
+    /// its place here.
+    ids: Vec<usize>,
+    index: HashMap<usize, u32>,
+    verts: Vec<Vertex>,
+    /// Each node's latest vertex, by dense index.
+    last: Vec<usize>,
+    node_clocks: BTreeMap<usize, u64>,
+    /// Span mint sites: simulator messages and runtime grain halves.
+    msg_spans: HashMap<SpanKey, usize>,
+    grain_spans: HashMap<SpanKey, usize>,
+    /// Cross-edge children with the span each names, resolved against
+    /// the complete mint maps after the pass — a trace whose sink
+    /// reordered a send behind its delivery still links (and then fails
+    /// the Lamport/cycle checks honestly instead of silently unmatching).
+    parents: Vec<(usize, u32, u64, u64)>,
+    /// Influence: per-node reach masks, bit `k` for dense origin `k`.
+    reach: Vec<Vec<u64>>,
+    /// The mask each span's sender had at send time, so a delivery
+    /// absorbs exactly what the sender knew then. Freed when the span is
+    /// delivered, or dropped while the only one in flight on its link
+    /// (a drop names no span); returned halves keep theirs.
+    snap_msg: BTreeMap<(u32, u64), (u32, Vec<u64>)>,
+    snap_grain: HashMap<SpanKey, Vec<u64>>,
+    /// Earliest markers while the pass runs: `cap × cap`, in dense
+    /// order, `NEVER` where not reached; `cap` doubles as nodes appear.
+    cells: Vec<u64>,
+    cap: usize,
+    /// Provenance: checkpoint-delimited delta segments per
+    /// (node, incarnation); the last entry is the open tail.
+    segments: HashMap<(usize, u16), Vec<Segment>>,
+    finals: BTreeMap<usize, (String, u64)>,
+    program_edges: usize,
+    lamport_violations: usize,
+    unmatched_parents: usize,
+    unmatched_voids: usize,
+    checkpoint_mismatches: Vec<(usize, u16)>,
+    truncated: Option<u64>,
+    /// Once linked: the cross edges grouped by parent, vertex `u`'s
+    /// children at `cross[start[u]..start[u + 1]]` in file order.
+    cross: Vec<usize>,
+    start: Vec<usize>,
 }
 
-/// The node count: what `cluster_started` declares, widened by any
-/// larger index the trace actually uses.
-fn node_count(events: &[TraceEvent]) -> usize {
-    let mut n = 0usize;
-    for ev in events {
-        let m = match ev {
-            TraceEvent::ClusterStarted { nodes, .. } => *nodes,
+impl CausalFold {
+    fn new(opts: &AnalyzeOptions) -> Self {
+        CausalFold {
+            timeline: Timeline::new(opts),
+            ..CausalFold::default()
+        }
+    }
+
+    /// The dense index of node `id`, assigned when the id first appears.
+    /// Per-node state is sized by how many ids the trace uses, never by
+    /// how large an id is.
+    fn node(&mut self, id: usize) -> u32 {
+        if let Some(&k) = self.index.get(&id) {
+            return k;
+        }
+        let k = self.ids.len();
+        if k == self.cap {
+            let cap = (2 * k).max(16);
+            let mut cells = vec![NEVER; cap * cap];
+            for r in 0..k {
+                cells[r * cap..r * cap + k].copy_from_slice(&self.cells[r * k..(r + 1) * k]);
+            }
+            (self.cells, self.cap) = (cells, cap);
+        }
+        self.cells[k * self.cap + k] = 0;
+        let mut mask = vec![0u64; k / 64 + 1];
+        mask[k / 64] = 1 << (k % 64);
+        self.reach.push(mask);
+        self.last.push(NONE);
+        self.ids.push(id);
+        self.index.insert(id, k as u32);
+        k as u32
+    }
+
+    /// Adds a vertex plus its program-order edge, checking clock
+    /// monotonicity along the node's own timeline.
+    fn add_vertex(
+        &mut self,
+        node: u32,
+        lamport: u64,
+        kind: VertexKind,
+        stamp: Stamp,
+        span: Option<(u16, u64)>,
+    ) -> usize {
+        let id = self.verts.len();
+        let prev = std::mem::replace(&mut self.last[node as usize], id);
+        if prev != NONE {
+            let p = &mut self.verts[prev];
+            if p.lamport >= lamport {
+                self.lamport_violations += 1;
+            }
+            p.next = id;
+            self.program_edges += 1;
+        }
+        let clock = self.node_clocks.entry(self.ids[node as usize]).or_default();
+        *clock = (*clock).max(lamport);
+        self.verts.push(Vertex {
+            lamport,
+            stamp,
+            span,
+            node,
+            next: NONE,
+            kind,
+        });
+        id
+    }
+
+    /// ORs a span's send-time mask into node `to`'s reach; every origin
+    /// it newly reaches gets `marker` as its earliest.
+    fn absorb(&mut self, to: u32, snap: &[u64], marker: u64) {
+        let reach = &mut self.reach[to as usize];
+        if reach.len() < snap.len() {
+            reach.resize(snap.len(), 0);
+        }
+        for (w, (dst, src)) in reach.iter_mut().zip(snap).enumerate() {
+            let mut fresh = src & !*dst;
+            *dst |= src;
+            while fresh != 0 {
+                let origin = w * 64 + fresh.trailing_zeros() as usize;
+                let cell = &mut self.cells[origin * self.cap + to as usize];
+                if *cell == NEVER {
+                    *cell = marker;
+                }
+                fresh &= fresh - 1;
+            }
+        }
+    }
+
+    /// `u`'s out-edges with their hop weights, in construction order:
+    /// the program-order edge, then the cross edges.
+    fn out(&self, u: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let next = self.verts[u].next;
+        let cross = &self.cross[self.start[u]..self.start[u + 1]];
+        // A return brought a timed-out half home: no message hop.
+        let hop = |c: usize| u64::from(self.verts[c].kind != VertexKind::Return);
+        let cross = cross.iter().map(move |&c| (c, hop(c)));
+        (next != NONE).then_some((next, 0)).into_iter().chain(cross)
+    }
+
+    /// Resolves every cross edge against the complete mint maps.
+    fn link(&mut self) {
+        let mut pairs = Vec::with_capacity(self.parents.len());
+        for (child, node, inc, seq) in std::mem::take(&mut self.parents) {
+            let spans = match self.verts[child].kind {
+                VertexKind::Deliver => &self.msg_spans,
+                _ => &self.grain_spans,
+            };
+            match spans.get(&(node, inc, seq)) {
+                Some(&p) => {
+                    if self.verts[p].lamport >= self.verts[child].lamport {
+                        self.lamport_violations += 1;
+                    }
+                    pairs.push((p, child));
+                }
+                None => self.unmatched_parents += 1,
+            }
+        }
+        (self.msg_spans, self.grain_spans) = (HashMap::new(), HashMap::new());
+        // Stable: each parent's children stay in file order.
+        pairs.sort_by_key(|&(p, _)| p);
+        let mut start = vec![0; self.verts.len() + 1];
+        for &(p, _) in &pairs {
+            start[p + 1] += 1;
+        }
+        for u in 0..self.verts.len() {
+            start[u + 1] += start[u];
+        }
+        self.cross = pairs.into_iter().map(|(_, c)| c).collect();
+        self.start = start;
+    }
+}
+
+impl Fold for CausalFold {
+    type Report = CausalReport;
+
+    fn on_event(&mut self, ev: &TraceEvent) {
+        self.events += 1;
+        self.timeline.on_event(ev, self.verts.len());
+        // Every id the trace names gets a node as it first appears: `a`
+        // and `b` are the event's nodes by dense index (0 when unused).
+        let (a, b) = match ev {
             TraceEvent::MessageSent { from, to, .. }
             | TraceEvent::MessageDelivered { from, to, .. }
-            | TraceEvent::MessageDropped { from, to, .. } => from.max(to) + 1,
-            TraceEvent::GrainDelta { node, peer, .. } => node.max(peer) + 1,
+            | TraceEvent::MessageDropped { from, to, .. } => (self.node(*from), self.node(*to)),
+            TraceEvent::GrainDelta { node, peer, .. } => (self.node(*node), self.node(*peer)),
             TraceEvent::TickCompleted { node, .. }
             | TraceEvent::PeerCrashed { node, .. }
             | TraceEvent::PeerRestarted { node, .. }
             | TraceEvent::PeerCheckpoint { node, .. }
             | TraceEvent::GrainsVoided { node, .. }
-            | TraceEvent::PeerFinal { node, .. } => node + 1,
-            _ => 0,
+            | TraceEvent::PeerFinal { node, .. } => (self.node(*node), 0),
+            _ => (0, 0),
         };
-        n = n.max(m);
-    }
-    n
-}
-
-/// Parses a JSONL trace leniently: unknown event types are skipped and
-/// counted (second tuple element) instead of failing the parse, so traces
-/// written by newer builds still analyze.
-///
-/// # Errors
-///
-/// Returns a [`JsonError`] naming the offending line on the first
-/// structurally malformed line.
-pub fn parse_jsonl(text: &str) -> Result<(Vec<TraceEvent>, usize), JsonError> {
-    let mut events = Vec::new();
-    let mut unknown = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match TraceEvent::from_json(line) {
-            Ok(ev) => events.push(ev),
-            Err(e) if e.message.contains("unknown event type") => unknown += 1,
-            Err(e) => {
-                return Err(JsonError {
-                    message: format!("trace line {}: {}", i + 1, e.message),
-                    offset: e.offset,
-                })
+        let marker = self.timeline.marker;
+        match ev {
+            TraceEvent::ClusterStarted {
+                nodes,
+                initial_grains,
+            } => {
+                self.declared_nodes = *nodes;
+                self.initial_grains = *initial_grains;
             }
-        }
-    }
-    Ok((events, unknown))
-}
-
-/// A cross-edge child's reference to the span that caused it, resolved
-/// against the complete mint maps *after* the file walk — a trace whose
-/// sink reordered a send behind its delivery still links (and then fails
-/// the Lamport/cycle checks honestly instead of silently unmatching).
-enum ParentRef {
-    /// A simulator message span `(from, seq)`.
-    Msg(usize, u64),
-    /// A runtime grain span.
-    Grain(SpanId),
-}
-
-/// ORs `snap` into `reach`, returning the origins newly reached.
-fn fold_mask(reach: &mut [u64], snap: &[u64]) -> Vec<usize> {
-    let mut fresh = Vec::new();
-    for (w, (dst, src)) in reach.iter_mut().zip(snap).enumerate() {
-        let new_bits = *src & !*dst;
-        *dst |= *src;
-        let mut bits = new_bits;
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            fresh.push(w * 64 + b);
-            bits &= bits - 1;
-        }
-    }
-    fresh
-}
-
-impl CausalReport {
-    /// Rebuilds the happens-before DAG from a parsed event stream (in
-    /// trace-file order) and derives the full report.
-    pub fn from_events(events: &[TraceEvent], opts: &AnalyzeOptions) -> CausalReport {
-        let (conv_pos, conv_round) = convergence_position(events, opts);
-        let n = node_count(events);
-        let words = n.div_ceil(64);
-
-        let mut initial_grains = 0u64;
-        let mut declared_nodes = 0usize;
-        let mut verts: Vec<Vertex> = Vec::new();
-        let mut out: Vec<Vec<(usize, u32)>> = Vec::new();
-        let mut last_on_node: HashMap<usize, usize> = HashMap::new();
-        // Span mint sites: simulator messages by (from, seq), runtime
-        // grain halves by the full (node, incarnation, seq) triple.
-        let mut msg_spans: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut grain_spans: HashMap<SpanId, usize> = HashMap::new();
-        // Influence: per-node reach masks, snapshotted at every mint so a
-        // delivery absorbs exactly what the sender knew *at send time*.
-        let mut reach: Vec<Vec<u64>> = (0..n)
-            .map(|i| {
-                let mut m = vec![0u64; words];
-                m[i / 64] |= 1u64 << (i % 64);
-                m
-            })
-            .collect();
-        let mut snap_msg: HashMap<(usize, u64), Vec<u64>> = HashMap::new();
-        let mut snap_grain: HashMap<SpanId, Vec<u64>> = HashMap::new();
-        let mut earliest: Vec<Vec<Option<u64>>> = vec![vec![None; n]; n];
-        for (i, row) in earliest.iter_mut().enumerate() {
-            row[i] = Some(0);
-        }
-        // Provenance: checkpoint-delimited delta segments per
-        // (node, incarnation); the last entry is the open tail.
-        let mut segments: HashMap<(usize, u16), Vec<Segment>> = HashMap::new();
-        let mut finals: BTreeMap<usize, (String, u64)> = BTreeMap::new();
-
-        let mut program_edges = 0usize;
-        let mut cross_edges = 0usize;
-        let mut lamport_violations = 0usize;
-        let mut unmatched_parents = 0usize;
-        let mut unmatched_voids = 0usize;
-        let mut checkpoint_mismatches: Vec<(usize, u16)> = Vec::new();
-        let mut truncated: Option<u64> = None;
-        let mut marker: Option<u64> = None;
-        let mut cluster_marker = 0u64;
-
-        // Adds a vertex plus its program-order edge, checking clock
-        // monotonicity along the node's own timeline.
-        let mut add_vertex = |verts: &mut Vec<Vertex>,
-                              out: &mut Vec<Vec<(usize, u32)>>,
-                              violations: &mut usize,
-                              pedges: &mut usize,
-                              v: Vertex|
-         -> usize {
-            let id = verts.len();
-            if let Some(&prev) = last_on_node.get(&v.node) {
-                if verts[prev].lamport >= v.lamport {
-                    *violations += 1;
-                }
-                out[prev].push((id, 0));
-                *pedges += 1;
+            TraceEvent::MessageSent {
+                at,
+                lamport: Some(l),
+                seq: Some(q),
+                ..
+            } => {
+                let (from, to) = (a, b);
+                let id = self.add_vertex(from, *l, VertexKind::Send, Stamp::At(*at), Some((0, *q)));
+                self.msg_spans.insert((from, 0, *q), id);
+                let snap = self.reach[from as usize].clone();
+                self.snap_msg.insert((from, *q), (to, snap));
             }
-            last_on_node.insert(v.node, id);
-            verts.push(v);
-            out.push(Vec::new());
-            id
-        };
-        // Cross edges are collected as (child, parent span, weight) and
-        // resolved after the walk, once every mint site is known.
-        let mut pending_cross: Vec<(usize, ParentRef, u32)> = Vec::new();
-
-        for (pos, ev) in events.iter().enumerate() {
-            match ev {
-                TraceEvent::ClusterStarted {
-                    nodes,
-                    initial_grains: g,
-                } => {
-                    declared_nodes = *nodes;
-                    initial_grains = *g;
+            TraceEvent::MessageDelivered {
+                at,
+                lamport: Some(l),
+                span_seq: Some(q),
+                ..
+            } => {
+                let (from, to) = (a, b);
+                let id = self.add_vertex(to, *l, VertexKind::Deliver, Stamp::At(*at), None);
+                self.parents.push((id, from, 0, *q));
+                if let Some((_, snap)) = self.snap_msg.remove(&(from, *q)) {
+                    self.absorb(to, &snap, marker.unwrap_or(*l));
                 }
-                TraceEvent::RoundCompleted { round, .. } => marker = Some(*round),
-                TraceEvent::Telemetry(sample) => marker = Some(sample.round),
-                TraceEvent::ClusterTelemetry { .. } => {
-                    marker = Some(cluster_marker);
-                    cluster_marker += 1;
+            }
+            TraceEvent::MessageDropped { .. } => {
+                // A drop names no span: free a snapshot only when it is
+                // the one message in flight on the link.
+                let (from, to) = (a, b);
+                let mut on_link = self
+                    .snap_msg
+                    .range((from, 0)..=(from, u64::MAX))
+                    .filter(|(_, (dest, _))| *dest == to)
+                    .map(|(&key, _)| key);
+                if let (Some(key), None) = (on_link.next(), on_link.next()) {
+                    self.snap_msg.remove(&key);
                 }
-                TraceEvent::MessageSent {
-                    from,
-                    to: _,
-                    at,
-                    lamport: Some(l),
-                    seq: Some(q),
-                    ..
-                } => {
-                    let span = (*from, 0u64, *q);
-                    let id = add_vertex(
-                        &mut verts,
-                        &mut out,
-                        &mut lamport_violations,
-                        &mut program_edges,
-                        Vertex {
-                            node: *from,
-                            lamport: *l,
-                            pos,
-                            at: Some(*at),
-                            span: Some(span),
-                            hop_us: None,
-                            kind: VertexKind::Send,
-                        },
-                    );
-                    msg_spans.insert((*from, *q), id);
-                    snap_msg.insert((*from, *q), reach[*from].clone());
-                }
-                TraceEvent::MessageDelivered {
-                    from,
-                    to,
-                    at,
-                    lamport: Some(l),
-                    span_seq: Some(q),
-                    ..
-                } => {
-                    let id = add_vertex(
-                        &mut verts,
-                        &mut out,
-                        &mut lamport_violations,
-                        &mut program_edges,
-                        Vertex {
-                            node: *to,
-                            lamport: *l,
-                            pos,
-                            at: Some(*at),
-                            span: None,
-                            hop_us: None,
-                            kind: VertexKind::Deliver,
-                        },
-                    );
-                    pending_cross.push((id, ParentRef::Msg(*from, *q), 1));
-                    if let Some(snap) = snap_msg.get(&(*from, *q)) {
-                        for origin in fold_mask(&mut reach[*to], snap) {
-                            if earliest[origin][*to].is_none() {
-                                earliest[origin][*to] = Some(marker.unwrap_or(*l));
-                            }
-                        }
-                    }
-                }
-                TraceEvent::GrainDelta {
-                    node,
-                    incarnation,
-                    op,
-                    grains,
-                    peer,
-                    lamport,
-                    seq,
-                    span_inc,
-                    span_seq,
-                    wait_us,
-                    transit_us,
-                } => {
-                    // Provenance bookkeeping happens regardless of the
-                    // causal stamps, so legacy traces still reconcile.
-                    let segs = segments.entry((*node, *incarnation)).or_default();
-                    if segs.is_empty() || segs.last().is_some_and(|s| s.voided) {
-                        segs.push(Segment::default());
-                    }
-                    let seg = segs.last_mut().expect("open segment");
-                    seg.touched = true;
-                    match op {
-                        GrainOp::Split => seg.split += grains,
-                        GrainOp::Merge => {
-                            seg.merged += grains;
-                            *seg.by_src.entry(*peer).or_default() += u128::from(*grains);
-                        }
-                        GrainOp::Return => seg.returned += grains,
-                    }
-
-                    let Some(l) = lamport else { continue };
-                    let id = add_vertex(
-                        &mut verts,
-                        &mut out,
-                        &mut lamport_violations,
-                        &mut program_edges,
-                        Vertex {
-                            node: *node,
-                            lamport: *l,
-                            pos,
-                            at: None,
-                            span: seq.map(|q| (*node, u64::from(*incarnation), q)),
-                            hop_us: wait_us.zip(*transit_us),
-                            kind: match op {
-                                GrainOp::Split => VertexKind::Split,
-                                GrainOp::Merge => VertexKind::Merge,
-                                GrainOp::Return => VertexKind::Return,
-                            },
-                        },
-                    );
-                    match op {
-                        GrainOp::Split => {
-                            if let Some(q) = seq {
-                                let span = (*node, u64::from(*incarnation), *q);
-                                grain_spans.insert(span, id);
-                                snap_grain.insert(span, reach[*node].clone());
-                            }
-                        }
-                        GrainOp::Merge => {
-                            // The parent is the *sender's* split.
-                            let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (*peer, i, q))
-                            else {
-                                unmatched_parents += 1;
-                                continue;
-                            };
-                            pending_cross.push((id, ParentRef::Grain(span), 1));
-                            if let Some(snap) = snap_grain.get(&span) {
-                                for origin in fold_mask(&mut reach[*node], snap) {
-                                    if earliest[origin][*node].is_none() {
-                                        earliest[origin][*node] = Some(marker.unwrap_or(*l));
-                                    }
-                                }
-                            }
-                        }
-                        GrainOp::Return => {
-                            // The parent is this node's own earlier
-                            // split — a timeout, not a message hop.
-                            let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (*node, i, q))
-                            else {
-                                unmatched_parents += 1;
-                                continue;
-                            };
-                            pending_cross.push((id, ParentRef::Grain(span), 0));
-                        }
-                    }
-                }
-                TraceEvent::PeerCheckpoint {
-                    node,
-                    incarnation,
-                    split,
-                    merged,
-                    returned,
-                } => {
-                    // The flushed batch must equal the deltas traced
-                    // since the previous checkpoint; close the segment.
-                    let segs = segments.entry((*node, *incarnation)).or_default();
-                    if segs.is_empty() || segs.last().is_some_and(|s| s.voided) {
-                        segs.push(Segment::default());
-                    }
-                    let seg = segs.last().expect("open segment");
-                    if (seg.split, seg.merged, seg.returned) != (*split, *merged, *returned) {
-                        checkpoint_mismatches.push((*node, *incarnation));
-                    }
+            }
+            TraceEvent::GrainDelta {
+                node,
+                incarnation,
+                op,
+                grains,
+                peer,
+                lamport,
+                seq,
+                span_inc,
+                span_seq,
+                wait_us,
+                transit_us,
+            } => {
+                // Provenance bookkeeping happens regardless of the
+                // causal stamps, so legacy traces still reconcile.
+                let segs = self.segments.entry((*node, *incarnation)).or_default();
+                if segs.is_empty() || segs.last().is_some_and(|s| s.voided) {
                     segs.push(Segment::default());
                 }
-                // Voided drift terms carry no causal span of their own
-                // (re-reads are local), so only the wire 3-tuple matters
-                // for segment attribution.
-                TraceEvent::GrainsVoided {
-                    node,
-                    incarnation,
-                    split,
-                    merged,
-                    returned,
-                    ..
-                } => {
-                    if *split == 0 && *merged == 0 && *returned == 0 {
-                        continue; // nothing to attribute
+                let seg = segs.last_mut().expect("open segment");
+                seg.touched = true;
+                match op {
+                    GrainOp::Split => seg.split += grains,
+                    GrainOp::Merge => {
+                        seg.merged += grains;
+                        *seg.by_src.entry(*peer).or_default() += u128::from(*grains);
                     }
-                    // Attribute the rollback to the earliest unvoided
-                    // segment with exactly matching sums: the open tail
-                    // for a crash before flush, a closed segment for a
-                    // stale checkpoint the supervisor refused.
-                    let segs = segments.entry((*node, *incarnation)).or_default();
-                    match segs.iter_mut().find(|s| {
-                        !s.voided && (s.split, s.merged, s.returned) == (*split, *merged, *returned)
-                    }) {
-                        Some(seg) => seg.voided = true,
-                        None => unmatched_voids += 1,
-                    }
+                    GrainOp::Return => seg.returned += grains,
                 }
-                TraceEvent::PeerFinal {
-                    node,
-                    outcome,
-                    grains,
-                } => {
-                    finals.insert(*node, (outcome.clone(), *grains));
-                }
-                TraceEvent::TraceTruncated { bytes_written } => {
-                    truncated = Some(*bytes_written);
-                }
-                _ => {}
-            }
-        }
 
-        // ---- Resolve cross edges against the complete mint maps ----
-        for (child, parent, weight) in pending_cross {
-            let resolved = match parent {
-                ParentRef::Msg(from, q) => msg_spans.get(&(from, q)),
-                ParentRef::Grain(span) => grain_spans.get(&span),
-            };
-            match resolved {
-                Some(&p) => {
-                    if verts[p].lamport >= verts[child].lamport {
-                        lamport_violations += 1;
+                let Some(l) = lamport else { return };
+                let (nd, pd) = (a, b);
+                let (kind, origin) = match op {
+                    GrainOp::Split => (VertexKind::Split, nd),
+                    // The parent is the *sender's* split.
+                    GrainOp::Merge => (VertexKind::Merge, pd),
+                    // The parent is this node's own earlier split.
+                    GrainOp::Return => (VertexKind::Return, nd),
+                };
+                let stamp = wait_us
+                    .zip(*transit_us)
+                    .map_or(Stamp::None, |(w, t)| Stamp::Hop(w, t));
+                let id = self.add_vertex(nd, *l, kind, stamp, seq.map(|q| (*incarnation, q)));
+                if *op == GrainOp::Split {
+                    if let Some(q) = seq {
+                        let span = (nd, u64::from(*incarnation), *q);
+                        self.grain_spans.insert(span, id);
+                        self.snap_grain
+                            .insert(span, self.reach[nd as usize].clone());
                     }
-                    out[p].push((child, weight));
-                    cross_edges += 1;
+                    return;
                 }
-                None => unmatched_parents += 1,
+                let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (origin, i, q)) else {
+                    self.unmatched_parents += 1;
+                    return;
+                };
+                self.parents.push((id, span.0, span.1, span.2));
+                if *op == GrainOp::Merge {
+                    if let Some(snap) = self.snap_grain.remove(&span) {
+                        self.absorb(nd, &snap, marker.unwrap_or(*l));
+                    }
+                }
             }
+            TraceEvent::PeerCheckpoint {
+                node,
+                incarnation,
+                split,
+                merged,
+                returned,
+            } => {
+                // The flushed batch must equal the deltas traced since
+                // the previous checkpoint; close the segment.
+                let segs = self.segments.entry((*node, *incarnation)).or_default();
+                if segs.is_empty() || segs.last().is_some_and(|s| s.voided) {
+                    segs.push(Segment::default());
+                }
+                let seg = segs.last().expect("open segment");
+                if (seg.split, seg.merged, seg.returned) != (*split, *merged, *returned) {
+                    self.checkpoint_mismatches.push((*node, *incarnation));
+                }
+                segs.push(Segment::default());
+            }
+            // Voided drift terms carry no causal span of their own
+            // (re-reads are local), so only the wire 3-tuple matters for
+            // segment attribution.
+            TraceEvent::GrainsVoided {
+                node,
+                incarnation,
+                split,
+                merged,
+                returned,
+                ..
+            } => {
+                if *split == 0 && *merged == 0 && *returned == 0 {
+                    return; // nothing to attribute
+                }
+                // Attribute the rollback to the earliest unvoided segment
+                // with exactly matching sums: the open tail for a crash
+                // before flush, a closed segment for a stale checkpoint
+                // the supervisor refused.
+                let segs = self.segments.entry((*node, *incarnation)).or_default();
+                match segs.iter_mut().find(|s| {
+                    !s.voided && (s.split, s.merged, s.returned) == (*split, *merged, *returned)
+                }) {
+                    Some(seg) => seg.voided = true,
+                    None => self.unmatched_voids += 1,
+                }
+            }
+            TraceEvent::PeerFinal {
+                node,
+                outcome,
+                grains,
+            } => {
+                self.finals.insert(*node, (outcome.clone(), *grains));
+            }
+            TraceEvent::TraceTruncated { bytes_written } => {
+                self.truncated = Some(*bytes_written);
+            }
+            _ => {}
         }
+    }
 
-        // ---- Clock health ----
-        let mut node_clocks: BTreeMap<usize, u64> = BTreeMap::new();
-        for v in &verts {
-            let c = node_clocks.entry(v.node).or_default();
-            *c = (*c).max(v.lamport);
-        }
-        let clock_skew = match (node_clocks.values().max(), node_clocks.values().min()) {
-            (Some(max), Some(min)) => max - min,
-            _ => 0,
-        };
+    fn finish(mut self, unknown: usize) -> CausalReport {
+        self.link();
+        (self.reach, self.snap_msg, self.snap_grain) =
+            (Vec::new(), BTreeMap::new(), HashMap::new());
+        let verts = &self.verts;
 
         // ---- Toposort (Kahn) and longest-hop distances ----
         let nv = verts.len();
-        let mut indeg = vec![0usize; nv];
-        for outs in &out {
-            for &(v, _) in outs {
+        let mut indeg = vec![0u32; nv];
+        for u in 0..nv {
+            for (v, _) in self.out(u) {
                 indeg[v] += 1;
             }
         }
@@ -865,7 +831,7 @@ impl CausalReport {
         let mut topo = Vec::with_capacity(nv);
         while let Some(u) = queue.pop_front() {
             topo.push(u);
-            for &(v, _) in &out[u] {
+            for (v, _) in self.out(u) {
                 indeg[v] -= 1;
                 if indeg[v] == 0 {
                     queue.push_back(v);
@@ -875,59 +841,63 @@ impl CausalReport {
         let acyclic = topo.len() == nv;
 
         let mut dist = vec![0u64; nv];
-        let mut prev: Vec<Option<usize>> = vec![None; nv];
-        let depth_hist = Histogram::standalone();
-        let mut depths = Vec::new();
+        let mut prev = vec![NONE; nv];
+        let mut depth = HistogramSnapshot::empty();
         if acyclic {
             for &u in &topo {
-                for &(v, w) in &out[u] {
-                    let d = dist[u] + u64::from(w);
+                for (v, w) in self.out(u) {
+                    let d = dist[u] + w;
                     if d > dist[v] {
                         dist[v] = d;
-                        prev[v] = Some(u);
+                        prev[v] = u;
                     }
                 }
             }
             for &d in &dist {
-                depth_hist.observe(d);
+                depth.observe(d);
             }
-            depths = dist.clone();
         }
 
         // ---- Convergence critical path ----
+        // Vertices added after the converging sample are past it.
+        let hit = self.timeline.series().hit;
+        let limit = hit.map_or(nv, |(_, stamp)| stamp);
         let end = if acyclic {
-            (0..nv)
-                .filter(|&v| conv_pos.is_none_or(|cp| verts[v].pos <= cp))
-                .max_by_key(|&v| (dist[v], verts[v].lamport))
+            (0..limit).max_by_key(|&v| (dist[v], verts[v].lamport))
         } else {
             None
         };
+        let id_of = |v: usize| self.ids[verts[v].node as usize];
         let mut hops = Vec::new();
         if let Some(end) = end {
             let mut v = end;
-            while let Some(u) = prev[v] {
+            while prev[v] != NONE {
+                let u = prev[v];
                 if verts[u].node != verts[v].node {
                     // A real hop; the parent minted the span it rode.
-                    let span = verts[u].span.unwrap_or((verts[u].node, 0, 0));
+                    let span = verts[u]
+                        .span
+                        .map_or((id_of(u), 0, 0), |(inc, q)| (id_of(u), u64::from(inc), q));
                     // Runtime merge vertices carry the delivered frame's
                     // wait/transit stamps (real milliseconds); the hop's
                     // latency is their exact f64 sum, so the printed
                     // decomposition reconciles bit-for-bit. Simulator
                     // hops fall back to the trace-clock difference with
                     // zero wait — the simulator has no retry queue.
-                    let (wait, transit, latency) = match verts[v].hop_us {
-                        Some((w, t)) => {
+                    let (wait, transit, latency) = match (verts[u].stamp, verts[v].stamp) {
+                        (_, Stamp::Hop(w, t)) => {
                             let (w_ms, t_ms) = (w as f64 / 1e3, t as f64 / 1e3);
                             (Some(w_ms), Some(t_ms), Some(w_ms + t_ms))
                         }
-                        None => {
-                            let lat = verts[u].at.zip(verts[v].at).map(|(a, b)| (b - a).max(0.0));
-                            (lat.map(|_| 0.0), lat, lat)
+                        (Stamp::At(a), Stamp::At(b)) => {
+                            let lat = (b - a).max(0.0);
+                            (Some(0.0), Some(lat), Some(lat))
                         }
+                        _ => (None, None, None),
                     };
                     hops.push(CriticalHop {
-                        from: verts[u].node,
-                        to: verts[v].node,
+                        from: id_of(u),
+                        to: id_of(v),
                         span,
                         lamport_send: verts[u].lamport,
                         lamport_recv: verts[v].lamport,
@@ -942,22 +912,24 @@ impl CausalReport {
         }
         let critical_path = CriticalPath {
             depth: end.map_or(0, |e| dist[e]),
-            converged_round: conv_round,
-            end_node: end.map(|e| verts[e].node),
+            converged_round: hit.map(|(round, _)| round),
+            end_node: end.map(id_of),
             end_lamport: end.map(|e| verts[e].lamport),
             hops,
         };
+        let depths = if acyclic { dist } else { Vec::new() };
 
         // ---- Provenance: durable movements only, i128-exact ----
-        let per_node_initial = if declared_nodes > 0 {
-            initial_grains / declared_nodes as u64
+        let per_node_initial = if self.declared_nodes > 0 {
+            self.initial_grains / self.declared_nodes as u64
         } else {
             0
         };
-        let mut touched: Vec<usize> = segments
+        let mut touched: Vec<usize> = self
+            .segments
             .keys()
             .map(|&(node, _)| node)
-            .chain(finals.keys().copied())
+            .chain(self.finals.keys().copied())
             .collect();
         touched.sort_unstable();
         touched.dedup();
@@ -966,7 +938,7 @@ impl CausalReport {
         for node in touched {
             let mut absorbed: BTreeMap<usize, u128> = BTreeMap::new();
             let (mut split, mut merged, mut returned) = (0u128, 0u128, 0u128);
-            for ((_, _), segs) in segments.iter().filter(|((nd, _), _)| *nd == node) {
+            for ((_, _), segs) in self.segments.iter().filter(|((nd, _), _)| *nd == node) {
                 for seg in segs.iter().filter(|s| !s.voided && s.touched) {
                     split += u128::from(seg.split);
                     merged += u128::from(seg.merged);
@@ -978,7 +950,7 @@ impl CausalReport {
             }
             let expected =
                 i128::from(per_node_initial) + merged as i128 + returned as i128 - split as i128;
-            let (outcome, final_grains) = match finals.get(&node) {
+            let (outcome, final_grains) = match self.finals.get(&node) {
                 Some((o, g)) => (Some(o.clone()), Some(*g)),
                 None => (None, None),
             };
@@ -1007,61 +979,108 @@ impl CausalReport {
                 drift,
             });
         }
-        let provenance_exact =
-            drift_anomalies.is_empty() && unmatched_voids == 0 && checkpoint_mismatches.is_empty();
+        let provenance_exact = drift_anomalies.is_empty()
+            && self.unmatched_voids == 0
+            && self.checkpoint_mismatches.is_empty();
 
         // ---- Anomalies ----
         let mut anomalies = Vec::new();
         if !acyclic {
             anomalies.push(CausalAnomaly::Cyclic);
         }
-        if lamport_violations > 0 {
+        if self.lamport_violations > 0 {
             anomalies.push(CausalAnomaly::LamportViolations {
-                count: lamport_violations,
+                count: self.lamport_violations,
             });
         }
-        if unmatched_parents > 0 {
+        if self.unmatched_parents > 0 {
             anomalies.push(CausalAnomaly::UnmatchedParents {
-                count: unmatched_parents,
+                count: self.unmatched_parents,
             });
         }
-        if unmatched_voids > 0 {
+        if self.unmatched_voids > 0 {
             anomalies.push(CausalAnomaly::UnmatchedVoids {
-                count: unmatched_voids,
+                count: self.unmatched_voids,
             });
         }
-        for (node, incarnation) in checkpoint_mismatches {
+        for &(node, incarnation) in &self.checkpoint_mismatches {
             anomalies.push(CausalAnomaly::CheckpointMismatch { node, incarnation });
         }
         anomalies.extend(drift_anomalies);
-        if let Some(bytes_written) = truncated {
+        if let Some(bytes_written) = self.truncated {
             anomalies.push(CausalAnomaly::TraceTruncated { bytes_written });
         }
+        if unknown > 0 {
+            anomalies.push(CausalAnomaly::UnknownEvents { count: unknown });
+        }
+
+        let clock_skew = match (
+            self.node_clocks.values().max(),
+            self.node_clocks.values().min(),
+        ) {
+            (Some(max), Some(min)) => max - min,
+            _ => 0,
+        };
+
+        // ---- Influence: rows compacted to stride n, in place ----
+        let (n, cap) = (self.ids.len(), self.cap);
+        let mut cells = std::mem::take(&mut self.cells);
+        for r in 1..n {
+            cells.copy_within(r * cap..r * cap + n, r * n);
+        }
+        cells.truncate(n * n);
+        cells.shrink_to_fit();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&k| self.ids[k]);
+        self.ids.sort_unstable();
 
         CausalReport {
-            events: events.len(),
+            events: self.events,
             causal_events: nv,
-            nodes: n,
+            nodes: self.declared_nodes.max(n),
             acyclic,
-            lamport_violations,
-            unmatched_parents,
-            unmatched_voids,
-            program_edges,
-            cross_edges,
-            node_clocks,
+            lamport_violations: self.lamport_violations,
+            unmatched_parents: self.unmatched_parents,
+            unmatched_voids: self.unmatched_voids,
+            program_edges: self.program_edges,
+            cross_edges: self.cross.len(),
+            node_clocks: self.node_clocks,
             clock_skew,
-            depth: depth_hist.snapshot(),
+            depth,
             depths,
             critical_path,
             provenance,
             provenance_exact,
-            influence: InfluenceMatrix { nodes: n, earliest },
-            unknown_events: 0,
+            influence: InfluenceMatrix {
+                nodes: n,
+                ids: self.ids,
+                order,
+                cells,
+            },
+            unknown_events: unknown,
             anomalies,
         }
     }
+}
 
-    /// Parses a JSONL trace and rebuilds the causal report.
+impl CausalReport {
+    /// The causal replay as a one-pass fold: feed it events in
+    /// trace-file order. It keeps the DAG's vertices and cross edges,
+    /// per-node reach masks, the influence matrix and the provenance
+    /// segments; a span's send-time snapshot lives only while the span is
+    /// in flight.
+    pub fn fold(opts: &AnalyzeOptions) -> impl Fold<Report = CausalReport> {
+        CausalFold::new(opts)
+    }
+
+    /// Rebuilds the happens-before DAG from a parsed event stream (in
+    /// trace-file order) and derives the full report.
+    pub fn from_events(events: &[TraceEvent], opts: &AnalyzeOptions) -> CausalReport {
+        Self::fold(opts).fold_events(events)
+    }
+
+    /// Parses a JSONL trace one line at a time and rebuilds the causal
+    /// report.
     ///
     /// Unknown event types are skipped and counted (anomalously), like
     /// [`crate::TraceReport::from_jsonl`].
@@ -1071,15 +1090,7 @@ impl CausalReport {
     /// Returns a [`JsonError`] naming the offending line on the first
     /// malformed line.
     pub fn from_jsonl(text: &str, opts: &AnalyzeOptions) -> Result<CausalReport, JsonError> {
-        let (events, unknown) = parse_jsonl(text)?;
-        let mut report = CausalReport::from_events(&events, opts);
-        if unknown > 0 {
-            report.unknown_events = unknown;
-            report
-                .anomalies
-                .push(CausalAnomaly::UnknownEvents { count: unknown });
-        }
-        Ok(report)
+        Self::fold(opts).fold_jsonl(text.as_bytes())
     }
 
     /// Whether the causal layer is healthy: acyclic, clock-monotone,
@@ -1166,13 +1177,20 @@ impl CausalReport {
                 ])
             })
             .collect();
-        let influence = Json::Arr(
-            self.influence
-                .earliest
-                .iter()
-                .map(|row| Json::Arr(row.iter().map(|e| opt_u(*e)).collect()))
-                .collect(),
-        );
+        let inf = &self.influence;
+        let earliest = (0..inf.nodes)
+            .map(|r| Json::Arr(inf.row(r).map(opt_u).collect()))
+            .collect();
+        let mut influence = vec![
+            field("nodes", unum(inf.nodes as u64)),
+            field("pairs_reached", unum(inf.pairs_reached() as u64)),
+            field("earliest", Json::Arr(earliest)),
+        ];
+        // Rows are labelled by position unless the ids have gaps.
+        if inf.ids.iter().enumerate().any(|(k, &id)| k != id) {
+            let ids = inf.ids.iter().map(|&id| unum(id as u64)).collect();
+            influence.insert(1, field("ids", Json::Arr(ids)));
+        }
         let node_clocks = self
             .node_clocks
             .iter()
@@ -1222,14 +1240,7 @@ impl CausalReport {
             ),
             field("provenance", Json::Arr(provenance)),
             field("provenance_exact", Json::Bool(self.provenance_exact)),
-            field(
-                "influence",
-                Json::Obj(vec![
-                    field("nodes", unum(self.influence.nodes as u64)),
-                    field("pairs_reached", unum(self.influence.pairs_reached() as u64)),
-                    field("earliest", influence),
-                ]),
-            ),
+            field("influence", Json::Obj(influence)),
             field("unknown_events", unum(self.unknown_events as u64)),
             field(
                 "anomalies",
@@ -1242,28 +1253,29 @@ impl CausalReport {
     /// Renders the happens-before DAG in Graphviz DOT. Program-order
     /// edges are dotted, message hops solid and labeled with their span.
     ///
-    /// Rebuilds the vertex/edge structure from the same event slice the
-    /// report was derived from (the report itself keeps only aggregates).
+    /// Runs the report's own fold over the events, so the picture
+    /// matches the report (which itself keeps only aggregates).
     pub fn to_dot(events: &[TraceEvent], opts: &AnalyzeOptions) -> String {
-        // Reuse the exact construction path so the picture matches the
-        // report, then walk the structure into DOT.
-        let dag = Dag::build(events, opts);
+        let mut fold = CausalFold::new(opts);
+        for ev in events {
+            fold.on_event(ev);
+        }
+        fold.link();
         let mut s = String::from("digraph causal {\n  rankdir=LR;\n  node [shape=box];\n");
-        for (i, v) in dag.verts.iter().enumerate() {
+        for (i, v) in fold.verts.iter().enumerate() {
+            let node = fold.ids[v.node as usize];
             let span = v
                 .span
-                .map(|(o, inc, q)| format!(" ({o},{inc},{q})"))
+                .map(|(inc, q)| format!(" ({node},{inc},{q})"))
                 .unwrap_or_default();
             s.push_str(&format!(
-                "  e{i} [label=\"n{}@{} {}{}\"];\n",
-                v.node,
+                "  e{i} [label=\"n{node}@{} {}{span}\"];\n",
                 v.lamport,
-                v.kind.as_str(),
-                span
+                v.kind.as_str()
             ));
         }
-        for (u, outs) in dag.out.iter().enumerate() {
-            for &(v, w) in outs {
+        for u in 0..fold.verts.len() {
+            for (v, w) in fold.out(u) {
                 if w == 0 {
                     s.push_str(&format!("  e{u} -> e{v} [style=dotted];\n"));
                 } else {
@@ -1273,147 +1285,6 @@ impl CausalReport {
         }
         s.push_str("}\n");
         s
-    }
-}
-
-/// The bare vertex/edge structure, shared between the report builder and
-/// the DOT renderer.
-struct Dag {
-    verts: Vec<Vertex>,
-    out: Vec<Vec<(usize, u32)>>,
-}
-
-impl Dag {
-    fn build(events: &[TraceEvent], opts: &AnalyzeOptions) -> Dag {
-        // Building the full report and discarding the aggregates keeps
-        // one construction path; traces are offline artifacts, so the
-        // duplicated walk is fine.
-        let _ = opts;
-        let mut verts = Vec::new();
-        let mut out: Vec<Vec<(usize, u32)>> = Vec::new();
-        let mut last_on_node: HashMap<usize, usize> = HashMap::new();
-        let mut msg_spans: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut grain_spans: HashMap<SpanId, usize> = HashMap::new();
-        let mut pending: Vec<(usize, ParentRef, u32)> = Vec::new();
-        let mut push =
-            |verts: &mut Vec<Vertex>, out: &mut Vec<Vec<(usize, u32)>>, v: Vertex| -> usize {
-                let id = verts.len();
-                if let Some(&prev) = last_on_node.get(&v.node) {
-                    out[prev].push((id, 0));
-                }
-                last_on_node.insert(v.node, id);
-                verts.push(v);
-                out.push(Vec::new());
-                id
-            };
-        for (pos, ev) in events.iter().enumerate() {
-            match ev {
-                TraceEvent::MessageSent {
-                    from,
-                    at,
-                    lamport: Some(l),
-                    seq: Some(q),
-                    ..
-                } => {
-                    let id = push(
-                        &mut verts,
-                        &mut out,
-                        Vertex {
-                            node: *from,
-                            lamport: *l,
-                            pos,
-                            at: Some(*at),
-                            span: Some((*from, 0, *q)),
-                            hop_us: None,
-                            kind: VertexKind::Send,
-                        },
-                    );
-                    msg_spans.insert((*from, *q), id);
-                }
-                TraceEvent::MessageDelivered {
-                    from,
-                    to,
-                    at,
-                    lamport: Some(l),
-                    span_seq: Some(q),
-                    ..
-                } => {
-                    let id = push(
-                        &mut verts,
-                        &mut out,
-                        Vertex {
-                            node: *to,
-                            lamport: *l,
-                            pos,
-                            at: Some(*at),
-                            span: None,
-                            hop_us: None,
-                            kind: VertexKind::Deliver,
-                        },
-                    );
-                    pending.push((id, ParentRef::Msg(*from, *q), 1));
-                }
-                TraceEvent::GrainDelta {
-                    node,
-                    incarnation,
-                    op,
-                    peer,
-                    lamport: Some(l),
-                    seq,
-                    span_inc,
-                    span_seq,
-                    ..
-                } => {
-                    let id = push(
-                        &mut verts,
-                        &mut out,
-                        Vertex {
-                            node: *node,
-                            lamport: *l,
-                            pos,
-                            at: None,
-                            span: seq.map(|q| (*node, u64::from(*incarnation), q)),
-                            hop_us: None,
-                            kind: match op {
-                                GrainOp::Split => VertexKind::Split,
-                                GrainOp::Merge => VertexKind::Merge,
-                                GrainOp::Return => VertexKind::Return,
-                            },
-                        },
-                    );
-                    match op {
-                        GrainOp::Split => {
-                            if let Some(q) = seq {
-                                grain_spans.insert((*node, u64::from(*incarnation), *q), id);
-                            }
-                        }
-                        GrainOp::Merge => {
-                            if let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (*peer, i, q))
-                            {
-                                pending.push((id, ParentRef::Grain(span), 1));
-                            }
-                        }
-                        GrainOp::Return => {
-                            if let Some(span) = span_inc.zip(*span_seq).map(|(i, q)| (*node, i, q))
-                            {
-                                pending.push((id, ParentRef::Grain(span), 0));
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        for (child, parent, weight) in pending {
-            let resolved = match parent {
-                ParentRef::Msg(from, q) => msg_spans.get(&(from, q)),
-                ParentRef::Grain(span) => grain_spans.get(&span),
-            };
-            if let Some(&p) = resolved {
-                out[p].push((child, weight));
-            }
-        }
-        Dag { verts, out }
     }
 }
 
@@ -1538,13 +1409,12 @@ impl fmt::Display for CausalReport {
                 f,
                 "  (rows = origin, cols = destination, cell = earliest marker)"
             )?;
-            for (i, row) in self.influence.earliest.iter().enumerate() {
-                let cells = row
-                    .iter()
+            for (r, id) in self.influence.ids.iter().enumerate() {
+                let cells = (self.influence.row(r))
                     .map(|e| e.map_or(".".to_string(), |m| m.to_string()))
                     .collect::<Vec<_>>()
                     .join(" ");
-                writeln!(f, "  {i:>3}: {cells}")?;
+                writeln!(f, "  {id:>3}: {cells}")?;
             }
         }
         if self.unknown_events > 0 {
@@ -1566,6 +1436,7 @@ impl fmt::Display for CausalReport {
 mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
+    use crate::telemetry::TelemetrySample;
 
     fn sent(from: usize, to: usize, at: f64, lamport: u64, seq: u64) -> TraceEvent {
         TraceEvent::MessageSent {
@@ -1735,7 +1606,7 @@ mod tests {
         assert!(inf.reached(1, 2));
         assert!(!inf.reached(2, 0), "nothing flowed backwards");
         assert!(!inf.reached(1, 0));
-        assert_eq!(inf.earliest[0][1], Some(0), "marker is the current round");
+        assert_eq!(inf.earliest(0, 1), Some(0), "marker is the current round");
         // Diagonal is reached at marker 0 by definition.
         assert!(inf.reached(1, 1));
         assert_eq!(inf.pairs_reached(), 3 + 3);

@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::TraceEvent;
+use crate::event::{Fold, TraceEvent};
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
 use crate::telemetry::{Episode, TelemetrySample, TelemetrySeries};
 
@@ -130,7 +130,7 @@ impl fmt::Display for DynAnomaly {
 }
 
 /// The dynamic-workload story of one traced run, replayed offline.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DynReport {
     /// Events consumed.
     pub events: usize,
@@ -166,106 +166,83 @@ pub struct DynReport {
     pub anomalies: Vec<DynAnomaly>,
 }
 
-impl DynReport {
-    /// Replays a JSONL trace file into a report. Unknown event types are
-    /// skipped (forward compatibility); malformed lines are errors.
-    ///
-    /// # Errors
-    ///
-    /// [`JsonError`] naming the offending line, as for
-    /// [`crate::analyze::TraceReport::from_jsonl`].
-    pub fn from_jsonl(text: &str, opts: &DynOptions) -> Result<DynReport, JsonError> {
-        let (events, _unknown) = crate::causal::parse_jsonl(text)?;
-        Ok(DynReport::from_events(&events, opts))
+/// The dyn replay as a one-pass fold ([`DynReport::fold`]): tallies fill
+/// in as events arrive; the telemetry series is segmented at the end.
+struct DynFold {
+    report: DynReport,
+    series: TelemetrySeries,
+    opts: DynOptions,
+}
+
+impl Fold for DynFold {
+    type Report = DynReport;
+
+    fn on_event(&mut self, ev: &TraceEvent) {
+        let report = &mut self.report;
+        report.events += 1;
+        match ev {
+            TraceEvent::ClusterStarted { nodes, .. } => report.nodes = *nodes,
+            TraceEvent::ClusterTelemetry {
+                elapsed_ms,
+                live,
+                dispersion,
+                unix_ms,
+            } => self.series.push(TelemetrySample {
+                round: *elapsed_ms as u64,
+                live: *live,
+                dispersion: Some(*dispersion),
+                unix_ms: *unix_ms,
+                ..TelemetrySample::default()
+            }),
+            TraceEvent::SensorDrift {
+                node,
+                injected,
+                forgotten,
+                tick,
+                ..
+            } => {
+                report.drift_events += 1;
+                report.drift_injected += injected;
+                report.drift_forgotten += forgotten;
+                let s = report.staleness.entry(*node).or_default();
+                s.re_reads += 1;
+                s.last_tick = s.last_tick.max(*tick);
+            }
+            TraceEvent::GrainsVoided {
+                injected,
+                forgotten,
+                ..
+            } => {
+                report.voided_injected += injected;
+                report.voided_forgotten += forgotten;
+            }
+            TraceEvent::PeerJoined { node, grains, at } => report.joins.push(ChurnRecord {
+                node: *node,
+                grains: *grains,
+                at: *at,
+            }),
+            TraceEvent::PeerRetired { node, grains, at } => report.retirements.push(ChurnRecord {
+                node: *node,
+                grains: *grains,
+                at: *at,
+            }),
+            TraceEvent::AuditSummary {
+                injected,
+                forgotten,
+                conserved,
+                ..
+            } => report.audit = Some((*injected, *forgotten, *conserved)),
+            TraceEvent::PeerFinal { outcome, .. } => {
+                *report.outcomes.entry(outcome.clone()).or_insert(0) += 1;
+            }
+            _ => {}
+        }
     }
 
-    /// Replays a stream of events (in file order) into a report.
-    pub fn from_events(events: &[TraceEvent], opts: &DynOptions) -> DynReport {
-        let mut report = DynReport {
-            events: events.len(),
-            nodes: 0,
-            samples: 0,
-            episodes: Vec::new(),
-            drift_events: 0,
-            drift_injected: 0,
-            drift_forgotten: 0,
-            voided_injected: 0,
-            voided_forgotten: 0,
-            joins: Vec::new(),
-            retirements: Vec::new(),
-            staleness: BTreeMap::new(),
-            audit: None,
-            outcomes: BTreeMap::new(),
-            anomalies: Vec::new(),
-        };
-        let mut series = TelemetrySeries::new();
-        for ev in events {
-            match ev {
-                TraceEvent::ClusterStarted { nodes, .. } => report.nodes = *nodes,
-                TraceEvent::ClusterTelemetry {
-                    elapsed_ms,
-                    live,
-                    dispersion,
-                    unix_ms,
-                } => series.push(TelemetrySample {
-                    round: *elapsed_ms as u64,
-                    live: *live,
-                    classifications_mean: 0.0,
-                    classifications_max: 0,
-                    weight_spread: 0.0,
-                    mean_error: None,
-                    max_error: None,
-                    dispersion: Some(*dispersion),
-                    unix_ms: *unix_ms,
-                }),
-                TraceEvent::SensorDrift {
-                    node,
-                    injected,
-                    forgotten,
-                    tick,
-                    ..
-                } => {
-                    report.drift_events += 1;
-                    report.drift_injected += injected;
-                    report.drift_forgotten += forgotten;
-                    let s = report.staleness.entry(*node).or_default();
-                    s.re_reads += 1;
-                    s.last_tick = s.last_tick.max(*tick);
-                }
-                TraceEvent::GrainsVoided {
-                    injected,
-                    forgotten,
-                    ..
-                } => {
-                    report.voided_injected += injected;
-                    report.voided_forgotten += forgotten;
-                }
-                TraceEvent::PeerJoined { node, grains, at } => report.joins.push(ChurnRecord {
-                    node: *node,
-                    grains: *grains,
-                    at: *at,
-                }),
-                TraceEvent::PeerRetired { node, grains, at } => {
-                    report.retirements.push(ChurnRecord {
-                        node: *node,
-                        grains: *grains,
-                        at: *at,
-                    })
-                }
-                TraceEvent::AuditSummary {
-                    injected,
-                    forgotten,
-                    conserved,
-                    ..
-                } => report.audit = Some((*injected, *forgotten, *conserved)),
-                TraceEvent::PeerFinal { outcome, .. } => {
-                    *report.outcomes.entry(outcome.clone()).or_insert(0) += 1;
-                }
-                _ => {}
-            }
-        }
-        report.samples = series.len();
-        report.episodes = series.episodes(opts.window, opts.delta_tol, opts.level);
+    fn finish(self, _unknown: usize) -> DynReport {
+        let (mut report, o) = (self.report, self.opts);
+        report.samples = self.series.len();
+        report.episodes = self.series.episodes(o.window, o.delta_tol, o.level);
 
         // Verdicts.
         let dynamic =
@@ -302,6 +279,36 @@ impl DynReport {
             }
         }
         report
+    }
+}
+
+impl DynReport {
+    /// The replay as a one-pass fold: feed it events in trace-file
+    /// order. It keeps the dynamics tallies, the churn records and the
+    /// wall-clock telemetry series it segments at the end.
+    pub fn fold(opts: &DynOptions) -> impl Fold<Report = DynReport> {
+        DynFold {
+            report: DynReport::default(),
+            series: TelemetrySeries::new(),
+            opts: *opts,
+        }
+    }
+
+    /// Replays a JSONL trace file into a report, one line at a time.
+    /// Unknown event types are skipped (forward compatibility); malformed
+    /// lines are errors.
+    ///
+    /// # Errors
+    ///
+    /// [`JsonError`] naming the offending line, as for
+    /// [`crate::analyze::TraceReport::from_jsonl`].
+    pub fn from_jsonl(text: &str, opts: &DynOptions) -> Result<DynReport, JsonError> {
+        Self::fold(opts).fold_jsonl(text.as_bytes())
+    }
+
+    /// Replays a stream of events (in file order) into a report.
+    pub fn from_events(events: &[TraceEvent], opts: &DynOptions) -> DynReport {
+        Self::fold(opts).fold_events(events)
     }
 
     /// Settle time of the final episode, in the series' ms axis.

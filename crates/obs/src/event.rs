@@ -7,6 +7,8 @@
 //! [`TraceEvent::from_json`] parses it back for in-repo analysis (for
 //! example the grain-conservation reconciliation test).
 
+use std::io::BufRead;
+
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
 use crate::telemetry::TelemetrySample;
 
@@ -964,6 +966,82 @@ impl std::fmt::Display for TraceEvent {
     }
 }
 
+/// Reads a JSONL trace one line at a time, handing each event to
+/// `on_event` in file order; nothing but the current line is held. Blank
+/// lines are skipped. Lines of event types this binary does not know are
+/// skipped and counted (the return value), so traces from a newer event
+/// taxonomy stay readable.
+///
+/// # Errors
+///
+/// Returns a [`JsonError`] naming the offending line on the first
+/// malformed line (bad JSON, a known event with broken fields, or a read
+/// failure such as invalid UTF-8).
+pub fn read_jsonl(
+    mut reader: impl BufRead,
+    mut on_event: impl FnMut(TraceEvent),
+) -> Result<usize, JsonError> {
+    let (mut buf, mut unknown) = (String::new(), 0usize);
+    let at_line = |line_no: usize, message: &dyn std::fmt::Display, offset: usize| JsonError {
+        message: format!("trace line {line_no}: {message}"),
+        offset,
+    };
+    for line_no in 1.. {
+        buf.clear();
+        let read = reader.read_line(&mut buf);
+        if read.map_err(|e| at_line(line_no, &e, 0))? == 0 {
+            break;
+        }
+        // Line endings as `str::lines` strips them.
+        let line = buf
+            .strip_suffix('\n')
+            .map_or(buf.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
+        if line.trim().is_empty() {
+            continue;
+        }
+        match TraceEvent::from_json(line) {
+            Ok(ev) => on_event(ev),
+            Err(e) if e.message.contains("unknown event type") => unknown += 1,
+            Err(e) => return Err(at_line(line_no, &e.message, e.offset)),
+        }
+    }
+    Ok(unknown)
+}
+
+/// An offline report computed in one pass over a trace: events go in
+/// one at a time, in file order, and the report comes out at the end.
+/// What a fold keeps grows with what its report describes (nodes, links,
+/// causal vertices), not with the events it has seen.
+pub trait Fold: Sized {
+    /// What the fold yields.
+    type Report;
+
+    /// Takes the next event.
+    fn on_event(&mut self, ev: &TraceEvent);
+
+    /// The report, given how many lines of unknown event types the
+    /// reader skipped.
+    fn finish(self, unknown: usize) -> Self::Report;
+
+    /// Folds a slice of events, in order.
+    fn fold_events(mut self, events: &[TraceEvent]) -> Self::Report {
+        for ev in events {
+            self.on_event(ev);
+        }
+        self.finish(0)
+    }
+
+    /// Folds a JSONL trace read one line at a time ([`read_jsonl`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`read_jsonl`].
+    fn fold_jsonl(mut self, reader: impl BufRead) -> Result<Self::Report, JsonError> {
+        let unknown = read_jsonl(reader, |ev| self.on_event(&ev))?;
+        Ok(self.finish(unknown))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1279,5 +1357,22 @@ mod tests {
         assert!(!line.contains("span_seq"), "{line}");
         assert!(!line.contains("wait_us"), "{line}");
         assert!(!line.contains("transit_us"), "{line}");
+    }
+
+    /// The line reader splits lines as `str::lines` does (CRLF endings,
+    /// no newline after the last line), skips blank lines, counts lines
+    /// of unknown types, and numbers lines from 1 in its errors.
+    #[test]
+    fn line_reader_matches_str_lines() {
+        let tick = r#"{"type":"tick_completed","node":0,"time":1.0}"#;
+        let text = format!("{tick}\r\n\r\n{{\"type\":\"later\"}}\n  \n{tick}");
+        let mut events = Vec::new();
+        let unknown = read_jsonl(text.as_bytes(), |ev| events.push(ev)).expect("parses");
+        assert_eq!((events.len(), unknown), (2, 1));
+        assert_eq!(text.lines().filter(|l| l.contains("tick")).count(), 2);
+
+        let err = read_jsonl(format!("{tick}\n\nnot json\n").as_bytes(), |_| {})
+            .expect_err("line 3 is not JSON");
+        assert!(err.message.starts_with("trace line 3:"), "{err}");
     }
 }

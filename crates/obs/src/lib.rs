@@ -71,7 +71,7 @@ pub use causal::{
     CausalAnomaly, CausalReport, CriticalHop, CriticalPath, InfluenceMatrix, NodeProvenance, SpanId,
 };
 pub use dynrep::{ChurnRecord, DynAnomaly, DynOptions, DynReport, Staleness};
-pub use event::{DropReason, GrainOp, TraceEvent};
+pub use event::{read_jsonl, DropReason, Fold, GrainOp, TraceEvent};
 pub use json::{Json, JsonError};
 pub use live::{EpisodeRule, Health, Live, LiveAggregator, LiveConsole};
 pub use metrics::{

@@ -473,12 +473,10 @@ fn histogram_json(h: &HistogramSnapshot) -> Json {
     let buckets = h
         .buckets
         .iter()
-        .enumerate()
-        .filter(|(_, count)| **count > 0)
-        .map(|(i, count)| {
+        .map(|&(i, count)| {
             Json::Obj(vec![
                 field("le", num(bucket_upper_bound(i))),
-                field("count", unum(*count)),
+                field("count", unum(count)),
             ])
         })
         .collect();

@@ -359,10 +359,9 @@ impl HistogramCore {
 
     fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
+            buckets: (self.buckets.iter().map(|b| b.load(Ordering::Relaxed)))
+                .enumerate()
+                .filter(|&(_, b)| b > 0)
                 .collect(),
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
@@ -392,10 +391,16 @@ pub fn bucket_ratio() -> f64 {
 }
 
 /// A point-in-time copy of a histogram; merges losslessly with others.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// It is also a plain accumulator ([`HistogramSnapshot::observe`]) for
+/// offline replays that fold many small distributions, one per link.
+/// Only non-empty buckets are stored, so one observation costs one pair,
+/// not a dense array of every bucket.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (`bucket_upper_bound(i)` bounds).
-    pub buckets: Vec<u64>,
+    /// `(i, count)` for every non-empty bucket `i`, ascending by `i`
+    /// (`bucket_upper_bound(i)` bounds).
+    pub buckets: Vec<(usize, u64)>,
     /// Exact number of observations.
     pub count: u64,
     /// Exact (saturating) sum of observations.
@@ -407,18 +412,28 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// A snapshot with no observations.
     pub fn empty() -> Self {
-        HistogramSnapshot {
-            buckets: vec![0; NUM_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
+        HistogramSnapshot::default()
+    }
+
+    /// Records one observation, bucketed as [`Histogram::observe`] does.
+    pub fn observe(&mut self, value: u64) {
+        self.add(bucket_index(value), 1);
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
+        self.max = self.max.max(value);
+    }
+
+    fn add(&mut self, i: usize, n: u64) {
+        match self.buckets.binary_search_by_key(&i, |&(j, _)| j) {
+            Ok(at) => self.buckets[at].1 += n,
+            Err(at) => self.buckets.insert(at, (i, n)),
         }
     }
 
     /// Folds another snapshot into this one.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        for &(i, n) in &other.buckets {
+            self.add(i, n);
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
@@ -448,10 +463,7 @@ impl HistogramSnapshot {
         }
         let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cum = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if *b == 0 {
-                continue;
-            }
+        for &(i, b) in &self.buckets {
             if cum + b >= target {
                 // Bucket 0 holds v <= 1: nothing to interpolate across.
                 if i == 0 {
@@ -459,7 +471,7 @@ impl HistogramSnapshot {
                 }
                 let upper = bucket_upper_bound(i);
                 let lower = bucket_upper_bound(i - 1);
-                let frac = (target - cum) as f64 / *b as f64;
+                let frac = (target - cum) as f64 / b as f64;
                 let est = lower * (upper / lower).powf(frac);
                 return est.min(self.max as f64).max(0.0);
             }

@@ -44,10 +44,7 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
                 }
                 MetricValue::Histogram(h) => {
                     let mut cum = 0u64;
-                    for (i, b) in h.buckets.iter().enumerate() {
-                        if *b == 0 {
-                            continue;
-                        }
+                    for &(i, b) in &h.buckets {
                         cum += b;
                         let le = format_f64(crate::metrics::bucket_upper_bound(i));
                         sample_line(

@@ -5,7 +5,7 @@ use crate::json::{field, num, unum, Json, JsonError};
 
 /// One convergence measurement, taken after a round (or a wall-clock
 /// sampling interval in the deployment runtime).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetrySample {
     /// Round index the sample was taken after.
     pub round: u64,

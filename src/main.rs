@@ -13,6 +13,9 @@
 //! Output is a markdown table of node 0's final classification plus run
 //! statistics; `--csv` switches to CSV.
 
+use std::fmt;
+use std::fs::File;
+use std::io::{BufReader, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,9 +31,9 @@ use distclass::linalg::Vector;
 use distclass::net::Topology;
 use distclass::obs::json::{field, num, unum};
 use distclass::obs::{
-    causal, prom, AnalyzeOptions, ByzReport, CausalReport, DynOptions, DynReport, Json, JsonlSink,
-    Metrics, MetricsRegistry, ProfileReport, Profiler, ProfilerCore, TraceReport, TraceSink,
-    Tracer,
+    prom, read_jsonl, AnalyzeOptions, ByzReport, CausalReport, DynOptions, DynReport, Fold, Json,
+    JsonlSink, Metrics, MetricsRegistry, ProfileReport, Profiler, ProfilerCore, TraceReport,
+    TraceSink, Tracer,
 };
 use distclass::runtime::{
     run_channel_cluster, run_chaos_channel_cluster, run_chaos_udp_cluster, run_udp_cluster,
@@ -630,34 +633,71 @@ fn finish_cluster_outputs<S>(
     Ok(())
 }
 
-/// `trace-report`: replay a `--trace` JSONL file into an offline report.
-/// Exits 0 on a clean trace and 2 when the replay flags anomalies, so CI
-/// can gate on trace health without parsing the output.
-fn cmd_trace_report(args: &Args) -> Result<ExitCode, String> {
-    let path = args
-        .positional
-        .get(1)
-        .map(String::as_str)
+/// The file a `*-report` subcommand reads: its first positional argument
+/// or `--file`.
+fn report_path<'a>(args: &'a Args, cmd: &str) -> Result<&'a str, String> {
+    (args.positional.get(1).map(String::as_str))
         .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("trace-report needs a trace file\n{}", usage()))?;
+        .ok_or_else(|| format!("{cmd} needs a trace file\n{}", usage()))
+}
+
+/// A trace file, opened for the reports to fold one line at a time.
+fn open_trace(path: &str) -> Result<BufReader<File>, String> {
+    File::open(path)
+        .map(BufReader::new)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// `--window` / `--delta-tol` / `--level` for `trace-report` and
+/// `causal-report`.
+fn analyze_options(args: &Args) -> Result<AnalyzeOptions, String> {
     let defaults = AnalyzeOptions::default();
-    let opts = AnalyzeOptions {
+    Ok(AnalyzeOptions {
         window: args.get("window", defaults.window)?,
         delta_tol: args.get("delta-tol", defaults.delta_tol)?,
         level: args.get("level", defaults.level)?,
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let report = TraceReport::from_jsonl(&text, &opts).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
+    })
+}
+
+/// Prints a report and maps its verdict to the exit code: 0 when clean,
+/// 2 when it flags anomalies. A reader that closes stdout early (`| head`)
+/// ends the output quietly; the exit code still follows the verdict.
+fn print_report(text: &str, clean: bool) -> Result<ExitCode, String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            return Err(format!("cannot write the report: {e}"));
+        }
+        _ => {}
     }
-    Ok(if report.clean() {
+    Ok(if clean {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
     })
+}
+
+/// A report's `--json` form (one line) or its text.
+fn report_text(args: &Args, json: impl FnOnce() -> Json, text: impl fmt::Display) -> String {
+    if args.has("json") {
+        format!("{}\n", json())
+    } else {
+        text.to_string()
+    }
+}
+
+/// `trace-report`: replay a `--trace` JSONL file into an offline report.
+/// Exits 0 on a clean trace and 2 when the replay flags anomalies, so CI
+/// can gate on trace health without parsing the output.
+fn cmd_trace_report(args: &Args) -> Result<ExitCode, String> {
+    let path = report_path(args, "trace-report")?;
+    let opts = analyze_options(args)?;
+    let report = (TraceReport::fold(&opts).fold_jsonl(open_trace(path)?))
+        .map_err(|e| format!("{path}: {e}"))?;
+    print_report(
+        &report_text(args, || report.to_json(), &report),
+        report.clean(),
+    )
 }
 
 /// `causal-report`: rebuild the happens-before DAG from a `--trace` JSONL
@@ -666,42 +706,23 @@ fn cmd_trace_report(args: &Args) -> Result<ExitCode, String> {
 /// clean causal layer, 2 when the reconstruction flags anomalies (cycles,
 /// clock rewinds, provenance drift), 1 on usage/IO errors.
 fn cmd_causal_report(args: &Args) -> Result<ExitCode, String> {
-    let path = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("causal-report needs a trace file\n{}", usage()))?;
-    let defaults = AnalyzeOptions::default();
-    let opts = AnalyzeOptions {
-        window: args.get("window", defaults.window)?,
-        delta_tol: args.get("delta-tol", defaults.delta_tol)?,
-        level: args.get("level", defaults.level)?,
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let path = report_path(args, "causal-report")?;
+    let opts = analyze_options(args)?;
     if args.has("dot") {
-        let (events, _) = causal::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-        print!("{}", CausalReport::to_dot(&events, &opts));
-        // The DOT view is a rendering aid, not a health check; keep the
-        // exit-code contract tied to the analyzed report below.
+        // The DOT view draws every vertex, so it holds the whole trace.
+        // It is a rendering aid, not a health check; the exit code
+        // follows the analyzed report.
+        let mut events = Vec::new();
+        read_jsonl(open_trace(path)?, |ev| events.push(ev)).map_err(|e| format!("{path}: {e}"))?;
         let report = CausalReport::from_events(&events, &opts);
-        return Ok(if report.clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::from(2)
-        });
+        return print_report(&CausalReport::to_dot(&events, &opts), report.clean());
     }
-    let report = CausalReport::from_jsonl(&text, &opts).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
-    }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
+    let report = (CausalReport::fold(&opts).fold_jsonl(open_trace(path)?))
+        .map_err(|e| format!("{path}: {e}"))?;
+    print_report(
+        &report_text(args, || report.to_json(), &report),
+        report.clean(),
+    )
 }
 
 /// `byz-report`: replay a `--trace` JSONL file into the offline
@@ -711,24 +732,13 @@ fn cmd_causal_report(args: &Args) -> Result<ExitCode, String> {
 /// measurement. Same exit-code contract as `trace-report`: 0 on a clean
 /// report, 2 when the replay flags anomalies, 1 on usage/IO errors.
 fn cmd_byz_report(args: &Args) -> Result<ExitCode, String> {
-    let path = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("byz-report needs a trace file\n{}", usage()))?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let report = ByzReport::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
-    }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
+    let path = report_path(args, "byz-report")?;
+    let report =
+        (ByzReport::fold().fold_jsonl(open_trace(path)?)).map_err(|e| format!("{path}: {e}"))?;
+    print_report(
+        &report_text(args, || report.to_json(), &report),
+        report.clean(),
+    )
 }
 
 /// `dyn-report`: replay a `--trace` JSONL file into the offline
@@ -739,30 +749,19 @@ fn cmd_byz_report(args: &Args) -> Result<ExitCode, String> {
 /// as `trace-report`: 0 on a clean report, 2 when the replay flags
 /// anomalies, 1 on usage/IO errors.
 fn cmd_dyn_report(args: &Args) -> Result<ExitCode, String> {
-    let path = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("dyn-report needs a trace file\n{}", usage()))?;
+    let path = report_path(args, "dyn-report")?;
     let defaults = DynOptions::default();
     let opts = DynOptions {
         window: args.get("window", defaults.window)?,
         delta_tol: args.get("delta-tol", defaults.delta_tol)?,
         level: args.get("level", defaults.level)?,
     };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let report = DynReport::from_jsonl(&text, &opts).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("json") {
-        println!("{}", report.to_json());
-    } else {
-        print!("{report}");
-    }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
+    let report = (DynReport::fold(&opts).fold_jsonl(open_trace(path)?))
+        .map_err(|e| format!("{path}: {e}"))?;
+    print_report(
+        &report_text(args, || report.to_json(), &report),
+        report.clean(),
+    )
 }
 
 /// `prof-report`: inspect a `--profile` JSON file. Text output shows the
@@ -780,18 +779,12 @@ fn cmd_prof_report(args: &Args) -> Result<ExitCode, String> {
         .ok_or_else(|| format!("prof-report needs a profile JSON file\n{}", usage()))?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let report = ProfileReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    if args.has("collapsed") {
-        print!("{}", report.to_collapsed());
-    } else if args.has("json") {
-        println!("{}", report.to_json());
+    let out = if args.has("collapsed") {
+        report.to_collapsed()
     } else {
-        print!("{report}");
-    }
-    Ok(if report.clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
+        report_text(args, || report.to_json(), &report)
+    };
+    print_report(&out, report.clean())
 }
 
 /// The `--metrics-json` document: the run summary, cluster-total runtime

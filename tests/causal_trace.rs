@@ -7,7 +7,7 @@
 //! comma-separated list to override the default eight seeds.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
@@ -147,4 +147,30 @@ fn causal_report_is_clean_under_chaos_across_seeds() {
             report.clock_skew
         );
     }
+}
+
+/// A node id is untrusted input. One send to node 20,000 must not size
+/// per-node state by the id: the replay comes back at once with a 2 × 2
+/// influence matrix whose rows are labelled by the two ids that occur.
+#[test]
+fn a_huge_node_id_sizes_state_by_the_ids_that_occur() {
+    let line =
+        r#"{"type":"message_sent","from":0,"to":20000,"bytes":10,"at":0,"lamport":1,"seq":1}"#;
+    let t0 = Instant::now();
+    let report = CausalReport::from_jsonl(line, &AnalyzeOptions::default()).expect("parses");
+    assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+    assert!(report.clean(), "{report}");
+    assert_eq!(report.nodes, 2);
+    let influence = &report.influence;
+    assert_eq!((influence.nodes, &influence.ids[..]), (2, &[0, 20_000][..]));
+    assert_eq!(influence.earliest(20_000, 20_000), Some(0));
+    assert!(
+        !influence.reached(0, 20_000),
+        "the message was never delivered"
+    );
+    let json = report.to_json().to_string();
+    assert!(
+        json.contains(r#""ids":[0,20000],"pairs_reached":2,"earliest":[[0,null],[null,0]]"#),
+        "{json}"
+    );
 }

@@ -247,3 +247,73 @@ fn cli_trace_report_flags_anomalies_with_exit_2() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that closes stdout early (`| head -c1`) must not make a
+/// report subcommand panic: it stops writing and exits with the code the
+/// report gives when read to the end (0 clean, 2 anomalous).
+#[test]
+fn report_subcommands_exit_quietly_when_stdout_is_closed() {
+    let dir = std::env::temp_dir().join(format!("distclass-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+
+    // A clean simulation trace, and the anomalous one above.
+    let sink = Arc::new(RingSink::new(100_000));
+    let values: Vec<Vector> = (0..16).map(|i| Vector::from([i as f64 % 4.0])).collect();
+    let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
+    let mut sim = RoundSim::new(
+        Topology::complete(16),
+        inst,
+        &values,
+        &GossipConfig::default(),
+    )
+    .with_tracer(Tracer::new(Arc::clone(&sink) as _));
+    sim.run_rounds(6);
+    let clean = dir.join("clean.jsonl");
+    let lines: Vec<String> = sink.events().iter().map(|e| e.to_string()).collect();
+    std::fs::write(&clean, lines.join("\n")).expect("write the clean trace");
+    let anomalous = dir.join("anomalous.jsonl");
+    let lines = [
+        r#"{"type":"cluster_started","nodes":2,"initial_grains":200}"#,
+        r#"{"type":"grain_delta","node":0,"incarnation":0,"op":"merge","grains":10,"peer":1}"#,
+        r#"{"type":"peer_final","node":0,"outcome":"completed","grains":70}"#,
+        r#"{"type":"peer_final","node":1,"outcome":"panicked","grains":0}"#,
+    ];
+    std::fs::write(&anomalous, lines.join("\n")).expect("write the anomalous trace");
+
+    let mut codes = Vec::new();
+    for trace in [&clean, &anomalous] {
+        for cmd in ["trace-report", "causal-report", "byz-report", "dyn-report"] {
+            for json in [false, true] {
+                let mut args = vec![cmd, trace.to_str().expect("utf-8 path")];
+                if json {
+                    args.push("--json");
+                }
+                let run = |stdout: std::process::Stdio| {
+                    std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
+                        .args(&args)
+                        .stdout(stdout)
+                        .output()
+                        .expect("spawn distclass")
+                };
+                let usual = run(std::process::Stdio::piped());
+                assert!(!usual.stdout.is_empty(), "{args:?} printed nothing");
+                let (reader, writer) = std::io::pipe().expect("create a pipe");
+                drop(reader);
+                let closed = run(writer.into());
+                let stderr = String::from_utf8_lossy(&closed.stderr);
+                assert_eq!(
+                    closed.status.code(),
+                    usual.status.code(),
+                    "{args:?} with stdout closed:\n{stderr}"
+                );
+                assert!(stderr.is_empty(), "{args:?} with stdout closed:\n{stderr}");
+                codes.push(usual.status.code());
+            }
+        }
+    }
+    assert!(
+        codes.contains(&Some(0)) && codes.contains(&Some(2)),
+        "{codes:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
