@@ -1,6 +1,3 @@
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use distclass_obs::{DropReason, TraceEvent, Tracer};
 
 use rand::rngs::StdRng;
@@ -8,6 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::engine::{Context, Protocol};
 use crate::metrics::NetMetrics;
+use crate::queue::EventQueue;
 use crate::rng::derive_seed;
 use crate::topology::Topology;
 use crate::NodeId;
@@ -63,45 +61,19 @@ enum EventKind<M> {
         to: NodeId,
         // The message's causal identity: the sender's per-node send
         // counter (span id `(from, span_seq)`) and Lamport stamp.
-        span_seq: u64,
-        lamport: u64,
+        id: (u64, u64),
         msg: M,
     },
     Crash(NodeId),
     Restart(NodeId),
 }
 
-struct Event<M> {
-    time: f64,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Event<M> {}
-
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        // total_cmp keeps the heap ordering well-defined even if a NaN
-        // delay ever sneaks in (NaN sorts after +inf, i.e. lowest
-        // priority here) instead of panicking mid-run.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Maps simulated time's bits to an integer queue key that orders like
+/// `f64::total_cmp`, so the order stays well-defined even if a NaN delay
+/// ever sneaks in (NaN sorts after +inf, i.e. last). The map is its own
+/// inverse: it turns a key back into the time's bits.
+fn total_order(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Fully asynchronous discrete-event simulation engine.
@@ -139,8 +111,7 @@ pub struct EventEngine<P: Protocol> {
     rr_cursors: Vec<usize>,
     node_rngs: Vec<StdRng>,
     env_rng: StdRng,
-    queue: BinaryHeap<Event<P::Message>>,
-    seq: u64,
+    queue: EventQueue<i64, EventKind<P::Message>>,
     now: f64,
     tick_interval: f64,
     delay: DelayModel,
@@ -201,8 +172,7 @@ impl<P: Protocol> EventEngine<P> {
                 .map(|i| StdRng::seed_from_u64(derive_seed(seed, i as u64)))
                 .collect(),
             env_rng: StdRng::seed_from_u64(derive_seed(seed, n as u64 + 7)),
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(),
             now: 0.0,
             tick_interval,
             delay,
@@ -360,182 +330,78 @@ impl<P: Protocol> EventEngine<P> {
     }
 
     fn push_event(&mut self, time: f64, kind: EventKind<P::Message>) {
-        self.queue.push(Event {
-            time,
-            seq: self.seq,
-            kind,
-        });
-        self.seq += 1;
+        self.queue.push(total_order(time.to_bits() as i64), kind);
     }
 
     /// Processes events until simulated time reaches `t_end`.
     pub fn run_until(&mut self, t_end: f64) {
         let mut outbox: Vec<(NodeId, P::Message)> = Vec::new();
-        while let Some(head) = self.queue.peek() {
-            if head.time > t_end {
+        while let Some(&key) = self.queue.peek_time() {
+            let time = f64::from_bits(total_order(key) as u64);
+            if time > t_end {
                 break;
             }
-            let ev = self.queue.pop().expect("peeked event exists");
-            self.now = ev.time;
-            if let EventKind::Crash(i) = ev.kind {
-                // Fail-stop, sparing the last live node.
-                if self.alive[i] && self.alive.iter().filter(|&&a| a).count() > 1 {
-                    self.alive[i] = false;
-                    self.metrics.crashes += 1;
-                    let at = self.now;
-                    self.tracer.emit(|| TraceEvent::FaultActivated {
-                        kind: "crash".to_string(),
-                        node: Some(i),
-                        at,
-                    });
-                }
-                continue;
-            }
-            if let EventKind::Restart(i) = ev.kind {
-                if !self.alive[i] {
-                    self.alive[i] = true;
-                    self.metrics.restarts += 1;
-                    let at = self.now;
-                    self.tracer.emit(|| TraceEvent::FaultHealed {
-                        kind: "crash".to_string(),
-                        node: Some(i),
-                        at,
-                    });
-                    // A revived node needs its tick loop restarted (the
-                    // old one died unrescheduled with the crash).
-                    let jitter = self.env_rng.gen_range(0.5..1.5);
-                    self.push_event(self.now + self.tick_interval * jitter, EventKind::Tick(i));
-                }
-                continue;
-            }
-            if let EventKind::Deliver { from, to, .. } = &ev.kind {
-                if self.partitioned(*from, *to, ev.time) {
-                    let (from, to) = (*from, *to);
-                    self.metrics.messages_dropped += 1;
-                    self.tracer.emit(|| TraceEvent::MessageDropped {
-                        from,
-                        to,
-                        reason: DropReason::Partitioned,
-                    });
-                    continue;
-                }
-            }
-            let was_tick = matches!(ev.kind, EventKind::Tick(_));
-            let node = match &ev.kind {
-                EventKind::Tick(i) => *i,
-                EventKind::Deliver { to, .. } => *to,
-                EventKind::Crash(_) | EventKind::Restart(_) => {
-                    unreachable!("faults are handled above")
-                }
-            };
-            if !self.alive[node] {
-                if !was_tick {
-                    // Message to a crashed node: dropped, weight lost.
-                    self.metrics.messages_dropped += 1;
-                    if let EventKind::Deliver { from, to, .. } = &ev.kind {
-                        let (from, to) = (*from, *to);
-                        self.tracer.emit(|| TraceEvent::MessageDropped {
-                            from,
-                            to,
-                            reason: DropReason::Crashed,
+            let (_, kind) = self.queue.pop().expect("peeked event exists");
+            self.now = time;
+            match kind {
+                EventKind::Crash(i) => {
+                    // Fail-stop, sparing the last live node.
+                    if self.alive[i] && self.alive.iter().filter(|&&a| a).count() > 1 {
+                        self.alive[i] = false;
+                        self.metrics.crashes += 1;
+                        self.tracer.emit(|| TraceEvent::FaultActivated {
+                            kind: "crash".to_string(),
+                            node: Some(i),
+                            at: time,
                         });
+                    }
+                }
+                EventKind::Restart(i) => {
+                    if !self.alive[i] {
+                        self.alive[i] = true;
+                        self.metrics.restarts += 1;
+                        self.tracer.emit(|| TraceEvent::FaultHealed {
+                            kind: "crash".to_string(),
+                            node: Some(i),
+                            at: time,
+                        });
+                        // A revived node needs its tick loop restarted (the
+                        // old one died unrescheduled with the crash).
+                        let jitter = self.env_rng.gen_range(0.5..1.5);
+                        self.push_event(time + self.tick_interval * jitter, EventKind::Tick(i));
                     }
                 }
                 // Crashed nodes neither tick (no reschedule) nor receive.
-                continue;
-            }
-            {
-                let mut ctx = Context::new(
-                    node,
-                    self.topo.neighbors(node),
-                    &mut self.rr_cursors[node],
-                    &mut self.node_rngs[node],
-                    &mut outbox,
-                    self.now as u64,
-                )
-                .with_alive(&self.alive);
-                match ev.kind {
-                    EventKind::Tick(_) => {
-                        self.nodes[node].on_tick(&mut ctx);
-                        self.metrics.ticks += 1;
-                    }
-                    EventKind::Deliver {
-                        from,
-                        span_seq,
-                        lamport,
-                        msg,
-                        ..
-                    } => {
-                        let mut bytes = 0u64;
-                        if let Some(sizer) = self.sizer {
-                            bytes = sizer(&msg) as u64;
-                            self.metrics.bytes_delivered += bytes;
-                        }
-                        self.nodes[node].on_message(from, msg, &mut ctx);
-                        self.metrics.messages_delivered += 1;
-                        // Lamport receive rule before stamping the event.
-                        self.lamport[node] = self.lamport[node].max(lamport) + 1;
-                        let recv_lamport = self.lamport[node];
-                        let (to, at) = (node, self.now);
-                        self.tracer.emit(|| TraceEvent::MessageDelivered {
-                            from,
-                            to,
-                            bytes,
-                            at,
-                            lamport: Some(recv_lamport),
-                            span_seq: Some(span_seq),
-                        });
-                    }
-                    EventKind::Crash(_) | EventKind::Restart(_) => {
-                        unreachable!("handled above")
-                    }
+                EventKind::Tick(node) if !self.alive[node] => {}
+                EventKind::Tick(node) => {
+                    let mut ctx = Context::new(
+                        node,
+                        self.topo.neighbors(node),
+                        &mut self.rr_cursors[node],
+                        &mut self.node_rngs[node],
+                        &mut outbox,
+                        time as u64,
+                    )
+                    .with_alive(&self.alive);
+                    self.nodes[node].on_tick(&mut ctx);
+                    self.metrics.ticks += 1;
+                    self.tracer
+                        .emit(|| TraceEvent::TickCompleted { node, time });
+                    self.schedule(node, &mut outbox);
+                    // Reschedule the node's next tick with ±50 % jitter.
+                    let jitter = self.env_rng.gen_range(0.5..1.5);
+                    self.push_event(time + self.tick_interval * jitter, EventKind::Tick(node));
                 }
-            }
-            if was_tick {
-                let time = self.now;
-                self.tracer
-                    .emit(|| TraceEvent::TickCompleted { node, time });
-            }
-            // Schedule produced messages with random delays (scaled by the
-            // per-link factor when one is installed).
-            for (to, msg) in outbox.drain(..) {
-                let mut delay = self.delay.sample(&mut self.env_rng);
-                if let Some(factor) = &self.link_factor {
-                    delay *= factor(node, to);
+                EventKind::Deliver { from, to, .. } if self.partitioned(from, to, time) => {
+                    self.dropped(from, to, DropReason::Partitioned);
                 }
-                self.metrics.messages_sent += 1;
-                let mut bytes = 0u64;
-                if let Some(sizer) = self.sizer {
-                    bytes = sizer(&msg) as u64;
-                    self.metrics.bytes_sent += bytes;
+                // Message to a crashed node: dropped, weight lost.
+                EventKind::Deliver { from, to, .. } if !self.alive[to] => {
+                    self.dropped(from, to, DropReason::Crashed);
                 }
-                self.send_seq[node] += 1;
-                self.lamport[node] += 1;
-                let (span_seq, lamport) = (self.send_seq[node], self.lamport[node]);
-                self.tracer.emit(|| TraceEvent::MessageSent {
-                    from: node,
-                    to,
-                    bytes,
-                    at: self.now,
-                    lamport: Some(lamport),
-                    seq: Some(span_seq),
-                });
-                self.push_event(
-                    self.now + delay,
-                    EventKind::Deliver {
-                        from: node,
-                        to,
-                        span_seq,
-                        lamport,
-                        msg,
-                    },
-                );
-            }
-            // Reschedule the node's next tick with ±50 % jitter.
-            if was_tick {
-                let jitter = self.env_rng.gen_range(0.5..1.5);
-                let next = self.now + self.tick_interval * jitter;
-                self.push_event(next, EventKind::Tick(node));
+                EventKind::Deliver { from, to, id, msg } => {
+                    self.deliver(from, to, id, msg, &mut outbox, true);
+                }
             }
         }
         self.now = t_end.max(self.now);
@@ -554,93 +420,96 @@ impl<P: Protocol> EventEngine<P> {
         // Pull events in time order, executing deliveries and discarding
         // ticks (without rescheduling them).
         while processed < max_events {
-            let Some(ev) = self.queue.pop() else { break };
-            self.now = ev.time.max(self.now);
-            let handler = match ev.kind {
-                EventKind::Tick(_) | EventKind::Crash(_) | EventKind::Restart(_) => continue,
-                EventKind::Deliver { from, to, .. }
-                    if !self.alive[to] || self.partitioned(from, to, ev.time) =>
-                {
-                    let reason = if self.alive[to] {
-                        DropReason::Partitioned
-                    } else {
-                        DropReason::Crashed
-                    };
-                    self.metrics.messages_dropped += 1;
-                    self.tracer
-                        .emit(|| TraceEvent::MessageDropped { from, to, reason });
-                    continue;
-                }
-                EventKind::Deliver {
-                    from,
-                    to,
-                    span_seq,
-                    lamport,
-                    msg,
-                } => {
-                    let mut ctx = Context::new(
-                        to,
-                        self.topo.neighbors(to),
-                        &mut self.rr_cursors[to],
-                        &mut self.node_rngs[to],
-                        &mut outbox,
-                        self.now as u64,
-                    );
-                    let mut bytes = 0u64;
-                    if let Some(sizer) = self.sizer {
-                        bytes = sizer(&msg) as u64;
-                        self.metrics.bytes_delivered += bytes;
-                    }
-                    self.nodes[to].on_message(from, msg, &mut ctx);
-                    self.metrics.messages_delivered += 1;
-                    self.lamport[to] = self.lamport[to].max(lamport) + 1;
-                    let recv_lamport = self.lamport[to];
-                    let at = self.now;
-                    self.tracer.emit(|| TraceEvent::MessageDelivered {
-                        from,
-                        to,
-                        bytes,
-                        at,
-                        lamport: Some(recv_lamport),
-                        span_seq: Some(span_seq),
-                    });
-                    processed += 1;
-                    to
-                }
+            let Some((key, kind)) = self.queue.pop() else {
+                break;
             };
-            for (to, msg) in outbox.drain(..) {
-                let mut delay = self.delay.sample(&mut self.env_rng);
-                if let Some(factor) = &self.link_factor {
-                    delay *= factor(handler, to);
-                }
-                self.metrics.messages_sent += 1;
-                let mut bytes = 0u64;
-                if let Some(sizer) = self.sizer {
-                    bytes = sizer(&msg) as u64;
-                    self.metrics.bytes_sent += bytes;
-                }
-                self.send_seq[handler] += 1;
-                self.lamport[handler] += 1;
-                let (span_seq, lamport) = (self.send_seq[handler], self.lamport[handler]);
-                self.tracer.emit(|| TraceEvent::MessageSent {
-                    from: handler,
-                    to,
-                    bytes,
-                    at: self.now,
-                    lamport: Some(lamport),
-                    seq: Some(span_seq),
-                });
-                self.push_event(
-                    self.now + delay,
-                    EventKind::Deliver {
-                        from: handler,
-                        to,
-                        span_seq,
-                        lamport,
-                        msg,
-                    },
-                );
+            let time = f64::from_bits(total_order(key) as u64);
+            self.now = time.max(self.now);
+            let EventKind::Deliver { from, to, id, msg } = kind else {
+                continue;
+            };
+            if !self.alive[to] {
+                self.dropped(from, to, DropReason::Crashed);
+            } else if self.partitioned(from, to, time) {
+                self.dropped(from, to, DropReason::Partitioned);
+            } else {
+                self.deliver(from, to, id, msg, &mut outbox, false);
+                processed += 1;
             }
+        }
+    }
+
+    fn dropped(&mut self, from: NodeId, to: NodeId, reason: DropReason) {
+        self.metrics.messages_dropped += 1;
+        self.tracer
+            .emit(|| TraceEvent::MessageDropped { from, to, reason });
+    }
+
+    /// Hands one message (with its causal identity `(span_seq,
+    /// lamport)`) to live node `to`, then schedules what the handler sent.
+    /// `alive_aware` lets the handler's context see which nodes are up.
+    fn deliver(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        (span_seq, lamport): (u64, u64),
+        msg: P::Message,
+        outbox: &mut Vec<(NodeId, P::Message)>,
+        alive_aware: bool,
+    ) {
+        let mut ctx = Context::new(
+            to,
+            self.topo.neighbors(to),
+            &mut self.rr_cursors[to],
+            &mut self.node_rngs[to],
+            outbox,
+            self.now as u64,
+        );
+        if alive_aware {
+            ctx = ctx.with_alive(&self.alive);
+        }
+        let bytes = self.sizer.map_or(0, |sizer| sizer(&msg) as u64);
+        self.metrics.bytes_delivered += bytes;
+        self.nodes[to].on_message(from, msg, &mut ctx);
+        self.metrics.messages_delivered += 1;
+        // Lamport receive rule before stamping the event.
+        self.lamport[to] = self.lamport[to].max(lamport) + 1;
+        let recv_lamport = self.lamport[to];
+        self.tracer.emit(|| TraceEvent::MessageDelivered {
+            from,
+            to,
+            bytes,
+            at: self.now,
+            lamport: Some(recv_lamport),
+            span_seq: Some(span_seq),
+        });
+        self.schedule(to, outbox);
+    }
+
+    /// Schedules `from`'s produced messages with random delays (scaled by
+    /// the per-link factor when one is installed).
+    fn schedule(&mut self, from: NodeId, outbox: &mut Vec<(NodeId, P::Message)>) {
+        for (to, msg) in outbox.drain(..) {
+            let mut delay = self.delay.sample(&mut self.env_rng);
+            if let Some(factor) = &self.link_factor {
+                delay *= factor(from, to);
+            }
+            self.metrics.messages_sent += 1;
+            let bytes = self.sizer.map_or(0, |sizer| sizer(&msg) as u64);
+            self.metrics.bytes_sent += bytes;
+            self.send_seq[from] += 1;
+            self.lamport[from] += 1;
+            let (span_seq, lamport) = (self.send_seq[from], self.lamport[from]);
+            self.tracer.emit(|| TraceEvent::MessageSent {
+                from,
+                to,
+                bytes,
+                at: self.now,
+                lamport: Some(lamport),
+                seq: Some(span_seq),
+            });
+            let id = (span_seq, lamport);
+            self.push_event(self.now + delay, EventKind::Deliver { from, to, id, msg });
         }
     }
 }

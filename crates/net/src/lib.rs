@@ -50,6 +50,7 @@ mod engine;
 mod events;
 mod faults;
 mod metrics;
+mod queue;
 mod rng;
 mod rounds;
 mod topology;
@@ -58,6 +59,7 @@ pub use engine::{Context, Protocol};
 pub use events::{DelayModel, EventEngine};
 pub use faults::CrashModel;
 pub use metrics::NetMetrics;
+pub use queue::EventQueue;
 pub use rng::{derive_seed, seeded_pick, SeedSequence};
 pub use rounds::RoundEngine;
 pub use topology::{Neighbors, Topology, TopologyError};

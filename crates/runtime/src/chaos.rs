@@ -2,42 +2,39 @@
 //!
 //! The paper's network model (§3.1) assumes message loss, link failure
 //! and node crashes; Figure 4 measures classification quality as nodes
-//! die. This module scripts those failure modes against the *real*
-//! threaded cluster, reproducibly:
+//! die. This module scripts those failure modes against the runtime
+//! cluster, reproducibly:
 //!
 //! * A [`FaultPlan`] is a fully deterministic schedule — partition
 //!   windows over node sets, per-peer crash (and optional restart)
-//!   events, and probabilistic per-frame delay, duplication and
+//!   events, and probabilistic per-frame loss, delay, duplication and
 //!   reordering rules whose coin flips are seeded. The same plan and
 //!   seed always yield the same schedule ([`FaultPlan::digest`] is the
-//!   proof handle), so a chaos failure reported by CI is replayable from
-//!   its seed alone.
-//! * A [`ChaosTransport`] wraps any inner [`Transport`] and applies the
-//!   plan on the send path: frames crossing an active partition cut are
-//!   silently dropped (acks included — a partition severs the link, not
-//!   one direction of it), others may be duplicated or queued for
-//!   delayed delivery. Crash events are *not* the transport's job; the
-//!   cluster supervisor executes them by killing and respawning peers
-//!   ([`crate::cluster`]).
+//!   proof handle).
+//! * A `FaultMedium` applies the plan's per-frame rules for one sender
+//!   incarnation: given a frame sent at time `t` (since the cluster
+//!   epoch), it decides how many copies arrive and after what delay.
+//!   Frames crossing an active partition cut are silently dropped (acks
+//!   included — a partition severs the link, not one direction of it).
+//!   Crash events are *not* the medium's job; the supervisor executes
+//!   them by killing and respawning peers ([`crate::cluster`]).
 //!
-//! The per-frame coin flips are drawn from an RNG seeded by
-//! `(plan seed, node, incarnation)`, so a given peer's fault sequence is
-//! deterministic in the decisions *it* makes; wall-clock interleaving
+//! The medium reads no clock: time is its argument. Its coin flips come
+//! from an RNG seeded by `(plan seed, node, incarnation)`, so a sender's
+//! fault sequence is a function of the frames it sends. Under the
+//! virtual-time driver ([`crate::cluster::run_sim_cluster`]) that makes
+//! a whole faulted run replay from its seed; on threads, the interleaving
 //! across peers still varies run to run, as it does on real hardware.
-//! What is byte-identical across runs is the schedule itself: windows,
-//! crash times, rates and seeds.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::io;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use distclass_net::{derive_seed, CrashModel, NodeId};
+use distclass_net::{derive_seed, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::transport::Transport;
+use crate::frame::{decode_frame, FrameKind};
 
 /// A time window during which the cluster is split in two: frames between
 /// `side` and its complement are dropped, in both directions.
@@ -88,8 +85,8 @@ pub struct DelayRule {
 ///
 /// Build one with the fluent constructors or parse the CLI grammar with
 /// [`FaultPlan::parse`]. An empty plan (no windows, events or rules) is a
-/// no-op: [`ChaosTransport`] degenerates to pass-through.
-#[derive(Debug, Clone, PartialEq)]
+/// no-op: every frame is delivered at once.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every per-frame coin flip the plan's rules require.
     pub seed: u64,
@@ -105,6 +102,12 @@ pub struct FaultPlan {
     /// Per-frame reordering probability (the frame is held briefly so
     /// later frames overtake it).
     pub reorder: f64,
+    /// Per-frame loss probability for data frames. Acks and control
+    /// frames are never lost this way, so the retry layer's exactly-once
+    /// weight accounting stays an invariant rather than a
+    /// high-probability property. Builder-only: the `--faults` grammar
+    /// has no loss clause.
+    pub loss: f64,
 }
 
 impl FaultPlan {
@@ -112,11 +115,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            partitions: Vec::new(),
-            crashes: Vec::new(),
-            delay: None,
-            duplicate: 0.0,
-            reorder: 0.0,
+            ..FaultPlan::default()
         }
     }
 
@@ -178,6 +177,19 @@ impl FaultPlan {
         self
     }
 
+    /// Sets the per-frame data-frame loss probability.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0.0 <= prob < 1.0`: a link that loses every data
+    /// frame can never deliver a half.
+    #[must_use]
+    pub fn loss(mut self, prob: f64) -> FaultPlan {
+        assert!((0.0..1.0).contains(&prob), "loss must be in [0, 1)");
+        self.loss = prob;
+        self
+    }
+
     /// Whether the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
         self.partitions.is_empty()
@@ -185,6 +197,7 @@ impl FaultPlan {
             && self.delay.is_none()
             && self.duplicate == 0.0
             && self.reorder == 0.0
+            && self.loss == 0.0
     }
 
     /// Parses the CLI fault grammar: `;`-separated clauses, each one of
@@ -199,14 +212,10 @@ impl FaultPlan {
     /// Durations take `ms`/`s` suffixes; a bare integer means
     /// milliseconds.
     ///
-    /// Partition clauses must not overlap in time: two windows that
-    /// overlap always disagree about some node pair (each severs at least
-    /// one pair the other does not, or they are redundant), and the old
-    /// behavior of silently keeping both — so the later clause's cut
-    /// *extended* the earlier one's on whatever pairs both sever — read
-    /// as last-wins to spec authors. Overlaps are now a parse error
-    /// naming both clauses; write one merged window instead. Windows may
-    /// still touch end-to-start (`until` is exclusive).
+    /// Partition clauses must not overlap in time: two overlapping windows
+    /// always disagree about some node pair, so an overlap is a parse
+    /// error naming both clauses; write one merged window instead.
+    /// Windows may still touch end-to-start (`until` is exclusive).
     ///
     /// # Errors
     ///
@@ -308,48 +317,10 @@ impl FaultPlan {
         }
         eat(&self.duplicate.to_bits().to_be_bytes());
         eat(&self.reorder.to_bits().to_be_bytes());
+        if self.loss > 0.0 {
+            eat(&self.loss.to_bits().to_be_bytes());
+        }
         h
-    }
-
-    /// Translates the plan's scripted events into a simulator
-    /// [`CrashModel`], mapping wall-clock offsets to rounds of length
-    /// `round` — crash events when any exist, otherwise partition
-    /// windows. Returns `None` for a plan with neither, or when the
-    /// simulators cannot express the combination (both kinds at once:
-    /// `CrashModel` replays one schedule at a time).
-    pub fn to_crash_model(&self, round: Duration) -> Option<CrashModel> {
-        let rounds = |d: Duration| -> u64 {
-            let r = round.as_nanos().max(1);
-            (d.as_nanos() / r) as u64
-        };
-        if !self.crashes.is_empty() {
-            if !self.partitions.is_empty() {
-                return None;
-            }
-            return Some(CrashModel::CrashRestart {
-                schedule: self
-                    .crashes
-                    .iter()
-                    .map(|c| {
-                        (
-                            rounds(c.at),
-                            c.restart_after.map(|d| rounds(c.at + d)),
-                            c.node,
-                        )
-                    })
-                    .collect(),
-            });
-        }
-        if !self.partitions.is_empty() {
-            return Some(CrashModel::Partition {
-                windows: self
-                    .partitions
-                    .iter()
-                    .map(|w| (rounds(w.from), rounds(w.until), w.side.clone()))
-                    .collect(),
-            });
-        }
-        None
     }
 }
 
@@ -419,92 +390,54 @@ fn parse_prob(s: &str) -> Result<f64, String> {
     Ok(p)
 }
 
-/// A frame held back by the delay or reorder rule.
-struct Held {
-    due: Instant,
-    to: NodeId,
-    frame: Vec<u8>,
+/// What the medium does with one frame: `copies` byte-identical copies
+/// (0 = dropped) arrive `delay` after the send.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fate {
+    /// Extra time in flight beyond the transport's own latency.
+    pub delay: Duration,
+    /// How many copies arrive.
+    pub copies: usize,
 }
 
-/// Applies a [`FaultPlan`] to an inner transport's send path.
-///
-/// All peers of one cluster share the plan and the epoch (the cluster's
-/// start instant), so their partition windows open and close in unison.
+/// Applies a [`FaultPlan`]'s per-frame rules to the frames one sender
+/// incarnation puts on the wire. Every sender shares the plan and the
+/// cluster epoch, so partition windows open and close in unison.
 #[derive(Debug)]
-pub struct ChaosTransport<T> {
-    inner: T,
+pub(crate) struct FaultMedium {
     id: NodeId,
     plan: Arc<FaultPlan>,
-    epoch: Instant,
     rng: StdRng,
-    held: VecDeque<Held>,
 }
 
-impl fmt::Debug for Held {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Held({} bytes to {})", self.frame.len(), self.to)
-    }
-}
-
-impl<T: Transport> ChaosTransport<T> {
-    /// Wraps `inner` for node `id`'s incarnation `incarnation`. The
-    /// `epoch` must be shared by every peer of the cluster so scheduled
-    /// windows align.
-    pub fn new(
-        inner: T,
-        id: NodeId,
-        incarnation: u16,
-        plan: Arc<FaultPlan>,
-        epoch: Instant,
-    ) -> ChaosTransport<T> {
+impl FaultMedium {
+    /// The medium for node `id`'s incarnation `incarnation`.
+    pub(crate) fn new(plan: Arc<FaultPlan>, id: NodeId, incarnation: u16) -> FaultMedium {
         let rng = StdRng::seed_from_u64(derive_seed(
             plan.seed,
             0xC805 ^ id as u64 ^ ((incarnation as u64) << 32),
         ));
-        ChaosTransport {
-            inner,
-            id,
-            plan,
-            epoch,
-            rng,
-            held: VecDeque::new(),
-        }
+        FaultMedium { id, plan, rng }
     }
 
-    fn cut(&self, to: NodeId, t: Duration) -> bool {
-        self.plan.partitions.iter().any(|w| w.cuts(self.id, to, t))
-    }
-
-    /// Releases every held frame whose delay has elapsed.
-    fn flush_due(&mut self) {
-        let now = Instant::now();
-        // Held frames are not strictly due-ordered (delays vary), so scan
-        // the whole queue; it is tiny (frames in flight for a few ms).
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].due <= now {
-                let h = self.held.remove(i).expect("index in bounds");
-                let _ = self.inner.send(h.to, &h.frame);
-            } else {
-                i += 1;
-            }
+    /// The fate of a frame sent to `to` at `t` since the cluster epoch. In
+    /// order: a partition cut drops it (data and acks alike — the
+    /// reliability layer sees the silence of a dead cable); the loss rule
+    /// may drop a data frame; the delay or reorder rule may hold it back;
+    /// otherwise it goes at once, possibly with a duplicate right behind.
+    pub(crate) fn send(&mut self, t: Duration, to: NodeId, frame: &[u8]) -> Fate {
+        let plan = &self.plan;
+        let fate = |delay, copies| Fate { delay, copies };
+        if plan.partitions.iter().any(|w| w.cuts(self.id, to, t)) {
+            return fate(Duration::ZERO, 0);
         }
-    }
-}
-
-impl<T: Transport> Transport for ChaosTransport<T> {
-    fn send(&mut self, to: NodeId, frame: &[u8]) -> io::Result<()> {
-        self.flush_due();
-        let t = self.epoch.elapsed();
-        // A partition severs the link outright: data and acks both drop.
-        // The reliability layer sees exactly what it would on a dead
-        // cable — silence — and responds with retries, then
-        // return-to-sender.
-        if self.cut(to, t) {
-            return Ok(());
+        if plan.loss > 0.0
+            && decode_frame(frame).is_ok_and(|f| f.kind == FrameKind::Data)
+            && self.rng.gen::<f64>() < plan.loss
+        {
+            return fate(Duration::ZERO, 0);
         }
-        let now = Instant::now();
-        if let Some(d) = self.plan.delay {
+        if let Some(d) = plan.delay {
             if self.rng.gen::<f64>() < d.prob {
                 let span = d.max.saturating_sub(d.min);
                 let extra = if span.is_zero() {
@@ -512,61 +445,49 @@ impl<T: Transport> Transport for ChaosTransport<T> {
                 } else {
                     span.mul_f64(self.rng.gen::<f64>())
                 };
-                self.held.push_back(Held {
-                    due: now + d.min + extra,
-                    to,
-                    frame: frame.to_vec(),
-                });
-                return Ok(());
+                return fate(d.min + extra, 1);
             }
         }
-        if self.plan.reorder > 0.0 && self.rng.gen::<f64>() < self.plan.reorder {
+        if plan.reorder > 0.0 && self.rng.gen::<f64>() < plan.reorder {
             // Hold just long enough for subsequent frames to overtake.
             let jitter = Duration::from_micros(500 + self.rng.gen_range(0..2_500u64));
-            self.held.push_back(Held {
-                due: now + jitter,
-                to,
-                frame: frame.to_vec(),
-            });
-            return Ok(());
+            return fate(jitter, 1);
         }
-        self.inner.send(to, frame)?;
-        if self.plan.duplicate > 0.0 && self.rng.gen::<f64>() < self.plan.duplicate {
-            // The duplicate is a faithful byte copy, testing the
-            // receiver's suppression rather than the sender's honesty.
-            let _ = self.inner.send(to, frame);
-        }
-        Ok(())
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> io::Result<Option<Vec<u8>>> {
-        self.flush_due();
-        let got = self.inner.recv_timeout(timeout)?;
-        self.flush_due();
-        Ok(got)
+        // The duplicate is a faithful byte copy, testing the receiver's
+        // suppression rather than the sender's honesty.
+        let dup = plan.duplicate > 0.0 && self.rng.gen::<f64>() < plan.duplicate;
+        fate(Duration::ZERO, 1 + usize::from(dup))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ChannelNet;
+    use crate::frame::encode_frame;
+
+    fn data() -> Vec<u8> {
+        encode_frame(FrameKind::Data, 0, 0, 1, 1, &[])
+    }
+
+    fn ms(v: u64) -> Duration {
+        Duration::from_millis(v)
+    }
 
     #[test]
     fn empty_plan_is_pass_through() {
         let plan = Arc::new(FaultPlan::new(1));
         assert!(plan.is_empty());
-        let mut peers = ChannelNet::reliable(2);
-        let b = peers.pop().unwrap();
-        let a = peers.pop().unwrap();
-        let epoch = Instant::now();
-        let mut a = ChaosTransport::new(a, 0, 0, Arc::clone(&plan), epoch);
-        let mut b = ChaosTransport::new(b, 1, 0, plan, epoch);
-        a.send(1, &[7]).unwrap();
-        assert_eq!(
-            b.recv_timeout(Duration::from_millis(50)).unwrap(),
-            Some(vec![7])
-        );
+        let mut a = FaultMedium::new(plan, 0, 0);
+        for t in 0..100 {
+            let fate = a.send(ms(t), 1, &[7]);
+            assert_eq!(
+                fate,
+                Fate {
+                    delay: Duration::ZERO,
+                    copies: 1
+                }
+            );
+        }
     }
 
     #[test]
@@ -588,61 +509,74 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_chaos_transport_drops_silently() {
-        let plan = Arc::new(FaultPlan::new(3).partition(
-            Duration::ZERO,
-            Duration::from_secs(3600),
-            vec![0],
-        ));
-        let mut peers = ChannelNet::reliable(2);
-        let b = peers.pop().unwrap();
-        let a = peers.pop().unwrap();
-        let epoch = Instant::now();
-        let mut a = ChaosTransport::new(a, 0, 0, Arc::clone(&plan), epoch);
-        let mut b = ChaosTransport::new(b, 1, 0, plan, epoch);
-        assert!(a.send(1, &[1]).is_ok(), "drops are silent, not errors");
-        assert_eq!(b.recv_timeout(Duration::from_millis(10)).unwrap(), None);
+    fn partitioned_medium_drops_silently_until_the_heal() {
+        let plan = Arc::new(FaultPlan::new(3).partition(ms(0), ms(3600), vec![0]));
+        let mut a = FaultMedium::new(plan, 0, 0);
+        assert_eq!(a.send(ms(5), 1, &[1]).copies, 0, "cut links drop");
+        assert_eq!(a.send(ms(3600), 1, &[1]).copies, 1, "healed at `until`");
     }
 
     #[test]
     fn duplication_sends_byte_copies() {
         let plan = Arc::new(FaultPlan::new(5).duplicate(1.0));
-        let mut peers = ChannelNet::reliable(2);
-        let b = peers.pop().unwrap();
-        let a = peers.pop().unwrap();
-        let epoch = Instant::now();
-        let mut a = ChaosTransport::new(a, 0, 0, Arc::clone(&plan), epoch);
-        let mut b = ChaosTransport::new(b, 1, 0, plan, epoch);
-        a.send(1, &[9, 9]).unwrap();
-        let t = Duration::from_millis(50);
-        assert_eq!(b.recv_timeout(t).unwrap(), Some(vec![9, 9]));
-        assert_eq!(b.recv_timeout(t).unwrap(), Some(vec![9, 9]));
-        assert_eq!(b.recv_timeout(Duration::from_millis(1)).unwrap(), None);
+        let mut a = FaultMedium::new(plan, 0, 0);
+        let fate = a.send(ms(0), 1, &[9, 9]);
+        assert_eq!(
+            fate,
+            Fate {
+                delay: Duration::ZERO,
+                copies: 2
+            }
+        );
     }
 
     #[test]
     fn delayed_frames_arrive_after_their_holdback() {
-        let plan = Arc::new(FaultPlan::new(7).delay(
-            1.0,
-            Duration::from_millis(20),
-            Duration::from_millis(25),
-        ));
-        let mut peers = ChannelNet::reliable(2);
-        let b = peers.pop().unwrap();
-        let a = peers.pop().unwrap();
-        let epoch = Instant::now();
-        let mut a = ChaosTransport::new(a, 0, 0, Arc::clone(&plan), epoch);
-        let mut b = ChaosTransport::new(b, 1, 0, plan, epoch);
-        a.send(1, &[4]).unwrap();
-        // Too early: the frame is still in the sender's delay queue, and
-        // only the sender's own transport calls can release it.
-        assert_eq!(b.recv_timeout(Duration::from_millis(5)).unwrap(), None);
-        std::thread::sleep(Duration::from_millis(30));
-        let _ = a.recv_timeout(Duration::from_millis(1)); // sender ticks, flushes
-        assert_eq!(
-            b.recv_timeout(Duration::from_millis(50)).unwrap(),
-            Some(vec![4])
-        );
+        let plan = Arc::new(FaultPlan::new(7).delay(1.0, ms(20), ms(25)));
+        let mut a = FaultMedium::new(plan, 0, 0);
+        for t in 0..50 {
+            let fate = a.send(ms(t), 1, &[4]);
+            assert_eq!(fate.copies, 1);
+            assert!(fate.delay >= ms(20) && fate.delay <= ms(25), "{fate:?}");
+        }
+    }
+
+    #[test]
+    fn loss_drops_data_but_not_acks() {
+        let plan = Arc::new(FaultPlan::new(7).loss(0.99));
+        let mut a = FaultMedium::new(plan, 0, 0);
+        let ack = encode_frame(FrameKind::Ack, 0, 0, 1, 1, &[]);
+        let mut data_got = 0;
+        for t in 0..100 {
+            data_got += a.send(ms(t), 1, &data()).copies;
+            assert_eq!(a.send(ms(t), 1, &ack).copies, 1, "acks are never lost");
+        }
+        assert!(data_got < 50, "loss rule dropped only {data_got}/100");
+    }
+
+    #[test]
+    fn loss_is_deterministic_in_seed_and_incarnation() {
+        // Same seed and incarnation ⇒ the same drop sequence; a different
+        // seed or a respawned incarnation ⇒ a different one
+        // (overwhelmingly, at 200 coin flips).
+        let delivered = |seed: u64, incarnation: u16| {
+            let plan = Arc::new(FaultPlan::new(seed).loss(0.5));
+            let mut a = FaultMedium::new(plan, 0, incarnation);
+            (0..200u64)
+                .filter(|&t| a.send(ms(t), 1, &data()).copies == 1)
+                .collect::<Vec<_>>()
+        };
+        let first = delivered(21, 0);
+        assert_eq!(first, delivered(21, 0), "same seed must drop identically");
+        assert_ne!(first, delivered(22, 0), "different seed should differ");
+        assert_ne!(first, delivered(21, 1), "a new incarnation draws afresh");
+        assert!(!first.is_empty() && first.len() < 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss must be in [0, 1)")]
+    fn total_loss_is_rejected() {
+        let _ = FaultPlan::new(0).loss(1.0);
     }
 
     #[test]
@@ -722,6 +656,7 @@ mod tests {
         let c = FaultPlan::parse(spec, 43).unwrap();
         assert_eq!(a.digest(), b.digest(), "same plan+seed must match");
         assert_ne!(a.digest(), c.digest(), "seed must perturb the digest");
+        assert_ne!(a.digest(), a.clone().loss(0.1).digest(), "so must loss");
         assert_ne!(
             a.digest(),
             FaultPlan::parse(
@@ -731,34 +666,6 @@ mod tests {
             .unwrap()
             .digest(),
             "any schedule change must perturb the digest"
-        );
-    }
-
-    #[test]
-    fn crash_model_translation_maps_times_to_rounds() {
-        let plan = FaultPlan::new(1)
-            .crash_restart(Duration::from_millis(30), 2, Duration::from_millis(40))
-            .crash(Duration::from_millis(50), 4);
-        match plan.to_crash_model(Duration::from_millis(10)) {
-            Some(CrashModel::CrashRestart { schedule }) => {
-                assert_eq!(schedule, vec![(3, Some(7), 2), (5, None, 4)]);
-            }
-            other => panic!("expected CrashRestart, got {other:?}"),
-        }
-        let plan = FaultPlan::new(1).partition(
-            Duration::from_millis(20),
-            Duration::from_millis(60),
-            vec![0, 1],
-        );
-        match plan.to_crash_model(Duration::from_millis(10)) {
-            Some(CrashModel::Partition { windows }) => {
-                assert_eq!(windows, vec![(2, 6, vec![0, 1])]);
-            }
-            other => panic!("expected Partition, got {other:?}"),
-        }
-        assert_eq!(
-            FaultPlan::new(1).to_crash_model(Duration::from_millis(1)),
-            None
         );
     }
 }

@@ -18,16 +18,19 @@
 //!   and when a send exhausts its retry budget, its half-classification is
 //!   merged back into the sender, so the cluster-wide grain count is
 //!   conserved exactly;
-//! * a [`Cluster`](crate::cluster) harness spawns the peers, detects
-//!   convergence by watching dispersion, then quiesces and drains the
-//!   network before snapshotting every node's final classification;
-//! * a deterministic [`chaos`](crate::chaos) layer scripts faults — link
-//!   partitions, delay, duplication, reordering, and per-peer
-//!   crash–restart — against any transport, while the harness supervises:
-//!   peers checkpoint their recovery state, crashed peers are respawned
-//!   as fresh incarnations from their last checkpoint, and an
+//! * a [`cluster`] harness spawns the peers, detects convergence by
+//!   watching dispersion, then quiesces and drains the network before
+//!   snapshotting every node's final classification;
+//! * a deterministic [`chaos`](crate::chaos) layer scripts faults — data
+//!   loss, link partitions, delay, duplication, reordering, and per-peer
+//!   crash–restart — while the harness supervises: peers checkpoint
+//!   their recovery state, crashed peers are respawned as fresh
+//!   incarnations from their last checkpoint, and an
 //!   [`audit`](crate::audit) pass proves after the run that every grain
-//!   is conserved or explicitly accounted for.
+//!   is conserved or explicitly accounted for;
+//! * the peer and the supervisor are clock-free cores, so the same run
+//!   also executes in virtual time on one thread
+//!   ([`run_sim_cluster`]), where it replays from its seed.
 //!
 //! # Example
 //!
@@ -74,13 +77,10 @@ mod transport;
 
 pub use audit::{AuditReport, FrameId};
 pub use byz::{AdversaryPlan, AdversaryRole, AdversarySpecError, AttackState, DefenseConfig};
-pub use chaos::{
-    ChaosTransport, CrashEvent, DelayRule, FaultPlan, FaultSpecError, PartitionWindow,
-};
+pub use chaos::{CrashEvent, DelayRule, FaultPlan, FaultSpecError, PartitionWindow};
 pub use cluster::{
-    run_channel_cluster, run_chaos_channel_cluster, run_chaos_udp_cluster, run_cluster,
-    run_cluster_with_faults, run_lossy_channel_cluster, run_udp_cluster, ClusterConfig,
-    ClusterReport, NodeOutcome, NodeReport, RetryPolicy,
+    run_channel_cluster, run_cluster_with_faults, run_sim_cluster, ClusterConfig, ClusterReport,
+    NodeOutcome, NodeReport, RetryPolicy,
 };
 pub use dynamics::{ChurnPlan, DriftEvent, DriftSchedule, DynSpecError, JoinEvent, LeaveEvent};
 pub use metrics::RuntimeMetrics;

@@ -53,7 +53,7 @@
 //! before any of it happened. The auditor ([`crate::audit`]) settles the
 //! books from those two piles.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,7 +73,7 @@ use crate::metrics::RuntimeMetrics;
 
 mod driver;
 
-pub(crate) use driver::run_peer;
+pub(crate) use driver::{run_peer, MAX_WAIT, MIN_WAIT};
 
 /// Commands from the harness to a peer.
 pub(crate) enum Ctrl {
@@ -461,8 +461,10 @@ pub(crate) struct PeerCore<'p, I: Instance> {
     sent_log: VecDeque<(u64, Vec<u8>)>,
     /// Duplicate-suppression trackers, keyed by `(sender, incarnation)`.
     seen: HashMap<(u16, u16), SeqTracker>,
-    /// Unsettled sends, keyed by `(incarnation, seq)`.
-    pending: HashMap<(u16, u64), PendingSend>,
+    /// Unsettled sends, keyed by `(incarnation, seq)`: ordered, so
+    /// retransmissions, returns, checkpoints and exit records walk them in
+    /// the same order in every process.
+    pending: BTreeMap<(u16, u64), PendingSend>,
     seq: u64,
     clock: u64,
     /// Round-robin neighbor cursor.
@@ -499,7 +501,7 @@ where
         let incarnation = restore.incarnation;
         // Restored pendings keep their original (incarnation, seq) keys and
         // byte-identical frames; only the retry clock restarts.
-        let mut pending = HashMap::new();
+        let mut pending = BTreeMap::new();
         for p in restore.pendings {
             if let Ok(f) = decode_frame(&p.frame) {
                 pending.insert(
@@ -1875,5 +1877,70 @@ mod tests {
         c.on_report(w.at(1), &mut tc);
         assert!(c.done());
         assert_eq!(grains(&c), w.gpu());
+    }
+
+    /// Retransmissions and returns walk the pending sends in ascending
+    /// `(incarnation, seq)` order — restored pendings of a dead
+    /// incarnation first — so a run replays the same way in every
+    /// process. (A std `HashMap` iterates in a per-map random order.)
+    #[test]
+    fn core_retries_and_returns_pendings_in_ascending_key_order() {
+        let retry = RetryPolicy {
+            base: Duration::from_millis(10),
+            cap: Duration::from_millis(10),
+            max_retries: 1,
+        };
+        let w = World::new(retry, Tracer::disabled());
+        let mut ta = Tape::default();
+        // Incarnation 0 sends four halves, checkpoints them as pending,
+        // and dies; incarnation 1 restores them and sends eight more.
+        let mut a0 = w.peer(0, &[1], &mut ta);
+        for t in 1..=4 {
+            a0.on_tick(w.at(t), &mut ta);
+        }
+        a0.on_report(w.at(25), &mut ta);
+        let ckpt = ta
+            .events
+            .drain(..)
+            .find_map(|e| match e {
+                PeerEvent::Checkpoint(msg) => Some(msg),
+                _ => None,
+            })
+            .expect("a checkpoint was shipped");
+        let mut restore = ckpt.restore.clone();
+        restore.incarnation = 1;
+        let node = ClassifierNode::from_classification(Arc::clone(&w.inst), ckpt.classification);
+        let mut a = PeerCore::new(node, w.cfg(0, &[1]), restore, &w.prof, w.at(30), &mut ta);
+        for t in 31..=38 {
+            a.on_tick(w.at(t), &mut ta);
+        }
+        a.on_ctrl(Ctrl::Quiesce);
+        ta.take();
+        let want: Vec<(u16, u64)> = (1..=4)
+            .map(|s| (0, s))
+            .chain((1..=8).map(|s| (1, s)))
+            .collect();
+        assert_eq!(a.pending.keys().copied().collect::<Vec<_>>(), want);
+
+        // Every send is past its deadline: one lap retransmits them all.
+        a.on_tick(w.at(60), &mut ta);
+        let resent: Vec<(u16, u64)> = ta
+            .take()
+            .iter()
+            .map(|f| decode_frame(f).expect("decodes"))
+            .map(|f| (f.incarnation, f.seq))
+            .collect();
+        assert_eq!(resent, want, "retransmitted in ascending key order");
+
+        // The budget is spent: the next lap returns them all, in order.
+        a.on_tick(w.at(70), &mut ta);
+        assert!(a.pending.is_empty());
+        let returned: Vec<(u16, u64)> = a
+            .logs
+            .returned
+            .iter()
+            .map(|r| (r.id.incarnation, r.id.seq))
+            .collect();
+        assert_eq!(returned, want, "returned in ascending key order");
     }
 }

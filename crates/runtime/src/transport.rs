@@ -5,14 +5,15 @@
 //! uses. Two implementations ship:
 //!
 //! * [`ChannelTransport`] — in-process delivery over `std::sync::mpsc`
-//!   channels, one mailbox per peer thread. Optionally lossy, for
-//!   exercising the retry layer deterministically.
+//!   channels, one mailbox per peer thread.
 //! * [`UdpTransport`] — real datagrams over `std::net::UdpSocket`, one
 //!   socket per peer, for clusters of OS processes or loopback deployments.
 //!
-//! Both are *fair-loss* links: frames may be dropped (lossy channels, UDP
-//! buffer overflow) but are never corrupted, duplicated or forged in
-//! flight. The peer loop ([`crate::cluster`]) layers acknowledgement,
+//! Both are *fair-loss* links: frames may be dropped (UDP buffer
+//! overflow, a mailbox whose peer is down) but are never corrupted,
+//! duplicated or forged in flight. Under the threaded cluster driver every
+//! send first passes a fault medium ([`crate::chaos`]), which injects a
+//! fault plan's loss, partitions, delay, duplication and reordering. The peer loop ([`crate::cluster`]) layers acknowledgement,
 //! retransmission and duplicate suppression on top to approximate the
 //! reliable links of the paper's §3.1 network model.
 //!
@@ -30,9 +31,7 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use distclass_net::{derive_seed, NodeId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use distclass_net::NodeId;
 
 use crate::frame;
 
@@ -103,30 +102,11 @@ struct Registry {
 #[derive(Debug)]
 pub struct ChannelNet {
     registry: Arc<Registry>,
-    loss: f64,
-    seed: u64,
 }
 
 impl ChannelNet {
     /// A network of `n` nodes with perfectly reliable delivery.
     pub fn new(n: usize) -> ChannelNet {
-        ChannelNet::with_loss(n, 0.0, 0)
-    }
-
-    /// A network of `n` nodes that independently drops each *data* frame
-    /// with probability `loss` (deterministic in `seed`).
-    ///
-    /// Acks are never dropped: the loss model represents the paper's
-    /// fair-loss data links while keeping the acknowledgement channel
-    /// clean, so the retry layer's exactly-once weight accounting stays an
-    /// invariant rather than a high-probability property (see
-    /// [`crate::cluster`] on ack loss).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= loss < 1.0`.
-    pub fn with_loss(n: usize, loss: f64, seed: u64) -> ChannelNet {
-        assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
         let slots = (0..n)
             .map(|_| {
                 // Placeholder mailboxes; `endpoint` installs real ones. A
@@ -138,8 +118,6 @@ impl ChannelNet {
             .collect();
         ChannelNet {
             registry: Arc::new(Registry { slots }),
-            loss,
-            seed,
         }
     }
 
@@ -147,42 +125,15 @@ impl ChannelNet {
     /// (incarnation 0 of every node).
     pub fn reliable(n: usize) -> Vec<ChannelTransport> {
         let mut net = ChannelNet::new(n);
-        (0..n).map(|i| net.endpoint_now(i, 0)).collect()
+        (0..n).map(|i| net.endpoint_now(i)).collect()
     }
 
-    /// `n` connected transports that independently drop each *data* frame
-    /// with probability `loss` (deterministic in `seed`); see
-    /// [`ChannelNet::with_loss`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= loss < 1.0`.
-    pub fn lossy(n: usize, loss: f64, seed: u64) -> Vec<ChannelTransport> {
-        let mut net = ChannelNet::with_loss(n, loss, seed);
-        (0..n).map(|i| net.endpoint_now(i, 0)).collect()
-    }
-
-    /// Number of nodes in the network.
-    pub fn len(&self) -> usize {
-        self.registry.slots.len()
-    }
-
-    /// Whether the network has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.registry.slots.is_empty()
-    }
-
-    fn endpoint_now(&mut self, id: NodeId, incarnation: u16) -> ChannelTransport {
+    fn endpoint_now(&mut self, id: NodeId) -> ChannelTransport {
         let (tx, rx) = mpsc::channel();
         *self.registry.slots[id].lock().expect("registry poisoned") = tx;
         ChannelTransport {
             registry: Arc::clone(&self.registry),
             rx,
-            loss: self.loss,
-            rng: StdRng::seed_from_u64(derive_seed(
-                self.seed,
-                0xC4A7 ^ id as u64 ^ ((incarnation as u64) << 32),
-            )),
         }
     }
 }
@@ -190,14 +141,14 @@ impl ChannelNet {
 impl EndpointNet for ChannelNet {
     type T = ChannelTransport;
 
-    fn endpoint(&mut self, id: NodeId, incarnation: u16) -> io::Result<ChannelTransport> {
+    fn endpoint(&mut self, id: NodeId, _incarnation: u16) -> io::Result<ChannelTransport> {
         if id >= self.registry.slots.len() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("unknown peer {id}"),
             ));
         }
-        Ok(self.endpoint_now(id, incarnation))
+        Ok(self.endpoint_now(id))
     }
 }
 
@@ -206,8 +157,6 @@ impl EndpointNet for ChannelNet {
 pub struct ChannelTransport {
     registry: Arc<Registry>,
     rx: Receiver<Vec<u8>>,
-    loss: f64,
-    rng: StdRng,
 }
 
 impl Transport for ChannelTransport {
@@ -215,10 +164,6 @@ impl Transport for ChannelTransport {
         let slot = self.registry.slots.get(to).ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidInput, format!("unknown peer {to}"))
         })?;
-        // Drop only data frames (kind byte 0): see `ChannelNet::with_loss`.
-        if self.loss > 0.0 && frame.get(2) == Some(&0) && self.rng.gen::<f64>() < self.loss {
-            return Ok(());
-        }
         // A disconnected receiver is a peer that already exited (or a dead
         // incarnation awaiting respawn) — on a fair-loss link that is
         // indistinguishable from a drop.
@@ -280,17 +225,8 @@ impl UdpTransport {
     ///
     /// Propagates socket binding failures.
     pub fn bind_cluster(n: usize) -> io::Result<Vec<UdpTransport>> {
-        let sockets: Vec<UdpSocket> = (0..n)
-            .map(|_| UdpSocket::bind(("127.0.0.1", 0)))
-            .collect::<io::Result<_>>()?;
-        let peers: Vec<SocketAddr> = sockets
-            .iter()
-            .map(|s| s.local_addr())
-            .collect::<io::Result<_>>()?;
-        Ok(sockets
-            .into_iter()
-            .map(|socket| UdpTransport::new(socket, peers.clone()))
-            .collect())
+        let mut net = UdpNet::bind_cluster(n)?;
+        (0..n).map(|i| net.endpoint(i, 0)).collect()
     }
 
     /// The local address this endpoint is bound to.
@@ -370,11 +306,6 @@ impl UdpNet {
             initial: sockets.into_iter().map(Some).collect(),
         })
     }
-
-    /// The membership table: `peers[i]` is node `i`'s address.
-    pub fn peers(&self) -> &[SocketAddr] {
-        &self.peers
-    }
 }
 
 impl EndpointNet for UdpNet {
@@ -421,8 +352,7 @@ impl EndpointNet for UdpNet {
 
 /// An [`EndpointNet`] over caller-provided transports: each node gets its
 /// prebuilt endpoint once, and respawn is impossible (the net cannot mint
-/// replacements). Used by [`crate::cluster::run_cluster`] to keep its
-/// `Vec<T>` signature.
+/// replacements), so a panicked peer is reported rather than respawned.
 #[derive(Debug)]
 pub struct PrebuiltNet<T> {
     slots: Vec<Option<T>>,
@@ -503,55 +433,6 @@ mod tests {
             Some(vec![2])
         );
         assert_eq!(b1.recv_timeout(Duration::from_millis(1)).unwrap(), None);
-    }
-
-    #[test]
-    fn lossy_channel_drops_data_but_not_acks() {
-        let mut peers = ChannelNet::lossy(2, 0.99, 7);
-        let mut b = peers.pop().unwrap();
-        let mut a = peers.pop().unwrap();
-        // Data frames (kind byte 0) are dropped with p = 0.99.
-        let data = crate::frame::encode_frame(crate::frame::FrameKind::Data, 0, 0, 1, 1, &[]);
-        let ack = crate::frame::encode_frame(crate::frame::FrameKind::Ack, 0, 0, 1, 1, &[]);
-        let mut data_got = 0;
-        for _ in 0..100 {
-            a.send(1, &data).unwrap();
-            a.send(1, &ack).unwrap();
-        }
-        let mut ack_got = 0;
-        while let Some(f) = b.recv_timeout(Duration::from_millis(5)).unwrap() {
-            match f[2] {
-                0 => data_got += 1,
-                _ => ack_got += 1,
-            }
-        }
-        assert_eq!(ack_got, 100);
-        assert!(data_got < 50, "loss model dropped only {data_got}/100");
-    }
-
-    #[test]
-    fn lossy_channel_is_deterministic_in_seed() {
-        // Same seed ⇒ byte-identical drop sequence; different seed ⇒ a
-        // different one (overwhelmingly, at 200 coin flips).
-        let delivered = |seed: u64| {
-            let mut peers = ChannelNet::lossy(2, 0.5, seed);
-            let mut b = peers.pop().unwrap();
-            let mut a = peers.pop().unwrap();
-            for i in 0..200u64 {
-                let data =
-                    crate::frame::encode_frame(crate::frame::FrameKind::Data, 0, 0, i, i, &[]);
-                a.send(1, &data).unwrap();
-            }
-            let mut seqs = Vec::new();
-            while let Some(f) = b.recv_timeout(Duration::from_millis(5)).unwrap() {
-                seqs.push(crate::frame::decode_frame(&f).unwrap().seq);
-            }
-            seqs
-        };
-        let first = delivered(21);
-        assert_eq!(first, delivered(21), "same seed must drop identically");
-        assert_ne!(first, delivered(22), "different seed should differ");
-        assert!(!first.is_empty() && first.len() < 200);
     }
 
     #[test]

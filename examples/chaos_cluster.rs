@@ -22,7 +22,9 @@ use std::time::Duration;
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::runtime::{run_chaos_channel_cluster, ClusterConfig, FaultPlan, NodeOutcome};
+use distclass::runtime::{
+    run_cluster_with_faults, ChannelNet, ClusterConfig, FaultPlan, NodeOutcome,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const N: usize = 12;
@@ -68,7 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("spawning {N} peers (complete topology) into the storm...");
-    let report = run_chaos_channel_cluster(&Topology::complete(N), inst, &values, &plan, &config);
+    let net = ChannelNet::new(N);
+    let report =
+        run_cluster_with_faults(&Topology::complete(N), inst, &values, net, &plan, &config);
 
     println!(
         "converged: {} ({:?}); drained: {}; wall: {:?}; dispersion: {:.3e}",

@@ -18,7 +18,7 @@ use std::time::Duration;
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::runtime::{run_udp_cluster, ClusterConfig};
+use distclass::runtime::{run_cluster_with_faults, ClusterConfig, FaultPlan, UdpNet};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const N: usize = 12;
@@ -44,7 +44,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("spawning {N} peers on UDP loopback (complete topology)...");
-    let report = run_udp_cluster(&Topology::complete(N), Arc::clone(&inst), &values, &config)?;
+    let net = UdpNet::bind_cluster(N)?;
+    let report = run_cluster_with_faults(
+        &Topology::complete(N),
+        Arc::clone(&inst),
+        &values,
+        net,
+        &FaultPlan::new(config.seed),
+        &config,
+    );
 
     println!(
         "converged: {} ({:?}); drained: {}; wall: {:?}; dispersion: {:.3e}",

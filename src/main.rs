@@ -36,9 +36,8 @@ use distclass::obs::{
     TraceSink, Tracer,
 };
 use distclass::runtime::{
-    run_channel_cluster, run_chaos_channel_cluster, run_chaos_udp_cluster, run_udp_cluster,
-    AdversaryPlan, ChurnPlan, ClusterConfig, ClusterReport, DefenseConfig, DriftSchedule,
-    FaultPlan, NodeOutcome,
+    run_cluster_with_faults, AdversaryPlan, ChannelNet, ChurnPlan, ClusterConfig, ClusterReport,
+    DefenseConfig, DriftSchedule, FaultPlan, NodeOutcome, UdpNet,
 };
 
 struct Args {
@@ -868,17 +867,26 @@ where
     I: Instance + Send + Sync + 'static,
     I::Summary: WireSummary + Send + 'static,
 {
-    match (transport, plan) {
-        ("udp", None) => {
-            run_udp_cluster(topology, instance, values, config).map_err(|e| e.to_string())
+    let empty = FaultPlan::new(config.seed);
+    let plan = plan.unwrap_or(&empty);
+    // Sized for every scripted churn joiner too: nets mint endpoints by id.
+    let n = topology.len() + config.churn.as_ref().map_or(0, |c| c.joins.len());
+    match transport {
+        "udp" => {
+            let net = UdpNet::bind_cluster(n).map_err(|e| e.to_string())?;
+            Ok(run_cluster_with_faults(
+                topology, instance, values, net, plan, config,
+            ))
         }
-        ("udp", Some(plan)) => run_chaos_udp_cluster(topology, instance, values, plan, config)
-            .map_err(|e| e.to_string()),
-        ("channel", None) => Ok(run_channel_cluster(topology, instance, values, config)),
-        ("channel", Some(plan)) => Ok(run_chaos_channel_cluster(
-            topology, instance, values, plan, config,
+        "channel" => Ok(run_cluster_with_faults(
+            topology,
+            instance,
+            values,
+            ChannelNet::new(n),
+            plan,
+            config,
         )),
-        (other, _) => Err(format!("unknown transport {other}")),
+        other => Err(format!("unknown transport {other}")),
     }
 }
 

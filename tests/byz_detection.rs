@@ -10,38 +10,26 @@
 //! ingress bound) or geometry (attested state drifting from what the
 //! accuser remembers receiving), never on silence.
 //!
-//! The sweep honors `DISTCLASS_BYZ_SEEDS` (comma-separated) so CI can
-//! matrix over seeds; the default is four.
+//! The sweeps run on the virtual-time driver (`run_sim_cluster`), so each
+//! seed replays exactly, and honor `DISTCLASS_BYZ_SEEDS` (comma-separated)
+//! so CI can sweep more seeds; the default is four.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{sweep, two_site_values};
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::Topology;
 use distclass::obs::{ByzReport, RingSink, TraceEvent, Tracer};
 use distclass::runtime::{
-    run_channel_cluster, AdversaryPlan, ClusterConfig, ClusterReport, DefenseConfig, NodeOutcome,
+    run_sim_cluster, AdversaryPlan, ClusterConfig, ClusterReport, DefenseConfig, FaultPlan,
+    NodeOutcome,
 };
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("DISTCLASS_BYZ_SEEDS") {
-        Ok(list) => list
-            .split(',')
-            .map(|s| s.trim().parse().expect("DISTCLASS_BYZ_SEEDS: bad seed"))
-            .collect(),
-        Err(_) => (1..=4).collect(),
-    }
-}
-
-fn two_site_values(n: usize) -> Vec<Vector> {
-    (0..n)
-        .map(|i| {
-            let x = if i % 2 == 0 { 0.0 } else { 10.0 };
-            Vector::from(vec![x, x])
-        })
-        .collect()
-}
+const SEEDS: &str = "DISTCLASS_BYZ_SEEDS";
 
 fn byz_config(seed: u64, plan: AdversaryPlan, sink: &Arc<RingSink>) -> ClusterConfig {
     ClusterConfig {
@@ -69,7 +57,9 @@ fn run_traced(
     let sink = Arc::new(RingSink::new(1 << 20));
     let config = byz_config(seed, plan, &sink);
     let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let report = run_channel_cluster(&Topology::complete(n), inst, &two_site_values(n), &config);
+    let values = two_site_values(n);
+    let faults = FaultPlan::new(seed);
+    let report = run_sim_cluster(&Topology::complete(n), inst, &values, &faults, &config);
     (report, sink.events())
 }
 
@@ -126,7 +116,8 @@ fn assert_defended(
 #[test]
 fn ten_percent_cartel_is_fully_convicted_with_zero_false_positives() {
     const N: usize = 20;
-    for seed in seeds() {
+    let name = "ten_percent_cartel_is_fully_convicted_with_zero_false_positives";
+    sweep(SEEDS, 1..=4, name, |seed| {
         let adversaries = [4usize, 13];
         let plan = AdversaryPlan::new(seed)
             .cartel(&adversaries, 1.2)
@@ -149,7 +140,7 @@ fn ten_percent_cartel_is_fully_convicted_with_zero_false_positives() {
             byz.failed_verdicts >= 2,
             "cartel seed {seed}: convictions must come from audit evidence"
         );
-    }
+    });
 }
 
 /// A grain minter inflates the weight of every frame it sends. The
@@ -159,7 +150,8 @@ fn ten_percent_cartel_is_fully_convicted_with_zero_false_positives() {
 #[test]
 fn minted_weight_is_screened_convicted_and_measured_exactly() {
     const N: usize = 12;
-    for seed in seeds() {
+    let name = "minted_weight_is_screened_convicted_and_measured_exactly";
+    sweep(SEEDS, 1..=4, name, |seed| {
         let adversaries = [5usize];
         let plan = AdversaryPlan::new(seed).mint(&adversaries, 16);
         let (report, events) = run_traced(N, seed, plan);
@@ -188,7 +180,7 @@ fn minted_weight_is_screened_convicted_and_measured_exactly() {
             "mint seed {seed}: no minted rejection traced"
         );
         assert!(byz.rejections.contains_key(&5), "mint seed {seed}");
-    }
+    });
 }
 
 /// The CI adversary matrix: every attack kind, across the seed sweep,
@@ -196,7 +188,8 @@ fn minted_weight_is_screened_convicted_and_measured_exactly() {
 #[test]
 fn adversary_matrix_detects_every_attack_kind_across_seeds() {
     const N: usize = 12;
-    for seed in seeds() {
+    let name = "adversary_matrix_detects_every_attack_kind_across_seeds";
+    sweep(SEEDS, 1..=4, name, |seed| {
         for kind in ["mint", "poison", "cartel"] {
             let adversaries = [3usize, 9];
             let plan = match kind {
@@ -212,7 +205,7 @@ fn adversary_matrix_detects_every_attack_kind_across_seeds() {
                 &format!("{kind} seed {seed}"),
             );
         }
-    }
+    });
 }
 
 /// With the defense disabled the same cartel goes entirely unconvicted —
@@ -221,28 +214,33 @@ fn adversary_matrix_detects_every_attack_kind_across_seeds() {
 #[test]
 fn undefended_run_is_flagged_not_silently_passed() {
     const N: usize = 12;
-    let seed = 7;
-    let sink = Arc::new(RingSink::new(1 << 20));
-    let plan = AdversaryPlan::new(seed).cartel(&[2, 8], 1.2);
-    let config = ClusterConfig {
-        defense: None,
-        // An unconvicted cartel keeps dragging honest books, so the run
-        // may legitimately never converge — don't wait long for it.
-        max_wall: Duration::from_secs(5),
-        ..byz_config(seed, plan, &sink)
-    };
-    let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let report = run_channel_cluster(&Topology::complete(N), inst, &two_site_values(N), &config);
-    assert!(
-        report.convicted.is_empty(),
-        "nobody convicts without a defense"
-    );
-    let byz = ByzReport::from_events(&sink.events());
-    assert!(
-        !byz.clean(),
-        "an undefended adversarial run must not gate-pass"
-    );
-    assert_eq!(byz.detection_rate(), 0.0);
+    let name = "undefended_run_is_flagged_not_silently_passed";
+    sweep(SEEDS, 7..=7, name, |seed| {
+        let sink = Arc::new(RingSink::new(1 << 20));
+        let plan = AdversaryPlan::new(seed).cartel(&[2, 8], 1.2);
+        let config = ClusterConfig {
+            defense: None,
+            // An unconvicted cartel keeps dragging honest books, so the
+            // run may legitimately never converge — don't wait long for
+            // it.
+            max_wall: Duration::from_secs(5),
+            ..byz_config(seed, plan, &sink)
+        };
+        let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
+        let values = two_site_values(N);
+        let faults = FaultPlan::new(seed);
+        let report = run_sim_cluster(&Topology::complete(N), inst, &values, &faults, &config);
+        assert!(
+            report.convicted.is_empty(),
+            "nobody convicts without a defense"
+        );
+        let byz = ByzReport::from_events(&sink.events());
+        assert!(
+            !byz.clean(),
+            "an undefended adversarial run must not gate-pass"
+        );
+        assert_eq!(byz.detection_rate(), 0.0);
+    });
 }
 
 /// Determinism: the same adversary spec and seed produce identical

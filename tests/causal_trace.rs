@@ -3,36 +3,23 @@
 //! across crash–restart incarnation bumps) and every split→merge hop —
 //! under a chaos sweep of duplication, reordering, and crash–restart.
 //!
-//! Each scenario sweeps a seed matrix; set `DISTCLASS_CHAOS_SEEDS` to a
-//! comma-separated list to override the default eight seeds.
+//! Each scenario sweeps a seed matrix on the virtual-time driver
+//! (`run_sim_cluster`), so each seed replays exactly; set
+//! `DISTCLASS_CHAOS_SEEDS` to a comma-separated list to override the
+//! default eight seeds.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use common::{sweep, two_site_values};
 use distclass::core::CentroidInstance;
-use distclass::linalg::Vector;
 use distclass::net::{NodeId, Topology};
 use distclass::obs::{AnalyzeOptions, CausalReport, RingSink, TraceEvent, Tracer};
-use distclass::runtime::{run_chaos_channel_cluster, ClusterConfig, FaultPlan};
+use distclass::runtime::{run_sim_cluster, ClusterConfig, FaultPlan};
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("DISTCLASS_CHAOS_SEEDS") {
-        Ok(list) => list
-            .split(',')
-            .map(|s| s.trim().parse().expect("DISTCLASS_CHAOS_SEEDS: bad seed"))
-            .collect(),
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-fn two_site_values(n: usize) -> Vec<Vector> {
-    (0..n)
-        .map(|i| {
-            let x = if i % 2 == 0 { 0.0 } else { 10.0 };
-            Vector::from(vec![x, x])
-        })
-        .collect()
-}
+const SEEDS: &str = "DISTCLASS_CHAOS_SEEDS";
 
 /// Runs an 8-peer chaos cluster (duplication + reordering + one scripted
 /// crash–restart) with an in-memory trace, returning the captured events.
@@ -60,7 +47,7 @@ fn chaos_trace(seed: u64) -> Vec<TraceEvent> {
         ..ClusterConfig::default()
     };
     let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let report = run_chaos_channel_cluster(
+    let report = run_sim_cluster(
         &Topology::complete(N),
         inst,
         &two_site_values(N),
@@ -82,7 +69,8 @@ fn chaos_trace(seed: u64) -> Vec<TraceEvent> {
 /// predecessors ever emitted (no rewind).
 #[test]
 fn lamport_clocks_never_rewind_per_node_across_seeds() {
-    for seed in seeds() {
+    let name = "lamport_clocks_never_rewind_per_node_across_seeds";
+    sweep(SEEDS, 1..=8, name, |seed| {
         let events = chaos_trace(seed);
         let mut last: Vec<Option<(u64, u16)>> = vec![None; 8];
         let mut incarnations_seen = 0u32;
@@ -112,7 +100,7 @@ fn lamport_clocks_never_rewind_per_node_across_seeds() {
             incarnations_seen > 0,
             "seed {seed}: no incarnation boundary was observed in the trace"
         );
-    }
+    });
 }
 
 /// The cross-edge half of the invariant, checked by the offline analyzer:
@@ -121,7 +109,8 @@ fn lamport_clocks_never_rewind_per_node_across_seeds() {
 /// split, and grain provenance must reconcile exactly — on every seed.
 #[test]
 fn causal_report_is_clean_under_chaos_across_seeds() {
-    for seed in seeds() {
+    let name = "causal_report_is_clean_under_chaos_across_seeds";
+    sweep(SEEDS, 1..=8, name, |seed| {
         let events = chaos_trace(seed);
         let report = CausalReport::from_events(&events, &AnalyzeOptions::default());
         assert!(
@@ -146,7 +135,7 @@ fn causal_report_is_clean_under_chaos_across_seeds() {
             "seed {seed}: absurd clock skew {}",
             report.clock_skew
         );
-    }
+    });
 }
 
 /// A node id is untrusted input. One send to node 20,000 must not size

@@ -5,43 +5,27 @@
 //! must never eat a strike (its new incarnation voids the probe), and a
 //! cartel member must not hide behind the churn.
 //!
-//! Each scenario sweeps a seed matrix; set `DISTCLASS_CHAOS_BYZ_SEEDS`
-//! to a comma-separated list to override the default eight seeds.
+//! Each scenario sweeps a seed matrix on the virtual-time driver
+//! (`run_sim_cluster`), so each seed replays exactly; set
+//! `DISTCLASS_CHAOS_BYZ_SEEDS` to a comma-separated list to override the
+//! default eight seeds.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{sweep, two_site_values};
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::{NodeId, Topology};
 use distclass::obs::{ByzReport, RingSink, TraceEvent, Tracer};
 use distclass::runtime::{
-    run_chaos_channel_cluster, AdversaryPlan, ClusterConfig, ClusterReport, DefenseConfig,
-    FaultPlan, NodeOutcome,
+    run_sim_cluster, AdversaryPlan, ClusterConfig, ClusterReport, DefenseConfig, FaultPlan,
+    NodeOutcome,
 };
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("DISTCLASS_CHAOS_BYZ_SEEDS") {
-        Ok(list) => list
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse()
-                    .expect("DISTCLASS_CHAOS_BYZ_SEEDS: bad seed")
-            })
-            .collect(),
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-fn two_site_values(n: usize) -> Vec<Vector> {
-    (0..n)
-        .map(|i| {
-            let x = if i % 2 == 0 { 0.0 } else { 10.0 };
-            Vector::from(vec![x, x])
-        })
-        .collect()
-}
+const SEEDS: &str = "DISTCLASS_CHAOS_BYZ_SEEDS";
 
 /// Runs the cluster under both a fault schedule and an adversary plan,
 /// capturing the trace for offline replay.
@@ -66,7 +50,7 @@ fn run_traced(
         ..ClusterConfig::default()
     };
     let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let report = run_chaos_channel_cluster(
+    let report = run_sim_cluster(
         &Topology::complete(n),
         inst,
         &two_site_values(n),
@@ -148,7 +132,8 @@ fn assert_defended_through_chaos(
 fn crash_restart_during_cartel_attack_convicts_only_the_cartel() {
     const N: usize = 12;
     let adversaries = [4usize, 9];
-    for seed in seeds() {
+    let name = "crash_restart_during_cartel_attack_convicts_only_the_cartel";
+    sweep(SEEDS, 1..=8, name, |seed| {
         // A seed-dependent *honest* crash victim, so the sweep exercises
         // restarts of different auditors/audit targets.
         let honest: Vec<NodeId> = (0..N).filter(|i| !adversaries.contains(i)).collect();
@@ -168,7 +153,7 @@ fn crash_restart_during_cartel_attack_convicts_only_the_cartel() {
             "{label}: the victim was not respawned"
         );
         assert_defended_through_chaos(&report, &events, &adversaries, &label);
-    }
+    });
 }
 
 /// The cluster partitions in half with one cartel member on each side,
@@ -179,7 +164,8 @@ fn crash_restart_during_cartel_attack_convicts_only_the_cartel() {
 fn partition_with_a_liar_on_each_side_still_convicts_both() {
     const N: usize = 12;
     let adversaries = [4usize, 9];
-    for seed in seeds() {
+    let name = "partition_with_a_liar_on_each_side_still_convicts_both";
+    sweep(SEEDS, 1..=8, name, |seed| {
         let faults = FaultPlan::new(seed).partition(
             Duration::from_millis(100),
             Duration::from_millis(300),
@@ -195,7 +181,7 @@ fn partition_with_a_liar_on_each_side_still_convicts_both() {
             &adversaries,
             &format!("partition+cartel seed {seed}"),
         );
-    }
+    });
 }
 
 /// Duplication and reordering on top of the cartel: replayed corrupted
@@ -206,7 +192,8 @@ fn partition_with_a_liar_on_each_side_still_convicts_both() {
 fn dup_and_reorder_do_not_confuse_the_audit() {
     const N: usize = 12;
     let adversaries = [4usize, 9];
-    for seed in seeds() {
+    let name = "dup_and_reorder_do_not_confuse_the_audit";
+    sweep(SEEDS, 1..=8, name, |seed| {
         let faults = FaultPlan::new(seed).duplicate(0.10).reorder(0.15).delay(
             0.2,
             Duration::from_millis(1),
@@ -220,5 +207,5 @@ fn dup_and_reorder_do_not_confuse_the_audit() {
         assert_defended_through_chaos(&report, &events, &adversaries, &label);
         let dups = report.total_metrics().duplicates;
         assert!(dups > 0, "{label}: plan injected nothing");
-    }
+    });
 }

@@ -2,40 +2,28 @@
 //! partitions, crash–restart recovery, duplication and reordering, with
 //! the grain-conservation auditor checking the books after every run.
 //!
-//! Each scenario sweeps a seed matrix; set `DISTCLASS_CHAOS_SEEDS` to a
-//! comma-separated list (e.g. `DISTCLASS_CHAOS_SEEDS=3` in a CI matrix
-//! job) to override the default eight seeds.
+//! The seed sweeps run on the virtual-time driver (`run_sim_cluster`), so
+//! each seed replays exactly; set `DISTCLASS_CHAOS_SEEDS` to a
+//! comma-separated list (e.g. `DISTCLASS_CHAOS_SEEDS=3`) to override the
+//! default eight seeds. One crash-restart and one partition-heal run, and
+//! the panic capture, run on real threads over in-process channels.
+
+mod common;
 
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{sweep, two_site_values};
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::{NodeId, Topology};
 use distclass::runtime::{
-    run_chaos_channel_cluster, run_cluster, ChannelNet, ClusterConfig, ClusterReport, FaultPlan,
-    NodeOutcome, Transport,
+    run_cluster_with_faults, run_sim_cluster, ChannelNet, ClusterConfig, ClusterReport, FaultPlan,
+    NodeOutcome, PrebuiltNet, Transport,
 };
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("DISTCLASS_CHAOS_SEEDS") {
-        Ok(list) => list
-            .split(',')
-            .map(|s| s.trim().parse().expect("DISTCLASS_CHAOS_SEEDS: bad seed"))
-            .collect(),
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-fn two_site_values(n: usize) -> Vec<Vector> {
-    (0..n)
-        .map(|i| {
-            let x = if i % 2 == 0 { 0.0 } else { 10.0 };
-            Vector::from(vec![x, x])
-        })
-        .collect()
-}
+const SEEDS: &str = "DISTCLASS_CHAOS_SEEDS";
 
 fn config(seed: u64) -> ClusterConfig {
     ClusterConfig {
@@ -50,15 +38,25 @@ fn config(seed: u64) -> ClusterConfig {
     }
 }
 
+/// Runs an `n`-peer complete-graph cluster under `plan`.
+type Runner = fn(usize, &FaultPlan, &ClusterConfig) -> ClusterReport<Vector>;
+
 fn run(n: usize, plan: &FaultPlan, config: &ClusterConfig) -> ClusterReport<Vector> {
     let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    run_chaos_channel_cluster(
+    run_sim_cluster(
         &Topology::complete(n),
         inst,
         &two_site_values(n),
         plan,
         config,
     )
+}
+
+fn run_threaded(n: usize, plan: &FaultPlan, config: &ClusterConfig) -> ClusterReport<Vector> {
+    let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
+    let values = two_site_values(n);
+    let net = ChannelNet::new(n);
+    run_cluster_with_faults(&Topology::complete(n), inst, &values, net, plan, config)
 }
 
 fn assert_books_balance(report: &ClusterReport<Vector>, label: &str) {
@@ -73,22 +71,31 @@ fn assert_books_balance(report: &ClusterReport<Vector>, label: &str) {
 /// the live total equals the initial total exactly.
 #[test]
 fn partition_heal_conserves_grains_across_seeds() {
+    let name = "partition_heal_conserves_grains_across_seeds";
+    sweep(SEEDS, 1..=8, name, |seed| partition_heal(seed, run));
+}
+
+/// Scenario 1 once on real threads and channels.
+#[test]
+fn partition_heal_conserves_grains_over_threaded_channels() {
+    partition_heal(1, run_threaded);
+}
+
+fn partition_heal(seed: u64, run: Runner) {
     const N: usize = 8;
-    for seed in seeds() {
-        let plan = FaultPlan::new(seed).partition(
-            Duration::from_millis(100),
-            Duration::from_millis(300),
-            (0..N / 2).collect(),
-        );
-        let config = config(seed);
-        let report = run(N, &plan, &config);
-        assert_books_balance(&report, &format!("partition-heal seed {seed}"));
-        assert_eq!(
-            report.total_grains(),
-            N as u64 * config.quantum.grains_per_unit(),
-            "partition-heal seed {seed}: grains lost without any crash"
-        );
-    }
+    let plan = FaultPlan::new(seed).partition(
+        Duration::from_millis(100),
+        Duration::from_millis(300),
+        (0..N / 2).collect(),
+    );
+    let config = config(seed);
+    let report = run(N, &plan, &config);
+    assert_books_balance(&report, &format!("partition-heal seed {seed}"));
+    assert_eq!(
+        report.total_grains(),
+        N as u64 * config.quantum.grains_per_unit(),
+        "partition-heal seed {seed}: grains lost without any crash"
+    );
 }
 
 /// Scenario 2: two peers crash mid-run and are respawned from their
@@ -96,33 +103,42 @@ fn partition_heal_conserves_grains_across_seeds() {
 /// rollback gains/losses of each restart.
 #[test]
 fn crash_restart_recovers_and_balances_across_seeds() {
+    let name = "crash_restart_recovers_and_balances_across_seeds";
+    sweep(SEEDS, 1..=8, name, |seed| crash_restart(seed, run));
+}
+
+/// Scenario 2 once on real threads and channels.
+#[test]
+fn crash_restart_recovers_and_balances_over_threaded_channels() {
+    crash_restart(1, run_threaded);
+}
+
+fn crash_restart(seed: u64, run: Runner) {
     const N: usize = 8;
-    for seed in seeds() {
-        // Seed-dependent victims so the sweep exercises different nodes.
-        let a = (seed % N as u64) as NodeId;
-        let b = ((seed + 3) % N as u64) as NodeId;
-        let mut plan = FaultPlan::new(seed).crash_restart(
-            Duration::from_millis(150),
-            a,
-            Duration::from_millis(100),
-        );
-        if b != a {
-            plan = plan.crash_restart(Duration::from_millis(250), b, Duration::from_millis(100));
-        }
-        let report = run(N, &plan, &config(seed));
-        assert_books_balance(&report, &format!("crash-restart seed {seed}"));
-        assert_eq!(
-            report.nodes[a].restarts, 1,
-            "crash-restart seed {seed}: node {a} was not respawned"
-        );
-        assert!(
-            report
-                .nodes
-                .iter()
-                .all(|r| r.outcome == NodeOutcome::Completed),
-            "crash-restart seed {seed}: a node did not complete"
-        );
+    // Seed-dependent victims so the sweep exercises different nodes.
+    let a = (seed % N as u64) as NodeId;
+    let b = ((seed + 3) % N as u64) as NodeId;
+    let mut plan = FaultPlan::new(seed).crash_restart(
+        Duration::from_millis(150),
+        a,
+        Duration::from_millis(100),
+    );
+    if b != a {
+        plan = plan.crash_restart(Duration::from_millis(250), b, Duration::from_millis(100));
     }
+    let report = run(N, &plan, &config(seed));
+    assert_books_balance(&report, &format!("crash-restart seed {seed}"));
+    assert_eq!(
+        report.nodes[a].restarts, 1,
+        "crash-restart seed {seed}: node {a} was not respawned"
+    );
+    assert!(
+        report
+            .nodes
+            .iter()
+            .all(|r| r.outcome == NodeOutcome::Completed),
+        "crash-restart seed {seed}: a node did not complete"
+    );
 }
 
 /// Scenario 3: heavy duplication + reordering + random extra delay. The
@@ -131,7 +147,8 @@ fn crash_restart_recovers_and_balances_across_seeds() {
 #[test]
 fn dup_and_reorder_never_lose_or_mint_grains_across_seeds() {
     const N: usize = 8;
-    for seed in seeds() {
+    let name = "dup_and_reorder_never_lose_or_mint_grains_across_seeds";
+    sweep(SEEDS, 1..=8, name, |seed| {
         let plan = FaultPlan::new(seed).duplicate(0.10).reorder(0.15).delay(
             0.2,
             Duration::from_millis(1),
@@ -153,7 +170,7 @@ fn dup_and_reorder_never_lose_or_mint_grains_across_seeds() {
         );
         let dups = report.total_metrics().duplicates;
         assert!(dups > 0, "dup+reorder seed {seed}: plan injected nothing");
-    }
+    });
 }
 
 /// The acceptance scenario: a 16-peer cluster survives a scripted
@@ -162,7 +179,8 @@ fn dup_and_reorder_never_lose_or_mint_grains_across_seeds() {
 #[test]
 fn sixteen_peers_survive_partition_and_two_crash_restarts() {
     const N: usize = 16;
-    for seed in seeds() {
+    let name = "sixteen_peers_survive_partition_and_two_crash_restarts";
+    sweep(SEEDS, 1..=8, name, |seed| {
         let plan = FaultPlan::new(seed)
             .partition(
                 Duration::from_millis(150),
@@ -175,7 +193,7 @@ fn sixteen_peers_survive_partition_and_two_crash_restarts() {
         assert_books_balance(&report, &format!("flagship seed {seed}"));
         assert_eq!(report.nodes[3].restarts, 1, "flagship seed {seed}");
         assert_eq!(report.nodes[11].restarts, 1, "flagship seed {seed}");
-    }
+    });
 }
 
 /// A permanent crash takes its grains with it — and the audit *declares*
@@ -183,22 +201,25 @@ fn sixteen_peers_survive_partition_and_two_crash_restarts() {
 #[test]
 fn permanent_crash_is_a_declared_nonzero_loss() {
     const N: usize = 8;
-    let seed = 5;
-    let plan = FaultPlan::new(seed).crash(Duration::from_millis(200), 5);
-    let report = run(N, &plan, &config(seed));
-    let audit = report.audit.as_ref().expect("audit was requested");
-    assert_eq!(report.nodes[5].outcome, NodeOutcome::Dead);
-    assert!(audit.exact, "death receipts keep the accounting exact");
-    assert!(audit.conserved, "audit must balance:\n{audit}");
-    assert!(
-        audit.declared_losses > 0,
-        "a node died holding grains; the loss must be declared:\n{audit}"
-    );
-    assert_eq!(
-        audit.final_grains as i128,
-        audit.initial_grains as i128 + audit.declared_gains as i128 - audit.declared_losses as i128,
-        "conservation identity:\n{audit}"
-    );
+    let name = "permanent_crash_is_a_declared_nonzero_loss";
+    sweep(SEEDS, 5..=5, name, |seed| {
+        let plan = FaultPlan::new(seed).crash(Duration::from_millis(200), 5);
+        let report = run(N, &plan, &config(seed));
+        let audit = report.audit.as_ref().expect("audit was requested");
+        assert_eq!(report.nodes[5].outcome, NodeOutcome::Dead);
+        assert!(audit.exact, "death receipts keep the accounting exact");
+        assert!(audit.conserved, "audit must balance:\n{audit}");
+        assert!(
+            audit.declared_losses > 0,
+            "a node died holding grains; the loss must be declared:\n{audit}"
+        );
+        assert_eq!(
+            audit.final_grains as i128,
+            audit.initial_grains as i128 + audit.declared_gains as i128
+                - audit.declared_losses as i128,
+            "conservation identity:\n{audit}"
+        );
+    });
 }
 
 /// Determinism: the same spec and seed parse to byte-identical fault
@@ -258,11 +279,12 @@ fn peer_panic_is_captured_as_a_per_node_error() {
         seed: 9,
         ..ClusterConfig::default()
     };
-    let report = run_cluster(
+    let report = run_cluster_with_faults(
         &Topology::complete(N),
         inst,
         &two_site_values(N),
-        transports,
+        PrebuiltNet::new(transports),
+        &FaultPlan::new(config.seed),
         &config,
     );
     let victim = &report.nodes[2];

@@ -14,39 +14,27 @@
 //!    drift, joins and retirement handoffs
 //!    (`final = initial + gains + injected − losses − forgotten`).
 //!
-//! Each scenario sweeps a seed matrix; set `DISTCLASS_DYN_SEEDS` to a
-//! comma-separated list to override the default eight seeds.
+//! Each scenario sweeps a seed matrix on the virtual-time driver
+//! (`run_sim_cluster`), so each seed replays exactly; set
+//! `DISTCLASS_DYN_SEEDS` to a comma-separated list to override the
+//! default eight seeds.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{sweep, two_site_values};
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::Topology;
 use distclass::obs::{DynOptions, DynReport, RingSink, Tracer};
 use distclass::runtime::{
-    run_channel_cluster, run_chaos_channel_cluster, AdversaryPlan, ChurnPlan, ClusterConfig,
-    ClusterReport, DefenseConfig, DriftSchedule, FaultPlan, NodeOutcome,
+    run_sim_cluster, AdversaryPlan, ChurnPlan, ClusterConfig, ClusterReport, DefenseConfig,
+    DriftSchedule, FaultPlan, NodeOutcome,
 };
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("DISTCLASS_DYN_SEEDS") {
-        Ok(list) => list
-            .split(',')
-            .map(|s| s.trim().parse().expect("DISTCLASS_DYN_SEEDS: bad seed"))
-            .collect(),
-        Err(_) => (1..=8).collect(),
-    }
-}
-
-fn two_site_values(n: usize) -> Vec<Vector> {
-    (0..n)
-        .map(|i| {
-            let x = if i % 2 == 0 { 0.0 } else { 10.0 };
-            Vector::from(vec![x, x])
-        })
-        .collect()
-}
+const SEEDS: &str = "DISTCLASS_DYN_SEEDS";
 
 /// Grain-weighted mean of the first coordinate across every completed
 /// node's final classification — the crudest possible summary of where
@@ -110,7 +98,8 @@ fn assert_centroid_agreement(report: &ClusterReport<Vector>, tol: f64, label: &s
 /// `dyn-report` replay must come back clean.
 #[test]
 fn drift_and_churn_reconverge_and_balance_exactly() {
-    for seed in seeds() {
+    let name = "drift_and_churn_reconverge_and_balance_exactly";
+    sweep(SEEDS, 1..=8, name, |seed| {
         let n = 8;
         let label = format!("seed {seed}");
         let drift = DriftSchedule::parse("step@300ms:0-3=9.0,9.0", seed).expect("drift spec");
@@ -131,8 +120,9 @@ fn drift_and_churn_reconverge_and_balance_exactly() {
             ..ClusterConfig::default()
         };
         let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-        let report =
-            run_channel_cluster(&Topology::complete(n), inst, &two_site_values(n), &config);
+        let values = two_site_values(n);
+        let faults = FaultPlan::new(seed);
+        let report = run_sim_cluster(&Topology::complete(n), inst, &values, &faults, &config);
 
         assert!(report.converged, "{label}: cluster did not re-converge");
         assert!(report.drained, "{label}: cluster did not drain");
@@ -210,7 +200,7 @@ fn drift_and_churn_reconverge_and_balance_exactly() {
         );
         assert_eq!(dyn_report.joins.len(), 1, "{label}");
         assert_eq!(dyn_report.retirements.len(), 1, "{label}");
-    }
+    });
 }
 
 /// Drift, a partition and a colluding cartel in one run: the defense
@@ -219,7 +209,8 @@ fn drift_and_churn_reconverge_and_balance_exactly() {
 /// majority re-converges on agreeing centroids and the books balance.
 #[test]
 fn drift_partition_cartel_zero_false_convictions() {
-    for seed in seeds() {
+    let name = "drift_partition_cartel_zero_false_convictions";
+    sweep(SEEDS, 1..=8, name, |seed| {
         let n = 14;
         let cast = [4usize, 11];
         let label = format!("seed {seed}");
@@ -246,7 +237,7 @@ fn drift_partition_cartel_zero_false_convictions() {
             ..ClusterConfig::default()
         };
         let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-        let report = run_chaos_channel_cluster(
+        let report = run_sim_cluster(
             &Topology::complete(n),
             inst,
             &two_site_values(n),
@@ -282,7 +273,7 @@ fn drift_partition_cartel_zero_false_convictions() {
             "{label}: dyn-report anomalies: {:?}",
             dyn_report.anomalies
         );
-    }
+    });
 }
 
 /// End-to-end CLI contract: a dynamic run traced through the binary

@@ -13,7 +13,7 @@ use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::Topology;
 use distclass::obs::{EpisodeRule, Json, Live, LiveAggregator, LiveConsole, Profiler, Tracer};
-use distclass::runtime::{run_chaos_channel_cluster, ClusterConfig, FaultPlan};
+use distclass::runtime::{run_cluster_with_faults, ChannelNet, ClusterConfig, FaultPlan};
 
 fn two_site_values(n: usize) -> Vec<Vector> {
     (0..n)
@@ -61,10 +61,11 @@ fn snapshot_reconciles_exactly_with_the_final_audit() {
     let plan =
         FaultPlan::new(5).crash_restart(Duration::from_millis(120), 1, Duration::from_millis(150));
     let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let report = run_chaos_channel_cluster(
+    let report = run_cluster_with_faults(
         &Topology::complete(N),
         inst,
         &two_site_values(N),
+        ChannelNet::new(N),
         &plan,
         &config,
     );
@@ -178,10 +179,11 @@ fn dash_listen_serves_the_console_during_a_run() {
     };
     let runner = thread::spawn(move || {
         let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-        run_chaos_channel_cluster(
+        run_cluster_with_faults(
             &Topology::complete(N),
             inst,
             &two_site_values(N),
+            ChannelNet::new(N),
             &FaultPlan::new(7),
             &config,
         )

@@ -19,7 +19,9 @@ use distclass::net::Topology;
 use distclass::obs::{
     MetricValue, Metrics, MetricsRegistry, Phase, ProfileReport, Profiler, ProfilerCore,
 };
-use distclass::runtime::{run_chaos_channel_cluster, ClusterConfig, ClusterReport, FaultPlan};
+use distclass::runtime::{
+    run_cluster_with_faults, ChannelNet, ClusterConfig, ClusterReport, FaultPlan,
+};
 
 fn seeds() -> Vec<u64> {
     match std::env::var("DISTCLASS_CHAOS_SEEDS") {
@@ -78,10 +80,11 @@ fn profiled_run(
             Duration::from_millis(100),
         );
     let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let report = run_chaos_channel_cluster(
+    let report = run_cluster_with_faults(
         &Topology::complete(N),
         inst,
         &two_site_values(N),
+        ChannelNet::new(N),
         &plan,
         &config,
     );

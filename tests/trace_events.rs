@@ -12,7 +12,7 @@ use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
 use distclass::obs::{GrainOp, RingSink, TraceEvent, Tracer};
-use distclass::runtime::{run_chaos_channel_cluster, ClusterConfig, FaultPlan};
+use distclass::runtime::{run_cluster_with_faults, ChannelNet, ClusterConfig, FaultPlan};
 
 fn two_site_values(n: usize) -> Vec<Vector> {
     (0..n)
@@ -159,10 +159,11 @@ fn ring_sink_trace_reconciles_with_audit() {
         ..ClusterConfig::default()
     };
     let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let report = run_chaos_channel_cluster(
+    let report = run_cluster_with_faults(
         &Topology::complete(N),
         inst,
         &two_site_values(N),
+        ChannelNet::new(N),
         &crash_restart_plan(7),
         &config,
     );

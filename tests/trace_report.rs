@@ -11,7 +11,7 @@ use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
 use distclass::obs::{prom, AnalyzeOptions, Json, RingSink, TraceReport, Tracer};
-use distclass::runtime::{run_chaos_channel_cluster, ClusterConfig, FaultPlan};
+use distclass::runtime::{run_cluster_with_faults, ChannelNet, ClusterConfig, FaultPlan};
 
 fn two_site_values(n: usize) -> Vec<Vector> {
     (0..n)
@@ -43,10 +43,11 @@ fn trace_report_agrees_with_audit_on_chaos_run() {
         .crash_restart(Duration::from_millis(300), 2, Duration::from_millis(200))
         .crash_restart(Duration::from_millis(500), 5, Duration::from_millis(250));
     let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let live = run_chaos_channel_cluster(
+    let live = run_cluster_with_faults(
         &Topology::complete(N),
         inst,
         &two_site_values(N),
+        ChannelNet::new(N),
         &plan,
         &config,
     );
