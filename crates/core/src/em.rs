@@ -20,6 +20,7 @@ use distclass_linalg::{
     back_substitute, cholesky_factor, forward_substitute, LinalgError, Matrix, Vector,
 };
 
+use crate::collection::Collection;
 use crate::error::CoreError;
 use crate::gaussian::GaussianSummary;
 
@@ -96,6 +97,38 @@ pub struct EmOutcome {
     pub iterations: usize,
 }
 
+/// A weighted Gaussian as [`reduce`] reads it: a summary and its weight.
+///
+/// Implemented for `(summary, weight)` pairs and for a classification's
+/// collections, weighted by their grains, so a caller hands over what it
+/// holds and `reduce` copies each input once, straight into its kernel.
+pub trait WeightedGaussian {
+    /// The Gaussian summary.
+    fn summary(&self) -> &GaussianSummary;
+    /// The weight.
+    fn weight(&self) -> f64;
+}
+
+impl WeightedGaussian for (GaussianSummary, f64) {
+    fn summary(&self) -> &GaussianSummary {
+        &self.0
+    }
+
+    fn weight(&self) -> f64 {
+        self.1
+    }
+}
+
+impl WeightedGaussian for Collection<GaussianSummary> {
+    fn summary(&self) -> &GaussianSummary {
+        &self.summary
+    }
+
+    fn weight(&self) -> f64 {
+        self.weight.grains() as f64
+    }
+}
+
 /// Reduces `components` (summary, positive weight) to at most `k` groups.
 ///
 /// Deterministic: seeding picks the heaviest component first, then
@@ -105,8 +138,9 @@ pub struct EmOutcome {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidParameter`] on an invalid configuration, an
-/// empty input or non-positive weights, [`CoreError::InvalidK`] for
-/// `k == 0`, and [`CoreError::EmFailed`] if covariance factorization fails
+/// empty input, non-positive weights or components of different
+/// dimensions, [`CoreError::InvalidK`] for `k == 0`, and
+/// [`CoreError::EmFailed`] if covariance factorization fails
 /// irrecoverably.
 ///
 /// # Example
@@ -123,8 +157,8 @@ pub struct EmOutcome {
 /// assert_eq!(out.groups.len(), 2);
 /// # Ok::<(), distclass_core::CoreError>(())
 /// ```
-pub fn reduce(
-    components: &[(GaussianSummary, f64)],
+pub fn reduce<C: WeightedGaussian>(
+    components: &[C],
     k: usize,
     cfg: &EmConfig,
 ) -> Result<EmOutcome, CoreError> {
@@ -132,45 +166,50 @@ pub fn reduce(
     if k == 0 {
         return Err(CoreError::InvalidK { k });
     }
-    if components.is_empty() {
+    let Some(first) = components.first() else {
         return Err(CoreError::InvalidParameter {
             name: "components",
             constraint: "at least one component",
         });
-    }
-    if components.iter().any(|(_, w)| !(*w > 0.0 && w.is_finite())) {
+    };
+    if components
+        .iter()
+        .any(|c| !(c.weight() > 0.0 && c.weight().is_finite()))
+    {
         return Err(CoreError::InvalidParameter {
             name: "components",
             constraint: "all weights positive and finite",
         });
     }
+    let d = first.summary().dim();
+    if components.iter().any(|c| {
+        let s = c.summary();
+        s.mean.dim() != d || s.cov.rows() != d || s.cov.cols() != d
+    }) {
+        return Err(CoreError::InvalidParameter {
+            name: "components",
+            constraint: "all components of one dimension",
+        });
+    }
 
     let l = components.len();
-    let total_weight: f64 = components.iter().map(|(_, w)| w).sum();
+    let total_weight: f64 = components.iter().map(C::weight).sum();
     if l <= k {
         return Ok(EmOutcome {
             groups: (0..l).map(|i| vec![i]).collect(),
             model: components
                 .iter()
-                .map(|(s, w)| (s.clone(), w / total_weight))
+                .map(|c| (c.summary().clone(), c.weight() / total_weight))
                 .collect(),
             iterations: 0,
         });
     }
 
-    let mut em = Kernel::new(components, k, total_weight, cfg.reg)?;
-    em.seed();
-    em.e_step()?;
-    let mut iterations = 0;
-    for _ in 0..cfg.max_iters {
-        iterations += 1;
-        let shift = em.m_step();
-        em.e_step()?;
-        if shift < cfg.tol {
-            break;
-        }
+    // The paper's Fig. 2 readings are planar: there the compiler sees `d`.
+    match d {
+        2 => Kernel::new(components, Fixed::<2>, k, total_weight, cfg.reg).run(cfg),
+        _ => Kernel::new(components, Dynamic(d), k, total_weight, cfg.reg).run(cfg),
     }
-    Ok(em.outcome(iterations))
 }
 
 /// Fits a `k`-component Gaussian Mixture to weighted *points* — classic
@@ -203,6 +242,35 @@ pub fn fit_points(
 /// Model-covariance factorizations retried with growing jitter.
 const JITTER_TRIES: usize = 40;
 
+/// The dimension `d` of the value space, as the kernel reads it:
+/// [`Fixed`] when the compiler knows it, [`Dynamic`] when only the input
+/// does. The kernel is one source over `Dim`. At a fixed dimension the
+/// compiler unrolls its `d`-loops and drops their bounds checks; the
+/// float operations and their order are the same at both.
+trait Dim: Copy {
+    fn get(self) -> usize;
+}
+
+/// A dimension known at compile time.
+#[derive(Clone, Copy)]
+struct Fixed<const D: usize>;
+
+impl<const D: usize> Dim for Fixed<D> {
+    fn get(self) -> usize {
+        D
+    }
+}
+
+/// A dimension known only at run time.
+#[derive(Clone, Copy)]
+struct Dynamic(usize);
+
+impl Dim for Dynamic {
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
 /// The working state of one [`reduce`] call: the inputs, the current and
 /// next model, each model component's factorization and the
 /// responsibilities, all in flat row-major `f64` buffers sized once on
@@ -214,8 +282,8 @@ const JITTER_TRIES: usize = 40;
 /// bit for bit. Sums start from `-0.0`, as `Iterator::sum` does: it is
 /// the additive identity of every `f64`, so a sum's first term is
 /// bitwise the term itself.
-struct Kernel {
-    d: usize,
+struct Kernel<D> {
+    dim: D,
     l: usize,
     k: usize,
     /// The inputs' total weight and the covariance regularization.
@@ -245,38 +313,33 @@ struct Kernel {
     iso: f64,
 }
 
-impl Kernel {
-    /// Copies the inputs in.
-    fn new(
-        components: &[(GaussianSummary, f64)],
+impl<D: Dim> Kernel<D> {
+    /// Copies the inputs in; [`reduce`] has checked that each has
+    /// dimension `dim`.
+    fn new<C: WeightedGaussian>(
+        components: &[C],
+        dim: D,
         k: usize,
         total_weight: f64,
         reg: f64,
-    ) -> Result<Self, CoreError> {
-        let d = components[0].0.dim();
-        let l = components.len();
+    ) -> Self {
+        let (d, l) = (dim.get(), components.len());
         let (dd, zeros) = (d * d, |n: usize| vec![0.0; n]);
         let mut means = Vec::with_capacity(l * d);
         let mut covs = Vec::with_capacity(l * dd);
-        for (s, _) in components {
-            if s.mean.dim() != d || s.cov.rows() != d || s.cov.cols() != d {
-                return Err(CoreError::InvalidParameter {
-                    name: "components",
-                    constraint: "all components of one dimension",
-                });
-            }
-            means.extend_from_slice(s.mean.as_slice());
-            covs.extend_from_slice(s.cov.as_slice());
+        for c in components {
+            means.extend_from_slice(c.summary().mean.as_slice());
+            covs.extend_from_slice(c.summary().cov.as_slice());
         }
-        Ok(Kernel {
-            d,
+        Kernel {
+            dim,
             l,
             k,
             total_weight,
             reg,
             means,
             covs,
-            weights: components.iter().map(|(_, w)| *w).collect(),
+            weights: components.iter().map(C::weight).collect(),
             model: Model::zeros(k, d),
             next: Model::zeros(k, d),
             chol: zeros(k * dd),
@@ -287,7 +350,24 @@ impl Kernel {
             work: zeros(dd),
             vec: zeros(d),
             iso: 0.0,
-        })
+        }
+    }
+
+    /// Seeds, then alternates M- and E-steps until no model mean moves by
+    /// `cfg.tol` or `cfg.max_iters` M-steps have run, and hard-assigns.
+    fn run(mut self, cfg: &EmConfig) -> Result<EmOutcome, CoreError> {
+        self.seed();
+        self.e_step()?;
+        let mut iterations = 0;
+        for _ in 0..cfg.max_iters {
+            iterations += 1;
+            let shift = self.m_step();
+            self.e_step()?;
+            if shift < cfg.tol {
+                break;
+            }
+        }
+        Ok(self.outcome(iterations))
     }
 
     /// Seeds the model: the heaviest input first (the last on ties), then
@@ -301,7 +381,7 @@ impl Kernel {
     /// metric (observed on diagonally correlated inputs), so only the
     /// average variance is used.
     fn seed(&mut self) {
-        let (d, l, k) = (self.d, self.l, self.k);
+        let (d, l, k) = (self.dim.get(), self.l, self.k);
         let dd = d * d;
         // The diagonal of the moment merge of every input.
         let s = 1.0 / self.total_weight;
@@ -356,24 +436,25 @@ impl Kernel {
     /// [`CoreError::EmFailed`] when a model covariance cannot be
     /// factorized.
     fn e_step(&mut self) -> Result<(), CoreError> {
-        let (d, l, k) = (self.d, self.l, self.k);
+        let (d, l, k) = (self.dim.get(), self.l, self.k);
         let dd = d * d;
+        let vec = &mut self.vec[..d];
         for j in 0..k {
             let chol = at_mut(&mut self.chol, j, dd);
             let cov = at(&self.model.covs, j, dd);
-            factor_regularized(cov, self.reg, &mut self.work, chol, d).map_err(|e| {
+            factor_regularized(cov, self.reg, &mut self.work[..dd], chol, d).map_err(|e| {
                 CoreError::EmFailed {
                     reason: format!("model covariance factorization failed: {e}"),
                 }
             })?;
             let inv = at_mut(&mut self.inv, j, dd);
             for c in 0..d {
-                self.vec.fill(0.0);
-                self.vec[c] = 1.0;
-                forward_substitute(chol, &mut self.vec);
-                back_substitute(chol, &mut self.vec);
+                vec.fill(0.0);
+                vec[c] = 1.0;
+                forward_substitute(chol, vec);
+                back_substitute(chol, vec);
                 for a in 0..d {
-                    inv[a * d + c] = self.vec[a];
+                    inv[a * d + c] = vec[a];
                 }
             }
             let log_det = (0..d).map(|a| chol[a * d + a].ln()).sum::<f64>() * 2.0;
@@ -387,16 +468,11 @@ impl Kernel {
             for (j, score) in row.iter_mut().enumerate() {
                 // E[log N(x; μⱼ, Σⱼ)] for x ~ N(μᵢ, Σᵢ): the Mahalanobis
                 // term of μᵢ, then tr(Σⱼ⁻¹ Σᵢ).
-                for ((v, x), mu) in self
-                    .vec
-                    .iter_mut()
-                    .zip(mean)
-                    .zip(at(&self.model.means, j, d))
-                {
+                for ((v, x), mu) in vec.iter_mut().zip(mean).zip(at(&self.model.means, j, d)) {
                     *v = x - mu;
                 }
-                forward_substitute(at(&self.chol, j, dd), &mut self.vec);
-                let maha: f64 = self.vec.iter().map(|y| y * y).sum();
+                forward_substitute(at(&self.chol, j, dd), vec);
+                let maha: f64 = vec.iter().map(|y| y * y).sum();
                 let inv = at(&self.inv, j, dd);
                 let mut trace = 0.0;
                 for a in 0..d {
@@ -428,14 +504,32 @@ impl Kernel {
     /// explains worst (the lowest maximum responsibility, the first on
     /// ties). Returns how far the farthest model mean moved.
     fn m_step(&mut self) -> f64 {
-        let (d, l, k, total_weight) = (self.d, self.l, self.k, self.total_weight);
+        let (d, l, k, total_weight) = (self.dim.get(), self.l, self.k, self.total_weight);
         let dd = d * d;
         let resp = &self.resp;
         let mut worst = None;
         for j in 0..k {
-            let parts = || (0..l).filter(move |&i| resp[i * k + j] > 1e-12);
-            let wj: f64 = parts().map(|i| self.weights[i] * resp[i * k + j]).sum();
-            if parts().next().is_none() || wj < 1e-9 * total_weight {
+            // The moment merge of the parts, the inputs with `rᵢⱼ > 1e-12`:
+            // running sums of w·μ and w·(Σ + μμᵀ), scaled by 1/w, less
+            // μμᵀ, symmetrized.
+            let mean = at_mut(&mut self.next.means, j, d);
+            let cov = at_mut(&mut self.next.covs, j, dd);
+            mean.fill(-0.0);
+            cov.fill(-0.0);
+            let (mut wj, mut empty) = (-0.0, true);
+            for i in (0..l).filter(|&i| resp[i * k + j] > 1e-12) {
+                let w = self.weights[i] * resp[i * k + j];
+                let (mi, ci) = (at(&self.means, i, d), at(&self.covs, i, dd));
+                for a in 0..d {
+                    mean[a] += w * mi[a];
+                    for b in 0..d {
+                        cov[a * d + b] += w * (ci[a * d + b] + mi[a] * mi[b]);
+                    }
+                }
+                wj += w;
+                empty = false;
+            }
+            if empty || wj < 1e-9 * total_weight {
                 let worst = *worst.get_or_insert_with(|| {
                     let best = |i| at(resp, i, k).iter().cloned().fold(0.0, f64::max);
                     (0..l)
@@ -446,22 +540,6 @@ impl Kernel {
                 let (widen, pi) = (self.iso + self.reg, 1.0 / total_weight.max(1.0));
                 self.next.place(j, mean, cov, widen, pi);
                 continue;
-            }
-            // The moment merge of the parts: running sums of w·μ and
-            // w·(Σ + μμᵀ), scaled by 1/w, less μμᵀ, symmetrized.
-            let mean = at_mut(&mut self.next.means, j, d);
-            let cov = at_mut(&mut self.next.covs, j, dd);
-            mean.fill(-0.0);
-            cov.fill(-0.0);
-            for i in parts() {
-                let w = self.weights[i] * resp[i * k + j];
-                let (mi, ci) = (at(&self.means, i, d), at(&self.covs, i, dd));
-                for a in 0..d {
-                    mean[a] += w * mi[a];
-                    for b in 0..d {
-                        cov[a * d + b] += w * (ci[a * d + b] + mi[a] * mi[b]);
-                    }
-                }
             }
             let s = 1.0 / wj;
             mean.iter_mut().for_each(|m| *m *= s);
@@ -490,7 +568,7 @@ impl Kernel {
     /// Hard-assigns each input to its most responsible component (the
     /// first on ties) and hands the model out.
     fn outcome(self, iterations: usize) -> EmOutcome {
-        let (d, l, k) = (self.d, self.l, self.k);
+        let (d, l, k) = (self.dim.get(), self.l, self.k);
         let owner: Vec<usize> = (0..l)
             .map(|i| {
                 let row = at(&self.resp, i, k);
@@ -690,7 +768,7 @@ mod tests {
     #[test]
     fn reduce_rejects_bad_input() {
         assert!(matches!(
-            reduce(&[], 2, &EmConfig::default()),
+            reduce::<(GaussianSummary, f64)>(&[], 2, &EmConfig::default()),
             Err(CoreError::InvalidParameter { .. })
         ));
         assert!(matches!(
@@ -709,11 +787,17 @@ mod tests {
         let comps = vec![point(0.0, 0.0), point(1.0, 1.0), point(5.0, 5.0)];
         let mut mixed = comps.clone();
         mixed[1].0 = GaussianSummary::from_point(&Vector::from([1.0]));
-        assert!(matches!(
-            reduce(&mixed, 2, &EmConfig::default()),
-            Err(CoreError::InvalidParameter { .. })
-        ));
-        assert!(reduce(&comps, 2, &EmConfig::default()).is_ok());
+        // Checked before any work: with l > k and with l ≤ k alike.
+        for k in [1, 2, 3, 4] {
+            assert!(matches!(
+                reduce(&mixed, k, &EmConfig::default()),
+                Err(CoreError::InvalidParameter {
+                    constraint: "all components of one dimension",
+                    ..
+                })
+            ));
+            assert!(reduce(&comps, k, &EmConfig::default()).is_ok());
+        }
     }
 
     #[test]

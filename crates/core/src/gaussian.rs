@@ -266,11 +266,7 @@ impl Instance for GmInstance {
         if self.strategy == PartitionStrategy::Greedy {
             return greedy_partition(self, big);
         }
-        let components: Vec<(GaussianSummary, f64)> = big
-            .iter()
-            .map(|c| (c.summary.clone(), c.weight.grains() as f64))
-            .collect();
-        match em::reduce(&components, self.k, &self.em) {
+        match em::reduce(big.collections(), self.k, &self.em) {
             Ok(outcome) => {
                 let mut groups = outcome.groups;
                 merge_quantum_singletons(self, big, &mut groups);
@@ -408,12 +404,8 @@ mod tests {
                     Collection::new(s, Weight::from_grains(8))
                 })
                 .collect();
-            let comps: Vec<(GaussianSummary, f64)> = big
-                .iter()
-                .map(|c| (c.summary.clone(), c.weight.grains() as f64))
-                .collect();
             assert!(matches!(
-                em::reduce(&comps, 2, inst.em_config()),
+                em::reduce(big.collections(), 2, inst.em_config()),
                 Err(CoreError::EmFailed { .. })
             ));
             let groups = inst.partition(&big);

@@ -14,7 +14,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use distclass::core::em::{self, EmConfig};
-use distclass::core::{CentroidInstance, GaussianSummary, GmInstance};
+use distclass::core::{CentroidInstance, Classification, GaussianSummary, GmInstance, Instance};
 use distclass::experiments::data::{figure2_components, sample_mixture};
 use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
@@ -157,10 +157,10 @@ fn fixed_seed_run_is_identical_with_profiler_on_and_off() {
     assert_eq!(off.3, on.3, "per-node classifications must match");
 }
 
-/// A 14-component Fig. 2 input, as a k = 7 merge hands it to EM: the
-/// union of two nodes' classifications a few rounds into a GM run on
-/// Fig. 2 readings, each collection weighted by its grains.
-fn fig2_fourteen_components() -> Vec<(GaussianSummary, f64)> {
+/// The union of `nodes` nodes' full (k = 7) classifications a few rounds
+/// into a GM run on Fig. 2 readings: what a merge hands to
+/// `GmInstance::partition`.
+fn fig2_union(nodes: usize) -> Classification<GaussianSummary> {
     let n = 60;
     let (values, _labels) = sample_mixture(n, &figure2_components(), 2);
     let inst = Arc::new(GmInstance::new(7).expect("k > 0"));
@@ -174,9 +174,8 @@ fn fig2_fourteen_components() -> Vec<(GaussianSummary, f64)> {
     sim.live_classifications()
         .into_iter()
         .filter(|c| c.len() == 7)
-        .take(2)
-        .flat_map(|c| c.iter())
-        .map(|col| (col.summary.clone(), col.weight.grains() as f64))
+        .take(nodes)
+        .flat_map(|c| c.iter().cloned())
         .collect()
 }
 
@@ -185,7 +184,7 @@ fn fig2_fourteen_components() -> Vec<(GaussianSummary, f64)> {
 /// (the per-call copies in and the outcome out).
 #[test]
 fn em_reduce_allocations_do_not_grow_with_iterations() {
-    let comps = fig2_fourteen_components();
+    let comps = fig2_union(2);
     assert_eq!(comps.len(), 14);
     let run = |max_iters: usize| {
         let cfg = EmConfig {
@@ -195,7 +194,7 @@ fn em_reduce_allocations_do_not_grow_with_iterations() {
         };
         let mut groups = 0;
         let n = allocations(|| {
-            let out = em::reduce(&comps, 7, &cfg).expect("valid input");
+            let out = em::reduce(comps.collections(), 7, &cfg).expect("valid input");
             assert_eq!(out.iterations, max_iters, "tol must never be met");
             groups = out.groups.len();
         });
@@ -206,6 +205,28 @@ fn em_reduce_allocations_do_not_grow_with_iterations() {
     // comparison needs the same group count on both sides.
     assert_eq!(one.1, five.1, "group counts differ");
     assert_eq!(one.0, five.0, "allocations grew with iterations");
+}
+
+/// `GmInstance::partition` hands its collections to EM in place: its
+/// allocations (EM's buffers, sized once, and the groups out) do not grow
+/// with the number of collections it reduces.
+#[test]
+fn gm_partition_allocations_do_not_grow_with_collections() {
+    let inst = GmInstance::new(7).expect("k > 0");
+    let run = |big: &Classification<GaussianSummary>| {
+        let mut groups = 0;
+        let n = allocations(|| groups = inst.partition(big).len());
+        (n, groups)
+    };
+    let (two, three) = (fig2_union(2), fig2_union(3));
+    assert_eq!((two.len(), three.len()), (14, 21));
+    let (fourteen, twenty_one) = (run(&two), run(&three));
+    // Each non-empty group is one allocation, as above.
+    assert_eq!(fourteen.1, twenty_one.1, "group counts differ");
+    assert_eq!(
+        fourteen.0, twenty_one.0,
+        "allocations grew with the collections"
+    );
 }
 
 #[test]
