@@ -189,7 +189,7 @@ const BYZ_OVERHEAD_BOUND: f64 = 0.03;
 /// `(bytes_off, bytes_on, audit_bytes, overhead)` where bytes count
 /// both directions summed over lineages and
 /// `overhead = audit / (bytes_on − audit)` — audit bytes per useful
-/// byte, the number `byz-report` prints for real runs.
+/// byte, the number `report`'s byz section prints for real runs.
 fn byz_audit_overhead() -> (u64, u64, u64, f64) {
     let n = 12;
     let values = bimodal_values(n);

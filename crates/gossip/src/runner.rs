@@ -231,8 +231,8 @@ impl<I: Instance> RoundSim<I> {
     /// Causal stamps (per-node Lamport clocks and `(origin, seq)` span
     /// ids on sends/deliveries) are emitted by the network engines
     /// themselves, not the runner — this runner only adds the per-round
-    /// telemetry on top, so `causal-report` works on any trace produced
-    /// through here without runner involvement.
+    /// telemetry on top, so the causal report works on any trace
+    /// produced through here without runner involvement.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.engine = self.engine.with_tracer(tracer.clone());
         self.tracer = tracer;

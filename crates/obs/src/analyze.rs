@@ -2,8 +2,8 @@
 //! structured report.
 //!
 //! [`TraceReport::from_events`] consumes a stream of [`TraceEvent`]s (in
-//! file order) and derives everything the `trace-report` CLI subcommand
-//! prints:
+//! file order) and derives everything the trace section of the `report`
+//! CLI subcommand prints:
 //!
 //! * **per-link latency** — `MessageSent`/`MessageDelivered` pairs are
 //!   matched FIFO per `(from, to)` link; the difference of their `at`

@@ -2,8 +2,8 @@
 //! [`ByzReport`].
 //!
 //! [`ByzReport::from_events`] consumes a stream of [`TraceEvent`]s (in
-//! file order) and derives everything the `byz-report` CLI subcommand
-//! prints:
+//! file order) and derives everything the byz section of the `report`
+//! CLI subcommand prints:
 //!
 //! * **the cast** — `adversary_activated` events name the scripted
 //!   liars and their roles; everyone else in `cluster_started`'s head

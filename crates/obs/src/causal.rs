@@ -30,9 +30,9 @@
 //!   attribution;
 //! * **grain provenance** — for every node, which origin nodes' grains it
 //!   absorbed, reconciled *exactly* (i128 arithmetic, zero drift
-//!   tolerated) against the auditor's ledgers: checkpoint-delimited delta
-//!   segments are matched against `GrainsVoided` rollbacks so only
-//!   durable movements count;
+//!   tolerated) against the auditor's ledgers: checkpoint-delimited
+//!   segments of grain deltas and sensor re-reads are matched against
+//!   `GrainsVoided` rollbacks so only durable movements count;
 //! * **influence matrix** — for every ordered pair `(i, j)`, whether
 //!   node `i`'s initial state causally reached node `j`, and the earliest
 //!   round marker (Lamport clock for unmarked traces) where it did;
@@ -184,7 +184,10 @@ pub struct NodeProvenance {
     pub split: u128,
     /// Durable grains returned after abandoned retransmissions.
     pub returned: u128,
-    /// `initial + Σ absorbed + returned − split` in i128 (cannot wrap).
+    /// Durable net sensor-drift movement: Σ (injected − forgotten).
+    pub dynamic: i128,
+    /// `initial + Σ absorbed + returned − split + dynamic` in i128
+    /// (cannot wrap).
     pub expected: i128,
     /// Grains held at shutdown, when a `peer_final` was recorded.
     pub final_grains: Option<u64>,
@@ -369,13 +372,16 @@ impl CausalAnomaly {
     }
 }
 
-/// One checkpoint-delimited run of grain deltas on a `(node, incarnation)`
-/// — the unit the supervisor voids when a batch was not durable.
+/// One checkpoint-delimited run of grain deltas and sensor re-reads on a
+/// `(node, incarnation)` — the unit the supervisor voids when a batch
+/// was not durable.
 #[derive(Debug, Default)]
 struct Segment {
     split: u64,
     merged: u64,
     returned: u64,
+    injected: u64,
+    forgotten: u64,
     /// Merged grains keyed by the origin node that split them away.
     by_src: BTreeMap<usize, u128>,
     voided: bool,
@@ -590,6 +596,15 @@ impl CausalFold {
         (next != NONE).then_some((next, 0)).into_iter().chain(cross)
     }
 
+    /// The open (last, unvoided) segment of `(node, incarnation)`.
+    fn open_segment(&mut self, node: usize, incarnation: u16) -> &mut Segment {
+        let segs = self.segments.entry((node, incarnation)).or_default();
+        if segs.last().is_none_or(|s| s.voided) {
+            segs.push(Segment::default());
+        }
+        segs.last_mut().expect("open segment")
+    }
+
     /// Resolves every cross edge against the complete mint maps.
     fn link(&mut self) {
         let mut pairs = Vec::with_capacity(self.parents.len());
@@ -706,11 +721,7 @@ impl Fold for CausalFold {
             } => {
                 // Provenance bookkeeping happens regardless of the
                 // causal stamps, so legacy traces still reconcile.
-                let segs = self.segments.entry((*node, *incarnation)).or_default();
-                if segs.is_empty() || segs.last().is_some_and(|s| s.voided) {
-                    segs.push(Segment::default());
-                }
-                let seg = segs.last_mut().expect("open segment");
+                let seg = self.open_segment(*node, *incarnation);
                 seg.touched = true;
                 match op {
                     GrainOp::Split => seg.split += grains,
@@ -763,28 +774,38 @@ impl Fold for CausalFold {
             } => {
                 // The flushed batch must equal the deltas traced since
                 // the previous checkpoint; close the segment.
-                let segs = self.segments.entry((*node, *incarnation)).or_default();
-                if segs.is_empty() || segs.last().is_some_and(|s| s.voided) {
-                    segs.push(Segment::default());
-                }
-                let seg = segs.last().expect("open segment");
+                let seg = self.open_segment(*node, *incarnation);
                 if (seg.split, seg.merged, seg.returned) != (*split, *merged, *returned) {
                     self.checkpoint_mismatches.push((*node, *incarnation));
                 }
+                let segs = self.segments.entry((*node, *incarnation)).or_default();
                 segs.push(Segment::default());
             }
-            // Voided drift terms carry no causal span of their own
-            // (re-reads are local), so only the wire 3-tuple matters for
-            // segment attribution.
+            // A re-read is local (no causal span); its terms belong to
+            // the batch the next checkpoint flushes or a crash voids.
+            TraceEvent::SensorDrift {
+                node,
+                incarnation,
+                injected,
+                forgotten,
+                ..
+            } => {
+                let seg = self.open_segment(*node, *incarnation);
+                seg.touched = true;
+                seg.injected += injected;
+                seg.forgotten += forgotten;
+            }
             TraceEvent::GrainsVoided {
                 node,
                 incarnation,
                 split,
                 merged,
                 returned,
-                ..
+                injected,
+                forgotten,
             } => {
-                if *split == 0 && *merged == 0 && *returned == 0 {
+                let sums = (*split, *merged, *returned, *injected, *forgotten);
+                if sums == (0, 0, 0, 0, 0) {
                     return; // nothing to attribute
                 }
                 // Attribute the rollback to the earliest unvoided segment
@@ -793,7 +814,7 @@ impl Fold for CausalFold {
                 // the supervisor refused.
                 let segs = self.segments.entry((*node, *incarnation)).or_default();
                 match segs.iter_mut().find(|s| {
-                    !s.voided && (s.split, s.merged, s.returned) == (*split, *merged, *returned)
+                    !s.voided && (s.split, s.merged, s.returned, s.injected, s.forgotten) == sums
                 }) {
                     Some(seg) => seg.voided = true,
                     None => self.unmatched_voids += 1,
@@ -938,18 +959,21 @@ impl Fold for CausalFold {
         for node in touched {
             let mut absorbed: BTreeMap<usize, u128> = BTreeMap::new();
             let (mut split, mut merged, mut returned) = (0u128, 0u128, 0u128);
+            let mut dynamic = 0i128;
             for ((_, _), segs) in self.segments.iter().filter(|((nd, _), _)| *nd == node) {
                 for seg in segs.iter().filter(|s| !s.voided && s.touched) {
                     split += u128::from(seg.split);
                     merged += u128::from(seg.merged);
                     returned += u128::from(seg.returned);
+                    dynamic += i128::from(seg.injected) - i128::from(seg.forgotten);
                     for (&src, &g) in &seg.by_src {
                         *absorbed.entry(src).or_default() += g;
                     }
                 }
             }
-            let expected =
-                i128::from(per_node_initial) + merged as i128 + returned as i128 - split as i128;
+            let expected = i128::from(per_node_initial) + merged as i128 + returned as i128
+                - split as i128
+                + dynamic;
             let (outcome, final_grains) = match self.finals.get(&node) {
                 Some((o, g)) => (Some(o.clone()), Some(*g)),
                 None => (None, None),
@@ -974,6 +998,7 @@ impl Fold for CausalFold {
                 absorbed,
                 split,
                 returned,
+                dynamic,
                 expected,
                 final_grains,
                 drift,
@@ -1171,6 +1196,7 @@ impl CausalReport {
                     field("absorbed", Json::Arr(absorbed)),
                     field("split", num(p.split as f64)),
                     field("returned", num(p.returned as f64)),
+                    field("dynamic", num(p.dynamic as f64)),
                     field("expected", num(p.expected as f64)),
                     field("final", p.final_grains.map_or(Json::Null, unum)),
                     field("drift", p.drift.map_or(Json::Null, |d| num(d as f64))),
@@ -1385,13 +1411,14 @@ impl fmt::Display for CausalReport {
                 };
                 writeln!(
                     f,
-                    "  node {:>3} [{}] initial {} absorbed {{{}}} returned {} split {} expected {} final {} drift {}",
+                    "  node {:>3} [{}] initial {} absorbed {{{}}} returned {} split {} dynamic {:+} expected {} final {} drift {}",
                     p.node,
                     p.outcome.as_deref().unwrap_or("?"),
                     p.initial,
                     absorbed,
                     p.returned,
                     p.split,
+                    p.dynamic,
                     p.expected,
                     p.final_grains.map_or("-".to_string(), |g| g.to_string()),
                     p.drift.map_or("-".to_string(), |d| d.to_string()),

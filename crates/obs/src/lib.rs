@@ -73,7 +73,7 @@ pub use causal::{
 pub use dynrep::{ChurnRecord, DynAnomaly, DynOptions, DynReport, Staleness};
 pub use event::{read_jsonl, DropReason, Fold, GrainOp, TraceEvent};
 pub use json::{Json, JsonError};
-pub use live::{EpisodeRule, Health, Live, LiveAggregator, LiveConsole};
+pub use live::{Health, LiveAggregator, LiveConsole};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricValue, Metrics,
     MetricsRegistry, RegistrySnapshot,

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use crate::analyze::AnalyzeOptions;
 use crate::event::{GrainOp, TraceEvent};
 use crate::json::{field, num, unum, Json};
 use crate::metrics::{
@@ -54,28 +55,6 @@ const SNAPSHOT_TAIL: usize = 2_048;
 
 /// How long `/events` parks before answering empty-handed.
 const LONG_POLL_WAIT: Duration = Duration::from_millis(1_500);
-
-/// The convergence-episode rule the live view applies to its telemetry
-/// series (same semantics as [`TelemetrySeries::episodes`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpisodeRule {
-    /// Trailing samples that must sit flat and low to settle.
-    pub window: usize,
-    /// Max dispersion delta between consecutive window samples.
-    pub delta_tol: f64,
-    /// Dispersion at/above this leaves the converged regime.
-    pub level: f64,
-}
-
-impl Default for EpisodeRule {
-    fn default() -> Self {
-        EpisodeRule {
-            window: 5,
-            delta_tol: 1e-3,
-            level: 0.05,
-        }
-    }
-}
 
 /// Running grain totals folded from durable checkpoints and voids — the
 /// live view of the ledger the auditor settles at shutdown.
@@ -134,7 +113,7 @@ struct LiveState {
 /// [`crate::Tracer::tee`] — the JSONL trace (if any) is untouched and
 /// peers keep emitting through the one tracer handle they already hold.
 pub struct LiveAggregator {
-    rule: EpisodeRule,
+    rule: AnalyzeOptions,
     state: Mutex<LiveState>,
     /// Woken on every new telemetry sample; `/events` parks here.
     wake: Condvar,
@@ -143,8 +122,9 @@ pub struct LiveAggregator {
 }
 
 impl LiveAggregator {
-    /// An empty aggregator applying `rule` to its episode segmentation.
-    pub fn new(rule: EpisodeRule) -> Self {
+    /// An empty aggregator applying `rule`, the offline reports'
+    /// convergence rule, to its episode segmentation.
+    pub fn new(rule: AnalyzeOptions) -> Self {
         LiveAggregator {
             rule,
             state: Mutex::new(LiveState::default()),
@@ -336,7 +316,7 @@ impl TraceSink for LiveAggregator {
                 dispersion,
                 unix_ms,
             } => {
-                // Same shape dyn-report uses when replaying supervisor
+                // Same shape the dyn report uses when replaying supervisor
                 // telemetry: elapsed milliseconds stand in for the round.
                 self.push_sample(TelemetrySample {
                     round: *elapsed_ms as u64,
@@ -498,60 +478,6 @@ fn finite_or_null(v: f64) -> Json {
     }
 }
 
-/// The zero-cost-when-disabled handle to an optional [`LiveAggregator`],
-/// mirroring [`crate::Metrics`]: config structs hold one, and the
-/// disabled default costs a single branch wherever it is consulted.
-#[derive(Clone, Default)]
-pub struct Live {
-    inner: Option<Arc<LiveAggregator>>,
-}
-
-impl Live {
-    /// The default: no aggregator, every check is one branch.
-    pub fn disabled() -> Self {
-        Live { inner: None }
-    }
-
-    /// A handle feeding `aggregator`.
-    pub fn new(aggregator: Arc<LiveAggregator>) -> Self {
-        Live {
-            inner: Some(aggregator),
-        }
-    }
-
-    /// Whether a live console is attached.
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// The aggregator, when enabled.
-    pub fn aggregator(&self) -> Option<&Arc<LiveAggregator>> {
-        self.inner.as_ref()
-    }
-}
-
-impl std::fmt::Debug for Live {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.enabled() {
-            "Live(enabled)"
-        } else {
-            "Live(disabled)"
-        })
-    }
-}
-
-/// Two handles are equal when they share the same aggregator (or both
-/// are disabled) — the semantics config structs need for `PartialEq`.
-impl PartialEq for Live {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.inner, &other.inner) {
-            (None, None) => true,
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
-    }
-}
-
 /// Liveness state behind the console's `/healthz` route: the run phase
 /// and a monotonic progress counter, updated lock-free by the
 /// supervisor. External probes (CI smoke jobs, process supervisors) read
@@ -598,14 +524,14 @@ impl Health {
 /// snapshot and event stream, all from one listener.
 pub struct LiveConsole {
     registry: Option<Arc<MetricsRegistry>>,
-    live: Live,
+    live: Option<Arc<LiveAggregator>>,
     profiler: Profiler,
     health: Option<Arc<Health>>,
 }
 
 impl LiveConsole {
     /// Starts the console on `addr`, serving `registry` (when present)
-    /// on `/metrics`, `live`'s aggregator on the JSON routes,
+    /// on `/metrics`, the `live` aggregator on the JSON routes,
     /// `profiler`'s snapshot on `/profile.json` (404 when disabled), and
     /// `health` on `/healthz` (a disabled probe answers `"running"`/0).
     ///
@@ -615,7 +541,7 @@ impl LiveConsole {
     pub fn start(
         addr: impl ToSocketAddrs,
         registry: Option<Arc<MetricsRegistry>>,
-        live: Live,
+        live: Option<Arc<LiveAggregator>>,
         profiler: Profiler,
         health: Option<Arc<Health>>,
     ) -> io::Result<HttpServer> {
@@ -684,7 +610,7 @@ impl LiveConsole {
     }
 
     fn snapshot_response(&self) -> Option<HttpResponse> {
-        let aggregator = self.live.aggregator()?;
+        let aggregator = self.live.as_ref()?;
         let mut doc = aggregator.snapshot_json();
         if let Json::Obj(fields) = &mut doc {
             fields.push(field("links", self.links_json()));
@@ -696,7 +622,7 @@ impl LiveConsole {
     }
 
     fn events_response(&self, query: Option<&str>) -> Option<HttpResponse> {
-        let aggregator = self.live.aggregator()?;
+        let aggregator = self.live.as_ref()?;
         let since = query
             .into_iter()
             .flat_map(|q| q.split('&'))
@@ -943,7 +869,7 @@ mod tests {
 
     #[test]
     fn aggregator_folds_telemetry_checkpoints_and_audit() {
-        let agg = LiveAggregator::new(EpisodeRule::default());
+        let agg = LiveAggregator::new(AnalyzeOptions::default());
         agg.record(&TraceEvent::ClusterStarted {
             nodes: 4,
             initial_grains: 4096,
@@ -982,7 +908,7 @@ mod tests {
     /// a merge lands at (parent span depth + 1) ⊔ local depth.
     #[test]
     fn online_causal_depth_follows_split_merge_chains() {
-        let agg = LiveAggregator::new(EpisodeRule::default());
+        let agg = LiveAggregator::new(AnalyzeOptions::default());
         let split = |node: usize, seq: u64| TraceEvent::GrainDelta {
             node,
             incarnation: 0,
@@ -1034,7 +960,7 @@ mod tests {
     /// the drop counter reports exactly the evicted samples.
     #[test]
     fn events_ring_overflow_reports_the_drop_counter() {
-        let agg = LiveAggregator::new(EpisodeRule::default());
+        let agg = LiveAggregator::new(AnalyzeOptions::default());
         let total = EVENT_RING_CAP as u64 + 57;
         for i in 0..total {
             agg.record(&telemetry(i as f64, 3, 0.2));
@@ -1059,7 +985,7 @@ mod tests {
     #[test]
     fn teed_tracer_feeds_the_aggregator_without_touching_the_base() {
         let base = Arc::new(crate::sink::RingSink::new(16));
-        let agg = Arc::new(LiveAggregator::new(EpisodeRule::default()));
+        let agg = Arc::new(LiveAggregator::new(AnalyzeOptions::default()));
         let tracer = Tracer::new(base.clone()).tee(agg.clone());
         tracer.emit(|| telemetry(5.0, 3, 0.4));
         assert_eq!(base.len(), 1);
@@ -1086,7 +1012,7 @@ mod tests {
         metrics
             .counter("distclass_msgs_total", "messages", &[("node", "0")])
             .add(3);
-        let agg = Arc::new(LiveAggregator::new(EpisodeRule::default()));
+        let agg = Arc::new(LiveAggregator::new(AnalyzeOptions::default()));
         agg.record(&telemetry(1.0, 2, 0.3));
         let prof_core = Arc::new(crate::prof::ProfilerCore::new());
         {
@@ -1097,7 +1023,7 @@ mod tests {
         let server = match LiveConsole::start(
             "127.0.0.1:0",
             Some(Arc::clone(&registry)),
-            Live::new(agg.clone()),
+            Some(agg.clone()),
             Profiler::new(Arc::clone(&prof_core)),
             Some(Arc::new(Health::new())),
         ) {
@@ -1159,7 +1085,7 @@ mod tests {
         let server = match LiveConsole::start(
             "127.0.0.1:0",
             None,
-            Live::disabled(),
+            None,
             Profiler::disabled(),
             Some(Arc::clone(&health)),
         ) {
@@ -1184,14 +1110,14 @@ mod tests {
     #[test]
     fn concurrent_metrics_and_snapshot_scrapes_both_answer() {
         let registry = Arc::new(MetricsRegistry::new());
-        let agg = Arc::new(LiveAggregator::new(EpisodeRule::default()));
+        let agg = Arc::new(LiveAggregator::new(AnalyzeOptions::default()));
         for i in 0..100 {
             agg.record(&telemetry(i as f64, 2, 0.1));
         }
         let server = match LiveConsole::start(
             "127.0.0.1:0",
             Some(Arc::clone(&registry)),
-            Live::new(agg),
+            Some(agg),
             Profiler::disabled(),
             None,
         ) {

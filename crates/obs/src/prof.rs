@@ -9,8 +9,8 @@
 //! # Model
 //!
 //! A [`Profiler`] is a cheap cloneable handle, disabled by default (the
-//! same zero-cost pattern as [`Tracer`](crate::Tracer), [`Metrics`] and
-//! `Live`). Each instrumented thread registers once via
+//! same zero-cost pattern as [`Tracer`](crate::Tracer) and [`Metrics`]).
+//! Each instrumented thread registers once via
 //! [`Profiler::thread`] and receives a [`ThreadProfiler`]; hot paths open
 //! RAII [`SpanGuard`]s keyed by the static [`Phase`] taxonomy. Guards
 //! nest, so a thread accumulates an exact self/total time tree:

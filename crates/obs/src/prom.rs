@@ -521,7 +521,7 @@ fn write_response(stream: &mut TcpStream, head_only: bool, resp: &HttpResponse) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::{Live, LiveConsole};
+    use crate::live::LiveConsole;
     use crate::metrics::{Metrics, MetricsRegistry};
     use crate::prof::Profiler;
 
@@ -551,7 +551,7 @@ mod tests {
         LiveConsole::start(
             "127.0.0.1:0",
             Some(Arc::clone(reg)),
-            Live::disabled(),
+            None,
             Profiler::disabled(),
             None,
         )

@@ -22,8 +22,8 @@
 //! Ground truth for evaluation is the exact `i128` grain auditor
 //! ([`crate::audit`]): rejected frames are reconciled against the
 //! sender's durable ledger, so minted weight is *measured*, not
-//! estimated, and `byz-report` can verify that detection metrics agree
-//! with the arithmetic.
+//! estimated, and the offline byz report can verify that detection
+//! metrics agree with the arithmetic.
 
 pub mod attack;
 pub mod defense;

@@ -5,7 +5,7 @@
 //! supervisor's profiler thread — and nothing else.
 
 use std::any::Any;
-use std::io;
+use std::io::{self, Write};
 use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -14,7 +14,7 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use distclass_core::{ClassifierNode, Instance};
 use distclass_gossip::wire::WireSummary;
 use distclass_net::{NodeId, Topology};
-use distclass_obs::{EpisodeRule, Health, Live, LiveAggregator, LiveConsole, Phase, TraceSink};
+use distclass_obs::{AnalyzeOptions, Health, LiveAggregator, LiveConsole, Phase, TraceSink};
 
 use super::supervisor::{SupervisorCore, SupervisorIo};
 use super::{cluster_size, ClusterConfig, ClusterReport};
@@ -108,15 +108,14 @@ where
     // The live console: an aggregator teed into the run's trace path,
     // which the supervisor and every peer share, served over HTTP.
     let health = config.dash_listen.as_ref().map(|_| Arc::new(Health::new()));
-    let live = match &config.dash_listen {
-        Some(_) => Live::new(Arc::new(LiveAggregator::new(EpisodeRule {
+    let live = config.dash_listen.as_ref().map(|_| {
+        Arc::new(LiveAggregator::new(AnalyzeOptions {
             level: config.tol,
-            ..EpisodeRule::default()
-        }))),
-        None => Live::disabled(),
-    };
+            ..AnalyzeOptions::default()
+        }))
+    });
     let mut config = config.clone();
-    if let Some(agg) = live.aggregator() {
+    if let Some(agg) = &live {
         config.tracer = config.tracer.tee(Arc::clone(agg) as Arc<dyn TraceSink>);
     }
     let config = Arc::new(config);
@@ -127,7 +126,9 @@ where
         match LiveConsole::start(addr, registry, live.clone(), profiler, health.clone()) {
             Ok(server) => {
                 // With `:0` the kernel picks the port: this line finds it.
-                println!("dashboard listening on http://{}/", server.local_addr());
+                let addr = server.local_addr();
+                // A closed stdout must not end the run.
+                let _ = writeln!(io::stdout(), "dashboard listening on http://{addr}/");
                 Some(server)
             }
             Err(e) => {

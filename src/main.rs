@@ -6,14 +6,16 @@
 //! distclass classify --instance centroid --n 100 --k 2 --topology ring --values values.csv
 //! distclass robust-average --n 300 --outliers 15 --delta 12
 //! distclass topologies --n 64
+//! distclass run-cluster --transport channel --n 8 --trace trace.jsonl
+//! distclass report trace.jsonl
 //! ```
 //!
 //! Input values come from `--values <file>` (one comma-separated vector per
 //! line) or are synthesized from the built-in three-Gaussian workload.
 //! Output is a markdown table of node 0's final classification plus run
-//! statistics; `--csv` switches to CSV.
+//! statistics; `--csv` switches to CSV. `distclass help` lists every
+//! command and flag, from the same table the parser reads.
 
-use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
@@ -40,40 +42,175 @@ use distclass::runtime::{
     DefenseConfig, DriftSchedule, FaultPlan, NodeOutcome, UdpNet,
 };
 
+/// One flag of a subcommand: its name, its value's placeholder (`None`
+/// for a switch, which never takes the next argument) and a help line.
+struct Flag(&'static str, Option<&'static str>, &'static str);
+
+const fn opt(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag(name, Some(value), help)
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag(name, None, help)
+}
+
+/// A subcommand: its name, the file it reads (if any), a summary line
+/// and its flags. The parser and `usage()` both read this table.
+struct Command {
+    name: &'static str,
+    operand: Option<&'static str>,
+    about: &'static str,
+    flags: &'static [Flag],
+}
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "classify", operand: None,
+        about: "run a classification simulation", flags: &[
+        opt("instance", "name", "gm or centroid (default gm)"),
+        opt("n", "count", "nodes (default 200)"),
+        opt("k", "count", "collections per node (default 3)"),
+        opt("topology", "name", "complete, ring, grid, star or cycle (default complete)"),
+        opt("rounds", "count", "gossip rounds (default 40)"),
+        opt("seed", "seed", "RNG seed (default 42)"),
+        opt("values", "path", "CSV of input vectors, one per line"),
+        switch("csv", "CSV output instead of markdown"),
+    ] },
+    Command { name: "robust-average", operand: None,
+        about: "outlier-robust mean vs plain aggregation", flags: &[
+        opt("n", "count", "sensors (default 300)"),
+        opt("outliers", "count", "density outliers (default 15)"),
+        opt("delta", "number", "outlier distance (default 12)"),
+        opt("rounds", "count", "gossip rounds (default 30)"),
+        opt("seed", "seed", "RNG seed (default 42)"),
+    ] },
+    Command { name: "topologies", operand: None,
+        about: "convergence-speed study across topologies", flags: &[
+        opt("n", "count", "nodes (default 64)"),
+        opt("seed", "seed", "RNG seed (default 42)"),
+    ] },
+    Command { name: "run-cluster", operand: None,
+        about: "run real concurrent peers (threads + UDP or channels)", flags: &[
+        opt("transport", "name", "udp or channel (default udp)"),
+        opt("instance", "name", "gm or centroid (default centroid)"),
+        opt("n", "count", "peers (default 16)"),
+        opt("k", "count", "collections per peer (default 3)"),
+        opt("topology", "name", "complete, ring, grid, star or cycle (default complete)"),
+        opt("tick-ms", "number", "gossip period in ms (default 2)"),
+        opt("tol", "number", "convergence dispersion threshold (default 0.05)"),
+        opt("max-secs", "number", "wall-clock bound in seconds (default 30)"),
+        opt("seed", "seed", "RNG seed (default 42)"),
+        opt("values", "path", "CSV of input vectors, one per line"),
+        switch("csv", "CSV output instead of markdown"),
+        opt("faults", "spec", "fault plan, e.g. partition@200ms-1s:0-3;crash@500ms:2+300ms"),
+        opt("fault-seed", "seed", "fault-plan seed (default: --seed)"),
+        opt("adversaries", "spec", "Byzantine liars, e.g. cartel@4,13:shift=1.2;sigma=1 (implies --defense)"),
+        opt("adversary-seed", "seed", "adversary-plan seed (default: --seed)"),
+        opt("drift", "spec", "sensor re-reads, e.g. step@300ms:0-3=5.0,5.0;decay=1/2"),
+        opt("drift-seed", "seed", "drift-schedule seed (default: --seed)"),
+        opt("churn", "spec", "joins and leaves, e.g. join@400ms:16=5.0,5.0;leave@600ms:3"),
+        opt("churn-seed", "seed", "churn-plan seed (default: --seed)"),
+        switch("defense", "Byzantine defenses on, without scripted adversaries"),
+        switch("no-defense", "run scripted adversaries undefended"),
+        opt("audit-every", "count", "audit probe cadence in ticks (default 10)"),
+        switch("audit", "run the grain auditor (implied by adversaries, defense, drift, churn)"),
+        opt("trace", "path", "write a JSONL event trace (replay it with report)"),
+        opt("trace-cap-mb", "count", "end the trace with a truncation marker at this size (0: no cap)"),
+        opt("metrics-json", "path", "write the run summary as JSON"),
+        opt("metrics-prom", "path", "write the metrics registry in Prometheus text format"),
+        opt("dash-listen", "address", "serve the live console during the run, e.g. 127.0.0.1:9184"),
+        opt("profile", "path", "write the phase profile as JSON (see prof-report)"),
+        opt("profile-folded", "path", "write collapsed stacks (flamegraph.pl input)"),
+    ] },
+    Command { name: "report", operand: Some("trace.jsonl"),
+        about: "replay a --trace file once: trace, causal, byz and dyn sections", flags: &[
+        switch("json", "one JSON object: {trace, causal, byz, dyn, clean}"),
+        switch("dot", "Graphviz DOT of the causal DAG instead"),
+        opt("window", "count", "convergence window, samples (default 5; dyn 3)"),
+        opt("delta-tol", "number", "convergence delta tolerance (default 1e-3)"),
+        opt("level", "number", "converged dispersion level (default 0.05; dyn 0.01)"),
+    ] },
+    Command { name: "prof-report", operand: Some("profile.json"),
+        about: "inspect a --profile file: busy/idle per thread, phase quantiles", flags: &[
+        switch("json", "lossless profile JSON"),
+        switch("collapsed", "collapsed stacks (flamegraph.pl input)"),
+    ] },
+    Command { name: "help", operand: None, about: "this text", flags: &[] },
+];
+
+fn usage() -> String {
+    let mut text = String::from("usage: distclass <command> [options]\n\ncommands:\n");
+    for cmd in COMMANDS {
+        let operand = cmd.operand.map_or(String::new(), |o| format!(" <{o}>"));
+        text += &format!("  {}{operand}  {}\n", cmd.name, cmd.about);
+        for Flag(name, value, help) in cmd.flags {
+            let spec = value.map_or(format!("--{name}"), |v| format!("--{name} <{v}>"));
+            text += &format!("    {spec:<25} {help}\n");
+        }
+    }
+    text + "report and prof-report exit 0 when clean, 2 on anomalies, 1 on usage or IO errors\n"
+}
+
+/// A parsed command line, checked against its command's flag table.
 struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
+    cmd: &'static Command,
+    operand: Option<String>,
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
 impl Args {
-    fn parse() -> Args {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut iter = std::env::args().skip(1).peekable();
-        while let Some(a) = iter.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = if iter.peek().map(|v| !v.starts_with("--")).unwrap_or(false) {
-                    iter.next()
-                } else {
-                    None
-                };
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(a);
-            }
+    fn parse(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
+        let name = argv.next().unwrap_or_else(|| "help".into());
+        let name = if name == "--help" { "help" } else { &name };
+        let cmd = (COMMANDS.iter().find(|c| c.name == name))
+            .ok_or_else(|| format!("unknown command {name}\n{}", usage()))?;
+        let (mut operand, mut flags) = (None, Vec::new());
+        let mut argv = argv.peekable();
+        while let Some(arg) = argv.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                if cmd.operand.is_none() || operand.is_some() {
+                    return Err(format!("{}: unexpected argument {arg}", cmd.name));
+                }
+                operand = Some(arg);
+                continue;
+            };
+            let Some(Flag(flag, value, _)) = cmd.flags.iter().find(|f| f.0 == name) else {
+                return Err(format!(
+                    "{}: unknown flag --{name} (`distclass help` lists the flags)",
+                    cmd.name
+                ));
+            };
+            let value = match value {
+                None => None,
+                Some(kind) => match argv.next_if(|v| !v.starts_with("--")) {
+                    Some(v) if !v.trim().is_empty() => Some(v),
+                    _ => return Err(format!("--{flag} needs a non-empty {kind}")),
+                },
+            };
+            flags.push((*flag, value));
         }
-        Args { positional, flags }
+        Ok(Args {
+            cmd,
+            operand,
+            flags,
+        })
+    }
+
+    fn find(&self, name: &str) -> Option<&Option<String>> {
+        debug_assert!(
+            self.cmd.flags.iter().any(|f| f.0 == name),
+            "--{name} is not in {}'s flag table",
+            self.cmd.name
+        );
+        self.flags.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+        self.find(name).and_then(Option::as_deref)
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
+        self.find(name).is_some()
     }
 
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
@@ -84,123 +221,41 @@ impl Args {
                 .map_err(|_| format!("invalid value for --{name}: {v}")),
         }
     }
+
+    /// The file the command reads.
+    fn operand(&self) -> Result<&str, String> {
+        let what = self.cmd.operand.unwrap_or("file");
+        (self.operand.as_deref()).ok_or_else(|| format!("{} needs a <{what}>", self.cmd.name))
+    }
 }
 
-fn usage() -> &'static str {
-    "usage: distclass <command> [options]\n\
-     \n\
-     commands:\n\
-       classify        run a classification simulation\n\
-         --instance gm|centroid   (default gm)\n\
-         --n <nodes>              (default 200)\n\
-         --k <collections>        (default 3)\n\
-         --topology complete|ring|grid|star|cycle  (default complete)\n\
-         --rounds <rounds>        (default 40)\n\
-         --seed <seed>            (default 42)\n\
-         --values <file>          CSV of input vectors (one per line)\n\
-         --csv                    CSV output instead of markdown\n\
-       robust-average  outlier-robust mean vs plain aggregation\n\
-         --n / --outliers / --delta / --rounds / --seed\n\
-       topologies      convergence-speed study across topologies\n\
-         --n / --seed\n\
-       run-cluster     run real concurrent peers (threads + UDP)\n\
-         --transport udp|channel  (default udp)\n\
-         --instance gm|centroid   (default centroid)\n\
-         --n <nodes>              (default 16)\n\
-         --k <collections>        (default 3)\n\
-         --topology complete|ring|grid|star|cycle  (default complete)\n\
-         --tick-ms <ms>           gossip period (default 2)\n\
-         --tol <dispersion>       convergence threshold (default 0.05)\n\
-         --max-secs <s>           wall-clock bound (default 30)\n\
-         --faults <spec>          scripted fault plan, ';'-separated, e.g.\n\
-                                  partition@200ms-1s:0-3;crash@500ms:2+300ms;\n\
-                                  delay=0.2:1ms-5ms;dup=0.05;reorder=0.1\n\
-         --fault-seed <seed>      fault-plan RNG seed (default: --seed)\n\
-         --adversaries <spec>     scripted Byzantine adversaries, ';'-\n\
-                                  separated, e.g. cartel@4,13:shift=1.2;\n\
-                                  mint@5:units=16;sigma=1 (roles: mint,\n\
-                                  poison, cartel); implies --defense and\n\
-                                  forces the auditor on\n\
-         --adversary-seed <seed>  adversary-plan RNG seed (default: --seed)\n\
-         --drift <spec>           scripted sensor drift, ';'-separated, e.g.\n\
-                                  step@300ms:0-3=5.0,5.0;\n\
-                                  ramp@200ms-800ms:2=1.0,1.0>9.0,9.0/4;\n\
-                                  redraw@500ms:0-7=5.0,5.0~1.0;decay=1/2\n\
-                                  (drifting nodes decay old mass and inject\n\
-                                  a fresh unit reading; forces the auditor\n\
-                                  on)\n\
-         --drift-seed <seed>      drift-schedule RNG seed (default: --seed)\n\
-         --churn <spec>           scripted join/leave churn, ';'-separated,\n\
-                                  e.g. join@400ms:16=5.0,5.0;leave@600ms:3\n\
-                                  (join ids must be contiguous from the\n\
-                                  cluster size; leavers hand their grains\n\
-                                  off and drain; forces the auditor on)\n\
-         --churn-seed <seed>      churn-plan RNG seed (default: --seed)\n\
-         --defense                enable the Byzantine defenses (ingress\n\
-                                  screen, stochastic audit, quarantine)\n\
-                                  without scripting adversaries\n\
-         --no-defense             run scripted adversaries undefended\n\
-         --audit-every <ticks>    audit probe cadence (default 10)\n\
-         --audit                  run the grain-conservation auditor\n\
-         --trace <path>           write a JSONL event trace (grain deltas,\n\
-                                  crashes, checkpoints, telemetry)\n\
-         --trace-cap-mb <mb>      cap the trace file; the sink stops at the\n\
-                                  cap and records a trace_truncated marker\n\
-                                  (0 = unlimited, the default)\n\
-         --metrics-json <path>    write the run summary as JSON\n\
-         --dash-listen <addr>     serve the live operations console during\n\
-                                  the run, e.g. 127.0.0.1:9184 — dashboard\n\
-                                  at /, Prometheus /metrics, /snapshot.json\n\
-                                  and the /events long-poll stream\n\
-         --prom-listen <addr>     alias for --dash-listen (kept from when\n\
-                                  the endpoint only served /metrics)\n\
-         --metrics-prom <path>    write the metrics registry in Prometheus\n\
-                                  text format at end of run\n\
-         --profile <path>         write the hierarchical phase profile as\n\
-                                  JSON at end of run (see prof-report)\n\
-         --profile-folded <path>  write collapsed stacks (flamegraph.pl\n\
-                                  input: 'thread;phase;phase self_us')\n\
-         --seed / --values / --csv as for classify\n\
-       trace-report    replay a --trace JSONL file offline\n\
-         <trace.jsonl>            the trace to analyze (positional)\n\
-         --json                   machine-readable report on stdout\n\
-         --window <n>             convergence window (default 5)\n\
-         --delta-tol <x>          convergence delta tolerance (default 1e-3)\n\
-         --level <x>              convergence dispersion level (default 0.05)\n\
-         exit status: 0 clean trace, 2 anomalies found, 1 usage/IO error\n\
-       causal-report   happens-before analysis of a --trace JSONL file\n\
-         <trace.jsonl>            the trace to analyze (positional)\n\
-         --json                   machine-readable report on stdout\n\
-         --dot                    Graphviz DOT of the causal DAG on stdout\n\
-         --window / --delta-tol / --level as for trace-report\n\
-         exit status: 0 clean trace, 2 anomalies found, 1 usage/IO error\n\
-       byz-report      Byzantine-defense analysis of a --trace JSONL file:\n\
-                       detection / false-positive rates, mean detection\n\
-                       tick, audit bandwidth overhead, and reconciliation\n\
-                       against the grain auditor's minted-weight measure\n\
-         <trace.jsonl>            the trace to analyze (positional)\n\
-         --json                   machine-readable report on stdout\n\
-         exit status: 0 clean, 2 anomalies found, 1 usage/IO error\n\
-       dyn-report      dynamic-workload analysis of a --trace JSONL file:\n\
-                       converged/perturbed/re-converged episode timeline\n\
-                       with settle times, sensor staleness, and the\n\
-                       reconciliation of drift/churn grain flows against\n\
-                       the grain auditor\n\
-         <trace.jsonl>            the trace to analyze (positional)\n\
-         --json                   machine-readable report on stdout\n\
-         --window <n>             settle window, samples (default 3)\n\
-         --delta-tol <x>          settle delta tolerance (default 1e-3)\n\
-         --level <x>              settle dispersion level (default 1e-2)\n\
-         exit status: 0 clean, 2 anomalies found, 1 usage/IO error\n\
-       prof-report     inspect a --profile JSON file: per-thread busy/idle\n\
-                       accounting, phase summary with p50/p95/p99, and the\n\
-                       span tree\n\
-         <profile.json>           the profile to inspect (positional)\n\
-         --json                   lossless profile JSON on stdout\n\
-         --collapsed              collapsed stacks (flamegraph.pl input)\n\
-         exit status: 0 identities hold, 2 anomalies found, 1 usage/IO\n\
-                      error\n\
-       help            this text"
+/// Writes command output to stdout. A reader that closes it early
+/// (`| head -c1`) is not an error: the rest of the output is dropped, and
+/// the command still finishes its work and keeps its exit code.
+fn emit(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// `println!` through [`emit`]; an error returns from the caller.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(&format!("{}\n", format_args!($($arg)*)))?
+    };
+}
+
+/// A report's exit code: 0 when clean, 2 when it flags anomalies.
+fn verdict(clean: bool) -> ExitCode {
+    if clean {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(2)
+    }
 }
 
 fn build_topology(name: &str, n: usize) -> Result<Topology, String> {
@@ -243,17 +298,11 @@ fn load_values(path: &str) -> Result<Vec<Vector>, String> {
     Ok(out)
 }
 
-fn cmd_classify(args: &Args) -> Result<(), String> {
-    let n: usize = args.get("n", 200)?;
-    let k: usize = args.get("k", 3)?;
-    let rounds: u64 = args.get("rounds", 40)?;
-    let seed: u64 = args.get("seed", 42)?;
-    let topology_name = args.flag("topology").unwrap_or("complete");
-    let instance_name = args.flag("instance").unwrap_or("gm");
-
-    // The grid builder may round the node count (to the nearest square),
-    // so size the cluster off the topology it actually produces.
-    let (values, topology) = match args.flag("values") {
+/// The input readings (`--values`, or `n` synthesized ones) and the
+/// topology over them. The grid builder may round the node count (to the
+/// nearest square), so the readings follow the topology it produces.
+fn inputs(args: &Args, topology_name: &str, n: usize) -> Result<(Vec<Vector>, Topology), String> {
+    match args.flag("values") {
         Some(path) => {
             let values = load_values(path)?;
             let topology = build_topology(topology_name, values.len())?;
@@ -264,14 +313,26 @@ fn cmd_classify(args: &Args) -> Result<(), String> {
                     values.len()
                 ));
             }
-            (values, topology)
+            Ok((values, topology))
         }
         None => {
             let topology = build_topology(topology_name, n)?;
+            let seed = args.get("seed", 42)?;
             let values = sample_mixture(topology.len(), &figure2_components(), seed).0;
-            (values, topology)
+            Ok((values, topology))
         }
-    };
+    }
+}
+
+fn cmd_classify(args: &Args) -> Result<(), String> {
+    let n: usize = args.get("n", 200)?;
+    let k: usize = args.get("k", 3)?;
+    let rounds: u64 = args.get("rounds", 40)?;
+    let seed: u64 = args.get("seed", 42)?;
+    let topology_name = args.flag("topology").unwrap_or("complete");
+    let instance_name = args.flag("instance").unwrap_or("gm");
+
+    let (values, topology) = inputs(args, topology_name, n)?;
     let n = values.len();
     let gossip = GossipConfig {
         seed,
@@ -318,15 +379,15 @@ fn cmd_classify(args: &Args) -> Result<(), String> {
         other => return Err(format!("unknown instance {other}")),
     }
 
-    println!(
+    say!(
         "# classification after {rounds_run} rounds ({instance_name}, k={k}, {topology_name}, n={n})\n"
     );
-    if args.has("csv") {
-        print!("{}", table.to_csv());
+    emit(&if args.has("csv") {
+        table.to_csv()
     } else {
-        print!("{}", table.to_markdown());
-    }
-    println!(
+        table.to_markdown()
+    })?;
+    say!(
         "\nmessages: {messages}; dispersion (sampled): {}",
         f(dispersion)
     );
@@ -350,45 +411,13 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
     if !matches!(instance_name, "gm" | "centroid") {
         return Err(format!("unknown instance {instance_name}"));
     }
-    // Flag hygiene: contradictory or vacuous combinations are user
-    // errors, not runs with surprising defaults.
+    // Flag hygiene: contradictory combinations are user errors, not runs
+    // with surprising defaults.
     if args.has("defense") && args.has("no-defense") {
         return Err("--defense and --no-defense contradict each other; pass at most one".into());
     }
-    for plan_flag in ["faults", "drift", "churn"] {
-        if args.has(plan_flag) && args.flag(plan_flag).is_none_or(|s| s.trim().is_empty()) {
-            return Err(format!(
-                "--{plan_flag} needs a non-empty spec; to run without it, drop the flag"
-            ));
-        }
-    }
-    for path_flag in ["profile", "profile-folded"] {
-        if args.has(path_flag) && args.flag(path_flag).is_none_or(|s| s.trim().is_empty()) {
-            return Err(format!("--{path_flag} needs a file path"));
-        }
-    }
 
-    // The grid builder may round the node count (to the nearest square),
-    // so size the cluster off the topology it actually produces.
-    let (values, topology) = match args.flag("values") {
-        Some(path) => {
-            let values = load_values(path)?;
-            let topology = build_topology(topology_name, values.len())?;
-            if topology.len() != values.len() {
-                return Err(format!(
-                    "topology {topology_name} holds {} nodes but {path} has {} readings",
-                    topology.len(),
-                    values.len()
-                ));
-            }
-            (values, topology)
-        }
-        None => {
-            let topology = build_topology(topology_name, n)?;
-            let values = sample_mixture(topology.len(), &figure2_components(), seed).0;
-            (values, topology)
-        }
-    };
+    let (values, topology) = inputs(args, topology_name, n)?;
     let n = values.len();
     let fault_seed: u64 = args.get("fault-seed", seed)?;
     let plan = match args.flag("faults") {
@@ -473,13 +502,8 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
         None => Tracer::disabled(),
     };
     // A metrics registry exists only when some consumer asked for it —
-    // otherwise every handle stays a no-op. `--prom-listen` is an alias
-    // for `--dash-listen`: the console's /metrics is byte-identical to
-    // the scrape-only endpoint it grew out of.
-    let dash_listen = args
-        .flag("dash-listen")
-        .or_else(|| args.flag("prom-listen"))
-        .map(str::to_string);
+    // otherwise every handle stays a no-op.
+    let dash_listen = args.flag("dash-listen").map(str::to_string);
     let registry = (dash_listen.is_some() || args.has("metrics-prom"))
         .then(|| Arc::new(MetricsRegistry::new()));
     let metrics = registry
@@ -498,8 +522,8 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
         seed,
         max_wall: Duration::from_secs(max_secs),
         // Byzantine and dynamic runs always audit: the auditor is the
-        // ground truth `byz-report` reconciles minted weight against and
-        // `dyn-report` reconciles injected/forgotten grains against.
+        // ground truth `report`'s byz section reconciles minted weight
+        // against, and its dyn section injected/forgotten grains.
         audit: args.has("audit") || byz_active || dyn_active,
         drift: drift.clone(),
         churn: churn.clone(),
@@ -512,11 +536,11 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
         ..ClusterConfig::default()
     };
 
-    println!(
+    say!(
         "# {n} peers over {transport} ({instance_name}, k={k}, {topology_name}, tick {tick_ms}ms)\n"
     );
     if let Some(plan) = &plan {
-        println!(
+        say!(
             "fault plan (seed {fault_seed}, digest {:016x}): {} partition(s), {} crash event(s), \
              delay {}, dup {:.2}, reorder {:.2}\n",
             plan.digest(),
@@ -528,7 +552,7 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(plan) = &adversaries {
-        println!(
+        say!(
             "adversary plan (seed {adversary_seed}, digest {:016x}): {} adversaries \
              ({:?}), defenses {}\n",
             plan.digest(),
@@ -538,7 +562,7 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(d) = &drift {
-        println!(
+        say!(
             "drift schedule (seed {drift_seed}, digest {:016x}): {} re-read event(s), \
              decay {}/{}\n",
             d.digest(),
@@ -548,7 +572,7 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
         );
     }
     if let Some(c) = &churn {
-        println!(
+        say!(
             "churn plan (seed {churn_seed}, digest {:016x}): {} join(s), {} leave(s)\n",
             c.digest(),
             c.joins.len(),
@@ -632,158 +656,104 @@ fn finish_cluster_outputs<S>(
     Ok(())
 }
 
-/// The file a `*-report` subcommand reads: its first positional argument
-/// or `--file`.
-fn report_path<'a>(args: &'a Args, cmd: &str) -> Result<&'a str, String> {
-    (args.positional.get(1).map(String::as_str))
-        .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("{cmd} needs a trace file\n{}", usage()))
-}
-
-/// A trace file, opened for the reports to fold one line at a time.
-fn open_trace(path: &str) -> Result<BufReader<File>, String> {
-    File::open(path)
-        .map(BufReader::new)
-        .map_err(|e| format!("cannot read {path}: {e}"))
-}
-
-/// `--window` / `--delta-tol` / `--level` for `trace-report` and
-/// `causal-report`.
-fn analyze_options(args: &Args) -> Result<AnalyzeOptions, String> {
-    let defaults = AnalyzeOptions::default();
-    Ok(AnalyzeOptions {
-        window: args.get("window", defaults.window)?,
-        delta_tol: args.get("delta-tol", defaults.delta_tol)?,
-        level: args.get("level", defaults.level)?,
-    })
-}
-
-/// Prints a report and maps its verdict to the exit code: 0 when clean,
-/// 2 when it flags anomalies. A reader that closes stdout early (`| head`)
-/// ends the output quietly; the exit code still follows the verdict.
-fn print_report(text: &str, clean: bool) -> Result<ExitCode, String> {
-    let mut out = std::io::stdout().lock();
-    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
-        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
-            return Err(format!("cannot write the report: {e}"));
-        }
-        _ => {}
+/// `report`: one pass over a `--trace` JSONL file feeds the trace,
+/// causal, byz and dyn folds. The verdict is clean only when all four
+/// sections are: exit 0, else 2 (1 on usage or IO errors), so CI can gate
+/// on trace health without parsing the output.
+fn cmd_report(args: &Args) -> Result<ExitCode, String> {
+    let path = args.operand()?;
+    let (json, dot) = (args.has("json"), args.has("dot"));
+    if json && dot {
+        return Err("--json and --dot contradict each other; pass at most one".into());
     }
-    Ok(if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
-}
-
-/// A report's `--json` form (one line) or its text.
-fn report_text(args: &Args, json: impl FnOnce() -> Json, text: impl fmt::Display) -> String {
-    if args.has("json") {
-        format!("{}\n", json())
-    } else {
-        text.to_string()
-    }
-}
-
-/// `trace-report`: replay a `--trace` JSONL file into an offline report.
-/// Exits 0 on a clean trace and 2 when the replay flags anomalies, so CI
-/// can gate on trace health without parsing the output.
-fn cmd_trace_report(args: &Args) -> Result<ExitCode, String> {
-    let path = report_path(args, "trace-report")?;
-    let opts = analyze_options(args)?;
-    let report = (TraceReport::fold(&opts).fold_jsonl(open_trace(path)?))
-        .map_err(|e| format!("{path}: {e}"))?;
-    print_report(
-        &report_text(args, || report.to_json(), &report),
-        report.clean(),
-    )
-}
-
-/// `causal-report`: rebuild the happens-before DAG from a `--trace` JSONL
-/// file and report the convergence critical path, grain provenance, and
-/// influence matrix. Same exit-code contract as `trace-report`: 0 on a
-/// clean causal layer, 2 when the reconstruction flags anomalies (cycles,
-/// clock rewinds, provenance drift), 1 on usage/IO errors.
-fn cmd_causal_report(args: &Args) -> Result<ExitCode, String> {
-    let path = report_path(args, "causal-report")?;
-    let opts = analyze_options(args)?;
-    if args.has("dot") {
-        // The DOT view draws every vertex, so it holds the whole trace.
-        // It is a rendering aid, not a health check; the exit code
-        // follows the analyzed report.
-        let mut events = Vec::new();
-        read_jsonl(open_trace(path)?, |ev| events.push(ev)).map_err(|e| format!("{path}: {e}"))?;
-        let report = CausalReport::from_events(&events, &opts);
-        return print_report(&CausalReport::to_dot(&events, &opts), report.clean());
-    }
-    let report = (CausalReport::fold(&opts).fold_jsonl(open_trace(path)?))
-        .map_err(|e| format!("{path}: {e}"))?;
-    print_report(
-        &report_text(args, || report.to_json(), &report),
-        report.clean(),
-    )
-}
-
-/// `byz-report`: replay a `--trace` JSONL file into the offline
-/// Byzantine-defense report — detection and false-positive rates, mean
-/// detection tick, audit bandwidth overhead, and the reconciliation of
-/// traced rejections against the grain auditor's minted-weight
-/// measurement. Same exit-code contract as `trace-report`: 0 on a clean
-/// report, 2 when the replay flags anomalies, 1 on usage/IO errors.
-fn cmd_byz_report(args: &Args) -> Result<ExitCode, String> {
-    let path = report_path(args, "byz-report")?;
-    let report =
-        (ByzReport::fold().fold_jsonl(open_trace(path)?)).map_err(|e| format!("{path}: {e}"))?;
-    print_report(
-        &report_text(args, || report.to_json(), &report),
-        report.clean(),
-    )
-}
-
-/// `dyn-report`: replay a `--trace` JSONL file into the offline
-/// dynamic-workload report — the converged → perturbed → re-converged
-/// episode timeline with per-episode settle times, sensor staleness, and
-/// the reconciliation of traced drift/churn grain flows against the
-/// auditor's settled injected/forgotten totals. Same exit-code contract
-/// as `trace-report`: 0 on a clean report, 2 when the replay flags
-/// anomalies, 1 on usage/IO errors.
-fn cmd_dyn_report(args: &Args) -> Result<ExitCode, String> {
-    let path = report_path(args, "dyn-report")?;
-    let defaults = DynOptions::default();
-    let opts = DynOptions {
-        window: args.get("window", defaults.window)?,
-        delta_tol: args.get("delta-tol", defaults.delta_tol)?,
-        level: args.get("level", defaults.level)?,
+    // The rule flags set every section's convergence rule; each section
+    // keeps its own default for a flag that is absent.
+    let (a, d) = (AnalyzeOptions::default(), DynOptions::default());
+    let opts = AnalyzeOptions {
+        window: args.get("window", a.window)?,
+        delta_tol: args.get("delta-tol", a.delta_tol)?,
+        level: args.get("level", a.level)?,
     };
-    let report = (DynReport::fold(&opts).fold_jsonl(open_trace(path)?))
-        .map_err(|e| format!("{path}: {e}"))?;
-    print_report(
-        &report_text(args, || report.to_json(), &report),
-        report.clean(),
-    )
+    let dyn_opts = DynOptions {
+        window: args.get("window", d.window)?,
+        delta_tol: args.get("delta-tol", d.delta_tol)?,
+        level: args.get("level", d.level)?,
+    };
+    let file = File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let (mut t, mut c, mut b, mut y) = (
+        TraceReport::fold(&opts),
+        CausalReport::fold(&opts),
+        ByzReport::fold(),
+        DynReport::fold(&dyn_opts),
+    );
+    // The DOT view draws every vertex, so only it keeps the whole trace.
+    let mut events = Vec::new();
+    let unknown = read_jsonl(BufReader::new(file), |ev| {
+        t.on_event(&ev);
+        c.on_event(&ev);
+        b.on_event(&ev);
+        y.on_event(&ev);
+        if dot {
+            events.push(ev);
+        }
+    })
+    .map_err(|e| format!("{path}: {e}"))?;
+    let (t, c, b, y) = (
+        t.finish(unknown),
+        c.finish(unknown),
+        b.finish(unknown),
+        y.finish(unknown),
+    );
+    let sections = [
+        ("trace", t.clean()),
+        ("causal", c.clean()),
+        ("byz", b.clean()),
+        ("dyn", y.clean()),
+    ];
+    let anomalous: Vec<&str> = sections
+        .into_iter()
+        .filter_map(|(name, clean)| (!clean).then_some(name))
+        .collect();
+    let clean = anomalous.is_empty();
+    emit(&if dot {
+        CausalReport::to_dot(&events, &opts)
+    } else if json {
+        let doc = Json::Obj(vec![
+            field("trace", t.to_json()),
+            field("causal", c.to_json()),
+            field("byz", b.to_json()),
+            field("dyn", y.to_json()),
+            field("clean", Json::Bool(clean)),
+        ]);
+        format!("{doc}\n")
+    } else if clean {
+        format!("{t}{c}{b}{y}report: CLEAN\n")
+    } else {
+        format!(
+            "{t}{c}{b}{y}report: ANOMALIES in {}\n",
+            anomalous.join(", ")
+        )
+    })?;
+    Ok(verdict(clean))
 }
 
 /// `prof-report`: inspect a `--profile` JSON file. Text output shows the
 /// per-thread busy/idle accounting and per-phase quantile summary;
 /// `--json` re-emits the lossless document and `--collapsed` the
-/// flamegraph.pl input. Same exit-code contract as `trace-report`: 0 when
-/// the accounting identities hold, 2 when the profile carries anomalies,
-/// 1 on usage/IO errors.
+/// flamegraph.pl input. Exit 0 when the accounting identities hold, 2
+/// when the profile carries anomalies, 1 on usage/IO errors.
 fn cmd_prof_report(args: &Args) -> Result<ExitCode, String> {
-    let path = args
-        .positional
-        .get(1)
-        .map(String::as_str)
-        .or_else(|| args.flag("file"))
-        .ok_or_else(|| format!("prof-report needs a profile JSON file\n{}", usage()))?;
+    let path = args.operand()?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let report = ProfileReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-    let out = if args.has("collapsed") {
+    emit(&if args.has("collapsed") {
         report.to_collapsed()
+    } else if args.has("json") {
+        format!("{}\n", report.to_json())
     } else {
-        report_text(args, || report.to_json(), &report)
-    };
-    print_report(&out, report.clean())
+        report.to_string()
+    })?;
+    Ok(verdict(report.clean()))
 }
 
 /// The `--metrics-json` document: the run summary, cluster-total runtime
@@ -898,19 +868,20 @@ fn print_cluster_report<S>(
     render: impl Fn(&S) -> String,
 ) -> Result<(), String> {
     match report.converged_after {
-        Some(t) => println!("converged after {t:?} (wall {:?})", report.wall),
-        None => println!(
+        Some(t) => say!("converged after {t:?} (wall {:?})", report.wall),
+        None => say!(
             "did not converge within {:?} (wall {:?})",
-            config.max_wall, report.wall
+            config.max_wall,
+            report.wall
         ),
     }
-    println!(
+    say!(
         "drained: {}; final dispersion: {}",
         report.drained,
         f(report.final_dispersion)
     );
     if !report.convicted.is_empty() {
-        println!("convicted (quarantined) peers: {:?}", report.convicted);
+        say!("convicted (quarantined) peers: {:?}", report.convicted);
     }
     let expected = n as u64 * config.quantum.grains_per_unit();
     // Crash-restart and quarantine both shed grains legitimately (death
@@ -922,7 +893,7 @@ fn print_cluster_report<S>(
             .iter()
             .any(|r| r.outcome != NodeOutcome::Completed || r.restarts > 0);
     let dynamic = config.drift.is_some() || config.churn.is_some();
-    println!(
+    say!(
         "grains: {} (expected {expected}, {})",
         report.total_grains(),
         if report.total_grains() == expected {
@@ -977,20 +948,20 @@ fn print_cluster_report<S>(
                 .unwrap_or_else(|| "-".into()),
         ]);
     }
-    if csv {
-        print!("{}", table.to_csv());
+    emit(&if csv {
+        table.to_csv()
     } else {
-        print!("{}", table.to_markdown());
-    }
+        table.to_markdown()
+    })?;
     for node in &report.nodes {
         if let Some(err) = &node.error {
-            println!("node {} panic: {err}", node.id);
+            say!("node {} panic: {err}", node.id);
         }
     }
     let totals = report.total_metrics();
-    println!("\ncluster totals: {totals}");
+    say!("\ncluster totals: {totals}");
     if let Some(audit) = &report.audit {
-        println!("\n## audit\n\n{audit}");
+        say!("\n## audit\n\n{audit}");
     }
     Ok(())
 }
@@ -1016,11 +987,11 @@ fn cmd_robust_average(args: &Args) -> Result<(), String> {
     let truth = Vector::zeros(2);
     let c = sim.classification_of(sim.live_nodes()[0]);
     let robust = outlier::robust_mean(c).ok_or("empty classification")?;
-    println!(
+    say!(
         "{n} sensors, {} density-outliers, delta {delta}",
         flags.iter().filter(|&&o| o).count()
     );
-    println!(
+    say!(
         "robust mean:  {} (error {})",
         robust,
         f(robust.distance(&truth))
@@ -1028,7 +999,7 @@ fn cmd_robust_average(args: &Args) -> Result<(), String> {
     let plain_error = push
         .mean_error(&truth)
         .ok_or("push-sum network has no live nodes")?;
-    println!(
+    say!(
         "plain mean:   {} (error {})",
         push.estimates()[0],
         f(plain_error)
@@ -1059,33 +1030,19 @@ fn cmd_topologies(args: &Args) -> Result<(), String> {
                 .unwrap_or_else(|| "did not converge".into()),
         ]);
     }
-    print!("{}", table.to_markdown());
-    Ok(())
+    emit(&table.to_markdown())
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse();
-    let command = args
-        .positional
-        .first()
-        .map(String::as_str)
-        .unwrap_or("help");
-    let result = match command {
+    let result = Args::parse(std::env::args().skip(1)).and_then(|args| match args.cmd.name {
         "classify" => cmd_classify(&args).map(|()| ExitCode::SUCCESS),
         "robust-average" => cmd_robust_average(&args).map(|()| ExitCode::SUCCESS),
         "topologies" => cmd_topologies(&args).map(|()| ExitCode::SUCCESS),
         "run-cluster" => cmd_run_cluster(&args).map(|()| ExitCode::SUCCESS),
-        "trace-report" => cmd_trace_report(&args),
-        "causal-report" => cmd_causal_report(&args),
-        "byz-report" => cmd_byz_report(&args),
-        "dyn-report" => cmd_dyn_report(&args),
+        "report" => cmd_report(&args),
         "prof-report" => cmd_prof_report(&args),
-        "help" | "--help" => {
-            println!("{}", usage());
-            Ok(ExitCode::SUCCESS)
-        }
-        other => Err(format!("unknown command {other}\n{}", usage())),
-    };
+        _ => emit(&usage()).map(|()| ExitCode::SUCCESS),
+    });
     match result {
         Ok(code) => code,
         Err(e) => {

@@ -1,6 +1,7 @@
 //! End-to-end Byzantine adversary tests: scripted liars against the
 //! stochastic-audit defense, with the grain auditor and the offline
-//! `byz-report` replay checking every number twice.
+//! byz replay (`ByzReport`, `report`'s byz section) checking every
+//! number twice.
 //!
 //! The adversary model is *wire-only*: an adversary corrupts the data
 //! frames it puts on the wire but keeps its internal books truthful and
@@ -92,7 +93,7 @@ fn assert_defended(
     let byz = ByzReport::from_events(events);
     assert!(
         byz.clean(),
-        "{label}: byz-report raised anomalies: {:?}",
+        "{label}: the byz report raised anomalies: {:?}",
         byz.anomalies
     );
     assert_eq!(byz.detection_rate(), 1.0, "{label}");

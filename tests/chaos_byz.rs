@@ -112,7 +112,7 @@ fn assert_defended_through_chaos(
     let byz = ByzReport::from_events(events);
     assert!(
         byz.clean(),
-        "{label}: byz-report raised anomalies: {:?}",
+        "{label}: the byz report raised anomalies: {:?}",
         byz.anomalies
     );
     assert_eq!(byz.detection_rate(), 1.0, "{label}");

@@ -1,7 +1,7 @@
-//! CLI flag hygiene: contradictory or vacuous flag combinations, and
-//! node counts no topology can hold, must die with a clear usage error
-//! before any peer is spawned, not start a run with surprising defaults
-//! or panic.
+//! CLI flag hygiene: unknown flags, flags missing their value,
+//! contradictory or vacuous flag combinations, and node counts no
+//! topology can hold, must die with a clear usage error before any peer
+//! is spawned, not start a run with surprising defaults or panic.
 
 use std::process::Command;
 
@@ -120,4 +120,56 @@ fn too_few_nodes_for_a_topology_is_an_error_not_a_panic() {
         );
     }
     let _ = std::fs::remove_file(&one_line);
+}
+
+#[test]
+fn unknown_flags_are_errors_that_name_the_flag() {
+    let cases: [(&str, &[&str], &str); 3] = [
+        (
+            "run-cluster",
+            &["--transport", "channel", "--nodes", "4"],
+            "--nodes",
+        ),
+        ("classify", &["--instnace", "centroid"], "--instnace"),
+        // A removed alias: the report's file is its operand.
+        ("report", &["--file", "trace.jsonl"], "--file"),
+    ];
+    for (cmd, extra, flag) in cases {
+        let out = distclass(cmd, extra);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {extra:?}:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{cmd} {extra:?} must name {flag}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd} {extra:?} ran anyway");
+    }
+}
+
+#[test]
+fn a_value_flag_without_its_value_is_an_error() {
+    let out = distclass("classify", &["--n", "--rounds", "2"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--n needs a non-empty count"), "{stderr}");
+    assert!(out.stdout.is_empty(), "classify ran with a default --n");
+}
+
+#[test]
+fn a_switch_never_takes_the_next_argument() {
+    let trace = std::env::temp_dir().join(format!("distclass-switch-{}.jsonl", std::process::id()));
+    std::fs::write(
+        &trace,
+        "{\"type\":\"cluster_started\",\"nodes\":2,\"initial_grains\":200}\n",
+    )
+    .expect("write a trace");
+    let out = distclass("report", &["--json", trace.to_str().expect("utf-8 path")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(1), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.starts_with("{\"trace\":"),
+        "not the JSON report:\n{stdout}"
+    );
+    let _ = std::fs::remove_file(&trace);
 }

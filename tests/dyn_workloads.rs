@@ -12,7 +12,8 @@
 //! 2. **Exact accounting**: every grain of injected and forgotten mass
 //!    is declared, so the auditor's books balance to the grain through
 //!    drift, joins and retirement handoffs
-//!    (`final = initial + gains + injected − losses − forgotten`).
+//!    (`final = initial + gains + injected − losses − forgotten`), and
+//!    the offline [`CausalReport`]'s per-node provenance closes exactly.
 //!
 //! Each scenario sweeps a seed matrix on the virtual-time driver
 //! (`run_sim_cluster`), so each seed replays exactly; set
@@ -28,7 +29,7 @@ use common::{sweep, two_site_values};
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::obs::{DynOptions, DynReport, RingSink, Tracer};
+use distclass::obs::{AnalyzeOptions, CausalReport, DynOptions, DynReport, RingSink, Tracer};
 use distclass::runtime::{
     run_sim_cluster, AdversaryPlan, ChurnPlan, ClusterConfig, ClusterReport, DefenseConfig,
     DriftSchedule, FaultPlan, NodeOutcome,
@@ -95,7 +96,7 @@ fn assert_centroid_agreement(report: &ClusterReport<Vector>, tol: f64, label: &s
 /// and peer 2 retires at 450 ms, handing its grains to a neighbor. The
 /// cluster must settle on the *new* mixture, the auditor must balance
 /// exactly through the injected/forgotten/handoff terms, and the offline
-/// `dyn-report` replay must come back clean.
+/// dyn and causal replays must come back clean.
 #[test]
 fn drift_and_churn_reconverge_and_balance_exactly() {
     let name = "drift_and_churn_reconverge_and_balance_exactly";
@@ -177,12 +178,20 @@ fn drift_and_churn_reconverge_and_balance_exactly() {
             "{label}: the joiner must hold mass at shutdown"
         );
 
-        // And the offline replay agrees: a settled episode timeline that
-        // holds to the end, reconciled against the auditor.
-        let dyn_report = DynReport::from_events(&sink.events(), &DynOptions::default());
+        // And the offline replays agree: a settled episode timeline that
+        // holds to the end, reconciled against the auditor, and every
+        // node's provenance closed through its re-reads.
+        let events = sink.events();
+        let causal = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        assert!(
+            causal.clean(),
+            "{label}: causal anomalies: {:?}",
+            causal.anomalies
+        );
+        let dyn_report = DynReport::from_events(&events, &DynOptions::default());
         assert!(
             dyn_report.clean(),
-            "{label}: dyn-report anomalies: {:?}",
+            "{label}: dyn anomalies: {:?}",
             dyn_report.anomalies
         );
         assert!(
@@ -267,18 +276,25 @@ fn drift_partition_cartel_zero_false_convictions() {
             "{label}: six drifting sensors, one unit each"
         );
 
-        let dyn_report = DynReport::from_events(&sink.events(), &DynOptions::default());
+        let events = sink.events();
+        let causal = CausalReport::from_events(&events, &AnalyzeOptions::default());
+        assert!(
+            causal.clean(),
+            "{label}: causal anomalies: {:?}",
+            causal.anomalies
+        );
+        let dyn_report = DynReport::from_events(&events, &DynOptions::default());
         assert!(
             dyn_report.clean(),
-            "{label}: dyn-report anomalies: {:?}",
+            "{label}: dyn anomalies: {:?}",
             dyn_report.anomalies
         );
     });
 }
 
 /// End-to-end CLI contract: a dynamic run traced through the binary
-/// must gate clean — `dyn-report` exits 0 on its own trace and reports
-/// the join, the retirement and the reconciled injection terms.
+/// must gate clean — `report` exits 0 on its own trace and reports the
+/// join, the retirement and the reconciled injection terms.
 #[test]
 fn cli_dyn_report_gates_a_clean_dynamic_run() {
     let dir = std::env::temp_dir().join(format!("distclass-dyn-{}", std::process::id()));
@@ -315,14 +331,14 @@ fn cli_dyn_report_gates_a_clean_dynamic_run() {
     );
 
     let report = std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
-        .args(["dyn-report", trace.to_str().expect("utf-8 path")])
+        .args(["report", trace.to_str().expect("utf-8 path")])
         .output()
-        .expect("spawn distclass dyn-report");
+        .expect("spawn distclass report");
     let stdout = String::from_utf8_lossy(&report.stdout);
     assert_eq!(
         report.status.code(),
         Some(0),
-        "dyn-report on a clean dynamic run must exit 0:\n{stdout}\n{}",
+        "report on a clean dynamic run must exit 0:\n{stdout}\n{}",
         String::from_utf8_lossy(&report.stderr)
     );
     assert!(stdout.contains("anomalies: none"), "{stdout}");

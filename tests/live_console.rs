@@ -12,7 +12,7 @@ use std::time::Duration;
 use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::obs::{EpisodeRule, Json, Live, LiveAggregator, LiveConsole, Profiler, Tracer};
+use distclass::obs::{AnalyzeOptions, Json, LiveAggregator, LiveConsole, Profiler, Tracer};
 use distclass::runtime::{run_cluster_with_faults, ChannelNet, ClusterConfig, FaultPlan};
 
 fn two_site_values(n: usize) -> Vec<Vector> {
@@ -44,7 +44,7 @@ fn http_get(addr: std::net::SocketAddr, target: &str) -> Option<(String, String)
 #[test]
 fn snapshot_reconciles_exactly_with_the_final_audit() {
     const N: usize = 6;
-    let agg = Arc::new(LiveAggregator::new(EpisodeRule::default()));
+    let agg = Arc::new(LiveAggregator::new(AnalyzeOptions::default()));
     let config = ClusterConfig {
         tick: Duration::from_millis(1),
         tol: 1e-9,
@@ -77,7 +77,7 @@ fn snapshot_reconciles_exactly_with_the_final_audit() {
     let server = match LiveConsole::start(
         "127.0.0.1:0",
         None,
-        Live::new(agg.clone()),
+        Some(agg.clone()),
         Profiler::disabled(),
         None,
     ) {

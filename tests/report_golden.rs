@@ -62,15 +62,18 @@ const PARTITION_JSONL: [u64; 4] = [
     0x4e10_85ff_64f9_bb4f,
     0xebc1_c52d_08a2_86ad,
 ];
+/// The causal digests pin provenance through sensor re-reads: node 0's
+/// durable re-read (+48) enters its `expected`, node 1's voided one does
+/// not.
 const RUNTIME_EVENTS: [u64; 4] = [
     0x07e1_3f89_ebbb_23de,
-    0xe662_d477_5cea_0572,
+    0x795f_00e7_af05_b98d,
     0x66bd_f67e_c62d_947f,
     0x4aca_2df1_c7d0_8f27,
 ];
 const RUNTIME_JSONL: [u64; 4] = [
     0xad16_54db_81b2_bcee,
-    0x214f_72d6_13bb_f493,
+    0x4045_743f_7e7e_1758,
     0x66bd_f67e_c62d_947f,
     0x4aca_2df1_c7d0_8f27,
 ];

@@ -1,7 +1,9 @@
-//! The offline trace analyzer (`obs::analyze` / the `trace-report` CLI
-//! subcommand) must reach the same verdict as the live grain auditor:
-//! replaying a chaos run's trace reconciles every peer ledger to the
-//! grain (drift 0), and the CLI exit code encodes clean vs anomalous.
+//! The offline trace analyzer (`obs::analyze`, the trace section of the
+//! `report` CLI subcommand) must reach the same verdict as the live grain
+//! auditor: replaying a chaos run's trace reconciles every peer ledger to
+//! the grain (drift 0), and the CLI exit code encodes clean vs anomalous.
+//! `report` prints the four offline reports exactly as the library
+//! renders them, and no command dies when its reader closes stdout.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,8 +12,13 @@ use distclass::core::CentroidInstance;
 use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::obs::{prom, AnalyzeOptions, Json, RingSink, TraceReport, Tracer};
-use distclass::runtime::{run_cluster_with_faults, ChannelNet, ClusterConfig, FaultPlan};
+use distclass::obs::{
+    prom, AnalyzeOptions, ByzReport, CausalReport, DynOptions, DynReport, Json, JsonlSink,
+    RingSink, TraceReport, TraceSink, Tracer,
+};
+use distclass::runtime::{
+    run_cluster_with_faults, run_sim_cluster, ChannelNet, ClusterConfig, DriftSchedule, FaultPlan,
+};
 
 fn two_site_values(n: usize) -> Vec<Vector> {
     (0..n)
@@ -118,7 +125,7 @@ fn trace_report_builds_link_latencies_from_round_sim() {
 }
 
 /// End to end through the binary: `run-cluster --trace --metrics-prom`
-/// then `trace-report` exits 0 with a CLEAN verdict and machine-readable
+/// then `report` exits 0 with a CLEAN verdict and machine-readable
 /// drift fields, and the Prometheus dump passes the exposition validator.
 #[test]
 fn cli_trace_report_clean_run_and_prom_dump() {
@@ -155,14 +162,14 @@ fn cli_trace_report_clean_run_and_prom_dump() {
 
     // Human report: exit 0 and an explicit CLEAN verdict.
     let report = std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
-        .args(["trace-report", trace.to_str().expect("utf-8 path")])
+        .args(["report", trace.to_str().expect("utf-8 path")])
         .output()
-        .expect("spawn distclass trace-report");
+        .expect("spawn distclass report");
     let stdout = String::from_utf8_lossy(&report.stdout);
     assert_eq!(
         report.status.code(),
         Some(0),
-        "trace-report on a clean run must exit 0:\n{stdout}\n{}",
+        "report on a clean run must exit 0:\n{stdout}\n{}",
         String::from_utf8_lossy(&report.stderr)
     );
     assert!(
@@ -172,15 +179,12 @@ fn cli_trace_report_clean_run_and_prom_dump() {
 
     // JSON report: parseable, clean, and every ledger drift is zero.
     let json_out = std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
-        .args([
-            "trace-report",
-            trace.to_str().expect("utf-8 path"),
-            "--json",
-        ])
+        .args(["report", trace.to_str().expect("utf-8 path"), "--json"])
         .output()
-        .expect("spawn distclass trace-report --json");
+        .expect("spawn distclass report --json");
     assert_eq!(json_out.status.code(), Some(0));
     let doc = Json::parse(&String::from_utf8_lossy(&json_out.stdout)).expect("valid JSON report");
+    let doc = doc.get("trace").expect("trace section");
     assert_eq!(doc.get("clean").and_then(Json::as_bool), Some(true));
     let ledgers = match doc.get("ledgers") {
         Some(Json::Arr(items)) => items,
@@ -208,7 +212,7 @@ fn cli_trace_report_clean_run_and_prom_dump() {
 }
 
 /// An anomalous trace (panicked peer, drifting ledger) makes
-/// `trace-report` exit 2, distinct from usage errors (1).
+/// `report` exit 2, distinct from usage errors (1).
 #[test]
 fn cli_trace_report_flags_anomalies_with_exit_2() {
     let dir = std::env::temp_dir().join(format!("distclass-anom-{}", std::process::id()));
@@ -225,9 +229,9 @@ fn cli_trace_report_flags_anomalies_with_exit_2() {
     std::fs::write(&trace, lines.join("\n")).expect("write synthetic trace");
 
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
-        .args(["trace-report", trace.to_str().expect("utf-8 path")])
+        .args(["report", trace.to_str().expect("utf-8 path")])
         .output()
-        .expect("spawn distclass trace-report");
+        .expect("spawn distclass report");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(
         out.status.code(),
@@ -241,17 +245,17 @@ fn cli_trace_report_flags_anomalies_with_exit_2() {
 
     // Usage error (missing file) is exit 1, never 2.
     let missing = std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
-        .args(["trace-report", "/nonexistent/trace.jsonl"])
+        .args(["report", "/nonexistent/trace.jsonl"])
         .output()
-        .expect("spawn distclass trace-report");
+        .expect("spawn distclass report");
     assert_eq!(missing.status.code(), Some(1));
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A reader that closes stdout early (`| head -c1`) must not make a
-/// report subcommand panic: it stops writing and exits with the code the
-/// report gives when read to the end (0 clean, 2 anomalous).
+/// A reader that closes stdout early (`| head -c1`) must not make
+/// `report` panic: it stops writing and exits with the code the report
+/// gives when read to the end (0 clean, 2 anomalous).
 #[test]
 fn report_subcommands_exit_quietly_when_stdout_is_closed() {
     let dir = std::env::temp_dir().join(format!("distclass-pipe-{}", std::process::id()));
@@ -283,38 +287,168 @@ fn report_subcommands_exit_quietly_when_stdout_is_closed() {
 
     let mut codes = Vec::new();
     for trace in [&clean, &anomalous] {
-        for cmd in ["trace-report", "causal-report", "byz-report", "dyn-report"] {
-            for json in [false, true] {
-                let mut args = vec![cmd, trace.to_str().expect("utf-8 path")];
-                if json {
-                    args.push("--json");
-                }
-                let run = |stdout: std::process::Stdio| {
-                    std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
-                        .args(&args)
-                        .stdout(stdout)
-                        .output()
-                        .expect("spawn distclass")
-                };
-                let usual = run(std::process::Stdio::piped());
-                assert!(!usual.stdout.is_empty(), "{args:?} printed nothing");
-                let (reader, writer) = std::io::pipe().expect("create a pipe");
-                drop(reader);
-                let closed = run(writer.into());
-                let stderr = String::from_utf8_lossy(&closed.stderr);
-                assert_eq!(
-                    closed.status.code(),
-                    usual.status.code(),
-                    "{args:?} with stdout closed:\n{stderr}"
-                );
-                assert!(stderr.is_empty(), "{args:?} with stdout closed:\n{stderr}");
-                codes.push(usual.status.code());
-            }
+        for extra in [None, Some("--json"), Some("--dot")] {
+            let mut args = vec!["report", trace.to_str().expect("utf-8 path")];
+            args.extend(extra);
+            let run = |stdout: std::process::Stdio| {
+                std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
+                    .args(&args)
+                    .stdout(stdout)
+                    .output()
+                    .expect("spawn distclass")
+            };
+            let usual = run(std::process::Stdio::piped());
+            assert!(!usual.stdout.is_empty(), "{args:?} printed nothing");
+            let (reader, writer) = std::io::pipe().expect("create a pipe");
+            drop(reader);
+            let closed = run(writer.into());
+            let stderr = String::from_utf8_lossy(&closed.stderr);
+            assert_eq!(
+                closed.status.code(),
+                usual.status.code(),
+                "{args:?} with stdout closed:\n{stderr}"
+            );
+            assert!(stderr.is_empty(), "{args:?} with stdout closed:\n{stderr}");
+            codes.push(usual.status.code());
         }
     }
     assert!(
         codes.contains(&Some(0)) && codes.contains(&Some(2)),
         "{codes:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `report` is the four offline reports of one pass, byte for byte: its
+/// `--json` members are each report's `to_json()` over the same file, and
+/// its text is their `Display`s in order, then the verdict line. The
+/// trace is a chaos run whose crash-restart voids drifted grains.
+#[test]
+fn report_prints_the_four_reports_byte_for_byte() {
+    const N: usize = 8;
+    let dir = std::env::temp_dir().join(format!("distclass-sections-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("chaos.jsonl");
+    let sink = Arc::new(JsonlSink::create(&path).expect("create the trace"));
+    let plan = FaultPlan::new(3)
+        .duplicate(0.05)
+        .reorder(0.1)
+        .crash_restart(Duration::from_millis(318), 1, Duration::from_millis(150));
+    // Node 1 re-reads at 312 ms and crashes at 318 ms, before its next
+    // checkpoint (every 25 ms): the void carries the drift terms.
+    let drift = DriftSchedule::parse("step@312ms:0-3=9.0,9.0", 3).expect("drift spec");
+    let config = ClusterConfig {
+        tick: Duration::from_millis(1),
+        tol: 1e-6,
+        stable_window: Duration::from_millis(150),
+        max_wall: Duration::from_secs(30),
+        drain_wall: Duration::from_secs(15),
+        seed: 3,
+        audit: true,
+        tracer: Tracer::new(Arc::clone(&sink) as _),
+        drift: Some(Arc::new(drift)),
+        ..ClusterConfig::default()
+    };
+    let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
+    let run = run_sim_cluster(
+        &Topology::complete(N),
+        inst,
+        &two_site_values(N),
+        &plan,
+        &config,
+    );
+    assert!(run.converged && run.drained, "the chaos run did not settle");
+    sink.flush().expect("flush the trace");
+    let text = std::fs::read_to_string(&path).expect("read the trace back");
+
+    let opts = AnalyzeOptions::default();
+    let t = TraceReport::from_jsonl(&text, &opts).expect("trace report");
+    let c = CausalReport::from_jsonl(&text, &opts).expect("causal report");
+    let b = ByzReport::from_jsonl(&text).expect("byz report");
+    let y = DynReport::from_jsonl(&text, &DynOptions::default()).expect("dyn report");
+    assert!(
+        t.clean() && c.clean() && b.clean() && y.clean(),
+        "a clean chaos run:\n{t}{c}{b}{y}"
+    );
+
+    let report = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
+            .arg("report")
+            .arg(&path)
+            .args(extra)
+            .output()
+            .expect("spawn distclass report")
+    };
+    let json = report(&["--json"]);
+    assert_eq!(json.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&json.stdout),
+        format!(
+            "{{\"trace\":{},\"causal\":{},\"byz\":{},\"dyn\":{},\"clean\":true}}\n",
+            t.to_json(),
+            c.to_json(),
+            b.to_json(),
+            y.to_json()
+        )
+    );
+    let human = report(&[]);
+    assert_eq!(human.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&human.stdout);
+    let mut rest = &*stdout;
+    for section in [t.to_string(), c.to_string(), b.to_string(), y.to_string()] {
+        let at = rest.find(&section).expect("every section, in order");
+        rest = &rest[at + section.len()..];
+    }
+    assert_eq!(rest, "report: CLEAN\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With stdout closed (`| head -c1`), the other commands still finish
+/// their work and exit 0: `run-cluster` writes its `--metrics-json` file.
+#[test]
+fn commands_finish_their_work_when_stdout_is_closed() {
+    let dir = std::env::temp_dir().join(format!("distclass-closed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let metrics = dir.join("metrics.json");
+    let metrics_path = metrics.to_str().expect("utf-8 path");
+    let runs: [&[&str]; 4] = [
+        &["classify", "--n", "10", "--rounds", "3"],
+        &[
+            "robust-average",
+            "--n",
+            "40",
+            "--outliers",
+            "2",
+            "--rounds",
+            "3",
+        ],
+        &["topologies", "--n", "16"],
+        &[
+            "run-cluster",
+            "--transport",
+            "channel",
+            "--n",
+            "4",
+            "--max-secs",
+            "3",
+            "--metrics-json",
+            metrics_path,
+        ],
+    ];
+    for args in runs {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn distclass");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}:\n{stderr}");
+        assert!(stderr.is_empty(), "{args:?}:\n{stderr}");
+    }
+    let doc = std::fs::read_to_string(&metrics).expect("run-cluster wrote --metrics-json");
+    let doc = Json::parse(&doc).expect("metrics JSON parses");
+    assert_eq!(doc.get("nodes").and_then(Json::as_u64), Some(4));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,7 @@
 //! Zero-cost-when-disabled guarantees for the observability handles, and
 //! allocation counts for the hot paths that promise to make none.
 //!
-//! The runtime threads `Tracer`, `Live`, and `Profiler` handles through
+//! The runtime threads `Tracer` and `Profiler` handles through
 //! every hot path on the premise that the disabled state costs one
 //! branch and allocates nothing. These tests pin that premise down with
 //! a counting allocator (per-thread, so the parallel test harness can't
@@ -19,7 +19,7 @@ use distclass::experiments::data::{figure2_components, sample_mixture};
 use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::obs::{Live, Phase, Profiler, ProfilerCore, TraceEvent, Tracer};
+use distclass::obs::{Phase, Profiler, ProfilerCore, TraceEvent, Tracer};
 
 thread_local! {
     /// Allocation count for the current thread. `const`-initialized and
@@ -90,21 +90,6 @@ fn disabled_profiler_spans_allocate_nothing_and_never_read_the_clock() {
     assert_eq!(n, 0, "disabled profiler allocated");
     assert!(!prof.enabled());
     assert!(prof.core().is_none(), "no core to snapshot when disabled");
-}
-
-#[test]
-fn disabled_live_handle_is_inert_and_allocation_free() {
-    let n = allocations(|| {
-        let live = Live::disabled();
-        assert!(!live.enabled());
-        assert!(live.aggregator().is_none());
-        for _ in 0..1_000 {
-            // The clone-per-peer pattern the cluster supervisor uses.
-            let peer_handle = live.clone();
-            assert!(!peer_handle.enabled());
-        }
-    });
-    assert_eq!(n, 0, "disabled live handle allocated");
 }
 
 fn bimodal_values(n: usize) -> Vec<Vector> {
