@@ -4,11 +4,10 @@
 //! (`BENCH_*.json`) is produced by this binary instead: it re-times the two
 //! benchmark workloads the acceptance gate cares about (`round_throughput`
 //! and `em_reduction`) with plain `Instant` timing and records medians.
-//! `round_throughput` is timed three ways — untraced, with a `NullSink`
-//! tracer attached, and with a live metrics registry (histograms and
-//! counters on the round path) — so the snapshot pins both the tracing
-//! layer's disabled-path overhead (acceptance bound < 2% regression) and
-//! the metrics registry's enabled-path cost. A paired defenses-off /
+//! `round_throughput` is timed two ways — untraced and with a `NullSink`
+//! tracer attached — so the snapshot pins the tracing layer's
+//! disabled-path overhead (acceptance bound < 2% regression). A paired
+//! defenses-off /
 //! defenses-on run of the threaded channel cluster additionally records
 //! the Byzantine audit's bandwidth overhead (`--check` enforces the
 //! ≤3% budget when the field is present), and paired dashboard-off /
@@ -33,7 +32,7 @@ use distclass_core::{CentroidInstance, GmInstance};
 use distclass_gossip::{GossipConfig, RoundSim};
 use distclass_net::Topology;
 use distclass_obs::json::{field, num, str as jstr, unum};
-use distclass_obs::{Json, Metrics, MetricsRegistry, NullSink, Profiler, ProfilerCore, Tracer};
+use distclass_obs::{Json, NullSink, Profiler, ProfilerCore, Tracer};
 use distclass_runtime::{run_channel_cluster, ClusterConfig, DefenseConfig, DriftSchedule};
 
 /// Reference `round_throughput_ns` taken on the gate machine immediately
@@ -64,12 +63,7 @@ fn median_u64(mut samples: Vec<u64>) -> u64 {
     samples[samples.len() / 2]
 }
 
-fn one_round_run(
-    n: usize,
-    values: &[distclass_linalg::Vector],
-    tracer: Option<&Tracer>,
-    metrics: Option<&Metrics>,
-) -> u64 {
+fn one_round_run(n: usize, values: &[distclass_linalg::Vector], tracer: Option<&Tracer>) -> u64 {
     let inst = Arc::new(GmInstance::new(2).expect("k = 2 is valid"));
     let mut sim = RoundSim::new(
         Topology::complete(n),
@@ -79,9 +73,6 @@ fn one_round_run(
     );
     if let Some(t) = tracer {
         sim = sim.with_tracer(t.clone());
-    }
-    if let Some(m) = metrics {
-        sim = sim.with_metrics(m.clone());
     }
     sim.run_rounds(5);
     sim.metrics().messages_delivered
@@ -99,15 +90,15 @@ fn round_throughput_pair_ns(reps: usize) -> (u64, u64, u64, u64, f64) {
     let values = bimodal_values(n);
     let tracer = Tracer::new(Arc::new(NullSink) as _);
     // Warm-up both variants.
-    std::hint::black_box(one_round_run(n, &values, None, None));
-    std::hint::black_box(one_round_run(n, &values, Some(&tracer), None));
+    std::hint::black_box(one_round_run(n, &values, None));
+    std::hint::black_box(one_round_run(n, &values, Some(&tracer)));
     let mut plain = Vec::with_capacity(reps);
     let mut traced = Vec::with_capacity(reps);
     for i in 0..reps {
         // Alternate which variant goes first within the pair.
         let time = |t: Option<&Tracer>| {
             let start = Instant::now();
-            std::hint::black_box(one_round_run(n, &values, t, None));
+            std::hint::black_box(one_round_run(n, &values, t));
             start.elapsed().as_nanos() as u64
         };
         let (p, t) = if i % 2 == 0 {
@@ -126,46 +117,6 @@ fn round_throughput_pair_ns(reps: usize) -> (u64, u64, u64, u64, f64) {
     let (fp, ft) = (floor(&plain), floor(&traced));
     let overhead = ft as f64 / fp as f64;
     (median_u64(plain), median_u64(traced), fp, ft, overhead)
-}
-
-/// Paired registry-disabled vs registry-enabled timing of the round
-/// workload, interleaved like [`round_throughput_pair_ns`]. The enabled
-/// side exercises the histogram path: the engine observes round and
-/// merge-phase durations into a live [`MetricsRegistry`] every round.
-/// Returns `(median disabled, median enabled, floor disabled, floor
-/// enabled, floor ratio)`.
-fn round_throughput_registry_pair_ns(reps: usize) -> (u64, u64, u64, u64, f64) {
-    let n = 256;
-    let values = bimodal_values(n);
-    let registry = Arc::new(MetricsRegistry::new());
-    let enabled = Metrics::new(registry);
-    let disabled = Metrics::disabled();
-    std::hint::black_box(one_round_run(n, &values, None, Some(&disabled)));
-    std::hint::black_box(one_round_run(n, &values, None, Some(&enabled)));
-    let mut off = Vec::with_capacity(reps);
-    let mut on = Vec::with_capacity(reps);
-    for i in 0..reps {
-        let time = |m: &Metrics| {
-            let start = Instant::now();
-            std::hint::black_box(one_round_run(n, &values, None, Some(m)));
-            start.elapsed().as_nanos() as u64
-        };
-        let (d, e) = if i % 2 == 0 {
-            let d = time(&disabled);
-            let e = time(&enabled);
-            (d, e)
-        } else {
-            let e = time(&enabled);
-            let d = time(&disabled);
-            (d, e)
-        };
-        off.push(d);
-        on.push(e);
-    }
-    let floor = |xs: &[u64]| *xs.iter().min().expect("reps > 0");
-    let (fd, fe) = (floor(&off), floor(&on));
-    let overhead = fe as f64 / fd as f64;
-    (median_u64(off), median_u64(on), fd, fe, overhead)
 }
 
 fn em_reduction_ns(reps: usize) -> u64 {
@@ -416,7 +367,9 @@ fn validate(doc: &Json) -> Result<(), String> {
     // every snapshot that carries one must have a sane value, and the
     // budgeted ones must stay inside their ceilings.
     // `(key, smallest legal value, ceiling)` — a `None` ceiling means the
-    // ratio is recorded but not gated.
+    // ratio is recorded but not gated. `registry_overhead` is no longer
+    // produced (the simulators carry no registry timers); the committed
+    // snapshots that hold it must still validate.
     let optional_ratios: [(&str, f64, Option<f64>); 5] = [
         ("registry_overhead", f64::MIN_POSITIVE, None),
         ("byz_audit_overhead", 0.0, Some(BYZ_OVERHEAD_BOUND)),
@@ -492,8 +445,6 @@ fn check(path: &str) -> ExitCode {
 
 fn snapshot(out: &str) -> ExitCode {
     let (rt, rt_null, rt_floor, rt_null_floor, overhead) = round_throughput_pair_ns(ROUND_REPS);
-    let (rt_reg_off, rt_reg, rt_reg_off_floor, rt_reg_floor, reg_overhead) =
-        round_throughput_registry_pair_ns(ROUND_REPS);
     let em = em_reduction_ns(EM_REPS);
     let (byz_off, byz_on, byz_audit, byz_overhead) = byz_audit_overhead();
     let (dyn_static, dyn_armed, dyn_overhead) = dyn_drift_overhead(9);
@@ -502,10 +453,6 @@ fn snapshot(out: &str) -> ExitCode {
     println!("round_throughput_ns {rt} (floor {rt_floor})");
     println!(
         "round_throughput_null_sink_ns {rt_null} (floor {rt_null_floor}, overhead x{overhead:.4})"
-    );
-    println!(
-        "round_throughput_registry_ns {rt_reg} (floor {rt_reg_floor}, \
-         disabled floor {rt_reg_off_floor}, overhead x{reg_overhead:.4})"
     );
     println!("em_reduction_ns {em}");
     println!(
@@ -532,14 +479,6 @@ fn snapshot(out: &str) -> ExitCode {
         field("round_throughput_floor_ns", unum(rt_floor)),
         field("round_throughput_null_sink_floor_ns", unum(rt_null_floor)),
         field("null_sink_overhead", num(overhead)),
-        field("round_throughput_registry_disabled_ns", unum(rt_reg_off)),
-        field("round_throughput_registry_ns", unum(rt_reg)),
-        field(
-            "round_throughput_registry_disabled_floor_ns",
-            unum(rt_reg_off_floor),
-        ),
-        field("round_throughput_registry_floor_ns", unum(rt_reg_floor)),
-        field("registry_overhead", num(reg_overhead)),
         field("em_reduction_ns", unum(em)),
         field("byz_cluster_bytes_defense_off", unum(byz_off)),
         field("byz_cluster_bytes_defense_on", unum(byz_on)),

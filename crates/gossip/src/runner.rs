@@ -4,9 +4,7 @@ use distclass_core::{convergence, Classification, ClassifierNode, Instance, Quan
 use distclass_net::{
     CrashModel, DelayModel, EventEngine, NetMetrics, NodeId, RoundEngine, Topology,
 };
-use distclass_obs::{
-    Histogram, Metrics, Phase, TelemetrySample, ThreadProfiler, TraceEvent, Tracer,
-};
+use distclass_obs::{Phase, TelemetrySample, ThreadProfiler, TraceEvent, Tracer};
 
 use crate::message::GossipPattern;
 use crate::protocol::{ClassifierProtocol, DeliveryMode, SelectorKind};
@@ -28,7 +26,7 @@ pub struct GossipConfig {
     /// Crash faults (round simulator only).
     pub crash: CrashModel,
     /// Perfect failure detector: neighbor selection skips crashed nodes
-    /// (round simulator only; the asynchronous simulator has no crashes).
+    /// (round simulator only; the asynchronous simulator always has one).
     /// Disabling it starves survivors on fault-heavy runs — kept for
     /// ablation studies.
     pub failure_detector: bool,
@@ -173,22 +171,6 @@ pub struct RoundSim<I: Instance> {
     quantum: Quantum,
     tracer: Tracer,
     probe: Option<ErrorProbe<I::Summary>>,
-    instruments: Option<RunnerInstruments>,
-}
-
-/// Registry handles the runner updates per round, minted once in
-/// [`RoundSim::with_metrics`].
-struct RunnerInstruments {
-    /// Wall time of one full gossip round, engine work plus telemetry.
-    round_ns: Histogram,
-    /// Wall time of computing one telemetry sample.
-    sample_ns: Histogram,
-}
-
-impl std::fmt::Debug for RunnerInstruments {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RunnerInstruments")
-    }
 }
 
 impl<I: Instance> RoundSim<I> {
@@ -219,7 +201,6 @@ impl<I: Instance> RoundSim<I> {
             quantum: config.quantum,
             tracer: Tracer::disabled(),
             probe: None,
-            instruments: None,
         }
     }
 
@@ -236,27 +217,6 @@ impl<I: Instance> RoundSim<I> {
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.engine = self.engine.with_tracer(tracer.clone());
         self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a metrics registry handle (builder style): the engine
-    /// records message-fate counters and round/merge-phase timings, and
-    /// the runner adds whole-round and telemetry-sampling timings. A
-    /// disabled handle (the default) keeps the hot path untouched.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.engine = self.engine.with_metrics(metrics.clone());
-        self.instruments = metrics.enabled().then(|| RunnerInstruments {
-            round_ns: metrics.histogram(
-                "distclass_gossip_round_ns",
-                "Wall time of one gossip round including telemetry, ns",
-                &[],
-            ),
-            sample_ns: metrics.histogram(
-                "distclass_telemetry_sample_ns",
-                "Wall time of computing one telemetry sample, ns",
-                &[],
-            ),
-        });
         self
     }
 
@@ -327,24 +287,12 @@ impl<I: Instance> RoundSim<I> {
 
     /// Runs one round; with a tracer attached, emits a telemetry sample.
     pub fn run_round(&mut self) {
-        let round_start = self.instruments.as_ref().map(|_| std::time::Instant::now());
         self.engine.run_round();
         if self.tracer.enabled() {
-            // One measurement feeds both the profiler's `checkpoint`
-            // span and the sampling histogram.
-            let sample_span = self
-                .engine
-                .profiler()
-                .span_timed(Phase::Checkpoint, self.instruments.is_some());
+            let sample_span = self.engine.profiler().span(Phase::Checkpoint);
             let sample = self.telemetry_sample();
-            let sample_ns = sample_span.stop();
-            if let (Some(ins), Some(ns)) = (&self.instruments, sample_ns) {
-                ins.sample_ns.observe(ns);
-            }
+            drop(sample_span);
             self.tracer.emit(|| TraceEvent::Telemetry(sample));
-        }
-        if let (Some(ins), Some(t0)) = (&self.instruments, round_start) {
-            ins.round_ns.observe(t0.elapsed().as_nanos() as u64);
         }
     }
 
@@ -779,45 +727,6 @@ mod tests {
         assert_eq!(am.bytes_sent, am.bytes_delivered);
         assert!(am.bytes_sent >= am.messages_sent * min);
         assert!(am.bytes_sent <= am.messages_sent * max);
-    }
-
-    #[test]
-    fn metrics_registry_sees_round_timings() {
-        use distclass_obs::{MetricValue, MetricsRegistry, RingSink};
-
-        let registry = Arc::new(MetricsRegistry::new());
-        let values = bimodal_values(8);
-        let sink = Arc::new(RingSink::new(4096));
-        let mut sim = RoundSim::new(
-            Topology::complete(8),
-            instance(),
-            &values,
-            &GossipConfig::default(),
-        )
-        .with_tracer(Tracer::new(sink as _))
-        .with_metrics(distclass_obs::Metrics::new(Arc::clone(&registry)));
-        sim.run_rounds(4);
-
-        let snap = registry.snapshot();
-        let find = |name: &str| {
-            snap.families
-                .iter()
-                .find(|f| f.name == name)
-                .unwrap_or_else(|| panic!("family {name} missing"))
-        };
-        for name in ["distclass_gossip_round_ns", "distclass_telemetry_sample_ns"] {
-            let fam = find(name);
-            let MetricValue::Histogram(h) = &fam.series[0].value else {
-                panic!("{name} is not a histogram");
-            };
-            assert_eq!(h.count, 4, "{name} observed once per round");
-        }
-        // The engine's instruments ride along through the same registry.
-        let fam = find("distclass_round_ns");
-        let MetricValue::Histogram(h) = &fam.series[0].value else {
-            panic!("engine round histogram missing");
-        };
-        assert_eq!(h.count, 4);
     }
 
     #[test]

@@ -65,7 +65,6 @@ enum EventKind<M> {
         msg: M,
     },
     Crash(NodeId),
-    Restart(NodeId),
 }
 
 /// Maps simulated time's bits to an integer queue key that orders like
@@ -116,7 +115,6 @@ pub struct EventEngine<P: Protocol> {
     tick_interval: f64,
     delay: DelayModel,
     link_factor: Option<Box<dyn Fn(NodeId, NodeId) -> f64>>,
-    partitions: Vec<(f64, f64, Vec<NodeId>)>,
     metrics: NetMetrics,
     sizer: Option<fn(&P::Message) -> usize>,
     tracer: Tracer,
@@ -177,7 +175,6 @@ impl<P: Protocol> EventEngine<P> {
             tick_interval,
             delay,
             link_factor: None,
-            partitions: Vec::new(),
             metrics: NetMetrics::default(),
             sizer: None,
             tracer: Tracer::disabled(),
@@ -233,57 +230,11 @@ impl<P: Protocol> EventEngine<P> {
         self
     }
 
-    /// Schedules explicit crash and restart times (builder style): each
-    /// `(crash_at, restart_at, node)` entry fail-stops `node` at
-    /// `crash_at`; with `Some(restart_at)` the node revives then, keeping
-    /// the protocol state it crashed holding (messages addressed to it in
-    /// between are dropped). `None` is a permanent crash. The engine never
-    /// crashes its last live node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a node id is out of range or a restart does not strictly
-    /// follow its crash.
-    pub fn with_crash_restart_schedule(mut self, schedule: &[(f64, Option<f64>, NodeId)]) -> Self {
-        for &(at, restart, node) in schedule {
-            assert!(node < self.nodes.len(), "node {node} out of range");
-            self.push_event(at, EventKind::Crash(node));
-            if let Some(r) = restart {
-                assert!(r > at, "restart must strictly follow the crash");
-                self.push_event(r, EventKind::Restart(node));
-            }
-        }
-        self
-    }
-
-    /// Installs partition windows (builder style): a message from `a`
-    /// to `b` whose delivery time falls inside a `(from, until, side)`
-    /// window with `a` and `b` on opposite sides of `side` is dropped.
-    /// Nodes keep ticking throughout — the asynchronous analogue of a
-    /// healed network split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a window is empty or negative.
-    pub fn with_partition_windows(mut self, windows: Vec<(f64, f64, Vec<NodeId>)>) -> Self {
-        for (from, until, _) in &windows {
-            assert!(until > from && *from >= 0.0, "invalid partition window");
-        }
-        self.partitions = windows;
-        self
-    }
-
     /// Attaches a trace sink (builder style). A disabled tracer (the
     /// default) costs one branch per event and never builds events.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
-    }
-
-    fn partitioned(&self, a: NodeId, b: NodeId, t: f64) -> bool {
-        self.partitions.iter().any(|(from, until, side)| {
-            (*from..*until).contains(&t) && (side.contains(&a) != side.contains(&b))
-        })
     }
 
     /// All node protocol states (including crashed nodes' last state).
@@ -356,21 +307,6 @@ impl<P: Protocol> EventEngine<P> {
                         });
                     }
                 }
-                EventKind::Restart(i) => {
-                    if !self.alive[i] {
-                        self.alive[i] = true;
-                        self.metrics.restarts += 1;
-                        self.tracer.emit(|| TraceEvent::FaultHealed {
-                            kind: "crash".to_string(),
-                            node: Some(i),
-                            at: time,
-                        });
-                        // A revived node needs its tick loop restarted (the
-                        // old one died unrescheduled with the crash).
-                        let jitter = self.env_rng.gen_range(0.5..1.5);
-                        self.push_event(time + self.tick_interval * jitter, EventKind::Tick(i));
-                    }
-                }
                 // Crashed nodes neither tick (no reschedule) nor receive.
                 EventKind::Tick(node) if !self.alive[node] => {}
                 EventKind::Tick(node) => {
@@ -392,12 +328,9 @@ impl<P: Protocol> EventEngine<P> {
                     let jitter = self.env_rng.gen_range(0.5..1.5);
                     self.push_event(time + self.tick_interval * jitter, EventKind::Tick(node));
                 }
-                EventKind::Deliver { from, to, .. } if self.partitioned(from, to, time) => {
-                    self.dropped(from, to, DropReason::Partitioned);
-                }
                 // Message to a crashed node: dropped, weight lost.
                 EventKind::Deliver { from, to, .. } if !self.alive[to] => {
-                    self.dropped(from, to, DropReason::Crashed);
+                    self.dropped(from, to);
                 }
                 EventKind::Deliver { from, to, id, msg } => {
                     self.deliver(from, to, id, msg, &mut outbox, true);
@@ -429,9 +362,7 @@ impl<P: Protocol> EventEngine<P> {
                 continue;
             };
             if !self.alive[to] {
-                self.dropped(from, to, DropReason::Crashed);
-            } else if self.partitioned(from, to, time) {
-                self.dropped(from, to, DropReason::Partitioned);
+                self.dropped(from, to);
             } else {
                 self.deliver(from, to, id, msg, &mut outbox, false);
                 processed += 1;
@@ -439,10 +370,15 @@ impl<P: Protocol> EventEngine<P> {
         }
     }
 
-    fn dropped(&mut self, from: NodeId, to: NodeId, reason: DropReason) {
+    /// Drops a message addressed to a crashed node: the weight it
+    /// carries leaves the system.
+    fn dropped(&mut self, from: NodeId, to: NodeId) {
         self.metrics.messages_dropped += 1;
-        self.tracer
-            .emit(|| TraceEvent::MessageDropped { from, to, reason });
+        self.tracer.emit(|| TraceEvent::MessageDropped {
+            from,
+            to,
+            reason: DropReason::Crashed,
+        });
     }
 
     /// Hands one message (with its causal identity `(span_seq,
@@ -590,55 +526,6 @@ mod tests {
         e.run_until(10.0);
         e.drain_in_flight(10_000);
         assert_eq!(e.in_flight(), 0);
-    }
-
-    #[test]
-    fn crash_restart_revives_node_and_its_tick_loop() {
-        // Node 0 goes down at t=5 and comes back at t=50: while down its
-        // state freezes; once revived its tick loop restarts and it
-        // catches up with the flood (max value is 7).
-        let mut e =
-            engine(Topology::complete(8), 5).with_crash_restart_schedule(&[(5.0, Some(50.0), 0)]);
-        e.run_until(20.0);
-        assert!(!e.is_alive(0));
-        let frozen = e.nodes()[0].value;
-        e.run_until(45.0);
-        assert_eq!(e.nodes()[0].value, frozen, "down nodes receive nothing");
-        e.run_until(300.0);
-        assert!(e.is_alive(0));
-        assert_eq!(e.metrics().crashes, 1);
-        assert_eq!(e.metrics().restarts, 1);
-        assert!(
-            e.nodes().iter().all(|n| n.value == 7),
-            "revived node must tick and gossip again"
-        );
-    }
-
-    #[test]
-    fn permanent_crash_entry_never_restarts() {
-        let mut e = engine(Topology::ring(4), 3).with_crash_restart_schedule(&[(2.0, None, 1)]);
-        e.run_until(100.0);
-        assert!(!e.is_alive(1));
-        assert_eq!(e.metrics().restarts, 0);
-    }
-
-    #[test]
-    fn partition_window_blocks_cross_traffic_until_heal() {
-        // Split {0,1} from {2,3} until t=80; the max (3) cannot cross.
-        let mut e =
-            engine(Topology::complete(4), 11).with_partition_windows(vec![(0.0, 80.0, vec![0, 1])]);
-        e.run_until(70.0);
-        assert!(e.nodes()[0].value <= 1 && e.nodes()[1].value <= 1);
-        assert!(e.metrics().messages_dropped > 0);
-        e.run_until(300.0);
-        assert!(e.nodes().iter().all(|n| n.value == 3));
-        assert_eq!(e.metrics().crashes, 0, "partitions are not crashes");
-    }
-
-    #[test]
-    #[should_panic(expected = "restart must strictly follow the crash")]
-    fn rejects_restart_before_crash() {
-        let _ = engine(Topology::ring(3), 1).with_crash_restart_schedule(&[(5.0, Some(2.0), 0)]);
     }
 
     #[test]

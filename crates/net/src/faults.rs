@@ -2,9 +2,12 @@ use crate::NodeId;
 
 /// Crash-fault injection policy for the round engine.
 ///
-/// Crashed nodes stop ticking and receiving forever (fail-stop). Messages
-/// in flight to a crashed node are dropped, so the weight they carry leaves
-/// the system — exactly the failure mode Figure 4 of the paper examines.
+/// The paper's network model (§3.1) has reliable links, and its only
+/// faults are fail-stop crashes. Crashed nodes stop ticking and receiving
+/// forever; messages in flight to a crashed node are dropped, so the
+/// weight they carry leaves the system — exactly the failure mode Figure
+/// 4 of the paper examines. Deployment faults (restarts, partitions,
+/// loss, delay) belong to the runtime's fault plan, not the simulators.
 #[derive(Debug, Clone, PartialEq, Default)]
 #[non_exhaustive]
 pub enum CrashModel {
@@ -18,26 +21,9 @@ pub enum CrashModel {
         /// Per-node, per-round crash probability in `[0, 1]`.
         prob: f64,
     },
-    /// Crash specific nodes at the end of specific rounds.
+    /// Crash specific nodes at the end of specific rounds:
+    /// `(round, node)` pairs.
     Scheduled(Vec<(u64, NodeId)>),
-    /// Crash specific nodes at the end of specific rounds, each with an
-    /// optional restart round. `(crash_round, Some(restart_round), node)`
-    /// revives the node — with the state it crashed holding — at the start
-    /// of `restart_round`; `(crash_round, None, node)` is a permanent
-    /// crash, identical to [`CrashModel::Scheduled`].
-    CrashRestart {
-        /// `(crash_round, restart_round, node)` triples.
-        schedule: Vec<(u64, Option<u64>, NodeId)>,
-    },
-    /// Partition the network during round windows: in every round `r` with
-    /// `from <= r < until`, messages between a node inside `nodes` and a
-    /// node outside it are dropped in both directions (links inside each
-    /// side keep working). Nodes keep ticking — the round analogue of a
-    /// healed network split, not a crash.
-    Partition {
-        /// `(from_round, until_round, nodes_on_one_side)` windows.
-        windows: Vec<(u64, u64, Vec<NodeId>)>,
-    },
 }
 
 impl CrashModel {

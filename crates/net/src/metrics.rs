@@ -22,8 +22,6 @@ pub struct NetMetrics {
     pub rounds: u64,
     /// Nodes crashed so far.
     pub crashes: u64,
-    /// Crashed nodes revived by a `CrashRestart` schedule.
-    pub restarts: u64,
     /// Wire bytes of all sent messages. Zero unless the engine was given a
     /// message sizer (see `RoundEngine::with_message_sizer`); the sizer
     /// prices each message as its encoded wire size, so simulations report
@@ -37,9 +35,9 @@ impl NetMetrics {
     /// Messages still unaccounted for (sent but neither delivered nor
     /// dropped). Non-zero only while a round/run is in progress.
     ///
-    /// Saturates at zero: accounting can transiently drift (e.g. a
-    /// restart-revived node re-counting a delivery), and a diagnostic
-    /// counter must never be the thing that panics.
+    /// Saturates at zero: the fields are public, so a hand-built or
+    /// summed value can claim more deliveries than sends, and a
+    /// diagnostic counter must never be the thing that panics.
     pub fn in_flight(&self) -> u64 {
         self.messages_sent
             .saturating_sub(self.messages_delivered)
@@ -52,14 +50,13 @@ impl std::fmt::Display for NetMetrics {
         write!(
             f,
             "sent={} delivered={} dropped={} ticks={} rounds={} crashes={} \
-             restarts={} bytes_sent={} bytes_delivered={}",
+             bytes_sent={} bytes_delivered={}",
             self.messages_sent,
             self.messages_delivered,
             self.messages_dropped,
             self.ticks,
             self.rounds,
             self.crashes,
-            self.restarts,
             self.bytes_sent,
             self.bytes_delivered
         )
@@ -83,8 +80,7 @@ mod tests {
 
     #[test]
     fn in_flight_saturates_when_accounting_drifts() {
-        // More delivered than sent (a revived node double-counting) must
-        // read as zero, not underflow-panic.
+        // More delivered than sent must read as zero, not underflow-panic.
         let m = NetMetrics {
             messages_sent: 3,
             messages_delivered: 5,

@@ -1,6 +1,4 @@
-use distclass_obs::{
-    Counter, DropReason, Histogram, Metrics, Phase, ThreadProfiler, TraceEvent, Tracer,
-};
+use distclass_obs::{DropReason, Phase, ThreadProfiler, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,24 +50,7 @@ pub struct RoundEngine<P: Protocol> {
     metrics: NetMetrics,
     sizer: Option<fn(&P::Message) -> usize>,
     tracer: Tracer,
-    instruments: Option<EngineInstruments>,
     prof: ThreadProfiler,
-}
-
-/// Registry handles minted once at attach time so the per-round cost is
-/// a few atomic writes (plus two `Instant` reads for the timings).
-struct EngineInstruments {
-    round_ns: Histogram,
-    merge_phase_ns: Histogram,
-    sent: Counter,
-    delivered: Counter,
-    dropped: Counter,
-}
-
-impl std::fmt::Debug for EngineInstruments {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("EngineInstruments")
-    }
 }
 
 impl<P: Protocol> RoundEngine<P> {
@@ -106,17 +87,15 @@ impl<P: Protocol> RoundEngine<P> {
             metrics: NetMetrics::default(),
             sizer: None,
             tracer: Tracer::disabled(),
-            instruments: None,
             prof: ThreadProfiler::disabled(),
         }
     }
 
     /// Attaches a phase-profiler thread handle (builder style): each
     /// round runs under a `tick` span with the round-end merge/EM
-    /// reduction nested as `em_reduce`. When a metrics registry is also
-    /// attached, the registry round histograms are fed from the *same*
-    /// measurements, so profile and registry views reconcile exactly. A
-    /// disabled handle (the default) never reads the clock.
+    /// reduction nested as `em_reduce`. A profiler core built with a
+    /// metrics registry feeds both into `distclass_phase_us`. A disabled
+    /// handle (the default) never reads the clock.
     pub fn with_profiler(mut self, prof: ThreadProfiler) -> Self {
         self.prof = prof;
         self
@@ -144,41 +123,6 @@ impl<P: Protocol> RoundEngine<P> {
         self
     }
 
-    /// Attaches a metrics registry handle (builder style): per-round wall
-    /// time (`distclass_round_ns`), the merge/EM-reduction phase time
-    /// (`distclass_merge_phase_ns`), and message-fate counters. A
-    /// disabled [`Metrics`] (the default) leaves the hot path untouched.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.instruments = metrics.enabled().then(|| EngineInstruments {
-            round_ns: metrics.histogram(
-                "distclass_round_ns",
-                "wall time of one synchronous round",
-                &[],
-            ),
-            merge_phase_ns: metrics.histogram(
-                "distclass_merge_phase_ns",
-                "wall time of the round-end merge/EM-reduction phase",
-                &[],
-            ),
-            sent: metrics.counter(
-                "distclass_messages_total",
-                "message fates",
-                &[("fate", "sent")],
-            ),
-            delivered: metrics.counter(
-                "distclass_messages_total",
-                "message fates",
-                &[("fate", "delivered")],
-            ),
-            dropped: metrics.counter(
-                "distclass_messages_total",
-                "message fates",
-                &[("fate", "dropped")],
-            ),
-        });
-        self
-    }
-
     /// Accounts for one send and mints its causal identity: the span id's
     /// sequence number and the sender's post-bump Lamport stamp.
     fn record_sent(&mut self, from: NodeId, to: NodeId, msg: &P::Message) -> (u64, u64) {
@@ -187,9 +131,6 @@ impl<P: Protocol> RoundEngine<P> {
         if let Some(sizer) = self.sizer {
             bytes = sizer(msg) as u64;
             self.metrics.bytes_sent += bytes;
-        }
-        if let Some(ins) = &self.instruments {
-            ins.sent.inc();
         }
         self.send_seq[from] += 1;
         self.lamport[from] += 1;
@@ -289,26 +230,13 @@ impl<P: Protocol> RoundEngine<P> {
         self.carried.iter().map(|(_, _, _, _, m)| m)
     }
 
-    /// Whether an active partition window cuts the `from → to` link in
-    /// the current round: some window covers the round and puts the two
-    /// endpoints on opposite sides.
-    fn partitioned(&self, from: NodeId, to: NodeId) -> bool {
-        let CrashModel::Partition { windows } = &self.crash else {
-            return false;
-        };
-        windows.iter().any(|(start, until, side)| {
-            (*start..*until).contains(&self.round) && (side.contains(&from) != side.contains(&to))
-        })
-    }
-
     /// Runs a single round.
     pub fn run_round(&mut self) {
         // The span guards borrow the thread handle, so it moves to a
         // local for the duration of the round (a guard can't borrow a
         // field of `self` across the `&mut self` helper calls below).
         let prof = std::mem::replace(&mut self.prof, ThreadProfiler::disabled());
-        let round_span = prof.span_timed(Phase::Tick, self.instruments.is_some());
-        self.apply_restarts();
+        let round_span = prof.span(Phase::Tick);
         let n = self.nodes.len();
         // Phase 1: ticks.
         let mut pending: Vec<(NodeId, NodeId, u64, u64, P::Message)> =
@@ -339,18 +267,13 @@ impl<P: Protocol> RoundEngine<P> {
 
         // Phase 2: deliveries. Sends from handlers go to the next round.
         for (from, to, seq, send_lamport, msg) in pending {
-            if !self.alive[to] || self.partitioned(from, to) {
-                let reason = if self.alive[to] {
-                    DropReason::Partitioned
-                } else {
-                    DropReason::Crashed
-                };
+            if !self.alive[to] {
                 self.metrics.messages_dropped += 1;
-                if let Some(ins) = &self.instruments {
-                    ins.dropped.inc();
-                }
-                self.tracer
-                    .emit(|| TraceEvent::MessageDropped { from, to, reason });
+                self.tracer.emit(|| TraceEvent::MessageDropped {
+                    from,
+                    to,
+                    reason: DropReason::Crashed,
+                });
                 continue;
             }
             let mut ctx = Context::new(
@@ -371,9 +294,6 @@ impl<P: Protocol> RoundEngine<P> {
             }
             self.nodes[to].on_message(from, msg, &mut ctx);
             self.metrics.messages_delivered += 1;
-            if let Some(ins) = &self.instruments {
-                ins.delivered.inc();
-            }
             // Lamport receive rule, then stamp the delivery with the
             // receiver's new clock and the send's span id.
             self.lamport[to] = self.lamport[to].max(send_lamport) + 1;
@@ -395,7 +315,7 @@ impl<P: Protocol> RoundEngine<P> {
 
         // Phase 3: round end (where the protocol merges received halves
         // and runs its EM-style reduction).
-        let merge_span = prof.span_timed(Phase::EmReduce, self.instruments.is_some());
+        let merge_span = prof.span(Phase::EmReduce);
         for i in 0..n {
             if !self.alive[i] {
                 continue;
@@ -417,19 +337,12 @@ impl<P: Protocol> RoundEngine<P> {
                 self.carried.push((i, to, seq, lamport, msg));
             }
         }
-
-        let merge_ns = merge_span.stop();
-        if let (Some(ins), Some(ns)) = (&self.instruments, merge_ns) {
-            ins.merge_phase_ns.observe(ns);
-        }
+        drop(merge_span);
 
         // Phase 4: crash faults.
         self.apply_crashes();
 
-        let round_ns = round_span.stop();
-        if let (Some(ins), Some(ns)) = (&self.instruments, round_ns) {
-            ins.round_ns.observe(ns);
-        }
+        drop(round_span);
         self.prof = prof;
         self.round += 1;
         self.metrics.rounds += 1;
@@ -468,18 +381,10 @@ impl<P: Protocol> RoundEngine<P> {
             CrashModel::None => {}
             CrashModel::PerRound { prob } => {
                 let prob = *prob;
-                let n = self.nodes.len();
-                for i in 0..n {
+                for i in 0..self.nodes.len() {
                     if self.alive[i] && self.live_count() > 1 && self.crash_rng.gen::<f64>() < prob
                     {
-                        self.alive[i] = false;
-                        self.metrics.crashes += 1;
-                        let round = self.round;
-                        self.tracer.emit(|| TraceEvent::FaultActivated {
-                            kind: "crash".to_string(),
-                            node: Some(i),
-                            at: round as f64,
-                        });
+                        self.crash(i);
                     }
                 }
             }
@@ -492,64 +397,23 @@ impl<P: Protocol> RoundEngine<P> {
                     .collect();
                 for node in to_crash {
                     if node < self.alive.len() && self.alive[node] && self.live_count() > 1 {
-                        self.alive[node] = false;
-                        self.metrics.crashes += 1;
-                        self.tracer.emit(|| TraceEvent::FaultActivated {
-                            kind: "crash".to_string(),
-                            node: Some(node),
-                            at: round as f64,
-                        });
+                        self.crash(node);
                     }
                 }
             }
-            CrashModel::CrashRestart { schedule } => {
-                let round = self.round;
-                let to_crash: Vec<NodeId> = schedule
-                    .iter()
-                    .filter(|(r, _, _)| *r == round)
-                    .map(|&(_, _, node)| node)
-                    .collect();
-                for node in to_crash {
-                    if node < self.alive.len() && self.alive[node] && self.live_count() > 1 {
-                        self.alive[node] = false;
-                        self.metrics.crashes += 1;
-                        self.tracer.emit(|| TraceEvent::FaultActivated {
-                            kind: "crash".to_string(),
-                            node: Some(node),
-                            at: round as f64,
-                        });
-                    }
-                }
-            }
-            CrashModel::Partition { .. } => {} // applied per-delivery
         }
     }
 
-    /// Revives nodes whose `CrashRestart` schedule restarts them at the
-    /// start of the current round. The node resumes with the protocol
-    /// state it crashed holding — messages sent to it while down are gone
-    /// (they were dropped, as §3.1's fail-stop model prescribes).
-    fn apply_restarts(&mut self) {
-        let CrashModel::CrashRestart { schedule } = &self.crash else {
-            return;
-        };
-        let round = self.round;
-        let to_restart: Vec<NodeId> = schedule
-            .iter()
-            .filter(|(_, r, _)| *r == Some(round))
-            .map(|&(_, _, node)| node)
-            .collect();
-        for node in to_restart {
-            if node < self.alive.len() && !self.alive[node] {
-                self.alive[node] = true;
-                self.metrics.restarts += 1;
-                self.tracer.emit(|| TraceEvent::FaultHealed {
-                    kind: "crash".to_string(),
-                    node: Some(node),
-                    at: round as f64,
-                });
-            }
-        }
+    /// Fail-stops `node` at the end of the current round.
+    fn crash(&mut self, node: NodeId) {
+        self.alive[node] = false;
+        self.metrics.crashes += 1;
+        let at = self.round as f64;
+        self.tracer.emit(|| TraceEvent::FaultActivated {
+            kind: "crash".to_string(),
+            node: Some(node),
+            at,
+        });
     }
 }
 
@@ -662,58 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_restart_revives_node_with_retained_state() {
-        // Node 0 crashes at the end of round 2 and returns at the start
-        // of round 8: while down its state freezes (it neither ticks nor
-        // receives); once revived it rejoins the flood and catches up.
-        let mut engine =
-            flood_engine(Topology::complete(10)).with_crash_model(CrashModel::CrashRestart {
-                schedule: vec![(2, Some(8), 0)],
-            });
-        engine.run_rounds(4);
-        assert!(!engine.is_alive(0));
-        let frozen = engine.node(0).value;
-        engine.run_rounds(2);
-        assert_eq!(engine.node(0).value, frozen, "down nodes receive nothing");
-        engine.run_rounds(12);
-        assert!(engine.is_alive(0));
-        assert_eq!(engine.metrics().crashes, 1);
-        assert_eq!(engine.metrics().restarts, 1);
-        assert!(
-            engine.nodes().iter().all(|n| n.value == 9),
-            "revived node caught up"
-        );
-    }
-
-    #[test]
-    fn crash_restart_with_none_is_permanent() {
-        let mut engine =
-            flood_engine(Topology::ring(4)).with_crash_model(CrashModel::CrashRestart {
-                schedule: vec![(1, None, 2)],
-            });
-        engine.run_rounds(10);
-        assert!(!engine.is_alive(2));
-        assert_eq!(engine.metrics().restarts, 0);
-    }
-
-    #[test]
-    fn partition_window_cuts_cross_links_then_heals() {
-        // Split {0,1} from {2,3} on a complete graph for rounds 0..8:
-        // the max (3) cannot reach side {0,1} until the heal.
-        let mut engine =
-            flood_engine(Topology::complete(4)).with_crash_model(CrashModel::Partition {
-                windows: vec![(0, 8, vec![0, 1])],
-            });
-        engine.run_rounds(8);
-        assert!(engine.nodes()[0].value <= 1, "partition leaked");
-        assert!(engine.nodes()[1].value <= 1, "partition leaked");
-        assert!(engine.metrics().messages_dropped > 0);
-        engine.run_rounds(10);
-        assert!(engine.nodes().iter().all(|n| n.value == 3));
-        assert_eq!(engine.live_count(), 4, "partition never kills anyone");
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
             let mut e = RoundEngine::new(Topology::complete(8), seed, |i| Flood {
@@ -730,59 +542,16 @@ mod tests {
         assert_ne!(run(5).0, run(6).0);
     }
     #[test]
-    fn registry_counters_match_engine_metrics() {
-        use distclass_obs::{MetricValue, MetricsRegistry};
-        use std::sync::Arc;
-
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut engine = flood_engine(Topology::complete(10))
-            .with_crash_model(CrashModel::Scheduled(vec![(0, 3)]))
-            .with_failure_detector(false)
-            .with_metrics(Metrics::new(Arc::clone(&registry)));
-        engine.run_rounds(5);
-        let m = engine.metrics();
-
-        let snap = registry.snapshot();
-        let fate = |want: &str| {
-            snap.families
-                .iter()
-                .find(|f| f.name == "distclass_messages_total")
-                .and_then(|f| {
-                    f.series
-                        .iter()
-                        .find(|s| s.labels.iter().any(|(_, v)| v == want))
-                })
-                .map(|s| match &s.value {
-                    MetricValue::Counter(v) => *v,
-                    other => panic!("wrong kind {other:?}"),
-                })
-                .expect("series exists")
-        };
-        assert_eq!(fate("sent"), m.messages_sent);
-        assert_eq!(fate("delivered"), m.messages_delivered);
-        assert_eq!(fate("dropped"), m.messages_dropped);
-        let rounds = snap
-            .families
-            .iter()
-            .find(|f| f.name == "distclass_round_ns")
-            .expect("round timing family");
-        match &rounds.series[0].value {
-            MetricValue::Histogram(h) => assert_eq!(h.count, 5, "one sample per round"),
-            other => panic!("wrong kind {other:?}"),
-        }
-    }
-
-    #[test]
     fn profiler_nests_em_reduce_under_tick_and_feeds_round_ns() {
-        use distclass_obs::{MetricValue, MetricsRegistry, Phase, Profiler, ProfilerCore};
+        use distclass_obs::{MetricValue, Metrics, MetricsRegistry, Profiler, ProfilerCore};
         use std::sync::Arc;
 
         let registry = Arc::new(MetricsRegistry::new());
-        let core = Arc::new(ProfilerCore::new());
+        let core = Arc::new(ProfilerCore::with_metrics(Metrics::new(Arc::clone(
+            &registry,
+        ))));
         let prof = Profiler::new(Arc::clone(&core));
-        let mut engine = flood_engine(Topology::ring(6))
-            .with_metrics(Metrics::new(Arc::clone(&registry)))
-            .with_profiler(prof.thread("engine"));
+        let mut engine = flood_engine(Topology::ring(6)).with_profiler(prof.thread("engine"));
         engine.run_rounds(4);
         drop(engine); // finalizes the thread's books
 
@@ -803,15 +572,20 @@ mod tests {
             .expect("em_reduce nested under tick");
         assert_eq!(em.count, 4, "one merge phase per round");
 
-        // Same measurement feeds both views: the registry round histogram
-        // saw exactly one sample per round too.
+        // The round time reaches the registry through the tick span: one
+        // `distclass_phase_us{phase="tick"}` sample per round.
         let snap = registry.snapshot();
         let rounds = snap
             .families
             .iter()
-            .find(|f| f.name == "distclass_round_ns")
-            .expect("round timing family");
-        match &rounds.series[0].value {
+            .find(|f| f.name == "distclass_phase_us")
+            .and_then(|f| {
+                f.series
+                    .iter()
+                    .find(|s| s.labels.contains(&("phase".into(), "tick".into())))
+            })
+            .expect("tick phase series");
+        match &rounds.value {
             MetricValue::Histogram(h) => assert_eq!(h.count, 4),
             other => panic!("wrong kind {other:?}"),
         }

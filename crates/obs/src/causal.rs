@@ -51,7 +51,7 @@ use std::fmt;
 use crate::analyze::{AnalyzeOptions, Timeline};
 use crate::event::{Fold, GrainOp, TraceEvent};
 use crate::json::{field, num, str as jstr, unum, Json, JsonError};
-use crate::metrics::{HistogramSnapshot, Metrics};
+use crate::metrics::HistogramSnapshot;
 
 /// A message span id: `(origin node, origin incarnation, sequence)`.
 ///
@@ -419,9 +419,6 @@ pub struct CausalReport {
     /// Distribution of causal depth (message hops from any initial
     /// input) over all vertices.
     pub depth: HistogramSnapshot,
-    /// Raw per-vertex depths, kept so [`CausalReport::export_metrics`]
-    /// can feed a live registry histogram.
-    depths: Vec<u64>,
     /// The convergence critical path.
     pub critical_path: CriticalPath,
     /// Per-node provenance, ordered by node id. Empty when the trace
@@ -938,7 +935,6 @@ impl Fold for CausalFold {
             end_lamport: end.map(|e| verts[e].lamport),
             hops,
         };
-        let depths = if acyclic { dist } else { Vec::new() };
 
         // ---- Provenance: durable movements only, i128-exact ----
         let per_node_initial = if self.declared_nodes > 0 {
@@ -1072,7 +1068,6 @@ impl Fold for CausalFold {
             node_clocks: self.node_clocks,
             clock_skew,
             depth,
-            depths,
             critical_path,
             provenance,
             provenance_exact,
@@ -1122,34 +1117,6 @@ impl CausalReport {
     /// fully matched, and exactly reconciled.
     pub fn clean(&self) -> bool {
         self.anomalies.is_empty()
-    }
-
-    /// Publishes the report's aggregates into a live metrics registry:
-    /// `causal_clock_skew`, `causal_critical_path_depth`, and the
-    /// `causal_depth_hops` histogram.
-    pub fn export_metrics(&self, metrics: &Metrics) {
-        metrics
-            .gauge(
-                "causal_clock_skew",
-                "Max minus min final Lamport clock across nodes",
-                &[],
-            )
-            .set(self.clock_skew as f64);
-        metrics
-            .gauge(
-                "causal_critical_path_depth",
-                "Message hops on the convergence critical path",
-                &[],
-            )
-            .set(self.critical_path.depth as f64);
-        let hist = metrics.histogram(
-            "causal_depth_hops",
-            "Causal depth (message hops from any initial input) per event",
-            &[],
-        );
-        for &d in &self.depths {
-            hist.observe(d);
-        }
     }
 
     /// Encodes the full report as one JSON object (the `--json` output).
@@ -1462,7 +1429,6 @@ impl fmt::Display for CausalReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
     use crate::telemetry::TelemetrySample;
 
     fn sent(from: usize, to: usize, at: f64, lamport: u64, seq: u64) -> TraceEvent {
@@ -1898,26 +1864,12 @@ mod tests {
     }
 
     #[test]
-    fn clock_skew_and_depth_histogram_export_to_registry() {
+    fn clock_skew_and_depth_histogram() {
         let report = CausalReport::from_events(&relay(), &AnalyzeOptions::default());
         // Final clocks: node 0 -> 1, node 1 -> 3, node 2 -> 4.
         assert_eq!(report.clock_skew, 3);
         assert_eq!(report.depth.count, 4);
         assert_eq!(report.depth.max, 2);
-
-        let registry = std::sync::Arc::new(MetricsRegistry::new());
-        report.export_metrics(&Metrics::new(std::sync::Arc::clone(&registry)));
-        let snap = registry.snapshot();
-        let skew = snap
-            .families
-            .iter()
-            .find(|fam| fam.name == "causal_clock_skew")
-            .expect("gauge registered");
-        assert_eq!(skew.series.len(), 1);
-        assert!(snap
-            .families
-            .iter()
-            .any(|fam| fam.name == "causal_depth_hops"));
     }
 
     #[test]

@@ -11,6 +11,8 @@ use std::fmt;
 
 use distclass_net::NodeId;
 
+use crate::spec::{parse_nodes, Fnv};
+
 /// Grains a minter adds to every outgoing data frame, in weight units.
 /// Large on purpose: a minted frame must clear the defense's ingress
 /// bound deterministically, whatever the sender's true holdings are.
@@ -161,8 +163,9 @@ impl AdversaryPlan {
     /// * `cartel@<nodes>[:shift=<s>]` — e.g. `cartel@0-2`;
     /// * `sigma=<x>` — the data scale shifts multiply (default 1).
     ///
-    /// Nodes parse as a `-` range or `,` list, like the fault grammar. A
-    /// node may carry at most one role.
+    /// Nodes parse as a `-` range or `,` list of at most
+    /// [`crate::MAX_SPEC_NODES`] ids, like the fault grammar. A node may
+    /// carry at most one role.
     ///
     /// # Errors
     ///
@@ -218,35 +221,28 @@ impl AdversaryPlan {
     /// role assignment. Two plans drive byte-identical adversaries iff
     /// their digests match.
     pub fn digest(&self) -> u64 {
-        // FNV-1a over a canonical serialization, like `FaultPlan::digest`.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&self.seed.to_be_bytes());
-        eat(&self.sigma.to_bits().to_be_bytes());
+        let mut h = Fnv::new();
+        h.eat(&self.seed.to_be_bytes());
+        h.eat(&self.sigma.to_bits().to_be_bytes());
         for (&node, role) in &self.roles {
-            eat(&(node as u64).to_be_bytes());
+            h.eat(&(node as u64).to_be_bytes());
             match role {
                 AdversaryRole::Mint { units } => {
-                    eat(b"mint");
-                    eat(&units.to_be_bytes());
+                    h.eat(b"mint");
+                    h.eat(&units.to_be_bytes());
                 }
                 AdversaryRole::Poison { shift } => {
-                    eat(b"poison");
-                    eat(&shift.to_bits().to_be_bytes());
+                    h.eat(b"poison");
+                    h.eat(&shift.to_bits().to_be_bytes());
                 }
                 AdversaryRole::Cartel { shift } => {
-                    eat(b"cartel");
-                    eat(&shift.to_bits().to_be_bytes());
+                    h.eat(b"cartel");
+                    h.eat(&shift.to_bits().to_be_bytes());
                 }
             }
-            eat(b"|");
+            h.eat(b"|");
         }
-        h
+        h.finish()
     }
 }
 
@@ -277,22 +273,6 @@ fn parse_shift_clause(rest: &str) -> Result<(Vec<NodeId>, f64), String> {
         None => (rest, DEFAULT_SHIFT),
     };
     Ok((parse_nodes(nodes)?, shift))
-}
-
-fn parse_nodes(s: &str) -> Result<Vec<NodeId>, String> {
-    if let Some((a, b)) = s.split_once('-') {
-        let (lo, hi): (NodeId, NodeId) = (
-            a.trim().parse().map_err(|_| format!("bad node `{a}`"))?,
-            b.trim().parse().map_err(|_| format!("bad node `{b}`"))?,
-        );
-        if hi < lo {
-            return Err(format!("bad node range `{s}`"));
-        }
-        return Ok((lo..=hi).collect());
-    }
-    s.split(',')
-        .map(|n| n.trim().parse().map_err(|_| format!("bad node `{n}`")))
-        .collect()
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::frame::{decode_frame, FrameKind};
+use crate::spec::{parse_duration, parse_nodes, parse_window, Fnv};
 
 /// A time window during which the cluster is split in two: frames between
 /// `side` and its complement are dropped, in both directions.
@@ -210,7 +211,8 @@ impl FaultPlan {
     /// * `dup=<prob>`; `reorder=<prob>`.
     ///
     /// Durations take `ms`/`s` suffixes; a bare integer means
-    /// milliseconds.
+    /// milliseconds, and a duration past `u64::MAX` milliseconds is an
+    /// error. A node set names at most [`crate::MAX_SPEC_NODES`] ids.
     ///
     /// Partition clauses must not overlap in time: two overlapping windows
     /// always disagree about some node pair, so an overlap is a parse
@@ -284,43 +286,36 @@ impl FaultPlan {
     /// window, event, rule and the seed. Two plans produce byte-identical
     /// fault schedules iff their digests match.
     pub fn digest(&self) -> u64 {
-        // FNV-1a over a canonical serialization.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(&self.seed.to_be_bytes());
+        let mut h = Fnv::new();
+        h.eat(&self.seed.to_be_bytes());
         for w in &self.partitions {
-            eat(&w.from.as_nanos().to_be_bytes());
-            eat(&w.until.as_nanos().to_be_bytes());
+            h.eat(&w.from.as_nanos().to_be_bytes());
+            h.eat(&w.until.as_nanos().to_be_bytes());
             for &n in &w.side {
-                eat(&(n as u64).to_be_bytes());
+                h.eat(&(n as u64).to_be_bytes());
             }
-            eat(b"|");
+            h.eat(b"|");
         }
         for c in &self.crashes {
-            eat(&c.at.as_nanos().to_be_bytes());
-            eat(&(c.node as u64).to_be_bytes());
+            h.eat(&c.at.as_nanos().to_be_bytes());
+            h.eat(&(c.node as u64).to_be_bytes());
             match c.restart_after {
-                Some(d) => eat(&d.as_nanos().to_be_bytes()),
-                None => eat(b"perm"),
+                Some(d) => h.eat(&d.as_nanos().to_be_bytes()),
+                None => h.eat(b"perm"),
             }
-            eat(b"|");
+            h.eat(b"|");
         }
         if let Some(d) = self.delay {
-            eat(&d.prob.to_bits().to_be_bytes());
-            eat(&d.min.as_nanos().to_be_bytes());
-            eat(&d.max.as_nanos().to_be_bytes());
+            h.eat(&d.prob.to_bits().to_be_bytes());
+            h.eat(&d.min.as_nanos().to_be_bytes());
+            h.eat(&d.max.as_nanos().to_be_bytes());
         }
-        eat(&self.duplicate.to_bits().to_be_bytes());
-        eat(&self.reorder.to_bits().to_be_bytes());
+        h.eat(&self.duplicate.to_bits().to_be_bytes());
+        h.eat(&self.reorder.to_bits().to_be_bytes());
         if self.loss > 0.0 {
-            eat(&self.loss.to_bits().to_be_bytes());
+            h.eat(&self.loss.to_bits().to_be_bytes());
         }
-        h
+        h.finish()
     }
 }
 
@@ -335,49 +330,6 @@ impl fmt::Display for FaultSpecError {
 }
 
 impl std::error::Error for FaultSpecError {}
-
-fn parse_duration(s: &str) -> Result<Duration, String> {
-    let s = s.trim();
-    let (digits, scale) = if let Some(d) = s.strip_suffix("ms") {
-        (d, 1u64)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1000)
-    } else {
-        (s, 1)
-    };
-    digits
-        .trim()
-        .parse::<u64>()
-        .map(|v| Duration::from_millis(v * scale))
-        .map_err(|_| format!("bad duration `{s}` (want e.g. `250ms` or `2s`)"))
-}
-
-fn parse_window(s: &str) -> Result<(Duration, Duration), String> {
-    let (a, b) = s
-        .split_once('-')
-        .ok_or_else(|| format!("bad window `{s}` (want `<from>-<until>`)"))?;
-    let (from, until) = (parse_duration(a)?, parse_duration(b)?);
-    if until <= from {
-        return Err(format!("window `{s}` ends before it starts"));
-    }
-    Ok((from, until))
-}
-
-fn parse_nodes(s: &str) -> Result<Vec<NodeId>, String> {
-    if let Some((a, b)) = s.split_once('-') {
-        let (lo, hi): (NodeId, NodeId) = (
-            a.trim().parse().map_err(|_| format!("bad node `{a}`"))?,
-            b.trim().parse().map_err(|_| format!("bad node `{b}`"))?,
-        );
-        if hi < lo {
-            return Err(format!("bad node range `{s}`"));
-        }
-        return Ok((lo..=hi).collect());
-    }
-    s.split(',')
-        .map(|n| n.trim().parse().map_err(|_| format!("bad node `{n}`")))
-        .collect()
-}
 
 fn parse_prob(s: &str) -> Result<f64, String> {
     let p: f64 = s

@@ -33,6 +33,8 @@ use distclass_net::{derive_seed, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::spec::{parse_duration, parse_nodes, parse_window, Fnv, MAX_CLAUSE_EVENTS};
+
 /// One scheduled sensor re-read: at `at`, `node` decays its contribution
 /// and injects a fresh unit-weight collection at `reading`.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,7 +176,10 @@ impl DriftSchedule {
     /// * `decay=<num>/<den>` — the forgetting fraction (default `1/2`).
     ///
     /// Durations take `ms`/`s` suffixes; a bare integer means
-    /// milliseconds.
+    /// milliseconds, and a duration past `u64::MAX` milliseconds is an
+    /// error. A node set names at most [`crate::MAX_SPEC_NODES`] ids,
+    /// and a clause expands to at most [`MAX_CLAUSE_EVENTS`] events
+    /// (a ramp's nodes times its steps).
     ///
     /// # Errors
     ///
@@ -219,6 +224,11 @@ impl DriftSchedule {
                 let steps: usize = steps.trim().parse().map_err(|_| err("bad step count"))?;
                 if steps == 0 {
                     return Err(err("ramp needs at least one step"));
+                }
+                if nodes.len().saturating_mul(steps) > MAX_CLAUSE_EVENTS {
+                    return Err(err(&format!(
+                        "ramp expands to more than {MAX_CLAUSE_EVENTS} events"
+                    )));
                 }
                 for node in nodes {
                     plan.events
@@ -366,7 +376,8 @@ impl ChurnPlan {
     /// * `leave@<at>:<node>` — e.g. `leave@600ms:3`.
     ///
     /// Durations take `ms`/`s` suffixes; a bare integer means
-    /// milliseconds. Duplicate join ids are rejected (each joiner gets
+    /// milliseconds, and a duration past `u64::MAX` milliseconds is an
+    /// error. Duplicate join ids are rejected (each joiner gets
     /// exactly one endpoint), as is a join scheduled at or after a leave
     /// of the same node (a joiner that immediately retires is a spec
     /// bug, not a scenario).
@@ -450,26 +461,6 @@ impl fmt::Display for DynSpecError {
 
 impl std::error::Error for DynSpecError {}
 
-/// FNV-1a, the digest the fault and adversary plans use.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 fn ramp_events(
     from: Duration,
     until: Duration,
@@ -481,7 +472,8 @@ fn ramp_events(
     (1..=steps)
         .map(|i| {
             let f = i as f64 / steps as f64;
-            let at = from + (until - from).mul_f64(f);
+            // Past 2^53 ns a float product can round beyond the window.
+            let at = (from + (until - from).mul_f64(f)).min(until);
             let reading = start
                 .iter()
                 .zip(end)
@@ -517,49 +509,6 @@ fn parse_at_nodes(s: &str) -> Result<(Duration, Vec<NodeId>), String> {
         .split_once(':')
         .ok_or_else(|| format!("bad `{s}` (want `<at>:<nodes>`)"))?;
     Ok((parse_duration(at)?, parse_nodes(nodes)?))
-}
-
-fn parse_duration(s: &str) -> Result<Duration, String> {
-    let s = s.trim();
-    let (digits, scale) = if let Some(d) = s.strip_suffix("ms") {
-        (d, 1u64)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1000)
-    } else {
-        (s, 1)
-    };
-    digits
-        .trim()
-        .parse::<u64>()
-        .map(|v| Duration::from_millis(v * scale))
-        .map_err(|_| format!("bad duration `{s}` (want e.g. `250ms` or `2s`)"))
-}
-
-fn parse_window(s: &str) -> Result<(Duration, Duration), String> {
-    let (a, b) = s
-        .split_once('-')
-        .ok_or_else(|| format!("bad window `{s}` (want `<from>-<until>`)"))?;
-    let (from, until) = (parse_duration(a)?, parse_duration(b)?);
-    if until <= from {
-        return Err(format!("window `{s}` ends before it starts"));
-    }
-    Ok((from, until))
-}
-
-fn parse_nodes(s: &str) -> Result<Vec<NodeId>, String> {
-    if let Some((a, b)) = s.split_once('-') {
-        let (lo, hi): (NodeId, NodeId) = (
-            a.trim().parse().map_err(|_| format!("bad node `{a}`"))?,
-            b.trim().parse().map_err(|_| format!("bad node `{b}`"))?,
-        );
-        if hi < lo {
-            return Err(format!("bad node range `{s}`"));
-        }
-        return Ok((lo..=hi).collect());
-    }
-    s.split(',')
-        .map(|n| n.trim().parse().map_err(|_| format!("bad node `{n}`")))
-        .collect()
 }
 
 fn parse_reading(s: &str) -> Result<Vec<f64>, String> {

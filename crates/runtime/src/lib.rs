@@ -73,6 +73,7 @@ pub mod dynamics;
 pub mod frame;
 mod metrics;
 mod peer;
+mod spec;
 mod transport;
 
 pub use audit::{AuditReport, FrameId};
@@ -84,6 +85,7 @@ pub use cluster::{
 };
 pub use dynamics::{ChurnPlan, DriftEvent, DriftSchedule, DynSpecError, JoinEvent, LeaveEvent};
 pub use metrics::RuntimeMetrics;
+pub use spec::{MAX_CLAUSE_EVENTS, MAX_SPEC_NODES};
 pub use transport::{
     ChannelNet, ChannelTransport, EndpointNet, PrebuiltNet, Transport, UdpNet, UdpTransport,
 };

@@ -394,6 +394,62 @@ fn cmd_classify(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects, before any peer starts, a plan that names a node the run
+/// will not have. The supervisor keeps one slot per seed node and churn
+/// joiner: a crash beyond them would index past the slots, and a
+/// partition, adversary or drift event naming such a node would silently
+/// do nothing. Joiner ids must continue the seed ids, because the
+/// transports mint endpoints by id.
+fn check_plan_nodes(
+    n: usize,
+    faults: Option<&FaultPlan>,
+    adversaries: Option<&AdversaryPlan>,
+    drift: Option<&DriftSchedule>,
+    churn: Option<&ChurnPlan>,
+) -> Result<(), String> {
+    let mut joins: Vec<usize> =
+        churn.map_or(Vec::new(), |c| c.joins.iter().map(|j| j.node).collect());
+    joins.sort_unstable();
+    if let Some((i, id)) = joins.iter().enumerate().find(|&(i, &id)| id != n + i) {
+        return Err(format!(
+            "--churn join ids must be contiguous from {n} (the cluster size); \
+             got id {id} where {} was expected",
+            n + i
+        ));
+    }
+    let n_total = n + joins.len();
+    let named: [(&str, Vec<usize>); 4] = [
+        (
+            "--faults",
+            faults.map_or(Vec::new(), |f| {
+                let sides = f.partitions.iter().flat_map(|w| w.side.iter().copied());
+                sides.chain(f.crashes.iter().map(|c| c.node)).collect()
+            }),
+        ),
+        (
+            "--adversaries",
+            adversaries.map_or(Vec::new(), AdversaryPlan::adversaries),
+        ),
+        (
+            "--drift",
+            drift.map_or(Vec::new(), |d| d.events.iter().map(|e| e.node).collect()),
+        ),
+        (
+            "--churn",
+            churn.map_or(Vec::new(), |c| c.leaves.iter().map(|l| l.node).collect()),
+        ),
+    ];
+    for (flag, nodes) in named {
+        if let Some(node) = nodes.into_iter().find(|&id| id >= n_total) {
+            return Err(format!(
+                "{flag} names unknown node {node} (the cluster has {n_total} nodes \
+                 including joiners)"
+            ));
+        }
+    }
+    Ok(())
+}
+
 fn cmd_run_cluster(args: &Args) -> Result<(), String> {
     let n: usize = args.get("n", 16)?;
     let k: usize = args.get("k", 3)?;
@@ -421,52 +477,40 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
     let n = values.len();
     let fault_seed: u64 = args.get("fault-seed", seed)?;
     let plan = match args.flag("faults") {
-        Some(spec) => Some(FaultPlan::parse(spec, fault_seed).map_err(|e| e.to_string())?),
+        Some(spec) => {
+            Some(FaultPlan::parse(spec, fault_seed).map_err(|e| format!("--faults: {e}"))?)
+        }
         None => None,
     };
     let adversary_seed: u64 = args.get("adversary-seed", seed)?;
     let adversaries = match args.flag("adversaries") {
         Some(spec) => Some(Arc::new(
-            AdversaryPlan::parse(spec, adversary_seed).map_err(|e| e.to_string())?,
+            AdversaryPlan::parse(spec, adversary_seed)
+                .map_err(|e| format!("--adversaries: {e}"))?,
         )),
         None => None,
     };
     let drift_seed: u64 = args.get("drift-seed", seed)?;
     let drift = match args.flag("drift") {
         Some(spec) => Some(Arc::new(
-            DriftSchedule::parse(spec, drift_seed).map_err(|e| e.to_string())?,
+            DriftSchedule::parse(spec, drift_seed).map_err(|e| format!("--drift: {e}"))?,
         )),
         None => None,
     };
     let churn_seed: u64 = args.get("churn-seed", seed)?;
     let churn = match args.flag("churn") {
-        Some(spec) => {
-            let plan = ChurnPlan::parse(spec, churn_seed).map_err(|e| e.to_string())?;
-            // The supervisor asserts these; fail them here as spec
-            // errors instead of panics.
-            let mut ids: Vec<usize> = plan.joins.iter().map(|j| j.node).collect();
-            ids.sort_unstable();
-            for (i, &id) in ids.iter().enumerate() {
-                if id != n + i {
-                    return Err(format!(
-                        "--churn join ids must be contiguous from {n} (the cluster size); \
-                         got id {id} where {} was expected",
-                        n + i
-                    ));
-                }
-            }
-            let n_total = n + plan.joins.len();
-            if let Some(l) = plan.leaves.iter().find(|l| l.node >= n_total) {
-                return Err(format!(
-                    "--churn leave targets unknown node {} (cluster has {n_total} \
-                     nodes including joiners)",
-                    l.node
-                ));
-            }
-            Some(Arc::new(plan))
-        }
+        Some(spec) => Some(Arc::new(
+            ChurnPlan::parse(spec, churn_seed).map_err(|e| format!("--churn: {e}"))?,
+        )),
         None => None,
     };
+    check_plan_nodes(
+        n,
+        plan.as_ref(),
+        adversaries.as_deref(),
+        drift.as_deref(),
+        churn.as_deref(),
+    )?;
     let dyn_active = drift.is_some() || churn.is_some();
     // Scripting adversaries turns the defenses on unless the run asks to
     // watch them succeed (--no-defense).

@@ -1,7 +1,8 @@
 //! CLI flag hygiene: unknown flags, flags missing their value,
-//! contradictory or vacuous flag combinations, and node counts no
-//! topology can hold, must die with a clear usage error before any peer
-//! is spawned, not start a run with surprising defaults or panic.
+//! contradictory or vacuous flag combinations, hostile plan specs, plans
+//! naming nodes outside the cluster, and node counts no topology can
+//! hold, must die with a clear usage error before any peer is spawned,
+//! not start a run with surprising defaults or panic.
 
 use std::process::Command;
 
@@ -80,6 +81,75 @@ fn bad_churn_join_ids_are_spec_errors_not_panics() {
     assert!(
         stderr.contains("unknown node 99"),
         "unclear error:\n{stderr}"
+    );
+}
+
+/// Runs a 4-node channel cluster with `extra` and requires a usage error
+/// whose text names `flag` and contains `error`, before any run starts.
+fn assert_plan_rejected(extra: &[&str], flag: &str, error: &str) {
+    let mut args = vec!["--transport", "channel", "--n", "4"];
+    args.extend_from_slice(extra);
+    let out = run_cluster(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{extra:?}:\n{stderr}");
+    assert!(
+        stderr.contains(flag) && stderr.contains(error),
+        "unclear error for {extra:?}:\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "{extra:?} started a run");
+}
+
+#[test]
+fn hostile_plan_specs_are_spec_errors_not_crashes() {
+    // Each of these once panicked (debug), aborted on a failed
+    // allocation, or wrapped a time (release).
+    let cases = [
+        (
+            "--faults",
+            "crash@18446744073709552s:1",
+            "duration `18446744073709552s` overflows u64 milliseconds",
+        ),
+        (
+            "--faults",
+            "partition@0ms-1s:0-99999999999",
+            "names more than 65536 nodes",
+        ),
+        (
+            "--adversaries",
+            "cartel@0-99999999999",
+            "names more than 65536 nodes",
+        ),
+        (
+            "--drift",
+            "ramp@0ms-1s:0=1.0,1.0>2.0,2.0/18446744073709551615",
+            "ramp expands to more than 65536 events",
+        ),
+    ];
+    for (flag, spec, error) in cases {
+        assert_plan_rejected(&[flag, spec], flag, error);
+    }
+}
+
+#[test]
+fn plan_nodes_outside_the_cluster_are_errors() {
+    for (flag, spec) in [
+        ("--faults", "crash@100ms:99"),
+        ("--faults", "partition@0ms-300ms:99"),
+        ("--adversaries", "cartel@99"),
+        ("--drift", "step@100ms:99=1.0,1.0"),
+    ] {
+        assert_plan_rejected(&[flag, spec], flag, "unknown node 99");
+    }
+    // A churn joiner counts: node 4 exists once it joins, node 5 never.
+    assert_plan_rejected(
+        &[
+            "--churn",
+            "join@50ms:4=1.0,1.0",
+            "--faults",
+            "crash@100ms:5",
+        ],
+        "--faults",
+        "unknown node 5 (the cluster has 5 nodes including joiners)",
     );
 }
 

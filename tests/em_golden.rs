@@ -92,7 +92,8 @@ impl Digest {
             m.ticks,
             m.rounds,
             m.crashes,
-            m.restarts,
+            // Once `NetMetrics::restarts`, zero in every recorded run.
+            0,
             m.bytes_sent,
             m.bytes_delivered,
         ] {

@@ -6,11 +6,14 @@
 //! folds over a line reader, and pin every byte of their output over
 //! three traces:
 //!
-//! * a seeded centroid `RoundSim` with a crash-restart schedule and the
-//!   failure detector off, so crashes, restarts and drops to crashed
-//!   nodes all appear (12 nodes: the influence matrix prints in full);
-//! * the same engine with a partition window, so partitioned drops
-//!   appear (24 nodes: the matrix prints as a summary);
+//! * `data/crash_restart_round_sim.jsonl`: a seeded centroid `RoundSim`
+//!   (12 nodes, seed 11, 10 rounds) with three scheduled crashes, two of
+//!   them revived, and the failure detector off, so crashes, restarts
+//!   and drops to crashed nodes all appear (12 nodes: the influence
+//!   matrix prints in full);
+//! * `data/partition_round_sim.jsonl`: the same engine (24 nodes, seed
+//!   5, 9 rounds) with nodes 0–7 cut off in rounds 2–5, so partitioned
+//!   drops appear (24 nodes: the matrix prints as a summary);
 //! * a hand-built runtime-shaped event list that uses every
 //!   `TraceEvent` variant: grain deltas with causal stamps and frame
 //!   wait/transit times, checkpoints (one disagreeing), voids (open
@@ -19,21 +22,22 @@
 //!   strikes and a conviction, rejections and bandwidth, the audit and
 //!   byz summaries, converging telemetry, and the truncation marker.
 //!
+//! The two round-engine traces are fixtures because the simulators no
+//! longer model crash-restarts or partitions (deployment faults live in
+//! the runtime's `FaultPlan`). They were written by the round engine
+//! that still had those models, and each parses back to the events it
+//! was written from.
+//!
 //! Every trace is fed both as a slice (`from_events`) and as JSONL text
 //! (`from_jsonl`); the JSONL copy of the hand-built trace also carries a
 //! blank line and a line of an unknown event type. A change that moves
 //! any byte of any report fails here.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use distclass::core::CentroidInstance;
-use distclass::gossip::{GossipConfig, RoundSim};
-use distclass::linalg::Vector;
-use distclass::net::{CrashModel, Topology};
 use distclass::obs::{
-    AnalyzeOptions, ByzReport, CausalReport, DropReason, DynOptions, DynReport, GrainOp, RingSink,
-    TelemetrySample, TraceEvent, TraceReport, Tracer,
+    AnalyzeOptions, ByzReport, CausalReport, DropReason, DynOptions, DynReport, GrainOp,
+    TelemetrySample, TraceEvent, TraceReport,
 };
 
 /// `[trace, causal, byz, dyn]` digests, read from a slice.
@@ -138,60 +142,35 @@ fn check(label: &str, events: &[TraceEvent], jsonl: &str, want: ([u64; 4], [u64;
     );
 }
 
-fn round_sim(n: usize, seed: u64, crash: CrashModel, rounds: u64) -> Vec<TraceEvent> {
-    let sink = Arc::new(RingSink::new(100_000));
-    let values: Vec<Vector> = (0..n)
-        .map(|i| {
-            let x = if i % 3 == 0 { 0.0 } else { 10.0 + i as f64 };
-            Vector::from(vec![x, -x])
-        })
+/// A recorded round-engine trace: the events its JSONL text parses to,
+/// and the text itself.
+fn fixture(text: &str) -> (Vec<TraceEvent>, &str) {
+    let events = text
+        .lines()
+        .map(|line| TraceEvent::from_json(line).expect("fixture line parses"))
         .collect();
-    let config = GossipConfig {
-        seed,
-        crash,
-        failure_detector: false,
-        ..GossipConfig::default()
-    };
-    let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
-    let mut sim = RoundSim::new(Topology::complete(n), inst, &values, &config)
-        .with_tracer(Tracer::new(Arc::clone(&sink) as _));
-    sim.run_rounds(rounds);
-    let events = sink.events();
-    assert!(events.len() < 100_000, "ring filled");
-    events
+    (events, text)
 }
 
 #[test]
 fn crash_restart_round_sim_reports_are_unchanged() {
-    let events = round_sim(
-        12,
-        11,
-        CrashModel::CrashRestart {
-            schedule: vec![(2, Some(5), 3), (4, Some(7), 8), (6, None, 10)],
-        },
-        10,
-    );
+    let (events, text) = fixture(include_str!("data/crash_restart_round_sim.jsonl"));
+    assert_eq!(events.len(), 251);
     assert!(events
         .iter()
         .any(|e| matches!(e, TraceEvent::MessageDropped { .. })));
     check(
         "crash-restart",
         &events,
-        &jsonl(&events),
+        text,
         (CRASH_RESTART_EVENTS, CRASH_RESTART_JSONL),
     );
 }
 
 #[test]
 fn partition_round_sim_reports_are_unchanged() {
-    let events = round_sim(
-        24,
-        5,
-        CrashModel::Partition {
-            windows: vec![(2, 6, (0..8).collect())],
-        },
-        9,
-    );
+    let (events, text) = fixture(include_str!("data/partition_round_sim.jsonl"));
+    assert_eq!(events.len(), 450);
     assert!(events.iter().any(|e| matches!(
         e,
         TraceEvent::MessageDropped {
@@ -202,7 +181,7 @@ fn partition_round_sim_reports_are_unchanged() {
     check(
         "partition",
         &events,
-        &jsonl(&events),
+        text,
         (PARTITION_EVENTS, PARTITION_JSONL),
     );
 }
