@@ -1,968 +1,742 @@
 //! Typed trace events and their JSONL encoding.
 //!
 //! One event type covers every layer: the simulation engines (rounds,
-//! events), the gossip runner, and the deployment runtime. Each event
-//! serializes to a single-line JSON object with a `"type"` discriminator,
-//! so a trace file is plain JSONL that external tooling can consume, and
-//! [`TraceEvent::from_json`] parses it back for in-repo analysis (for
-//! example the grain-conservation reconciliation test).
+//! events), the gossip runner, and the deployment runtime. Each event is
+//! one line of JSON, an object whose `"type"` names the variant, so a
+//! trace file is plain JSONL that external tooling can consume, and
+//! [`read_jsonl`] reads it back for the offline reports.
+//!
+//! The format is declared once, in the `trace_events!` table below: each
+//! variant's wire name and, for each field, its doc, type, wire key and
+//! rule. The table generates [`TraceEvent`] and [`TelemetrySample`],
+//! [`TraceEvent::kind`], the encoder behind `Display` and
+//! [`crate::JsonlSink`], and the decoder. A field's rule is one of:
+//!
+//! * `req`: always written, and a line without it is an error;
+//! * `opt`: an `Option`, omitted when `None`;
+//! * `null`: an `Option`, written as `null` when `None`;
+//! * `zero`: omitted when zero or false;
+//! * `dflt`: always written.
+//!
+//! The reader takes an absent or `null` field of the last four rules as
+//! `None`, zero, false or `0.0`, so traces from before the field stay
+//! readable.
 
+use std::borrow::Cow;
+use std::fmt;
 use std::io::BufRead;
 
-use crate::json::{field, num, str as jstr, unum, Json, JsonError};
-use crate::telemetry::TelemetrySample;
+use crate::json::{self, JsonError, Members};
 
-/// Appends an optional causal field only when present, so traces without
-/// the causal layer keep their pre-existing JSON shape byte for byte.
-fn push_opt(fields: &mut Vec<(String, Json)>, key: &str, value: Option<u64>) {
-    if let Some(v) = value {
-        fields.push(field(key, unum(v)));
+/// A field type of the trace format.
+trait Wire: Sized {
+    /// What a field error says was expected.
+    const EXPECTED: &'static str;
+
+    /// Writes the value as JSON.
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result;
+
+    /// The value that a checked JSON value's text holds; `None` when it
+    /// holds something else.
+    fn read(raw: &str) -> Option<Self>;
+}
+
+/// Types whose `Display` and `FromStr` are their JSON text. Integers
+/// are written exactly and read from digits alone: a sign, fraction or
+/// exponent, or a value past the type's range, is a field error.
+macro_rules! wire_parse {
+    ($($t:ty => $expected:literal),*) => {$(
+        impl Wire for $t {
+            const EXPECTED: &'static str = $expected;
+
+            fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
+                write!(out, "{self}")
+            }
+
+            fn read(raw: &str) -> Option<Self> {
+                raw.parse().ok()
+            }
+        }
+    )*};
+}
+
+wire_parse!(u16 => "integer in 0..=65535", u64 => "unsigned integer", usize => "unsigned integer");
+wire_parse!(bool => "bool");
+
+impl Wire for f64 {
+    const EXPECTED: &'static str = "number";
+
+    /// JSON has no NaN or infinity: those are written as `null`.
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        if self.is_finite() {
+            write!(out, "{self}")
+        } else {
+            out.write_str("null")
+        }
+    }
+
+    /// Of the checked JSON values, only numbers parse as floats.
+    fn read(raw: &str) -> Option<Self> {
+        raw.parse().ok()
     }
 }
 
-/// Which direction a grain movement went, from the owning node's view.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GrainOp {
-    /// Grains left the node inside an outgoing half (Algorithm 1's split).
-    Split,
-    /// Grains from a received half were merged into the node's state.
-    Merge,
-    /// Grains came back after an abandoned retransmission.
-    Return,
-}
+/// `None` is written as `null`; the rules read `null` as `None` before
+/// the value is.
+impl<T: Wire> Wire for Option<T> {
+    const EXPECTED: &'static str = T::EXPECTED;
 
-impl GrainOp {
-    fn as_str(self) -> &'static str {
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            GrainOp::Split => "split",
-            GrainOp::Merge => "merge",
-            GrainOp::Return => "return",
+            Some(v) => v.write(out),
+            None => out.write_str("null"),
         }
     }
 
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "split" => Some(GrainOp::Split),
-            "merge" => Some(GrainOp::Merge),
-            "return" => Some(GrainOp::Return),
-            _ => None,
-        }
+    fn read(raw: &str) -> Option<Self> {
+        T::read(raw).map(Some)
     }
 }
 
-/// Why an in-flight message never reached its destination.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DropReason {
-    /// The destination was crashed at delivery time.
-    Crashed,
-    /// A partition window separated sender and receiver.
-    Partitioned,
-}
+impl Wire for String {
+    const EXPECTED: &'static str = "string";
 
-impl DropReason {
-    fn as_str(self) -> &'static str {
-        match self {
-            DropReason::Crashed => "crashed",
-            DropReason::Partitioned => "partitioned",
-        }
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        json::write_escaped(out, self)
     }
 
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "crashed" => Some(DropReason::Crashed),
-            "partitioned" => Some(DropReason::Partitioned),
-            _ => None,
-        }
+    fn read(raw: &str) -> Option<Self> {
+        json::unquote(raw).map(Cow::into_owned)
     }
 }
 
-/// A structured observation from any layer of the stack.
-///
-/// Node indices are `usize` everywhere (the runtime's `u16` peer ids
-/// widen losslessly); `incarnation` is only meaningful for runtime peers
-/// and is `0` in simulation engines.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A run began: how many participants and the total grains minted.
-    ClusterStarted {
-        /// Number of nodes/peers in the run.
-        nodes: usize,
-        /// Total grains minted at start (one weight unit per node, so the
-        /// per-node share is `initial_grains / nodes`).
-        initial_grains: u64,
-    },
-    /// A synchronous round finished (rounds engine / gossip runner).
-    RoundCompleted {
-        /// Round index that just completed.
-        round: u64,
-        /// Live nodes after the round's crash phase.
-        live: usize,
-        /// Cumulative messages sent so far.
-        sent: u64,
-        /// Cumulative messages delivered so far.
-        delivered: u64,
-        /// Cumulative messages dropped so far.
-        dropped: u64,
-    },
-    /// A node's periodic tick fired (event-driven engine).
-    TickCompleted {
-        /// Node that ticked.
-        node: usize,
-        /// Simulated time of the tick.
-        time: f64,
-    },
-    /// A message left its sender.
-    MessageSent {
-        /// Sender node.
-        from: usize,
-        /// Destination node.
-        to: usize,
-        /// Encoded size, `0` when no sizer is configured.
-        bytes: u64,
-        /// When it was sent: round index (rounds engine) or simulated
-        /// time (event engine). Pairs with the matching delivery's `at`
-        /// to give per-link latency; `0.0` in traces predating the field.
-        at: f64,
-        /// Sender's Lamport clock at send time (`None` in legacy traces).
-        lamport: Option<u64>,
-        /// Per-sender message sequence number — together with `from` this
-        /// is the message's span ID `(origin, seq)`.
-        seq: Option<u64>,
-    },
-    /// A message reached its destination handler.
-    MessageDelivered {
-        /// Sender node.
-        from: usize,
-        /// Destination node.
-        to: usize,
-        /// Encoded size, `0` when no sizer is configured.
-        bytes: u64,
-        /// When it arrived, on the same clock as the matching
-        /// [`TraceEvent::MessageSent`]'s `at`.
-        at: f64,
-        /// Receiver's Lamport clock after the max-merge (`None` in
-        /// legacy traces).
-        lamport: Option<u64>,
-        /// Sequence number of the matching send span `(from, span_seq)`.
-        span_seq: Option<u64>,
-    },
-    /// A message was dropped in flight.
-    MessageDropped {
-        /// Sender node.
-        from: usize,
-        /// Destination node.
-        to: usize,
-        /// Why it was dropped.
-        reason: DropReason,
-    },
-    /// A fault-model action fired (crash injection, partition opening).
-    FaultActivated {
-        /// Fault kind, e.g. `"crash"` or `"partition"`.
-        kind: String,
-        /// Affected node, if the fault targets one.
-        node: Option<usize>,
-        /// Engine time or wall-clock milliseconds when it fired.
-        at: f64,
-    },
-    /// A fault-model action was undone (restart, partition healing).
-    FaultHealed {
-        /// Fault kind, matching the activation.
-        kind: String,
-        /// Affected node, if the fault targets one.
-        node: Option<usize>,
-        /// Engine time or wall-clock milliseconds when it healed.
-        at: f64,
-    },
-    /// A runtime peer incarnation died.
-    PeerCrashed {
-        /// Peer id.
-        node: usize,
-        /// Incarnation that died.
-        incarnation: u16,
-    },
-    /// A runtime peer came back as a fresh incarnation.
-    PeerRestarted {
-        /// Peer id.
-        node: usize,
-        /// The new incarnation number.
-        incarnation: u16,
-    },
-    /// A runtime peer flushed its grain log batch to the supervisor.
-    PeerCheckpoint {
-        /// Peer id.
-        node: usize,
-        /// Incarnation that checkpointed.
-        incarnation: u16,
-        /// Grains split away in the flushed batch.
-        split: u64,
-        /// Grains merged in the flushed batch.
-        merged: u64,
-        /// Grains returned in the flushed batch.
-        returned: u64,
-    },
-    /// A single grain movement on a live peer or simulation node.
-    GrainDelta {
-        /// Node the grains moved on.
-        node: usize,
-        /// Incarnation (0 for simulation engines).
-        incarnation: u16,
-        /// Movement direction.
-        op: GrainOp,
-        /// How many grains moved.
-        grains: u64,
-        /// The counterpart node (destination of a split, source of a merge).
-        peer: usize,
-        /// The node's Lamport clock when the movement happened (`None`
-        /// in legacy traces).
-        lamport: Option<u64>,
-        /// Split: the outgoing frame's sequence number — with
-        /// `(node, incarnation)` this is the frame's span ID. `None` for
-        /// merges.
-        seq: Option<u64>,
-        /// Merge/return: incarnation of the span being merged/returned
-        /// (the parent span is `(peer, span_inc, span_seq)` for merges,
-        /// `(node, span_inc, span_seq)` for returns).
-        span_inc: Option<u64>,
-        /// Merge/return: sequence number of the span being
-        /// merged/returned.
-        span_seq: Option<u64>,
-        /// Merge: how long the delivered frame waited on the sender side
-        /// (retry/backoff delay between first enqueue and the successful
-        /// transmission attempt), in microseconds. `None` for splits,
-        /// returns, simulation engines, and legacy traces.
-        wait_us: Option<u64>,
-        /// Merge: how long the delivered frame spent in transit (channel
-        /// plus receiver ingress queueing, send to delivery), in
-        /// microseconds. `wait_us + transit_us` is the hop's full
-        /// enqueue-to-delivery latency, exactly.
-        transit_us: Option<u64>,
-    },
-    /// The supervisor rolled back a non-durable grain-log batch.
-    GrainsVoided {
-        /// Peer whose batch was voided.
-        node: usize,
-        /// Incarnation the batch belonged to.
-        incarnation: u16,
-        /// Voided split grains.
-        split: u64,
-        /// Voided merged grains.
-        merged: u64,
-        /// Voided returned grains.
-        returned: u64,
-        /// Voided drift injections (grains injected since the last
-        /// checkpoint, rolled back with the restore). Omitted from the
-        /// JSON when zero so pre-drift traces keep their shape.
-        injected: u64,
-        /// Voided drift decay (grains forgotten since the last
-        /// checkpoint, restored by the rollback).
-        forgotten: u64,
-    },
-    /// A peer's final standing when the cluster shut down.
-    PeerFinal {
-        /// Peer id.
-        node: usize,
-        /// `"completed"`, `"retired"`, `"dead"`, or `"panicked"`.
-        outcome: String,
-        /// Grains held at shutdown (0 for dead and retired peers).
-        grains: u64,
-    },
-    /// A peer re-read its sensor on the drift schedule: the old
-    /// contribution decayed, a fresh unit-weight reading was injected.
-    SensorDrift {
-        /// The drifting peer.
-        node: usize,
-        /// Its incarnation at the re-read.
-        incarnation: u16,
-        /// Grains injected (one unit per event).
-        injected: u64,
-        /// Grains decayed away.
-        forgotten: u64,
-        /// The peer's gossip tick when the re-read happened.
-        tick: u64,
-    },
-    /// A brand-new peer was spawned mid-run by the churn plan; its unit
-    /// weight is declared as an injection, not initial mass.
-    PeerJoined {
-        /// The joining peer.
-        node: usize,
-        /// Grains the joiner declared (its unit weight).
-        grains: u64,
-        /// Wall-clock milliseconds since cluster start.
-        at: f64,
-    },
-    /// A peer retired gracefully: it handed its entire classification to
-    /// a live neighbor and drained, leaving no grains behind.
-    PeerRetired {
-        /// The retiring peer.
-        node: usize,
-        /// Grains handed off (its classification total at retirement).
-        grains: u64,
-        /// Wall-clock milliseconds since cluster start.
-        at: f64,
-    },
-    /// The grain-conservation auditor's verdict.
-    AuditSummary {
-        /// Grains minted at start.
-        initial: u64,
-        /// Grains held at shutdown.
-        final_grains: u64,
-        /// Declared gains (returns + voided-send reabsorptions).
-        gains: u64,
-        /// Declared losses (crash holdings, unmerged pendings, voids).
-        losses: u64,
-        /// Grains injected by drift re-reads and joins (0 in static
-        /// runs; omitted from the JSON when zero).
-        injected: u64,
-        /// Grains decayed away by drift re-reads.
-        forgotten: u64,
-        /// Whether the books closed exactly.
-        exact: bool,
-        /// Whether conservation held (exactly or within declared slack).
-        conserved: bool,
-    },
-    /// The trace sink hit its configured size cap: recording stopped
-    /// here (nothing older was dropped) and this is the file's last
-    /// event.
-    TraceTruncated {
-        /// Bytes written to the sink before the cap fired.
-        bytes_written: u64,
-    },
-    /// A per-round convergence telemetry sample (gossip runner).
-    Telemetry(TelemetrySample),
-    /// A wall-clock convergence sample from the runtime supervisor.
-    ClusterTelemetry {
-        /// Milliseconds since the cluster started.
-        elapsed_ms: f64,
-        /// Peers currently believed live.
-        live: usize,
-        /// Classification dispersion across reporting peers.
-        dispersion: f64,
-        /// Wall-clock stamp, ms since the Unix epoch; `None` in legacy
-        /// traces (the field is simply absent from their JSONL lines).
-        unix_ms: Option<u64>,
-    },
-    /// A peer was spawned under a Byzantine adversary role (byz runs).
-    AdversaryActivated {
-        /// The adversarial peer.
-        node: usize,
-        /// Role name: `"mint"`, `"poison"` or `"cartel"`.
-        role: String,
-    },
-    /// A defender sent a stochastic-audit probe.
-    AuditProbe {
-        /// The probing peer.
-        node: usize,
-        /// The audited peer.
-        target: usize,
-        /// The prober's gossip tick when the probe left.
-        tick: u64,
-    },
-    /// A defender finished verifying an audit reply.
-    AuditVerdict {
-        /// The probing peer.
-        node: usize,
-        /// The audited peer.
-        target: usize,
-        /// Whether the attested state matched the remembered frame.
-        passed: bool,
-        /// Whether the pass was vacuous — the target attested nothing
-        /// (evicted or never-retained send, or an incarnation change
-        /// voided the comparison), so silence was taken as a pass.
-        /// Omitted from the JSON when false.
-        vacuous: bool,
-        /// The prober's gossip tick at verification.
-        tick: u64,
-    },
-    /// A peer reported evidence of misbehavior to the supervisor.
-    PeerStrike {
-        /// The accusing peer.
-        node: usize,
-        /// The accused peer.
-        target: usize,
-        /// Evidence class: `"non_finite"`, `"minted"` or `"drift"`.
-        reason: String,
-        /// The accuser's gossip tick when the evidence was found.
-        tick: u64,
-    },
-    /// The supervisor's cluster-wide strike tally convicted a peer.
-    PeerConvicted {
-        /// The convicted peer.
-        target: usize,
-        /// Total strikes at conviction.
-        strikes: u64,
-        /// The latest accuser tick among the convicting strikes.
-        tick: u64,
-    },
-    /// An inbound data frame was rejected by ingress screening.
-    FrameRejected {
-        /// The rejecting peer.
-        node: usize,
-        /// The frame's sender.
-        sender: usize,
-        /// Grains the frame *claimed* to carry.
-        grains: u64,
-        /// Rejection class: `"convicted"`, `"non_finite"` or `"minted"`.
-        reason: String,
-        /// The rejecting peer's gossip tick.
-        tick: u64,
-    },
-    /// One peer lineage's final byte accounting (byz runs): total bytes
-    /// handled (sent + received) and the audit-traffic share among them,
-    /// both counted on the same two-sided basis so their ratio is the
-    /// wire-level audit share.
-    PeerBandwidth {
-        /// The peer.
-        node: usize,
-        /// All bytes the lineage sent or received.
-        bytes: u64,
-        /// Bytes of audit probes and replies among them (both
-        /// directions).
-        audit_bytes: u64,
-    },
-    /// The grain auditor's Byzantine reconciliation (byz runs): minted
-    /// weight measured exactly from the rejected frames' excess over
-    /// their senders' durable books.
-    ByzSummary {
-        /// Minted grains measured across rejected frames.
-        minted_grains: u64,
-        /// Distinct data frames rejected at ingress.
-        rejected_frames: u64,
-    },
+/// Declares a fieldless enum that the trace writes as a string.
+macro_rules! wire_enum {
+    (
+        $(#[$doc:meta])*
+        pub enum $name:ident { $( $(#[$vdoc:meta])* $variant:ident = $wire:literal, )* }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum $name { $( $(#[$vdoc])* $variant, )* }
+
+        impl Wire for $name {
+            const EXPECTED: &'static str = concat!("one of" $(, " ", $wire)*);
+
+            fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
+                out.write_str(match self { $( $name::$variant => concat!("\"", $wire, "\""), )* })
+            }
+
+            fn read(raw: &str) -> Option<Self> {
+                match &*json::unquote(raw)? {
+                    $( $wire => Some($name::$variant), )*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+wire_enum! {
+    /// Which direction a grain movement went, from the owning node's view.
+    pub enum GrainOp {
+        /// Grains left the node inside an outgoing half (Algorithm 1's split).
+        Split = "split",
+        /// Grains from a received half were merged into the node's state.
+        Merge = "merge",
+        /// Grains came back after an abandoned retransmission.
+        Return = "return",
+    }
+}
+
+wire_enum! {
+    /// Why an in-flight message never reached its destination.
+    pub enum DropReason {
+        /// The destination was crashed at delivery time.
+        Crashed = "crashed",
+        /// A partition window separated sender and receiver.
+        Partitioned = "partitioned",
+    }
+}
+
+/// The field rules of the module docs. `write` takes the field's
+/// `,"key":` prefix, `read` its key and raw value text, if present. An
+/// `Option` is `null` when `None`, so on an `Option` `zero` is `opt` and
+/// `dflt` is `null`.
+mod rule {
+    use super::{fmt, JsonError, Wire};
+
+    pub mod req {
+        use super::*;
+
+        pub fn write<T: Wire>(out: &mut impl fmt::Write, prefix: &str, v: &T) -> fmt::Result {
+            out.write_str(prefix)?;
+            v.write(out)
+        }
+
+        pub fn read<T: Wire>(key: &str, raw: Option<&str>) -> Result<T, JsonError> {
+            let raw = raw.ok_or_else(|| JsonError::field(key, "missing field"))?;
+            T::read(raw).ok_or_else(|| JsonError::field_type(key, T::EXPECTED))
+        }
+    }
+
+    pub mod dflt {
+        pub use super::req::write;
+        use super::*;
+
+        /// Absent or `null` is the default.
+        pub fn read<T: Wire + Default>(key: &str, raw: Option<&str>) -> Result<T, JsonError> {
+            match raw {
+                None | Some("null") => Ok(T::default()),
+                raw => req::read(key, raw),
+            }
+        }
+    }
+
+    pub mod zero {
+        pub use super::dflt::read;
+        use super::*;
+
+        pub fn write<T: Wire + Default + PartialEq>(
+            out: &mut impl fmt::Write,
+            prefix: &str,
+            v: &T,
+        ) -> fmt::Result {
+            if *v != T::default() {
+                req::write(out, prefix, v)?;
+            }
+            Ok(())
+        }
+    }
+
+    pub mod opt {
+        pub use super::zero::{read, write};
+    }
+
+    pub mod null {
+        pub use super::dflt::{read, write};
+    }
+}
+
+/// Generates the trace format from its table (see the module docs).
+macro_rules! trace_events {
+    // Reads one field list from a line's members: the first of a
+    // repeated key counts, keys the list lacks are skipped.
+    (@read $members:ident, $path:path { $( $rule:ident $field:ident = $key:literal ),* }) => {{
+        $( let mut $field = None; )*
+        while let Some((key, raw)) = $members.next_member()? {
+            match &*key {
+                $( $key => { $field.get_or_insert(raw); } )*
+                _ => {}
+            }
+        }
+        $path { $( $field: rule::$rule::read($key, $field)?, )* }
+    }};
+    (@write $out:ident, $( $rule:ident $field:ident = $key:literal ),*) => {
+        $( rule::$rule::write($out, concat!(",\"", $key, "\":"), $field)?; )*
+    };
+    (
+        $(#[$doc:meta])*
+        pub enum $name:ident {
+            $(#[$tdoc:meta])*
+            $tvariant:ident = $twire:literal (
+                $(#[$sdoc:meta])*
+                pub struct $sample:ident {
+                    $( $(#[$sfdoc:meta])* $srule:ident $sfield:ident: $sty:ty = $skey:literal, )*
+                }
+            ),
+            $(
+                $(#[$vdoc:meta])*
+                $variant:ident = $wire:literal {
+                    $( $(#[$fdoc:meta])* $rule:ident $field:ident: $ty:ty = $key:literal, )*
+                },
+            )*
+        }
+    ) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $name {
+            $(#[$tdoc])* $tvariant($sample),
+            $( $(#[$vdoc])* $variant { $( $(#[$fdoc])* $field: $ty, )* }, )*
+        }
+
+        $(#[$sdoc])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct $sample {
+            $( $(#[$sfdoc])* pub $sfield: $sty, )*
+        }
+
+        impl $name {
+            /// The `"type"` discriminator used in the JSON encoding.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( $name::$variant { .. } => $wire, )*
+                    $name::$tvariant(_) => $twire,
+                }
+            }
+
+            /// Writes the event as one JSON object: its type, then its
+            /// fields in table order, each by its rule.
+            pub(crate) fn encode(&self, out: &mut impl fmt::Write) -> fmt::Result {
+                match self {
+                    $( $name::$variant { $($field),* } => {
+                        out.write_str(concat!("{\"type\":\"", $wire, "\""))?;
+                        trace_events!(@write out, $( $rule $field = $key ),*);
+                    } )*
+                    $name::$tvariant($sample { $($sfield),* }) => {
+                        out.write_str(concat!("{\"type\":\"", $twire, "\""))?;
+                        trace_events!(@write out, $( $srule $sfield = $skey ),*);
+                    }
+                }
+                out.write_char('}')
+            }
+
+            /// The event of type `kind` from its line's members; `None`
+            /// for a type the table lacks, once its members are checked.
+            fn decode_fields(kind: &str, mut members: Members<'_>) -> Result<Option<Self>, JsonError> {
+                Ok(Some(match kind {
+                    $( $wire => trace_events!(@read members, $name::$variant {
+                        $( $rule $field = $key ),*
+                    }), )*
+                    $twire => $name::$tvariant(trace_events!(@read members, $sample {
+                        $( $srule $sfield = $skey ),*
+                    })),
+                    _ => {
+                        while members.next_member()?.is_some() {}
+                        return Ok(None);
+                    }
+                }))
+            }
+        }
+    };
+}
+
+trace_events! {
+    /// A structured observation from any layer of the stack.
+    ///
+    /// Node indices are `usize` everywhere (the runtime's `u16` peer ids
+    /// widen losslessly); `incarnation` is only meaningful for runtime peers
+    /// and is `0` in simulation engines.
+    pub enum TraceEvent {
+        /// A per-round convergence telemetry sample (gossip runner).
+        Telemetry = "telemetry" (
+            /// One convergence measurement, taken after a round (or a
+            /// wall-clock sampling interval in the deployment runtime).
+            pub struct TelemetrySample {
+                /// Round index the sample was taken after.
+                req round: u64 = "round",
+                /// Live nodes at sampling time.
+                req live: usize = "live",
+                /// Mean number of collections per live node's classification.
+                req classifications_mean: f64 = "classifications_mean",
+                /// Largest classification size among live nodes.
+                req classifications_max: usize = "classifications_max",
+                /// Spread of per-node total weight, in weight units (max − min).
+                req weight_spread: f64 = "weight_spread",
+                /// Mean per-node error against a ground truth, when a probe is set.
+                null mean_error: Option<f64> = "mean_error",
+                /// Worst per-node error against a ground truth, when a probe is set.
+                null max_error: Option<f64> = "max_error",
+                /// Classification dispersion across live nodes, when computed.
+                null dispersion: Option<f64> = "dispersion",
+                /// Wall-clock time the sample was taken, in milliseconds since the
+                /// Unix epoch. `None` in legacy traces and in round-driven
+                /// simulations that have no wall clock; the deployment runtime
+                /// stamps it so dashboards and episode timelines can plot
+                /// against real time instead of round index.
+                null unix_ms: Option<u64> = "unix_ms",
+            }
+        ),
+        /// A run began: how many participants and the total grains minted.
+        ClusterStarted = "cluster_started" {
+            /// Number of nodes/peers in the run.
+            req nodes: usize = "nodes",
+            /// Total grains minted at start (one weight unit per node, so the
+            /// per-node share is `initial_grains / nodes`).
+            req initial_grains: u64 = "initial_grains",
+        },
+        /// A synchronous round finished (rounds engine / gossip runner).
+        RoundCompleted = "round_completed" {
+            /// Round index that just completed.
+            req round: u64 = "round",
+            /// Live nodes after the round's crash phase.
+            req live: usize = "live",
+            /// Cumulative messages sent so far.
+            req sent: u64 = "sent",
+            /// Cumulative messages delivered so far.
+            req delivered: u64 = "delivered",
+            /// Cumulative messages dropped so far.
+            req dropped: u64 = "dropped",
+        },
+        /// A node's periodic tick fired (event-driven engine).
+        TickCompleted = "tick_completed" {
+            /// Node that ticked.
+            req node: usize = "node",
+            /// Simulated time of the tick.
+            req time: f64 = "time",
+        },
+        /// A message left its sender.
+        MessageSent = "message_sent" {
+            /// Sender node.
+            req from: usize = "from",
+            /// Destination node.
+            req to: usize = "to",
+            /// Encoded size, `0` when no sizer is configured.
+            req bytes: u64 = "bytes",
+            /// When it was sent: round index (rounds engine) or simulated
+            /// time (event engine). Pairs with the matching delivery's `at`
+            /// to give per-link latency; `0.0` in traces predating the field.
+            dflt at: f64 = "at",
+            /// Sender's Lamport clock at send time (`None` in legacy traces).
+            opt lamport: Option<u64> = "lamport",
+            /// Per-sender message sequence number — together with `from` this
+            /// is the message's span ID `(origin, seq)`.
+            opt seq: Option<u64> = "seq",
+        },
+        /// A message reached its destination handler.
+        MessageDelivered = "message_delivered" {
+            /// Sender node.
+            req from: usize = "from",
+            /// Destination node.
+            req to: usize = "to",
+            /// Encoded size, `0` when no sizer is configured.
+            req bytes: u64 = "bytes",
+            /// When it arrived, on the same clock as the matching
+            /// [`TraceEvent::MessageSent`]'s `at`.
+            dflt at: f64 = "at",
+            /// Receiver's Lamport clock after the max-merge (`None` in
+            /// legacy traces).
+            opt lamport: Option<u64> = "lamport",
+            /// Sequence number of the matching send span `(from, span_seq)`.
+            opt span_seq: Option<u64> = "span_seq",
+        },
+        /// A message was dropped in flight.
+        MessageDropped = "message_dropped" {
+            /// Sender node.
+            req from: usize = "from",
+            /// Destination node.
+            req to: usize = "to",
+            /// Why it was dropped.
+            req reason: DropReason = "reason",
+        },
+        /// A fault-model action fired (crash injection, partition opening).
+        FaultActivated = "fault_activated" {
+            /// Fault kind, e.g. `"crash"` or `"partition"`.
+            req kind: String = "kind",
+            /// Affected node, if the fault targets one.
+            null node: Option<usize> = "node",
+            /// Engine time or wall-clock milliseconds when it fired.
+            req at: f64 = "at",
+        },
+        /// A fault-model action was undone (restart, partition healing).
+        FaultHealed = "fault_healed" {
+            /// Fault kind, matching the activation.
+            req kind: String = "kind",
+            /// Affected node, if the fault targets one.
+            null node: Option<usize> = "node",
+            /// Engine time or wall-clock milliseconds when it healed.
+            req at: f64 = "at",
+        },
+        /// A runtime peer incarnation died.
+        PeerCrashed = "peer_crashed" {
+            /// Peer id.
+            req node: usize = "node",
+            /// Incarnation that died.
+            req incarnation: u16 = "incarnation",
+        },
+        /// A runtime peer came back as a fresh incarnation.
+        PeerRestarted = "peer_restarted" {
+            /// Peer id.
+            req node: usize = "node",
+            /// The new incarnation number.
+            req incarnation: u16 = "incarnation",
+        },
+        /// A runtime peer flushed its grain log batch to the supervisor.
+        PeerCheckpoint = "peer_checkpoint" {
+            /// Peer id.
+            req node: usize = "node",
+            /// Incarnation that checkpointed.
+            req incarnation: u16 = "incarnation",
+            /// Grains split away in the flushed batch.
+            req split: u64 = "split",
+            /// Grains merged in the flushed batch.
+            req merged: u64 = "merged",
+            /// Grains returned in the flushed batch.
+            req returned: u64 = "returned",
+        },
+        /// A single grain movement on a live peer or simulation node.
+        GrainDelta = "grain_delta" {
+            /// Node the grains moved on.
+            req node: usize = "node",
+            /// Incarnation (0 for simulation engines).
+            req incarnation: u16 = "incarnation",
+            /// Movement direction.
+            req op: GrainOp = "op",
+            /// How many grains moved.
+            req grains: u64 = "grains",
+            /// The counterpart node (destination of a split, source of a merge).
+            req peer: usize = "peer",
+            /// The node's Lamport clock when the movement happened (`None`
+            /// in legacy traces).
+            opt lamport: Option<u64> = "lamport",
+            /// Split: the outgoing frame's sequence number — with
+            /// `(node, incarnation)` this is the frame's span ID. `None` for
+            /// merges.
+            opt seq: Option<u64> = "seq",
+            /// Merge/return: incarnation of the span being merged/returned
+            /// (the parent span is `(peer, span_inc, span_seq)` for merges,
+            /// `(node, span_inc, span_seq)` for returns).
+            opt span_inc: Option<u64> = "span_inc",
+            /// Merge/return: sequence number of the span being
+            /// merged/returned.
+            opt span_seq: Option<u64> = "span_seq",
+            /// Merge: how long the delivered frame waited on the sender side
+            /// (retry/backoff delay between first enqueue and the successful
+            /// transmission attempt), in microseconds. `None` for splits,
+            /// returns, simulation engines, and legacy traces.
+            opt wait_us: Option<u64> = "wait_us",
+            /// Merge: how long the delivered frame spent in transit (channel
+            /// plus receiver ingress queueing, send to delivery), in
+            /// microseconds. `wait_us + transit_us` is the hop's full
+            /// enqueue-to-delivery latency, exactly.
+            opt transit_us: Option<u64> = "transit_us",
+        },
+        /// The supervisor rolled back a non-durable grain-log batch.
+        GrainsVoided = "grains_voided" {
+            /// Peer whose batch was voided.
+            req node: usize = "node",
+            /// Incarnation the batch belonged to.
+            req incarnation: u16 = "incarnation",
+            /// Voided split grains.
+            req split: u64 = "split",
+            /// Voided merged grains.
+            req merged: u64 = "merged",
+            /// Voided returned grains.
+            req returned: u64 = "returned",
+            /// Voided drift injections (grains injected since the last
+            /// checkpoint, rolled back with the restore). Omitted from the
+            /// JSON when zero so pre-drift traces keep their shape.
+            zero injected: u64 = "injected",
+            /// Voided drift decay (grains forgotten since the last
+            /// checkpoint, restored by the rollback).
+            zero forgotten: u64 = "forgotten",
+        },
+        /// A peer's final standing when the cluster shut down.
+        PeerFinal = "peer_final" {
+            /// Peer id.
+            req node: usize = "node",
+            /// `"completed"`, `"retired"`, `"dead"`, or `"panicked"`.
+            req outcome: String = "outcome",
+            /// Grains held at shutdown (0 for dead and retired peers).
+            req grains: u64 = "grains",
+        },
+        /// A peer re-read its sensor on the drift schedule: the old
+        /// contribution decayed, a fresh unit-weight reading was injected.
+        SensorDrift = "sensor_drift" {
+            /// The drifting peer.
+            req node: usize = "node",
+            /// Its incarnation at the re-read.
+            req incarnation: u16 = "incarnation",
+            /// Grains injected (one unit per event).
+            req injected: u64 = "injected",
+            /// Grains decayed away.
+            req forgotten: u64 = "forgotten",
+            /// The peer's gossip tick when the re-read happened.
+            req tick: u64 = "tick",
+        },
+        /// A brand-new peer was spawned mid-run by the churn plan; its unit
+        /// weight is declared as an injection, not initial mass.
+        PeerJoined = "peer_joined" {
+            /// The joining peer.
+            req node: usize = "node",
+            /// Grains the joiner declared (its unit weight).
+            req grains: u64 = "grains",
+            /// Wall-clock milliseconds since cluster start.
+            req at: f64 = "at",
+        },
+        /// A peer retired gracefully: it handed its entire classification to
+        /// a live neighbor and drained, leaving no grains behind.
+        PeerRetired = "peer_retired" {
+            /// The retiring peer.
+            req node: usize = "node",
+            /// Grains handed off (its classification total at retirement).
+            req grains: u64 = "grains",
+            /// Wall-clock milliseconds since cluster start.
+            req at: f64 = "at",
+        },
+        /// The grain-conservation auditor's verdict.
+        AuditSummary = "audit_summary" {
+            /// Grains minted at start.
+            req initial: u64 = "initial",
+            /// Grains held at shutdown.
+            req final_grains: u64 = "final",
+            /// Declared gains (returns + voided-send reabsorptions).
+            req gains: u64 = "gains",
+            /// Declared losses (crash holdings, unmerged pendings, voids).
+            req losses: u64 = "losses",
+            /// Grains injected by drift re-reads and joins (0 in static
+            /// runs; omitted from the JSON when zero).
+            zero injected: u64 = "injected",
+            /// Grains decayed away by drift re-reads.
+            zero forgotten: u64 = "forgotten",
+            /// Whether the books closed exactly.
+            req exact: bool = "exact",
+            /// Whether conservation held (exactly or within declared slack).
+            req conserved: bool = "conserved",
+        },
+        /// The trace sink hit its configured size cap: recording stopped
+        /// here (nothing older was dropped) and this is the file's last
+        /// event.
+        TraceTruncated = "trace_truncated" {
+            /// Bytes written to the sink before the cap fired.
+            req bytes_written: u64 = "bytes_written",
+        },
+        /// A wall-clock convergence sample from the runtime supervisor.
+        ClusterTelemetry = "cluster_telemetry" {
+            /// Milliseconds since the cluster started.
+            req elapsed_ms: f64 = "elapsed_ms",
+            /// Peers currently believed live.
+            req live: usize = "live",
+            /// Classification dispersion across reporting peers.
+            req dispersion: f64 = "dispersion",
+            /// Wall-clock stamp, ms since the Unix epoch; `None` in legacy
+            /// traces (the field is simply absent from their JSONL lines).
+            opt unix_ms: Option<u64> = "unix_ms",
+        },
+        /// A peer was spawned under a Byzantine adversary role (byz runs).
+        AdversaryActivated = "adversary_activated" {
+            /// The adversarial peer.
+            req node: usize = "node",
+            /// Role name: `"mint"`, `"poison"` or `"cartel"`.
+            req role: String = "role",
+        },
+        /// A defender sent a stochastic-audit probe.
+        AuditProbe = "audit_probe" {
+            /// The probing peer.
+            req node: usize = "node",
+            /// The audited peer.
+            req target: usize = "target",
+            /// The prober's gossip tick when the probe left.
+            req tick: u64 = "tick",
+        },
+        /// A defender finished verifying an audit reply.
+        AuditVerdict = "audit_verdict" {
+            /// The probing peer.
+            req node: usize = "node",
+            /// The audited peer.
+            req target: usize = "target",
+            /// Whether the attested state matched the remembered frame.
+            req passed: bool = "passed",
+            /// Whether the pass was vacuous — the target attested nothing
+            /// (evicted or never-retained send, or an incarnation change
+            /// voided the comparison), so silence was taken as a pass.
+            /// Omitted from the JSON when false.
+            zero vacuous: bool = "vacuous",
+            /// The prober's gossip tick at verification.
+            req tick: u64 = "tick",
+        },
+        /// A peer reported evidence of misbehavior to the supervisor.
+        PeerStrike = "peer_strike" {
+            /// The accusing peer.
+            req node: usize = "node",
+            /// The accused peer.
+            req target: usize = "target",
+            /// Evidence class: `"non_finite"`, `"minted"` or `"drift"`.
+            req reason: String = "reason",
+            /// The accuser's gossip tick when the evidence was found.
+            req tick: u64 = "tick",
+        },
+        /// The supervisor's cluster-wide strike tally convicted a peer.
+        PeerConvicted = "peer_convicted" {
+            /// The convicted peer.
+            req target: usize = "target",
+            /// Total strikes at conviction.
+            req strikes: u64 = "strikes",
+            /// The latest accuser tick among the convicting strikes.
+            req tick: u64 = "tick",
+        },
+        /// An inbound data frame was rejected by ingress screening.
+        FrameRejected = "frame_rejected" {
+            /// The rejecting peer.
+            req node: usize = "node",
+            /// The frame's sender.
+            req sender: usize = "sender",
+            /// Grains the frame *claimed* to carry.
+            req grains: u64 = "grains",
+            /// Rejection class: `"convicted"`, `"non_finite"` or `"minted"`.
+            req reason: String = "reason",
+            /// The rejecting peer's gossip tick.
+            req tick: u64 = "tick",
+        },
+        /// One peer lineage's final byte accounting (byz runs): total bytes
+        /// handled (sent + received) and the audit-traffic share among them,
+        /// both counted on the same two-sided basis so their ratio is the
+        /// wire-level audit share.
+        PeerBandwidth = "peer_bandwidth" {
+            /// The peer.
+            req node: usize = "node",
+            /// All bytes the lineage sent or received.
+            req bytes: u64 = "bytes",
+            /// Bytes of audit probes and replies among them (both
+            /// directions).
+            req audit_bytes: u64 = "audit_bytes",
+        },
+        /// The grain auditor's Byzantine reconciliation (byz runs): minted
+        /// weight measured exactly from the rejected frames' excess over
+        /// their senders' durable books.
+        ByzSummary = "byz_summary" {
+            /// Minted grains measured across rejected frames.
+            req minted_grains: u64 = "minted_grains",
+            /// Distinct data frames rejected at ingress.
+            req rejected_frames: u64 = "rejected_frames",
+        },
+    }
 }
 
 impl TraceEvent {
-    /// The `"type"` discriminator used in the JSON encoding.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::ClusterStarted { .. } => "cluster_started",
-            TraceEvent::RoundCompleted { .. } => "round_completed",
-            TraceEvent::TickCompleted { .. } => "tick_completed",
-            TraceEvent::MessageSent { .. } => "message_sent",
-            TraceEvent::MessageDelivered { .. } => "message_delivered",
-            TraceEvent::MessageDropped { .. } => "message_dropped",
-            TraceEvent::FaultActivated { .. } => "fault_activated",
-            TraceEvent::FaultHealed { .. } => "fault_healed",
-            TraceEvent::PeerCrashed { .. } => "peer_crashed",
-            TraceEvent::PeerRestarted { .. } => "peer_restarted",
-            TraceEvent::PeerCheckpoint { .. } => "peer_checkpoint",
-            TraceEvent::GrainDelta { .. } => "grain_delta",
-            TraceEvent::GrainsVoided { .. } => "grains_voided",
-            TraceEvent::PeerFinal { .. } => "peer_final",
-            TraceEvent::SensorDrift { .. } => "sensor_drift",
-            TraceEvent::PeerJoined { .. } => "peer_joined",
-            TraceEvent::PeerRetired { .. } => "peer_retired",
-            TraceEvent::AuditSummary { .. } => "audit_summary",
-            TraceEvent::TraceTruncated { .. } => "trace_truncated",
-            TraceEvent::Telemetry(_) => "telemetry",
-            TraceEvent::ClusterTelemetry { .. } => "cluster_telemetry",
-            TraceEvent::AdversaryActivated { .. } => "adversary_activated",
-            TraceEvent::AuditProbe { .. } => "audit_probe",
-            TraceEvent::AuditVerdict { .. } => "audit_verdict",
-            TraceEvent::PeerStrike { .. } => "peer_strike",
-            TraceEvent::PeerConvicted { .. } => "peer_convicted",
-            TraceEvent::FrameRejected { .. } => "frame_rejected",
-            TraceEvent::PeerBandwidth { .. } => "peer_bandwidth",
-            TraceEvent::ByzSummary { .. } => "byz_summary",
-        }
-    }
-
-    /// Encodes the event as a JSON object (one JSONL line, sans newline).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![field("type", jstr(self.kind()))];
-        match self {
-            TraceEvent::ClusterStarted {
-                nodes,
-                initial_grains,
-            } => {
-                fields.push(field("nodes", unum(*nodes as u64)));
-                fields.push(field("initial_grains", unum(*initial_grains)));
-            }
-            TraceEvent::RoundCompleted {
-                round,
-                live,
-                sent,
-                delivered,
-                dropped,
-            } => {
-                fields.push(field("round", unum(*round)));
-                fields.push(field("live", unum(*live as u64)));
-                fields.push(field("sent", unum(*sent)));
-                fields.push(field("delivered", unum(*delivered)));
-                fields.push(field("dropped", unum(*dropped)));
-            }
-            TraceEvent::TickCompleted { node, time } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("time", num(*time)));
-            }
-            TraceEvent::MessageSent {
-                from,
-                to,
-                bytes,
-                at,
-                lamport,
-                seq,
-            } => {
-                fields.push(field("from", unum(*from as u64)));
-                fields.push(field("to", unum(*to as u64)));
-                fields.push(field("bytes", unum(*bytes)));
-                fields.push(field("at", num(*at)));
-                push_opt(&mut fields, "lamport", *lamport);
-                push_opt(&mut fields, "seq", *seq);
-            }
-            TraceEvent::MessageDelivered {
-                from,
-                to,
-                bytes,
-                at,
-                lamport,
-                span_seq,
-            } => {
-                fields.push(field("from", unum(*from as u64)));
-                fields.push(field("to", unum(*to as u64)));
-                fields.push(field("bytes", unum(*bytes)));
-                fields.push(field("at", num(*at)));
-                push_opt(&mut fields, "lamport", *lamport);
-                push_opt(&mut fields, "span_seq", *span_seq);
-            }
-            TraceEvent::MessageDropped { from, to, reason } => {
-                fields.push(field("from", unum(*from as u64)));
-                fields.push(field("to", unum(*to as u64)));
-                fields.push(field("reason", jstr(reason.as_str())));
-            }
-            TraceEvent::FaultActivated { kind, node, at }
-            | TraceEvent::FaultHealed { kind, node, at } => {
-                fields.push(field("kind", jstr(kind.clone())));
-                fields.push(field("node", node.map_or(Json::Null, |n| unum(n as u64))));
-                fields.push(field("at", num(*at)));
-            }
-            TraceEvent::PeerCrashed { node, incarnation }
-            | TraceEvent::PeerRestarted { node, incarnation } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("incarnation", unum(*incarnation as u64)));
-            }
-            TraceEvent::PeerCheckpoint {
-                node,
-                incarnation,
-                split,
-                merged,
-                returned,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("incarnation", unum(*incarnation as u64)));
-                fields.push(field("split", unum(*split)));
-                fields.push(field("merged", unum(*merged)));
-                fields.push(field("returned", unum(*returned)));
-            }
-            TraceEvent::GrainsVoided {
-                node,
-                incarnation,
-                split,
-                merged,
-                returned,
-                injected,
-                forgotten,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("incarnation", unum(*incarnation as u64)));
-                fields.push(field("split", unum(*split)));
-                fields.push(field("merged", unum(*merged)));
-                fields.push(field("returned", unum(*returned)));
-                push_opt(
-                    &mut fields,
-                    "injected",
-                    (*injected > 0).then_some(*injected),
-                );
-                push_opt(
-                    &mut fields,
-                    "forgotten",
-                    (*forgotten > 0).then_some(*forgotten),
-                );
-            }
-            TraceEvent::GrainDelta {
-                node,
-                incarnation,
-                op,
-                grains,
-                peer,
-                lamport,
-                seq,
-                span_inc,
-                span_seq,
-                wait_us,
-                transit_us,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("incarnation", unum(*incarnation as u64)));
-                fields.push(field("op", jstr(op.as_str())));
-                fields.push(field("grains", unum(*grains)));
-                fields.push(field("peer", unum(*peer as u64)));
-                push_opt(&mut fields, "lamport", *lamport);
-                push_opt(&mut fields, "seq", *seq);
-                push_opt(&mut fields, "span_inc", *span_inc);
-                push_opt(&mut fields, "span_seq", *span_seq);
-                push_opt(&mut fields, "wait_us", *wait_us);
-                push_opt(&mut fields, "transit_us", *transit_us);
-            }
-            TraceEvent::PeerFinal {
-                node,
-                outcome,
-                grains,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("outcome", jstr(outcome.clone())));
-                fields.push(field("grains", unum(*grains)));
-            }
-            TraceEvent::SensorDrift {
-                node,
-                incarnation,
-                injected,
-                forgotten,
-                tick,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("incarnation", unum(*incarnation as u64)));
-                fields.push(field("injected", unum(*injected)));
-                fields.push(field("forgotten", unum(*forgotten)));
-                fields.push(field("tick", unum(*tick)));
-            }
-            TraceEvent::PeerJoined { node, grains, at }
-            | TraceEvent::PeerRetired { node, grains, at } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("grains", unum(*grains)));
-                fields.push(field("at", num(*at)));
-            }
-            TraceEvent::AuditSummary {
-                initial,
-                final_grains,
-                gains,
-                losses,
-                injected,
-                forgotten,
-                exact,
-                conserved,
-            } => {
-                fields.push(field("initial", unum(*initial)));
-                fields.push(field("final", unum(*final_grains)));
-                fields.push(field("gains", unum(*gains)));
-                fields.push(field("losses", unum(*losses)));
-                push_opt(
-                    &mut fields,
-                    "injected",
-                    (*injected > 0).then_some(*injected),
-                );
-                push_opt(
-                    &mut fields,
-                    "forgotten",
-                    (*forgotten > 0).then_some(*forgotten),
-                );
-                fields.push(field("exact", Json::Bool(*exact)));
-                fields.push(field("conserved", Json::Bool(*conserved)));
-            }
-            TraceEvent::TraceTruncated { bytes_written } => {
-                fields.push(field("bytes_written", unum(*bytes_written)));
-            }
-            TraceEvent::Telemetry(sample) => {
-                fields.extend(sample.json_fields());
-            }
-            TraceEvent::ClusterTelemetry {
-                elapsed_ms,
-                live,
-                dispersion,
-                unix_ms,
-            } => {
-                fields.push(field("elapsed_ms", num(*elapsed_ms)));
-                fields.push(field("live", unum(*live as u64)));
-                fields.push(field("dispersion", num(*dispersion)));
-                push_opt(&mut fields, "unix_ms", *unix_ms);
-            }
-            TraceEvent::AdversaryActivated { node, role } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("role", jstr(role.clone())));
-            }
-            TraceEvent::AuditProbe { node, target, tick } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("target", unum(*target as u64)));
-                fields.push(field("tick", unum(*tick)));
-            }
-            TraceEvent::AuditVerdict {
-                node,
-                target,
-                passed,
-                vacuous,
-                tick,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("target", unum(*target as u64)));
-                fields.push(field("passed", Json::Bool(*passed)));
-                if *vacuous {
-                    fields.push(field("vacuous", Json::Bool(true)));
-                }
-                fields.push(field("tick", unum(*tick)));
-            }
-            TraceEvent::PeerStrike {
-                node,
-                target,
-                reason,
-                tick,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("target", unum(*target as u64)));
-                fields.push(field("reason", jstr(reason.clone())));
-                fields.push(field("tick", unum(*tick)));
-            }
-            TraceEvent::PeerConvicted {
-                target,
-                strikes,
-                tick,
-            } => {
-                fields.push(field("target", unum(*target as u64)));
-                fields.push(field("strikes", unum(*strikes)));
-                fields.push(field("tick", unum(*tick)));
-            }
-            TraceEvent::FrameRejected {
-                node,
-                sender,
-                grains,
-                reason,
-                tick,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("sender", unum(*sender as u64)));
-                fields.push(field("grains", unum(*grains)));
-                fields.push(field("reason", jstr(reason.clone())));
-                fields.push(field("tick", unum(*tick)));
-            }
-            TraceEvent::PeerBandwidth {
-                node,
-                bytes,
-                audit_bytes,
-            } => {
-                fields.push(field("node", unum(*node as u64)));
-                fields.push(field("bytes", unum(*bytes)));
-                fields.push(field("audit_bytes", unum(*audit_bytes)));
-            }
-            TraceEvent::ByzSummary {
-                minted_grains,
-                rejected_frames,
-            } => {
-                fields.push(field("minted_grains", unum(*minted_grains)));
-                fields.push(field("rejected_frames", unum(*rejected_frames)));
-            }
-        }
-        Json::Obj(fields)
-    }
-
     /// Parses one JSONL line back into an event.
     ///
     /// # Errors
     ///
     /// Returns [`JsonError`] on malformed JSON, an unknown `"type"`, or a
-    /// missing required field.
+    /// missing or mistyped field.
     pub fn from_json(line: &str) -> Result<TraceEvent, JsonError> {
-        let v = Json::parse(line)?;
-        let bad = |message: &str| JsonError {
-            message: message.to_string(),
-            offset: 0,
+        match Self::decode(line)? {
+            (_, Some(event)) => Ok(event),
+            (kind, None) => Err(JsonError {
+                message: format!("unknown event type {kind}"),
+                offset: 0,
+            }),
+        }
+    }
+
+    /// A line's type and, when the table declares that type, its event.
+    /// Members may come in any order, and keys the event lacks are
+    /// skipped whatever their value, but the whole line must be JSON.
+    fn decode(line: &str) -> Result<(Cow<'_, str>, Option<TraceEvent>), JsonError> {
+        let mut members = Members::new(line)?;
+        let mut behind = false;
+        let kind = loop {
+            let member = members.next_member()?;
+            let (key, raw) = member.ok_or_else(|| JsonError::field("type", "missing field"))?;
+            if key == "type" {
+                break json::unquote(raw).ok_or_else(|| JsonError::field_type("type", "string"))?;
+            }
+            behind = true;
         };
-        let kind = v.req_str("type")?;
-        let kind = kind.as_str();
-        let u = |key: &str| v.req_u64(key);
-        let f = |key: &str| v.req_f64(key);
-        let s = |key: &str| v.req_str(key);
-        let b = |key: &str| v.req_bool(key);
-        let opt_node = || match v.get("node") {
-            Some(Json::Null) | None => Ok(None),
-            Some(j) => j
-                .as_u64()
-                .map(|n| Some(n as usize))
-                .ok_or_else(|| JsonError::field_type("node", "unsigned integer or null")),
-        };
-        Ok(match kind {
-            "cluster_started" => TraceEvent::ClusterStarted {
-                nodes: u("nodes")? as usize,
-                initial_grains: u("initial_grains")?,
-            },
-            "round_completed" => TraceEvent::RoundCompleted {
-                round: u("round")?,
-                live: u("live")? as usize,
-                sent: u("sent")?,
-                delivered: u("delivered")?,
-                dropped: u("dropped")?,
-            },
-            "tick_completed" => TraceEvent::TickCompleted {
-                node: u("node")? as usize,
-                time: f("time")?,
-            },
-            "message_sent" => TraceEvent::MessageSent {
-                from: u("from")? as usize,
-                to: u("to")? as usize,
-                bytes: u("bytes")?,
-                // Traces from before the field default to 0.0.
-                at: v.opt_f64("at")?.unwrap_or(0.0),
-                lamport: v.opt_u64("lamport")?,
-                seq: v.opt_u64("seq")?,
-            },
-            "message_delivered" => TraceEvent::MessageDelivered {
-                from: u("from")? as usize,
-                to: u("to")? as usize,
-                bytes: u("bytes")?,
-                at: v.opt_f64("at")?.unwrap_or(0.0),
-                lamport: v.opt_u64("lamport")?,
-                span_seq: v.opt_u64("span_seq")?,
-            },
-            "message_dropped" => TraceEvent::MessageDropped {
-                from: u("from")? as usize,
-                to: u("to")? as usize,
-                reason: DropReason::parse(&s("reason")?).ok_or_else(|| bad("bad reason"))?,
-            },
-            "fault_activated" => TraceEvent::FaultActivated {
-                kind: s("kind")?,
-                node: opt_node()?,
-                at: f("at")?,
-            },
-            "fault_healed" => TraceEvent::FaultHealed {
-                kind: s("kind")?,
-                node: opt_node()?,
-                at: f("at")?,
-            },
-            "peer_crashed" => TraceEvent::PeerCrashed {
-                node: u("node")? as usize,
-                incarnation: u("incarnation")? as u16,
-            },
-            "peer_restarted" => TraceEvent::PeerRestarted {
-                node: u("node")? as usize,
-                incarnation: u("incarnation")? as u16,
-            },
-            "peer_checkpoint" => TraceEvent::PeerCheckpoint {
-                node: u("node")? as usize,
-                incarnation: u("incarnation")? as u16,
-                split: u("split")?,
-                merged: u("merged")?,
-                returned: u("returned")?,
-            },
-            "grain_delta" => TraceEvent::GrainDelta {
-                node: u("node")? as usize,
-                incarnation: u("incarnation")? as u16,
-                op: GrainOp::parse(&s("op")?).ok_or_else(|| bad("bad op"))?,
-                grains: u("grains")?,
-                peer: u("peer")? as usize,
-                lamport: v.opt_u64("lamport")?,
-                seq: v.opt_u64("seq")?,
-                span_inc: v.opt_u64("span_inc")?,
-                span_seq: v.opt_u64("span_seq")?,
-                wait_us: v.opt_u64("wait_us")?,
-                transit_us: v.opt_u64("transit_us")?,
-            },
-            "grains_voided" => TraceEvent::GrainsVoided {
-                node: u("node")? as usize,
-                incarnation: u("incarnation")? as u16,
-                split: u("split")?,
-                merged: u("merged")?,
-                returned: u("returned")?,
-                // Traces from before the drift layer default to 0.
-                injected: v.opt_u64("injected")?.unwrap_or(0),
-                forgotten: v.opt_u64("forgotten")?.unwrap_or(0),
-            },
-            "peer_final" => TraceEvent::PeerFinal {
-                node: u("node")? as usize,
-                outcome: s("outcome")?,
-                grains: u("grains")?,
-            },
-            "sensor_drift" => TraceEvent::SensorDrift {
-                node: u("node")? as usize,
-                incarnation: u("incarnation")? as u16,
-                injected: u("injected")?,
-                forgotten: u("forgotten")?,
-                tick: u("tick")?,
-            },
-            "peer_joined" => TraceEvent::PeerJoined {
-                node: u("node")? as usize,
-                grains: u("grains")?,
-                at: f("at")?,
-            },
-            "peer_retired" => TraceEvent::PeerRetired {
-                node: u("node")? as usize,
-                grains: u("grains")?,
-                at: f("at")?,
-            },
-            "audit_summary" => TraceEvent::AuditSummary {
-                initial: u("initial")?,
-                final_grains: u("final")?,
-                gains: u("gains")?,
-                losses: u("losses")?,
-                injected: v.opt_u64("injected")?.unwrap_or(0),
-                forgotten: v.opt_u64("forgotten")?.unwrap_or(0),
-                exact: b("exact")?,
-                conserved: b("conserved")?,
-            },
-            "trace_truncated" => TraceEvent::TraceTruncated {
-                bytes_written: u("bytes_written")?,
-            },
-            "telemetry" => TraceEvent::Telemetry(TelemetrySample::from_json_obj(&v)?),
-            "cluster_telemetry" => TraceEvent::ClusterTelemetry {
-                elapsed_ms: f("elapsed_ms")?,
-                live: u("live")? as usize,
-                dispersion: f("dispersion")?,
-                unix_ms: v.opt_u64("unix_ms")?,
-            },
-            "adversary_activated" => TraceEvent::AdversaryActivated {
-                node: u("node")? as usize,
-                role: s("role")?,
-            },
-            "audit_probe" => TraceEvent::AuditProbe {
-                node: u("node")? as usize,
-                target: u("target")? as usize,
-                tick: u("tick")?,
-            },
-            "audit_verdict" => TraceEvent::AuditVerdict {
-                node: u("node")? as usize,
-                target: u("target")? as usize,
-                passed: b("passed")?,
-                // Traces from before the silence-rate metric default to a
-                // substantive (non-vacuous) verdict.
-                vacuous: match v.get("vacuous") {
-                    None | Some(Json::Null) => false,
-                    Some(j) => j
-                        .as_bool()
-                        .ok_or_else(|| JsonError::field_type("vacuous", "bool"))?,
-                },
-                tick: u("tick")?,
-            },
-            "peer_strike" => TraceEvent::PeerStrike {
-                node: u("node")? as usize,
-                target: u("target")? as usize,
-                reason: s("reason")?,
-                tick: u("tick")?,
-            },
-            "peer_convicted" => TraceEvent::PeerConvicted {
-                target: u("target")? as usize,
-                strikes: u("strikes")?,
-                tick: u("tick")?,
-            },
-            "frame_rejected" => TraceEvent::FrameRejected {
-                node: u("node")? as usize,
-                sender: u("sender")? as usize,
-                grains: u("grains")?,
-                reason: s("reason")?,
-                tick: u("tick")?,
-            },
-            "peer_bandwidth" => TraceEvent::PeerBandwidth {
-                node: u("node")? as usize,
-                bytes: u("bytes")?,
-                audit_bytes: u("audit_bytes")?,
-            },
-            "byz_summary" => TraceEvent::ByzSummary {
-                minted_grains: u("minted_grains")?,
-                rejected_frames: u("rejected_frames")?,
-            },
-            other => return Err(bad(&format!("unknown event type {other}"))),
-        })
+        // The encoder writes the type first; else members before it count.
+        if behind {
+            members = Members::new(line)?;
+        }
+        let event = Self::decode_fields(&kind, members)?;
+        Ok((kind, event))
     }
 }
 
-impl std::fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.to_json())
+impl fmt::Display for TraceEvent {
+    /// The event's JSONL line, without the newline.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.encode(f)
     }
 }
 
@@ -982,7 +756,7 @@ pub fn read_jsonl(
     mut on_event: impl FnMut(TraceEvent),
 ) -> Result<usize, JsonError> {
     let (mut buf, mut unknown) = (String::new(), 0usize);
-    let at_line = |line_no: usize, message: &dyn std::fmt::Display, offset: usize| JsonError {
+    let at_line = |line_no: usize, message: &dyn fmt::Display, offset: usize| JsonError {
         message: format!("trace line {line_no}: {message}"),
         offset,
     };
@@ -999,9 +773,9 @@ pub fn read_jsonl(
         if line.trim().is_empty() {
             continue;
         }
-        match TraceEvent::from_json(line) {
-            Ok(ev) => on_event(ev),
-            Err(e) if e.message.contains("unknown event type") => unknown += 1,
+        match TraceEvent::decode(line) {
+            Ok((_, Some(ev))) => on_event(ev),
+            Ok((_, None)) => unknown += 1,
             Err(e) => return Err(at_line(line_no, &e.message, e.offset)),
         }
     }

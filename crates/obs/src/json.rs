@@ -1,10 +1,12 @@
 //! Minimal JSON value model, serializer, and parser.
 //!
-//! The workspace has no serde; trace events, telemetry series, and the
-//! bench snapshot all round-trip through this module instead. It supports
-//! the full JSON grammar except that numbers are represented as `f64`
-//! (integers round-trip exactly up to 2^53, far beyond any grain count or
-//! counter this codebase produces).
+//! The workspace has no serde; reports, profiles, the live console and the
+//! bench snapshot build and read [`Json`] trees here. Trace lines do not:
+//! their codec (`crate::event`) writes straight into a buffer and reads
+//! with `Members`, a scanner over this parser that builds no tree. The
+//! parser takes the full JSON grammar, nested at most [`MAX_DEPTH`]
+//! deep. A [`Json`] number is an `f64`, so integers round-trip exactly up
+//! to 2^53, far beyond any grain count or counter this codebase produces.
 //!
 //! # Non-finite float policy
 //!
@@ -12,9 +14,11 @@
 //! non-finite value serializes as `null`, so a degenerate telemetry
 //! sample (NaN dispersion, infinite spread) can never emit an invalid
 //! document. The round trip is therefore lossy by design:
-//! `num(f64::NAN)` → `"null"` → parses back as [`Json::Null`], which the
-//! optional-field readers treat as "absent".
+//! `num(f64::NAN)` → `"null"` → parses back as [`Json::Null`]. The trace
+//! codec follows the same policy, and reads `null` in an optional field
+//! as absent.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A parsed or to-be-serialized JSON value.
@@ -148,41 +152,6 @@ impl Json {
         }
     }
 
-    /// An optional `f64` field: `Ok(None)` when absent or `null`
-    /// (including a non-finite float that serialized as `null`), the
-    /// value when numeric.
-    ///
-    /// # Errors
-    ///
-    /// Names the key when the field is present but neither a number nor
-    /// `null`.
-    pub fn opt_f64(&self, key: &str) -> Result<Option<f64>, JsonError> {
-        match self.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(j) => j
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| JsonError::field_type(key, "number or null")),
-        }
-    }
-
-    /// An optional `u64` field: `Ok(None)` when absent or `null`, the
-    /// value when a non-negative integer.
-    ///
-    /// # Errors
-    ///
-    /// Names the key when the field is present but neither an unsigned
-    /// integer nor `null`.
-    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, JsonError> {
-        match self.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(j) => j
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| JsonError::field_type(key, "unsigned integer or null")),
-        }
-    }
-
     /// Parses a JSON document; trailing whitespace is allowed, trailing
     /// content is an error.
     ///
@@ -190,16 +159,10 @@ impl Json {
     ///
     /// Returns [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser::new(text);
         p.skip_ws();
         let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing content"));
-        }
+        p.end()?;
         Ok(value)
     }
 }
@@ -244,20 +207,21 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
+/// Writes `s` as a JSON string literal.
+pub(crate) fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
-    f.write_str("\"")
+    out.write_char('"')
 }
 
 /// A parse failure: message plus byte offset into the input.
@@ -296,12 +260,60 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects a document may have. It is
+/// far above anything obs writes (a trace line is one flat object), and
+/// it keeps hostile input from overflowing the recursive parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// The members of the one object a text holds, read in order without
+/// building a tree: each key, borrowed unless it has escapes, with the
+/// raw text of its value, which is checked but not decoded.
+pub(crate) struct Members<'a> {
+    p: Parser<'a>,
+    first: bool,
+}
+
+impl<'a> Members<'a> {
+    /// Opens the object.
+    pub(crate) fn new(text: &'a str) -> Result<Self, JsonError> {
+        let mut p = Parser::new(text);
+        p.skip_ws();
+        p.open(b'{')?;
+        Ok(Members { p, first: true })
+    }
+
+    /// The next member; `None` after the last, once the text is found to
+    /// end with the object.
+    pub(crate) fn next_member(&mut self) -> Result<Option<(Cow<'a, str>, &'a str)>, JsonError> {
+        match self.p.next_member(&mut self.first)? {
+            Some(key) => Ok(Some((key, self.p.skip()?))),
+            None => self.p.end().map(|()| None),
+        }
+    }
+}
+
+/// The string a raw value text (from [`Members`]) holds; `None` when the
+/// value is not a string.
+pub(crate) fn unquote(raw: &str) -> Option<Cow<'_, str>> {
+    Parser::new(raw).string().ok()
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -310,17 +322,13 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, expected: u8) -> Result<(), JsonError> {
@@ -332,8 +340,61 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Only whitespace may follow the document.
+    fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing content"))
+        }
+    }
+
+    /// Enters the array or object that `bracket` opens.
+    fn open(&mut self, bracket: u8) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.eat(bracket)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Whether another element follows in the array or object that
+    /// `close` ends: consumes the `,` before it, or at the end `close`
+    /// itself. `first` holds until the first element.
+    fn more(&mut self, close: u8, first: &mut bool) -> Result<bool, JsonError> {
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            return Ok(false);
+        }
+        if !std::mem::take(first) {
+            if self.peek() != Some(b',') {
+                return Err(self.err(&format!("expected ',' or '{}'", close as char)));
+            }
+            self.pos += 1;
+            self.skip_ws();
+        }
+        Ok(true)
+    }
+
+    /// The next key of the object being read, leaving the parser at its
+    /// value; `None` once the object has closed.
+    fn next_member(&mut self, first: &mut bool) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.more(b'}', first)? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.eat(b':')?;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -342,92 +403,94 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Json, JsonError> {
+        let mut first = true;
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'{') => {
+                self.open(b'{')?;
+                let mut fields = Vec::new();
+                while let Some(key) = self.next_member(&mut first)? {
+                    fields.push((key.into_owned(), self.value()?));
+                }
+                Ok(Json::Obj(fields))
+            }
+            Some(b'[') => {
+                self.open(b'[')?;
+                let mut items = Vec::new();
+                while self.more(b']', &mut first)? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => {
+                let text = self.number()?;
+                text.parse()
+                    .map(Json::Num)
+                    .map_err(|_| self.err("bad number"))
+            }
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
+    /// Checks one value without building it; returns its text.
+    fn skip(&mut self) -> Result<&'a str, JsonError> {
+        let (start, mut first) = (self.pos, true);
+        match self.peek() {
+            Some(b'{') => {
+                self.open(b'{')?;
+                while self.next_member(&mut first)?.is_some() {
+                    self.skip()?;
                 }
-                _ => return Err(self.err("expected ',' or '}'")),
+            }
+            Some(b'[') => {
+                self.open(b'[')?;
+                while self.more(b']', &mut first)? {
+                    self.skip()?;
+                }
+            }
+            Some(b'"') => {
+                self.string()?;
+            }
+            Some(b'-' | b'0'..=b'9') => {
+                self.number()?;
+            }
+            // A literal, or the error.
+            _ => {
+                self.value()?;
             }
         }
+        Ok(&self.text[start..self.pos])
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the text unless it has escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let bytes = self.text.as_bytes();
+        let mut out: Option<String> = None;
         loop {
             let start = self.pos;
-            // Fast path: run of plain UTF-8 bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
+            while let Some(&b) = bytes.get(self.pos) {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?;
-                out.push_str(chunk);
-            }
+            // The run ends at an ASCII byte, so on a char boundary.
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(run),
+                        Some(s) => Cow::Owned(s + run),
+                    });
                 }
                 Some(b'\\') => {
+                    let out = out.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -439,14 +502,16 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
+                            let hex = bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four hex digits: no sign.
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |code, &h| {
+                                    Some(code * 16 + char::from(h).to_digit(16)?)
+                                })
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogate pairs are not needed by any producer
                             // in this workspace; map them to U+FFFD.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -461,34 +526,36 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// A number's text, checked against JSON's grammar.
+    fn number(&mut self) -> Result<&'a str, JsonError> {
         let start = self.pos;
+        let digits = |p: &mut Self| {
+            let from = p.pos;
+            while let Some(b'0'..=b'9') = p.peek() {
+                p.pos += 1;
+            }
+            if p.pos > from {
+                Ok(())
+            } else {
+                Err(p.err("bad number"))
+            }
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        digits(self)?;
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            digits(self)?;
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if let Some(b'e' | b'E') = self.peek() {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if let Some(b'+' | b'-') = self.peek() {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            digits(self)?;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid utf-8"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        Ok(&self.text[start..self.pos])
     }
 }
 
@@ -559,8 +626,8 @@ mod tests {
     }
 
     /// The documented non-finite policy end to end: a NaN/inf number
-    /// serializes as `null` and parses back as `Json::Null`, which the
-    /// optional readers treat as absent — never invalid JSON.
+    /// serializes as `null` and parses back as `Json::Null` — never
+    /// invalid JSON.
     #[test]
     fn non_finite_round_trips_to_null() {
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -568,7 +635,6 @@ mod tests {
             let text = doc.to_string();
             let back = Json::parse(&text).expect("document stays valid JSON");
             assert_eq!(back.get("x"), Some(&Json::Null), "input {v}");
-            assert_eq!(back.opt_f64("x").expect("null is acceptable"), None);
         }
         // Inside arrays too.
         let arr = Json::Arr(vec![num(1.0), num(f64::NAN), num(2.0)]);
@@ -596,7 +662,55 @@ mod tests {
         assert!(v.req_str("round").is_ok());
         assert!(v.req_f64("round").is_err());
         assert!(v.req_bool("live").is_err());
-        let opt_bad = v.opt_f64("round").expect_err("string is not number/null");
-        assert!(opt_bad.message.contains("round"));
+    }
+
+    fn scan(text: &str) -> Result<Vec<(Cow<'_, str>, &str)>, JsonError> {
+        let (mut members, mut all) = (Members::new(text)?, Vec::new());
+        while let Some(member) = members.next_member()? {
+            all.push(member);
+        }
+        Ok(all)
+    }
+
+    /// Nesting past `MAX_DEPTH` is an error, not a stack overflow, in the
+    /// tree parser and the member scanner alike.
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nesting"), "{err}");
+        let hostile = format!("{{\"x\":{}", "[".repeat(200_000));
+        assert!(Json::parse(&hostile).is_err());
+        assert!(scan(&hostile).is_err());
+        let fits = format!("{{\"x\":{}}}", nested(MAX_DEPTH - 1));
+        assert_eq!(scan(&fits).expect("scans").len(), 1);
+    }
+
+    /// The scanner borrows plain keys, hands over values' raw text, and
+    /// checks the whole text: numbers against JSON's grammar, and nothing
+    /// after the object.
+    #[test]
+    fn members_scan_one_flat_object() {
+        let text = r#" {"a": 1.5e3, "b\u0041": ["x", {"y": null}], "c":"q\"z"} "#;
+        let members = scan(text).expect("scans");
+        assert!(matches!(members[0].0, Cow::Borrowed("a")));
+        assert_eq!(members[1].0, "bA");
+        let raws: Vec<&str> = members.iter().map(|m| m.1).collect();
+        assert_eq!(raws, [r#"1.5e3"#, r#"["x", {"y": null}]"#, r#""q\"z""#]);
+        assert_eq!(unquote(raws[2]).as_deref(), Some("q\"z"));
+        assert_eq!(unquote(raws[0]), None);
+
+        for bad in [
+            r#"{"a":1} x"#,
+            r#"{"a":1.}"#,
+            r#"{"a":-}"#,
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            "[1]",
+        ] {
+            assert!(scan(bad).is_err(), "{bad}");
+        }
     }
 }

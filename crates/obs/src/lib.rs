@@ -20,8 +20,9 @@
 //! - [`TelemetrySample`]/[`TelemetrySeries`]: the per-round convergence
 //!   measurements (classification sizes, error vs. ground truth, weight
 //!   spread, dispersion) the experiments consume.
-//! - [`json`]: the minimal JSON reader/writer backing all of the above
-//!   (the workspace has no serde).
+//! - [`json`]: the minimal JSON reader/writer behind the reports, the
+//!   profiler and the console (the workspace has no serde), and the
+//!   scanner the trace codec reads lines with.
 
 //! - [`metrics`]: the aggregate side — a [`MetricsRegistry`] of counters,
 //!   gauges, and mergeable log-bucketed histograms behind the same

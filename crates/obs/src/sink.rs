@@ -101,6 +101,8 @@ pub struct JsonlSink {
 
 struct JsonlInner {
     out: BufWriter<File>,
+    /// The line being written, kept so that its buffer is reused.
+    line: String,
     deferred: Option<io::Error>,
     /// Bytes written so far (including the truncation marker).
     written: u64,
@@ -138,6 +140,7 @@ impl JsonlSink {
         Ok(JsonlSink {
             inner: Mutex::new(JsonlInner {
                 out: BufWriter::new(file),
+                line: String::new(),
                 deferred: None,
                 written: 0,
                 cap,
@@ -153,11 +156,18 @@ impl JsonlSink {
 }
 
 impl JsonlInner {
-    fn write_line(&mut self, line: &str) {
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.deferred = Some(e);
-        } else {
-            self.written += line.len() as u64 + 1;
+    /// Puts `event`'s line, newline included, in the line buffer.
+    fn set_line(&mut self, event: &TraceEvent) {
+        self.line.clear();
+        // Writing into a `String` cannot fail.
+        let _ = event.encode(&mut self.line);
+        self.line.push('\n');
+    }
+
+    fn write_line(&mut self) {
+        match self.out.write_all(self.line.as_bytes()) {
+            Ok(()) => self.written += self.line.len() as u64,
+            Err(e) => self.deferred = Some(e),
         }
     }
 }
@@ -168,20 +178,17 @@ impl TraceSink for JsonlSink {
         if inner.deferred.is_some() || inner.truncated {
             return;
         }
-        let line = event.to_json().to_string();
+        inner.set_line(event);
         if let Some(cap) = inner.cap {
-            if inner.written + line.len() as u64 + 1 > cap {
+            if inner.written + inner.line.len() as u64 > cap {
                 inner.truncated = true;
                 let marker = TraceEvent::TraceTruncated {
                     bytes_written: inner.written,
-                }
-                .to_json()
-                .to_string();
-                inner.write_line(&marker);
-                return;
+                };
+                inner.set_line(&marker);
             }
         }
-        inner.write_line(&line);
+        inner.write_line();
     }
 
     fn flush(&self) -> io::Result<()> {
@@ -441,7 +448,7 @@ mod tests {
     fn jsonl_sink_cap_truncates_with_marker_not_drop_oldest() {
         let path =
             std::env::temp_dir().join(format!("obs_sink_cap_test_{}.jsonl", std::process::id()));
-        let one_line = tick(0).to_json().to_string().len() as u64 + 1;
+        let one_line = tick(0).to_string().len() as u64 + 1;
         let cap = one_line * 3 + 10; // room for 3 events, not 4
         {
             let sink = JsonlSink::with_cap(&path, cap).expect("create");

@@ -1,41 +1,16 @@
 //! Per-round convergence telemetry: the quantities Figures 2–4 of the
 //! paper plot, sampled every round instead of once at the end.
 
-use crate::json::{field, num, unum, Json, JsonError};
+use crate::json::{field, num, unum, Json};
 
-/// One convergence measurement, taken after a round (or a wall-clock
-/// sampling interval in the deployment runtime).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TelemetrySample {
-    /// Round index the sample was taken after.
-    pub round: u64,
-    /// Live nodes at sampling time.
-    pub live: usize,
-    /// Mean number of collections per live node's classification.
-    pub classifications_mean: f64,
-    /// Largest classification size among live nodes.
-    pub classifications_max: usize,
-    /// Spread of per-node total weight, in weight units (max − min).
-    pub weight_spread: f64,
-    /// Mean per-node error against a ground truth, when a probe is set.
-    pub mean_error: Option<f64>,
-    /// Worst per-node error against a ground truth, when a probe is set.
-    pub max_error: Option<f64>,
-    /// Classification dispersion across live nodes, when computed.
-    pub dispersion: Option<f64>,
-    /// Wall-clock time the sample was taken, in milliseconds since the
-    /// Unix epoch. `None` in legacy traces (serialized as `null`) and in
-    /// round-driven simulations that have no wall clock; the deployment
-    /// runtime stamps it so dashboards and episode timelines can plot
-    /// against real time instead of round index.
-    pub unix_ms: Option<u64>,
-}
+/// Declared in the trace format's table, which also encodes and decodes it.
+pub use crate::event::TelemetrySample;
 
 impl TelemetrySample {
-    /// The JSON object fields (shared with `TraceEvent::Telemetry`).
-    pub(crate) fn json_fields(&self) -> Vec<(String, Json)> {
+    /// The sample as a JSON object, with the members of its trace line.
+    pub fn to_json(&self) -> Json {
         let opt = |v: Option<f64>| v.map_or(Json::Null, num);
-        vec![
+        Json::Obj(vec![
             field("round", unum(self.round)),
             field("live", unum(self.live as u64)),
             field("classifications_mean", num(self.classifications_mean)),
@@ -45,35 +20,7 @@ impl TelemetrySample {
             field("max_error", opt(self.max_error)),
             field("dispersion", opt(self.dispersion)),
             field("unix_ms", self.unix_ms.map_or(Json::Null, unum)),
-        ]
-    }
-
-    /// Encodes the sample as a standalone JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(self.json_fields())
-    }
-
-    pub(crate) fn from_json_obj(v: &Json) -> Result<TelemetrySample, JsonError> {
-        Ok(TelemetrySample {
-            round: v.req_u64("round")?,
-            live: v.req_u64("live")? as usize,
-            classifications_mean: v.req_f64("classifications_mean")?,
-            classifications_max: v.req_u64("classifications_max")? as usize,
-            weight_spread: v.req_f64("weight_spread")?,
-            mean_error: v.opt_f64("mean_error")?,
-            max_error: v.opt_f64("max_error")?,
-            dispersion: v.opt_f64("dispersion")?,
-            unix_ms: v.opt_u64("unix_ms")?,
-        })
-    }
-
-    /// Parses a standalone sample object.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on malformed input or missing fields.
-    pub fn from_json(text: &str) -> Result<TelemetrySample, JsonError> {
-        Self::from_json_obj(&Json::parse(text)?)
+        ])
     }
 }
 
@@ -219,29 +166,6 @@ impl TelemetrySeries {
         }
         out
     }
-
-    /// Encodes the series as a JSON array of sample objects.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(self.samples.iter().map(TelemetrySample::to_json).collect())
-    }
-
-    /// Parses a series from a JSON array.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JsonError`] on malformed input.
-    pub fn from_json(text: &str) -> Result<TelemetrySeries, JsonError> {
-        let v = Json::parse(text)?;
-        let items = v.as_array().ok_or(JsonError {
-            message: "expected array".to_string(),
-            offset: 0,
-        })?;
-        let samples = items
-            .iter()
-            .map(TelemetrySample::from_json_obj)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TelemetrySeries { samples })
-    }
 }
 
 #[cfg(test)]
@@ -263,75 +187,70 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sample_round_trips_standalone_and_as_event() {
-        let s = sample(7, Some(0.25));
-        let back = TelemetrySample::from_json(&s.to_json().to_string()).expect("parses");
-        assert_eq!(back, s);
+    /// The sample's trace line, and the line with `from` replaced by `to`.
+    fn line(s: &TelemetrySample, from: &str, to: &str) -> String {
+        let line = TraceEvent::Telemetry(s.clone()).to_string();
+        assert!(line.contains(from), "{line} lacks {from}");
+        line.replacen(from, to, 1)
+    }
 
-        let e = TraceEvent::Telemetry(s.clone());
-        let back = TraceEvent::from_json(&e.to_string()).expect("parses");
-        assert_eq!(back, e);
+    fn parse(line: &str) -> Result<TelemetrySample, crate::JsonError> {
+        match TraceEvent::from_json(line)? {
+            TraceEvent::Telemetry(s) => Ok(s),
+            other => panic!("not a sample: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sample_round_trips_as_a_trace_line() {
+        let s = sample(7, Some(0.25));
+        assert_eq!(parse(&line(&s, "", "")).expect("parses"), s);
+
+        // `to_json` has the line's members, in its order.
+        let json = s.to_json().to_string();
+        assert_eq!(
+            format!("{{\"type\":\"telemetry\",{}", &json[1..]),
+            line(&s, "", "")
+        );
 
         let none = sample(0, None);
-        let back = TelemetrySample::from_json(&none.to_json().to_string()).expect("parses");
+        let back = parse(&line(&none, "", "")).expect("parses");
         assert_eq!(back.dispersion, None);
 
         // A wall-clock stamp survives the round trip...
         let mut stamped = sample(2, Some(0.5));
         stamped.unix_ms = Some(1_754_000_000_123);
-        let back = TelemetrySample::from_json(&stamped.to_json().to_string()).expect("parses");
+        let back = parse(&line(&stamped, "", "")).expect("parses");
         assert_eq!(back.unix_ms, Some(1_754_000_000_123));
 
         // ...and a legacy sample without the field parses as None.
-        let mut legacy = sample(2, Some(0.5)).to_json();
-        if let crate::json::Json::Obj(fields) = &mut legacy {
-            fields.retain(|(k, _)| k != "unix_ms");
-        }
-        let back = TelemetrySample::from_json(&legacy.to_string()).expect("parses");
-        assert_eq!(back.unix_ms, None);
+        let legacy = line(&sample(2, Some(0.5)), ",\"unix_ms\":null", "");
+        assert_eq!(parse(&legacy).expect("parses").unix_ms, None);
     }
 
-    /// Field errors out of the sample parser must name the offending
+    /// Field errors out of the sample's line must name the offending
     /// key, both for missing and mistyped fields.
     #[test]
     fn parse_errors_name_the_failing_field() {
+        let s = sample(3, Some(0.5));
         // Missing a required field.
-        let mut s = sample(3, Some(0.5)).to_json();
-        if let crate::json::Json::Obj(fields) = &mut s {
-            fields.retain(|(k, _)| k != "weight_spread");
-        }
-        let err = TelemetrySample::from_json(&s.to_string()).expect_err("field is missing");
+        let err = parse(&line(&s, "\"weight_spread\":0.125,", "")).expect_err("field is missing");
         assert!(
             err.message.contains("weight_spread"),
             "error must name the missing field: {err}"
         );
 
         // A mistyped required field.
-        let mut s = sample(3, Some(0.5)).to_json();
-        if let crate::json::Json::Obj(fields) = &mut s {
-            for (k, v) in fields.iter_mut() {
-                if k == "live" {
-                    *v = crate::json::str("many");
-                }
-            }
-        }
-        let err = TelemetrySample::from_json(&s.to_string()).expect_err("field is mistyped");
+        let err =
+            parse(&line(&s, "\"live\":10", "\"live\":\"many\"")).expect_err("field is mistyped");
         assert!(
             err.message.contains("live") && err.message.contains("expected"),
             "error must name the mistyped field: {err}"
         );
 
         // A mistyped optional field is an error too, not a silent None.
-        let mut s = sample(3, Some(0.5)).to_json();
-        if let crate::json::Json::Obj(fields) = &mut s {
-            for (k, v) in fields.iter_mut() {
-                if k == "dispersion" {
-                    *v = crate::json::str("low");
-                }
-            }
-        }
-        let err = TelemetrySample::from_json(&s.to_string()).expect_err("optional mistyped");
+        let err = parse(&line(&s, "\"dispersion\":0.5", "\"dispersion\":\"low\""))
+            .expect_err("optional mistyped");
         assert!(err.message.contains("dispersion"), "{err}");
     }
 
@@ -341,20 +260,11 @@ mod tests {
     fn non_finite_sample_degrades_to_null_fields() {
         let mut s = sample(1, Some(f64::NAN));
         s.mean_error = Some(f64::INFINITY);
-        let text = s.to_json().to_string();
-        let back = TelemetrySample::from_json(&text).expect("document stays parseable");
+        let back = parse(&line(&s, "", "")).expect("line stays parseable");
         assert_eq!(back.dispersion, None);
         assert_eq!(back.mean_error, None);
         assert_eq!(back.max_error, s.max_error);
-    }
-
-    #[test]
-    fn series_round_trips() {
-        let mut series = TelemetrySeries::new();
-        series.push(sample(0, Some(0.9)));
-        series.push(sample(1, Some(0.2)));
-        let back = TelemetrySeries::from_json(&series.to_json().to_string()).expect("parses");
-        assert_eq!(back, series);
+        assert!(s.to_json().to_string().contains("\"mean_error\":null"));
     }
 
     #[test]

@@ -60,6 +60,111 @@ fn cluster_size(topology: &Topology, config: &ClusterConfig) -> usize {
     topology.len() + config.churn.as_ref().map_or(0, |c| c.joins.len())
 }
 
+/// A plan that names a node the run will not have (see
+/// [`check_plan_nodes`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanNodeError {
+    /// The churn joiners' ids do not continue the seed ids.
+    JoinIds {
+        /// The seed cluster's size: the first joiner's id.
+        seed_nodes: usize,
+        /// The id expected next.
+        expected: NodeId,
+        /// The id found in its place.
+        got: NodeId,
+    },
+    /// A plan names a node past the cluster.
+    UnknownNode {
+        /// `"faults"`, `"adversaries"`, `"drift"` or `"churn"`.
+        plan: &'static str,
+        /// The node it names.
+        node: NodeId,
+        /// The cluster size, seed nodes and joiners.
+        nodes: usize,
+    },
+}
+
+impl std::fmt::Display for PlanNodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanNodeError::JoinIds {
+                seed_nodes,
+                expected,
+                got,
+            } => write!(
+                f,
+                "churn join ids must be contiguous from {seed_nodes} (the cluster size); \
+                 got id {got} where {expected} was expected"
+            ),
+            PlanNodeError::UnknownNode { plan, node, nodes } => write!(
+                f,
+                "{plan} names unknown node {node} (the cluster has {nodes} nodes including joiners)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PlanNodeError {}
+
+/// Checks, before any peer starts, that the plans of a run with `n` seed
+/// nodes name only nodes it will have. The supervisor keeps one slot per
+/// seed node and churn joiner: a crash beyond them would index past the
+/// slots, and a partition, adversary or drift event naming such a node
+/// would silently do nothing. Joiner ids must continue the seed ids,
+/// because the transports mint endpoints by id.
+///
+/// # Errors
+///
+/// The first joiner id out of sequence; else the first node past the
+/// cluster, checking the fault plan's partition sides and crashes, the
+/// adversaries, the drift events and the churn leaves, in that order.
+pub fn check_plan_nodes(
+    n: usize,
+    faults: Option<&FaultPlan>,
+    adversaries: Option<&AdversaryPlan>,
+    drift: Option<&DriftSchedule>,
+    churn: Option<&ChurnPlan>,
+) -> Result<(), PlanNodeError> {
+    let mut joins: Vec<NodeId> =
+        churn.map_or(Vec::new(), |c| c.joins.iter().map(|j| j.node).collect());
+    joins.sort_unstable();
+    if let Some((i, &got)) = joins.iter().enumerate().find(|&(i, &id)| id != n + i) {
+        return Err(PlanNodeError::JoinIds {
+            seed_nodes: n,
+            expected: n + i,
+            got,
+        });
+    }
+    let nodes = n + joins.len();
+    let named: [(&str, Vec<NodeId>); 4] = [
+        (
+            "faults",
+            faults.map_or(Vec::new(), |f| {
+                let sides = f.partitions.iter().flat_map(|w| w.side.iter().copied());
+                sides.chain(f.crashes.iter().map(|c| c.node)).collect()
+            }),
+        ),
+        (
+            "adversaries",
+            adversaries.map_or(Vec::new(), AdversaryPlan::adversaries),
+        ),
+        (
+            "drift",
+            drift.map_or(Vec::new(), |d| d.events.iter().map(|e| e.node).collect()),
+        ),
+        (
+            "churn",
+            churn.map_or(Vec::new(), |c| c.leaves.iter().map(|l| l.node).collect()),
+        ),
+    ];
+    for (plan, named) in named {
+        if let Some(node) = named.into_iter().find(|&id| id >= nodes) {
+            return Err(PlanNodeError::UnknownNode { plan, node, nodes });
+        }
+    }
+    Ok(())
+}
+
 /// Retransmission policy for unacknowledged data frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -291,6 +396,10 @@ impl<S> ClusterReport<S> {
 
 /// [`run_cluster_with_faults`] over reliable in-process channels, with no
 /// faults injected.
+///
+/// # Panics
+///
+/// As [`run_cluster_with_faults`].
 pub fn run_channel_cluster<I>(
     topology: &Topology,
     instance: Arc<I>,

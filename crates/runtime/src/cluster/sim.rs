@@ -179,7 +179,9 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `values` disagrees with the topology size.
+/// Panics if `values` disagrees with the topology size, or with the
+/// [`PlanNodeError`](super::PlanNodeError) message if `plan` or a plan in
+/// `config` names a node outside the cluster ([`super::check_plan_nodes`]).
 pub fn run_sim_cluster<I>(
     topology: &Topology,
     instance: Arc<I>,

@@ -21,7 +21,7 @@ use crate::chaos::{CrashEvent, FaultPlan};
 use crate::metrics::RuntimeMetrics;
 use crate::peer::{Ctrl, PeerConfig, PeerEvent, PeerExit, RestoreState};
 
-use super::{ClusterConfig, ClusterReport, NodeOutcome, NodeReport};
+use super::{check_plan_nodes, ClusterConfig, ClusterReport, NodeOutcome, NodeReport};
 
 /// Where a [`SupervisorCore`]'s decisions go; implemented by its driver.
 pub(crate) trait SupervisorIo<I: Instance> {
@@ -219,9 +219,9 @@ impl<'a, I: Instance> SupervisorCore<'a, I> {
     ///
     /// # Panics
     ///
-    /// Panics if `values` disagrees with the topology size, if the churn
-    /// plan's joiner ids are not contiguous from the seed cluster size,
-    /// or if a seed peer cannot be spawned.
+    /// Panics if `values` disagrees with the topology size, with the
+    /// [`super::PlanNodeError`] message if a plan names a node outside the
+    /// cluster, or if a seed peer cannot be spawned.
     pub(crate) fn new(
         topology: &'a Topology,
         instance: Arc<I>,
@@ -233,23 +233,15 @@ impl<'a, I: Instance> SupervisorCore<'a, I> {
     ) -> Self {
         let n = topology.len();
         assert_eq!(values.len(), n, "one input value per node");
-        let (joins, leaves) = match config.churn.as_deref() {
-            Some(c) => (&c.joins[..], &c.leaves[..]),
-            None => (&[][..], &[][..]),
-        };
-        // The nets mint endpoints by id, so joiner ids must be contiguous
-        // from `n`; the joiners' slots exist from the start (placeholder,
-        // never spawned) so every structure is indexed uniformly.
-        let n_total = n + joins.len();
-        let mut ids: Vec<NodeId> = joins.iter().map(|j| j.node).collect();
-        ids.sort_unstable();
-        assert!(
-            ids.iter().copied().eq(n..n_total),
-            "churn join ids must be contiguous from {n} (the seed cluster size): {ids:?}"
-        );
-        if let Some(l) = leaves.iter().find(|l| l.node >= n_total) {
-            panic!("churn leave targets unknown node {}", l.node);
+        let (adversaries, drift) = (config.adversaries.as_deref(), config.drift.as_deref());
+        let churn = config.churn.as_deref();
+        if let Err(e) = check_plan_nodes(n, Some(plan), adversaries, drift, churn) {
+            panic!("{e}");
         }
+        let (joins, leaves) = churn.map_or((&[][..], &[][..]), |c| (&c.joins[..], &c.leaves[..]));
+        // The joiners' slots exist from the start (placeholder, never
+        // spawned) so every structure is indexed uniformly.
+        let n_total = n + joins.len();
         let mut joiner_values: Vec<Option<I::Value>> = vec![None; joins.len()];
         for j in joins {
             joiner_values[j.node - n] = instance.value_from_components(&j.reading);

@@ -88,7 +88,9 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 ///
 /// # Panics
 ///
-/// Panics if `values` disagrees with the topology size.
+/// Panics if `values` disagrees with the topology size, or with the
+/// [`PlanNodeError`](super::PlanNodeError) message if `plan` or a plan in
+/// `config` names a node outside the cluster ([`super::check_plan_nodes`]).
 pub fn run_cluster_with_faults<I, N>(
     topology: &Topology,
     instance: Arc<I>,

@@ -80,8 +80,8 @@ pub use audit::{AuditReport, FrameId};
 pub use byz::{AdversaryPlan, AdversaryRole, AdversarySpecError, AttackState, DefenseConfig};
 pub use chaos::{CrashEvent, DelayRule, FaultPlan, FaultSpecError, PartitionWindow};
 pub use cluster::{
-    run_channel_cluster, run_cluster_with_faults, run_sim_cluster, ClusterConfig, ClusterReport,
-    NodeOutcome, NodeReport, RetryPolicy,
+    check_plan_nodes, run_channel_cluster, run_cluster_with_faults, run_sim_cluster, ClusterConfig,
+    ClusterReport, NodeOutcome, NodeReport, PlanNodeError, RetryPolicy,
 };
 pub use dynamics::{ChurnPlan, DriftEvent, DriftSchedule, DynSpecError, JoinEvent, LeaveEvent};
 pub use metrics::RuntimeMetrics;

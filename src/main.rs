@@ -38,8 +38,8 @@ use distclass::obs::{
     TraceSink, Tracer,
 };
 use distclass::runtime::{
-    run_cluster_with_faults, AdversaryPlan, ChannelNet, ChurnPlan, ClusterConfig, ClusterReport,
-    DefenseConfig, DriftSchedule, FaultPlan, NodeOutcome, UdpNet,
+    check_plan_nodes, run_cluster_with_faults, AdversaryPlan, ChannelNet, ChurnPlan, ClusterConfig,
+    ClusterReport, DefenseConfig, DriftSchedule, FaultPlan, NodeOutcome, UdpNet,
 };
 
 /// One flag of a subcommand: its name, its value's placeholder (`None`
@@ -394,62 +394,6 @@ fn cmd_classify(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Rejects, before any peer starts, a plan that names a node the run
-/// will not have. The supervisor keeps one slot per seed node and churn
-/// joiner: a crash beyond them would index past the slots, and a
-/// partition, adversary or drift event naming such a node would silently
-/// do nothing. Joiner ids must continue the seed ids, because the
-/// transports mint endpoints by id.
-fn check_plan_nodes(
-    n: usize,
-    faults: Option<&FaultPlan>,
-    adversaries: Option<&AdversaryPlan>,
-    drift: Option<&DriftSchedule>,
-    churn: Option<&ChurnPlan>,
-) -> Result<(), String> {
-    let mut joins: Vec<usize> =
-        churn.map_or(Vec::new(), |c| c.joins.iter().map(|j| j.node).collect());
-    joins.sort_unstable();
-    if let Some((i, id)) = joins.iter().enumerate().find(|&(i, &id)| id != n + i) {
-        return Err(format!(
-            "--churn join ids must be contiguous from {n} (the cluster size); \
-             got id {id} where {} was expected",
-            n + i
-        ));
-    }
-    let n_total = n + joins.len();
-    let named: [(&str, Vec<usize>); 4] = [
-        (
-            "--faults",
-            faults.map_or(Vec::new(), |f| {
-                let sides = f.partitions.iter().flat_map(|w| w.side.iter().copied());
-                sides.chain(f.crashes.iter().map(|c| c.node)).collect()
-            }),
-        ),
-        (
-            "--adversaries",
-            adversaries.map_or(Vec::new(), AdversaryPlan::adversaries),
-        ),
-        (
-            "--drift",
-            drift.map_or(Vec::new(), |d| d.events.iter().map(|e| e.node).collect()),
-        ),
-        (
-            "--churn",
-            churn.map_or(Vec::new(), |c| c.leaves.iter().map(|l| l.node).collect()),
-        ),
-    ];
-    for (flag, nodes) in named {
-        if let Some(node) = nodes.into_iter().find(|&id| id >= n_total) {
-            return Err(format!(
-                "{flag} names unknown node {node} (the cluster has {n_total} nodes \
-                 including joiners)"
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn cmd_run_cluster(args: &Args) -> Result<(), String> {
     let n: usize = args.get("n", 16)?;
     let k: usize = args.get("k", 3)?;
@@ -504,13 +448,15 @@ fn cmd_run_cluster(args: &Args) -> Result<(), String> {
         )),
         None => None,
     };
+    // Each plan's flag is its name in the error, with dashes.
     check_plan_nodes(
         n,
         plan.as_ref(),
         adversaries.as_deref(),
         drift.as_deref(),
         churn.as_deref(),
-    )?;
+    )
+    .map_err(|e| format!("--{e}"))?;
     let dyn_active = drift.is_some() || churn.is_some();
     // Scripting adversaries turns the defenses on unless the run asks to
     // watch them succeed (--no-defense).

@@ -19,8 +19,8 @@ use distclass::core::CentroidInstance;
 use distclass::linalg::Vector;
 use distclass::net::{NodeId, Topology};
 use distclass::runtime::{
-    run_cluster_with_faults, run_sim_cluster, ChannelNet, ClusterConfig, ClusterReport, FaultPlan,
-    NodeOutcome, PrebuiltNet, Transport,
+    run_cluster_with_faults, run_sim_cluster, AdversaryPlan, ChannelNet, ClusterConfig,
+    ClusterReport, DriftSchedule, FaultPlan, NodeOutcome, PrebuiltNet, Transport,
 };
 
 const SEEDS: &str = "DISTCLASS_CHAOS_SEEDS";
@@ -303,6 +303,51 @@ fn peer_panic_is_captured_as_a_per_node_error() {
             NodeOutcome::Completed,
             "node {} should have outlived the panic",
             other.id
+        );
+    }
+}
+
+/// A plan that names node 99 of a 4-node cluster stops the run before
+/// any peer starts, with a message that names the plan, the node and the
+/// cluster size. A crash used to index past the supervisor's slots, and
+/// a partition side, a drift event or an adversary used to do nothing.
+#[test]
+fn plans_naming_nodes_outside_the_cluster_are_rejected() {
+    let at = Duration::from_millis(100);
+    let base = config(1);
+    let drift = DriftSchedule::parse("step@100ms:99=1.0,1.0", 1).expect("a drift spec");
+    let adversaries = AdversaryPlan::parse("cartel@99", 1).expect("an adversary spec");
+    let cases = [
+        ("faults", FaultPlan::new(1).crash(at, 99), base.clone()),
+        (
+            "faults",
+            FaultPlan::new(1).partition(Duration::ZERO, at, vec![99]),
+            base.clone(),
+        ),
+        (
+            "drift",
+            FaultPlan::new(1),
+            ClusterConfig {
+                drift: Some(Arc::new(drift)),
+                ..base.clone()
+            },
+        ),
+        (
+            "adversaries",
+            FaultPlan::new(1),
+            ClusterConfig {
+                adversaries: Some(Arc::new(adversaries)),
+                ..base
+            },
+        ),
+    ];
+    for (name, plan, config) in cases {
+        let run = std::panic::AssertUnwindSafe(|| run(4, &plan, &config));
+        let payload = std::panic::catch_unwind(run).expect_err("the plan is rejected");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert_eq!(
+            message,
+            format!("{name} names unknown node 99 (the cluster has 4 nodes including joiners)")
         );
     }
 }

@@ -82,6 +82,11 @@ const RUNTIME_JSONL: [u64; 4] = [
     0x4aca_2df1_c7d0_8f27,
 ];
 
+/// FNV-1a of the hand-built trace's JSONL text (one `format!("{e}\n")`
+/// per event), recorded with the tree-building encoder the typed codec
+/// replaced: it pins the encoder's key order, omissions and float text.
+const RUNTIME_JSONL_TEXT: u64 = 0x5288_1125_764f_136e;
+
 /// FNV-1a over the bytes of each text, with a separator byte after each
 /// one so moving a byte across texts still counts.
 fn digest(texts: &[&str]) -> u64 {
@@ -557,5 +562,33 @@ fn runtime_shaped_reports_are_unchanged() {
         &events,
         &text,
         (RUNTIME_EVENTS, RUNTIME_JSONL),
+    );
+}
+
+/// The encoder writes what the fixtures hold: every line re-encodes from
+/// its parsed event to the same bytes.
+#[test]
+fn fixtures_re_encode_byte_for_byte() {
+    for text in [
+        include_str!("data/crash_restart_round_sim.jsonl"),
+        include_str!("data/partition_round_sim.jsonl"),
+    ] {
+        let (events, text) = fixture(text);
+        for (line, e) in text.lines().zip(&events) {
+            assert_eq!(format!("{e}\n"), format!("{line}\n"));
+        }
+        assert_eq!(jsonl(&events), text);
+    }
+}
+
+/// Every variant's encoding, byte for byte.
+#[test]
+fn every_variant_encodes_to_the_pinned_bytes() {
+    let text = jsonl(&runtime_shaped());
+    assert_eq!(
+        digest(&[&text]),
+        RUNTIME_JSONL_TEXT,
+        "encoder bytes moved; got {:#018x}",
+        digest(&[&text])
     );
 }

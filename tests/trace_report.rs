@@ -253,6 +253,38 @@ fn cli_trace_report_flags_anomalies_with_exit_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Hostile nesting: a trace line whose extra key opens 200,000 arrays,
+/// and a profile that does the same, exit 1 with an error that names the
+/// line or the file, instead of overflowing the parser's stack.
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    let dir = std::env::temp_dir().join(format!("distclass-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let deep = "[".repeat(200_000);
+    let trace = dir.join("deep.jsonl");
+    let tick = r#"{"type":"tick_completed","node":0,"time":1}"#;
+    let hostile = format!(r#"{{"type":"tick_completed","node":0,"time":2,"x":{deep}}}"#);
+    std::fs::write(&trace, format!("{tick}\n{hostile}\n")).expect("write the trace");
+    let profile = dir.join("deep.json");
+    std::fs::write(&profile, &deep).expect("write the profile");
+    for (cmd, path, names) in [
+        ("report", &trace, "trace line 2"),
+        ("prof-report", &profile, "deep.json"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_distclass"))
+            .args([cmd, path.to_str().expect("utf-8 path")])
+            .output()
+            .expect("spawn distclass");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}:\n{stderr}");
+        assert!(
+            stderr.contains(names) && stderr.contains("nesting deeper than 128"),
+            "{cmd}:\n{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A reader that closes stdout early (`| head -c1`) must not make
 /// `report` panic: it stops writing and exits with the code the report
 /// gives when read to the end (0 clean, 2 anomalous).

@@ -19,7 +19,9 @@ use distclass::experiments::data::{figure2_components, sample_mixture};
 use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::obs::{Phase, Profiler, ProfilerCore, TraceEvent, Tracer};
+use distclass::obs::{
+    GrainOp, JsonlSink, Phase, Profiler, ProfilerCore, TraceEvent, TraceSink, Tracer,
+};
 
 thread_local! {
     /// Allocation count for the current thread. `const`-initialized and
@@ -70,6 +72,50 @@ fn disabled_tracer_emits_without_allocating_or_building_events() {
         }
     });
     assert_eq!(n, 0, "disabled tracer allocated");
+}
+
+/// Once its line buffer has grown, the JSONL sink records the two most
+/// common events of a trace without allocating: the encoder writes each
+/// line straight into that buffer.
+#[test]
+fn jsonl_sink_records_without_allocating() {
+    let path = std::env::temp_dir().join(format!("zero_cost_sink_{}.jsonl", std::process::id()));
+    let sink = JsonlSink::create(&path).expect("create the trace file");
+    let delta = TraceEvent::GrainDelta {
+        node: 12,
+        incarnation: 3,
+        op: GrainOp::Merge,
+        grains: 1 << 40,
+        peer: 7,
+        lamport: Some(123_456),
+        seq: None,
+        span_inc: Some(2),
+        span_seq: Some(99_999),
+        wait_us: Some(1_500),
+        transit_us: Some(250),
+    };
+    let sent = TraceEvent::MessageSent {
+        from: 12,
+        to: 7,
+        bytes: 4_096,
+        at: 17.25,
+        lamport: Some(123_457),
+        seq: Some(100_000),
+    };
+    sink.record(&delta);
+    sink.record(&sent);
+    let n = allocations(|| {
+        for _ in 0..1_000 {
+            sink.record(&delta);
+            sink.record(&sent);
+        }
+    });
+    assert_eq!(n, 0, "recording allocated");
+    sink.flush().expect("flush");
+    drop(sink);
+    let text = std::fs::read_to_string(&path).expect("read the trace back");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(text, format!("{delta}\n{sent}\n").repeat(1_001));
 }
 
 #[test]
