@@ -23,19 +23,34 @@
 //! * a centroid `AsyncSim` on `Topology::complete(300)`;
 //! * a GM `RoundSim` with `PartitionStrategy::Greedy` (n = 200, k = 7).
 //!
+//! Three more, recorded before the round and event engines came to share
+//! one network model, pin the crash paths and the simulators' trace
+//! bytes: the digest of the JSONL trace, the `NetMetrics` and every
+//! node's final classification (crashed nodes included) of
+//!
+//! * a traced push–pull centroid `RoundSim` on a ring with
+//!   `CrashModel::per_round` and byte accounting (replies carried across
+//!   rounds, some of them dropped at crashed nodes);
+//! * a traced centroid `RoundSim` with `CrashModel::Scheduled` and the
+//!   failure detector off (sends to the crashed nodes are dropped);
+//! * a traced centroid `AsyncSim` built `with_crash_rate` under
+//!   `DelayModel::Exponential`, then drained.
+//!
 //! A change that moves any bit fails here. If a change reorders float
 //! operations on purpose, it must say so and re-record the values.
 
-use std::sync::Arc;
+use std::fmt::Write;
+use std::sync::{Arc, Mutex};
 
 use distclass::core::em::{self, EmConfig};
 use distclass::core::{
     CentroidInstance, Classification, GaussianSummary, GmInstance, PartitionStrategy,
 };
 use distclass::experiments::data::{figure2_components, sample_mixture};
-use distclass::gossip::{AsyncSim, GossipConfig, RoundSim, SelectorKind};
+use distclass::gossip::{AsyncSim, GossipConfig, GossipPattern, RoundSim, SelectorKind};
 use distclass::linalg::{Matrix, Vector};
-use distclass::net::{DelayModel, NetMetrics, Topology};
+use distclass::net::{CrashModel, DelayModel, NetMetrics, Topology};
+use distclass::obs::{TraceEvent, TraceSink, Tracer};
 
 const REDUCE_DIGEST: u64 = 0x58a1_369b_352e_6580;
 const ROUNDSIM_DIGEST: u64 = 0x546c_96f1_7429_e233;
@@ -44,6 +59,9 @@ const CENTROID_ROUND_ROBIN_DIGEST: u64 = 0x54c1_3e9f_0fea_f4cd;
 const CENTROID_GRID_DIGEST: u64 = 0xea3f_3be0_69ab_d226;
 const CENTROID_ASYNC_DIGEST: u64 = 0xd3bd_b83c_911e_8336;
 const GM_GREEDY_DIGEST: u64 = 0xbcfb_89b1_9986_b735;
+const RING_PER_ROUND_CRASH_DIGEST: u64 = 0xc162_9c1e_0568_0fc8;
+const SCHEDULED_CRASH_DIGEST: u64 = 0x3c7c_763d_0ad5_1d95;
+const ASYNC_CRASH_RATE_DIGEST: u64 = 0x3af7_1ea8_f121_3e9f;
 
 /// FNV-1a over 64-bit words.
 struct Digest(u64);
@@ -54,7 +72,11 @@ impl Digest {
     }
 
     fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bs: &[u8]) {
+        for &b in bs {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -344,4 +366,114 @@ fn greedy_gm_roundsim_matches_the_recorded_digest() {
     sim.run_rounds(30);
     let digest = Digest::run(sim.live_classifications(), Digest::summary, sim.metrics());
     check("greedy GM RoundSim", digest, GM_GREEDY_DIGEST);
+}
+
+/// A run's JSONL trace held in memory: each event's line as `JsonlSink`
+/// writes it.
+#[derive(Default)]
+struct JsonlBuffer(Mutex<String>);
+
+impl TraceSink for JsonlBuffer {
+    fn record(&self, event: &TraceEvent) {
+        let mut lines = self.0.lock().expect("trace buffer lock");
+        writeln!(lines, "{event}").expect("writing to a String cannot fail");
+    }
+}
+
+impl JsonlBuffer {
+    /// A tracer recording into a fresh buffer, and the buffer.
+    fn tracer() -> (Tracer, Arc<JsonlBuffer>) {
+        let buffer = Arc::new(JsonlBuffer::default());
+        (Tracer::new(Arc::clone(&buffer) as _), buffer)
+    }
+
+    /// The digest of a traced run: every node's classification and the
+    /// engine counters (as [`Digest::run`]), then the trace's bytes.
+    fn digest<'a>(
+        &self,
+        classifications: impl IntoIterator<Item = &'a Classification<Vector>>,
+        m: NetMetrics,
+    ) -> u64 {
+        let run = Digest::run(classifications, |d, s: &Vector| d.f64s(s.as_slice()), m);
+        let lines = self.0.lock().expect("trace buffer lock");
+        let mut digest = Digest(run);
+        digest.word(lines.len() as u64);
+        digest.bytes(lines.as_bytes());
+        digest.0
+    }
+}
+
+/// A traced k = 2 centroid `RoundSim` with byte accounting, run for 30
+/// rounds; returns the run's digest and its counters.
+fn traced_roundsim_digest(topo: Topology, cfg: GossipConfig) -> (u64, NetMetrics) {
+    let n = topo.len();
+    let (values, _labels) = sample_mixture(n, &figure2_components(), 0xF162);
+    let inst = Arc::new(CentroidInstance::new(2).expect("k > 0"));
+    let (tracer, trace) = JsonlBuffer::tracer();
+    let mut sim = RoundSim::new(topo, inst, &values, &cfg)
+        .with_byte_accounting()
+        .with_tracer(tracer);
+    sim.run_rounds(30);
+    let m = sim.metrics();
+    let every_node = (0..n).map(|i| sim.classification_of(i));
+    (trace.digest(every_node, m), m)
+}
+
+#[test]
+fn traced_ring_roundsim_with_per_round_crashes_matches_the_recorded_digest() {
+    let cfg = GossipConfig {
+        seed: 12,
+        pattern: GossipPattern::PushPull,
+        crash: CrashModel::per_round(0.02),
+        ..GossipConfig::default()
+    };
+    let (digest, m) = traced_roundsim_digest(Topology::ring(48), cfg);
+    assert!(m.crashes > 0 && m.messages_dropped > 0, "{m}");
+    check(
+        "traced ring RoundSim with per-round crashes",
+        digest,
+        RING_PER_ROUND_CRASH_DIGEST,
+    );
+}
+
+#[test]
+fn traced_roundsim_with_scheduled_crashes_matches_the_recorded_digest() {
+    let cfg = GossipConfig {
+        seed: 12,
+        selector: SelectorKind::RoundRobin,
+        crash: CrashModel::Scheduled(vec![(0, 3), (4, 17), (4, 18), (11, 0), (11, 99)]),
+        failure_detector: false,
+        ..GossipConfig::default()
+    };
+    let (digest, m) = traced_roundsim_digest(Topology::complete(40), cfg);
+    assert_eq!(m.crashes, 4, "{m}");
+    assert!(m.messages_dropped > 0, "{m}");
+    check(
+        "traced RoundSim with scheduled crashes",
+        digest,
+        SCHEDULED_CRASH_DIGEST,
+    );
+}
+
+#[test]
+fn traced_asyncsim_with_crash_rate_matches_the_recorded_digest() {
+    let n = 36;
+    let (values, cfg) = fig2_inputs(n, SelectorKind::UniformRandom);
+    let inst = Arc::new(CentroidInstance::new(2).expect("k > 0"));
+    let (tracer, trace) = JsonlBuffer::tracer();
+    let delay = DelayModel::Exponential { mean: 1.5 };
+    let mut sim =
+        AsyncSim::with_crash_rate(Topology::grid(6, 6), inst, &values, &cfg, delay, Some(0.01))
+            .with_byte_accounting()
+            .with_tracer(tracer);
+    sim.run_until(30.0);
+    sim.drain_in_flight();
+    let m = sim.metrics();
+    assert!(m.crashes > 0 && m.messages_dropped > 0, "{m}");
+    assert_eq!(m.in_flight(), 0, "{m}");
+    check(
+        "traced AsyncSim with a crash rate",
+        trace.digest(sim.classifications(), m),
+        ASYNC_CRASH_RATE_DIGEST,
+    );
 }
