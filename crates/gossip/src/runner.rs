@@ -240,32 +240,6 @@ impl<I: Instance> RoundSim<I> {
         self
     }
 
-    /// Convenience probe (builder style): error of a node is the mean,
-    /// over the `truth` summaries, of the summary distance to the nearest
-    /// collection in the node's classification — `None` for empty
-    /// classifications.
-    pub fn with_ground_truth(self, truth: Vec<I::Summary>) -> Self
-    where
-        I: Send + Sync + 'static,
-        I::Summary: Send + Sync + 'static,
-    {
-        let instance = Arc::clone(&self.instance);
-        self.with_error_probe(move |c| {
-            if c.is_empty() || truth.is_empty() {
-                return None;
-            }
-            let total: f64 = truth
-                .iter()
-                .map(|t| {
-                    c.iter()
-                        .map(|col| instance.summary_distance(&col.summary, t))
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .sum();
-            Some(total / truth.len() as f64)
-        })
-    }
-
     /// The instance being run.
     pub fn instance(&self) -> &Arc<I> {
         &self.instance

@@ -1,6 +1,6 @@
 //! Summary-generic access to the wire codec.
 //!
-//! The [`codec`](crate::codec) module exposes one encode/decode pair per
+//! The [`codec`] module exposes one encode/decode pair per
 //! summary type. Transports that are generic over the
 //! [`Instance`](distclass_core::Instance) — the deployment runtime, the
 //! byte-accounting simulators — need a single trait to call instead, which

@@ -55,6 +55,7 @@ impl<'a, M> Context<'a, M> {
     pub(crate) fn new(
         node: NodeId,
         neighbors: Neighbors<'a>,
+        alive: Option<&'a [bool]>,
         rr_cursor: &'a mut usize,
         rng: &'a mut StdRng,
         outbox: &'a mut Vec<(NodeId, M)>,
@@ -63,17 +64,12 @@ impl<'a, M> Context<'a, M> {
         Context {
             node,
             neighbors,
-            alive: None,
+            alive,
             rr_cursor,
             rng,
             outbox,
             round,
         }
-    }
-
-    pub(crate) fn with_alive(mut self, alive: &'a [bool]) -> Self {
-        self.alive = Some(alive);
-        self
     }
 
     fn is_live(&self, node: NodeId) -> bool {
@@ -181,7 +177,7 @@ mod tests {
         let mut cursor = 0usize;
         let mut rng = StdRng::seed_from_u64(1);
         let mut outbox: Vec<(NodeId, u32)> = Vec::new();
-        let mut ctx = Context::new(0, neighbors, &mut cursor, &mut rng, &mut outbox, 3);
+        let mut ctx = Context::new(0, neighbors, None, &mut cursor, &mut rng, &mut outbox, 3);
         f(&mut ctx)
     }
 
@@ -205,6 +201,7 @@ mod tests {
             let mut ctx = Context::new(
                 0,
                 Neighbors::from_sorted(&neighbors),
+                None,
                 &mut cursor,
                 &mut rng,
                 &mut outbox,
@@ -249,6 +246,7 @@ mod tests {
             let mut ctx = Context::new(
                 0,
                 Neighbors::from_sorted(&neighbors),
+                None,
                 &mut cursor,
                 &mut rng,
                 &mut outbox,

@@ -1,10 +1,11 @@
-use distclass_obs::{DropReason, TraceEvent, Tracer};
+use distclass_obs::{TraceEvent, Tracer};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{Context, Protocol};
+use crate::engine::Protocol;
 use crate::metrics::NetMetrics;
+use crate::network::{Envelope, Network};
 use crate::queue::EventQueue;
 use crate::rng::derive_seed;
 use crate::topology::Topology;
@@ -56,14 +57,7 @@ impl DelayModel {
 
 enum EventKind<M> {
     Tick(NodeId),
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        // The message's causal identity: the sender's per-node send
-        // counter (span id `(from, span_seq)`) and Lamport stamp.
-        id: (u64, u64),
-        msg: M,
-    },
+    Deliver(Envelope<M>),
     Crash(NodeId),
 }
 
@@ -104,25 +98,13 @@ fn total_order(bits: i64) -> i64 {
 /// assert!(engine.nodes().iter().all(|n| n.0 == 5));
 /// ```
 pub struct EventEngine<P: Protocol> {
-    topo: Topology,
-    nodes: Vec<P>,
-    alive: Vec<bool>,
-    rr_cursors: Vec<usize>,
-    node_rngs: Vec<StdRng>,
+    net: Network<P>,
     env_rng: StdRng,
     queue: EventQueue<i64, EventKind<P::Message>>,
     now: f64,
     tick_interval: f64,
     delay: DelayModel,
     link_factor: Option<Box<dyn Fn(NodeId, NodeId) -> f64>>,
-    metrics: NetMetrics,
-    sizer: Option<fn(&P::Message) -> usize>,
-    tracer: Tracer,
-    /// Per-node Lamport clocks: bumped on every send, folded with
-    /// `max(local, sender) + 1` on every delivery.
-    lamport: Vec<u64>,
-    /// Per-node send counters minting span ids `(from, seq)`.
-    send_seq: Vec<u64>,
 }
 
 impl<P: Protocol> EventEngine<P> {
@@ -153,33 +135,14 @@ impl<P: Protocol> EventEngine<P> {
         assert!(tick_interval > 0.0, "tick interval must be positive");
         delay.validate();
         let n = topo.len();
-        let nodes: Vec<P> = (0..n).map(init).collect();
-        // Stagger round-robin cursors (see RoundEngine::new for rationale).
-        let rr_cursors = (0..n)
-            .map(|i| {
-                let deg = topo.degree(i).max(1);
-                (derive_seed(seed, 0x5EED ^ i as u64) % deg as u64) as usize
-            })
-            .collect();
         let mut engine = EventEngine {
-            topo,
-            nodes,
-            alive: vec![true; n],
-            rr_cursors,
-            node_rngs: (0..n)
-                .map(|i| StdRng::seed_from_u64(derive_seed(seed, i as u64)))
-                .collect(),
+            net: Network::new(topo, seed, init),
             env_rng: StdRng::seed_from_u64(derive_seed(seed, n as u64 + 7)),
             queue: EventQueue::new(),
             now: 0.0,
             tick_interval,
             delay,
             link_factor: None,
-            metrics: NetMetrics::default(),
-            sizer: None,
-            tracer: Tracer::disabled(),
-            lamport: vec![0; n],
-            send_seq: vec![0; n],
         };
         for i in 0..n {
             let offset = engine.env_rng.gen_range(0.0..engine.tick_interval);
@@ -206,7 +169,7 @@ impl<P: Protocol> EventEngine<P> {
     /// message is priced at `sizer(&msg)` wire bytes and accumulated in
     /// [`NetMetrics::bytes_sent`] / [`NetMetrics::bytes_delivered`].
     pub fn with_message_sizer(mut self, sizer: fn(&P::Message) -> usize) -> Self {
-        self.sizer = Some(sizer);
+        self.net.sizer = Some(sizer);
         self
     }
 
@@ -221,8 +184,7 @@ impl<P: Protocol> EventEngine<P> {
     /// Panics if `rate <= 0`.
     pub fn with_crash_rate(mut self, rate: f64) -> Self {
         assert!(rate > 0.0, "crash rate must be positive");
-        let n = self.nodes.len();
-        for i in 0..n {
+        for i in 0..self.net.nodes().len() {
             let u: f64 = self.env_rng.gen_range(f64::EPSILON..1.0);
             let when = -u.ln() / rate;
             self.push_event(when, EventKind::Crash(i));
@@ -233,13 +195,13 @@ impl<P: Protocol> EventEngine<P> {
     /// Attaches a trace sink (builder style). A disabled tracer (the
     /// default) costs one branch per event and never builds events.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.net.tracer = tracer;
         self
     }
 
     /// All node protocol states (including crashed nodes' last state).
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        self.net.nodes()
     }
 
     /// Whether node `i` is still live.
@@ -248,12 +210,12 @@ impl<P: Protocol> EventEngine<P> {
     ///
     /// Panics if `i` is out of range.
     pub fn is_alive(&self, i: NodeId) -> bool {
-        self.alive[i]
+        self.net.is_alive(i)
     }
 
     /// Ids of live nodes.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        (0..self.nodes.len()).filter(|&i| self.alive[i]).collect()
+        self.net.live_nodes()
     }
 
     /// Node `i`'s protocol state.
@@ -262,7 +224,7 @@ impl<P: Protocol> EventEngine<P> {
     ///
     /// Panics if `i` is out of range.
     pub fn node(&self, i: NodeId) -> &P {
-        &self.nodes[i]
+        &self.net.nodes()[i]
     }
 
     /// Current simulation time.
@@ -272,12 +234,12 @@ impl<P: Protocol> EventEngine<P> {
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> NetMetrics {
-        self.metrics
+        self.net.metrics
     }
 
     /// Number of messages currently in flight.
     pub fn in_flight(&self) -> u64 {
-        self.metrics.in_flight()
+        self.net.metrics.in_flight()
     }
 
     fn push_event(&mut self, time: f64, kind: EventKind<P::Message>) {
@@ -295,45 +257,25 @@ impl<P: Protocol> EventEngine<P> {
             let (_, kind) = self.queue.pop().expect("peeked event exists");
             self.now = time;
             match kind {
-                EventKind::Crash(i) => {
-                    // Fail-stop, sparing the last live node.
-                    if self.alive[i] && self.alive.iter().filter(|&&a| a).count() > 1 {
-                        self.alive[i] = false;
-                        self.metrics.crashes += 1;
-                        self.tracer.emit(|| TraceEvent::FaultActivated {
-                            kind: "crash".to_string(),
-                            node: Some(i),
-                            at: time,
-                        });
-                    }
-                }
-                // Crashed nodes neither tick (no reschedule) nor receive.
-                EventKind::Tick(node) if !self.alive[node] => {}
+                EventKind::Crash(i) if self.net.may_crash(i) => self.net.crash(i, time),
+                // The last live node is spared; crashed nodes neither tick
+                // (no reschedule) nor receive.
+                EventKind::Crash(_) => {}
+                EventKind::Tick(node) if !self.net.is_alive(node) => {}
                 EventKind::Tick(node) => {
-                    let mut ctx = Context::new(
-                        node,
-                        self.topo.neighbors(node),
-                        &mut self.rr_cursors[node],
-                        &mut self.node_rngs[node],
-                        &mut outbox,
-                        time as u64,
-                    )
-                    .with_alive(&self.alive);
-                    self.nodes[node].on_tick(&mut ctx);
-                    self.metrics.ticks += 1;
-                    self.tracer
+                    self.net.tick(node, time, true, &mut outbox);
+                    self.net
+                        .tracer
                         .emit(|| TraceEvent::TickCompleted { node, time });
                     self.schedule(node, &mut outbox);
                     // Reschedule the node's next tick with ±50 % jitter.
                     let jitter = self.env_rng.gen_range(0.5..1.5);
                     self.push_event(time + self.tick_interval * jitter, EventKind::Tick(node));
                 }
-                // Message to a crashed node: dropped, weight lost.
-                EventKind::Deliver { from, to, .. } if !self.alive[to] => {
-                    self.dropped(from, to);
-                }
-                EventKind::Deliver { from, to, id, msg } => {
-                    self.deliver(from, to, id, msg, &mut outbox, true);
+                EventKind::Deliver(e) => {
+                    let to = e.to;
+                    self.net.deliver(e, time, true, &mut outbox);
+                    self.schedule(to, &mut outbox);
                 }
             }
         }
@@ -342,6 +284,7 @@ impl<P: Protocol> EventEngine<P> {
 
     /// Drains all in-flight deliveries without triggering further ticks —
     /// useful at the end of a run to reach a message-free state.
+    /// Handlers run without the liveness view.
     ///
     /// Any messages produced while handling these deliveries are delivered
     /// too (the process terminates because handlers of a quiescent protocol
@@ -358,71 +301,18 @@ impl<P: Protocol> EventEngine<P> {
             };
             let time = f64::from_bits(total_order(key) as u64);
             self.now = time.max(self.now);
-            let EventKind::Deliver { from, to, id, msg } = kind else {
+            let EventKind::Deliver(e) = kind else {
                 continue;
             };
-            if !self.alive[to] {
-                self.dropped(from, to);
-            } else {
-                self.deliver(from, to, id, msg, &mut outbox, false);
+            let to = e.to;
+            if self.net.deliver(e, self.now, false, &mut outbox) {
                 processed += 1;
+                self.schedule(to, &mut outbox);
             }
         }
     }
 
-    /// Drops a message addressed to a crashed node: the weight it
-    /// carries leaves the system.
-    fn dropped(&mut self, from: NodeId, to: NodeId) {
-        self.metrics.messages_dropped += 1;
-        self.tracer.emit(|| TraceEvent::MessageDropped {
-            from,
-            to,
-            reason: DropReason::Crashed,
-        });
-    }
-
-    /// Hands one message (with its causal identity `(span_seq,
-    /// lamport)`) to live node `to`, then schedules what the handler sent.
-    /// `alive_aware` lets the handler's context see which nodes are up.
-    fn deliver(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        (span_seq, lamport): (u64, u64),
-        msg: P::Message,
-        outbox: &mut Vec<(NodeId, P::Message)>,
-        alive_aware: bool,
-    ) {
-        let mut ctx = Context::new(
-            to,
-            self.topo.neighbors(to),
-            &mut self.rr_cursors[to],
-            &mut self.node_rngs[to],
-            outbox,
-            self.now as u64,
-        );
-        if alive_aware {
-            ctx = ctx.with_alive(&self.alive);
-        }
-        let bytes = self.sizer.map_or(0, |sizer| sizer(&msg) as u64);
-        self.metrics.bytes_delivered += bytes;
-        self.nodes[to].on_message(from, msg, &mut ctx);
-        self.metrics.messages_delivered += 1;
-        // Lamport receive rule before stamping the event.
-        self.lamport[to] = self.lamport[to].max(lamport) + 1;
-        let recv_lamport = self.lamport[to];
-        self.tracer.emit(|| TraceEvent::MessageDelivered {
-            from,
-            to,
-            bytes,
-            at: self.now,
-            lamport: Some(recv_lamport),
-            span_seq: Some(span_seq),
-        });
-        self.schedule(to, outbox);
-    }
-
-    /// Schedules `from`'s produced messages with random delays (scaled by
+    /// Sends `from`'s produced messages with random delays (scaled by
     /// the per-link factor when one is installed).
     fn schedule(&mut self, from: NodeId, outbox: &mut Vec<(NodeId, P::Message)>) {
         for (to, msg) in outbox.drain(..) {
@@ -430,22 +320,8 @@ impl<P: Protocol> EventEngine<P> {
             if let Some(factor) = &self.link_factor {
                 delay *= factor(from, to);
             }
-            self.metrics.messages_sent += 1;
-            let bytes = self.sizer.map_or(0, |sizer| sizer(&msg) as u64);
-            self.metrics.bytes_sent += bytes;
-            self.send_seq[from] += 1;
-            self.lamport[from] += 1;
-            let (span_seq, lamport) = (self.send_seq[from], self.lamport[from]);
-            self.tracer.emit(|| TraceEvent::MessageSent {
-                from,
-                to,
-                bytes,
-                at: self.now,
-                lamport: Some(lamport),
-                seq: Some(span_seq),
-            });
-            let id = (span_seq, lamport);
-            self.push_event(self.now + delay, EventKind::Deliver { from, to, id, msg });
+            let e = self.net.send(from, to, msg, self.now);
+            self.push_event(self.now + delay, EventKind::Deliver(e));
         }
     }
 }
@@ -453,6 +329,7 @@ impl<P: Protocol> EventEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Context;
 
     struct MaxGossip {
         value: u64,

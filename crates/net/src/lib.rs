@@ -4,16 +4,19 @@
 //! Implements the paper's network model (§3.1): a static, directed,
 //! connected topology of `n` nodes joined by reliable asynchronous links —
 //! messages are never lost, duplicated or forged, but may be delayed
-//! arbitrarily. Two execution engines are provided:
+//! arbitrarily — whose only faults are fail-stop crashes. One network
+//! holds that model: the node states, liveness, per-node RNGs and Lamport
+//! clocks, and the rules for a node's turn, a send, a delivery, a drop to
+//! a crashed node and a crash. Two engines step it under two clocks, so
+//! they differ in when things happen, never in what a message does:
 //!
-//! * [`RoundEngine`] — the synchronous, round-based engine used by the
-//!   paper's evaluation (§5.3): in each round every live node takes one
-//!   communication turn, then all messages sent in the round are delivered.
-//!   Supports crash faults (nodes crash with a per-round probability, as in
-//!   Figure 4).
-//! * [`EventEngine`] — a fully asynchronous discrete-event engine with
-//!   randomized per-message delays and per-node tick times, used to
-//!   exercise the convergence theorem's asynchronous setting.
+//! * [`RoundEngine`] — synchronous rounds, as in the paper's evaluation
+//!   (§5.3): in each round every live node takes one communication turn,
+//!   then all messages sent in the round are delivered. Nodes crash with
+//!   a per-round probability (as in Figure 4) or on a schedule.
+//! * [`EventEngine`] — arbitrary asynchrony, the setting of the
+//!   convergence theorem (§6): per-node jittered ticks, randomized
+//!   per-message delays, and exponentially distributed crash times.
 //!
 //! Protocols implement the [`Protocol`] trait and are completely
 //! deterministic given the engine seed, which makes every simulation in the
@@ -50,6 +53,7 @@ mod engine;
 mod events;
 mod faults;
 mod metrics;
+mod network;
 mod queue;
 mod rng;
 mod rounds;

@@ -1,10 +1,11 @@
-use distclass_obs::{DropReason, Phase, ThreadProfiler, TraceEvent, Tracer};
+use distclass_obs::{Phase, ThreadProfiler, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::engine::{Context, Protocol};
+use crate::engine::Protocol;
 use crate::faults::CrashModel;
 use crate::metrics::NetMetrics;
+use crate::network::{Envelope, Network};
 use crate::rng::derive_seed;
 use crate::topology::Topology;
 use crate::NodeId;
@@ -28,28 +29,14 @@ use crate::NodeId;
 /// See the crate-level docs for a complete example.
 #[derive(Debug)]
 pub struct RoundEngine<P: Protocol> {
-    topo: Topology,
-    nodes: Vec<P>,
-    alive: Vec<bool>,
-    rr_cursors: Vec<usize>,
-    node_rngs: Vec<StdRng>,
+    net: Network<P>,
     crash_rng: StdRng,
     crash: CrashModel,
     failure_detector: bool,
-    // Messages sent during the delivery phase, carried into the next
-    // round. Each carries its causal identity: the per-sender sequence
-    // number (the span id is `(from, seq)`) and the sender's Lamport
-    // stamp at send time.
-    carried: Vec<(NodeId, NodeId, u64, u64, P::Message)>,
+    // Messages sent during the delivery and round-end phases, carried
+    // into the next round.
+    carried: Vec<Envelope<P::Message>>,
     round: u64,
-    /// Per-node Lamport clocks: bumped on every send, folded with
-    /// `max(local, sender) + 1` on every delivery.
-    lamport: Vec<u64>,
-    /// Per-node send counters; one span id `(from, seq)` per send.
-    send_seq: Vec<u64>,
-    metrics: NetMetrics,
-    sizer: Option<fn(&P::Message) -> usize>,
-    tracer: Tracer,
     prof: ThreadProfiler,
 }
 
@@ -57,36 +44,14 @@ impl<P: Protocol> RoundEngine<P> {
     /// Creates an engine over `topo`; `init(i)` builds node `i`'s protocol
     /// state. Deterministic in `seed`.
     pub fn new(topo: Topology, seed: u64, init: impl FnMut(NodeId) -> P) -> Self {
-        let n = topo.len();
-        let nodes: Vec<P> = (0..n).map(init).collect();
-        // Round-robin cursors start at per-node offsets: with a common
-        // start, structured topologies (e.g. complete graphs with sorted
-        // neighbor lists) would aim every node at the same recipient each
-        // round, starving everyone else for the first `degree` rounds.
-        let rr_cursors = (0..n)
-            .map(|i| {
-                let deg = topo.degree(i).max(1);
-                (derive_seed(seed, 0x5EED ^ i as u64) % deg as u64) as usize
-            })
-            .collect();
+        let n = topo.len() as u64;
         RoundEngine {
-            topo,
-            nodes,
-            alive: vec![true; n],
-            rr_cursors,
-            node_rngs: (0..n)
-                .map(|i| StdRng::seed_from_u64(derive_seed(seed, i as u64)))
-                .collect(),
-            crash_rng: StdRng::seed_from_u64(derive_seed(seed, n as u64 + 1)),
+            net: Network::new(topo, seed, init),
+            crash_rng: StdRng::seed_from_u64(derive_seed(seed, n + 1)),
             crash: CrashModel::None,
             failure_detector: true,
             carried: Vec::new(),
             round: 0,
-            lamport: vec![0; n],
-            send_seq: vec![0; n],
-            metrics: NetMetrics::default(),
-            sizer: None,
-            tracer: Tracer::disabled(),
             prof: ThreadProfiler::disabled(),
         }
     }
@@ -112,39 +77,15 @@ impl<P: Protocol> RoundEngine<P> {
     /// [`NetMetrics::bytes_sent`] / [`NetMetrics::bytes_delivered`], so
     /// simulations report the byte costs a deployment would pay.
     pub fn with_message_sizer(mut self, sizer: fn(&P::Message) -> usize) -> Self {
-        self.sizer = Some(sizer);
+        self.net.sizer = Some(sizer);
         self
     }
 
     /// Attaches a trace sink (builder style). A disabled tracer (the
     /// default) costs one branch per message and never builds events.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.net.tracer = tracer;
         self
-    }
-
-    /// Accounts for one send and mints its causal identity: the span id's
-    /// sequence number and the sender's post-bump Lamport stamp.
-    fn record_sent(&mut self, from: NodeId, to: NodeId, msg: &P::Message) -> (u64, u64) {
-        self.metrics.messages_sent += 1;
-        let mut bytes = 0u64;
-        if let Some(sizer) = self.sizer {
-            bytes = sizer(msg) as u64;
-            self.metrics.bytes_sent += bytes;
-        }
-        self.send_seq[from] += 1;
-        self.lamport[from] += 1;
-        let (seq, lamport) = (self.send_seq[from], self.lamport[from]);
-        let at = self.round as f64;
-        self.tracer.emit(|| TraceEvent::MessageSent {
-            from,
-            to,
-            bytes,
-            at,
-            lamport: Some(lamport),
-            seq: Some(seq),
-        });
-        (seq, lamport)
     }
 
     /// Enables or disables the perfect failure detector (builder style).
@@ -166,14 +107,9 @@ impl<P: Protocol> RoundEngine<P> {
         &self.prof
     }
 
-    /// The topology the engine runs over.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// All node protocol states (including crashed nodes).
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        self.net.nodes()
     }
 
     /// Node `i`'s protocol state.
@@ -182,16 +118,7 @@ impl<P: Protocol> RoundEngine<P> {
     ///
     /// Panics if `i` is out of range.
     pub fn node(&self, i: NodeId) -> &P {
-        &self.nodes[i]
-    }
-
-    /// Mutable access to node `i`'s protocol state (for test setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn node_mut(&mut self, i: NodeId) -> &mut P {
-        &mut self.nodes[i]
+        &self.net.nodes()[i]
     }
 
     /// Whether node `i` is still live.
@@ -200,17 +127,17 @@ impl<P: Protocol> RoundEngine<P> {
     ///
     /// Panics if `i` is out of range.
     pub fn is_alive(&self, i: NodeId) -> bool {
-        self.alive[i]
+        self.net.is_alive(i)
     }
 
     /// Ids of all live nodes.
     pub fn live_nodes(&self) -> Vec<NodeId> {
-        (0..self.nodes.len()).filter(|&i| self.alive[i]).collect()
+        self.net.live_nodes()
     }
 
     /// Number of live nodes.
     pub fn live_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
+        self.net.live_count()
     }
 
     /// Rounds completed so far.
@@ -220,14 +147,14 @@ impl<P: Protocol> RoundEngine<P> {
 
     /// Accumulated metrics.
     pub fn metrics(&self) -> NetMetrics {
-        self.metrics
+        self.net.metrics
     }
 
     /// Messages currently in flight at a round boundary (sent during the
     /// previous delivery phase, to be delivered next round) — needed for
     /// exact conservation accounting with reply-based protocols.
     pub fn in_flight_messages(&self) -> impl Iterator<Item = &P::Message> {
-        self.carried.iter().map(|(_, _, _, _, m)| m)
+        self.carried.iter().map(|e| &e.msg)
     }
 
     /// Runs a single round.
@@ -237,105 +164,31 @@ impl<P: Protocol> RoundEngine<P> {
         // field of `self` across the `&mut self` helper calls below).
         let prof = std::mem::replace(&mut self.prof, ThreadProfiler::disabled());
         let round_span = prof.span(Phase::Tick);
-        let n = self.nodes.len();
+        let (at, fd) = (self.round as f64, self.failure_detector);
+        let net = &mut self.net;
+        // Nodes crash only in phase 4, so one live set serves phases 1–3.
+        let live = net.live_nodes();
         // Phase 1: ticks.
-        let mut pending: Vec<(NodeId, NodeId, u64, u64, P::Message)> =
-            std::mem::take(&mut self.carried);
+        let mut pending = std::mem::take(&mut self.carried);
         let mut outbox = Vec::new();
-        for i in 0..n {
-            if !self.alive[i] {
-                continue;
-            }
-            let mut ctx = Context::new(
-                i,
-                self.topo.neighbors(i),
-                &mut self.rr_cursors[i],
-                &mut self.node_rngs[i],
-                &mut outbox,
-                self.round,
-            );
-            if self.failure_detector {
-                ctx = ctx.with_alive(&self.alive);
-            }
-            self.nodes[i].on_tick(&mut ctx);
-            self.metrics.ticks += 1;
-            for (to, msg) in outbox.drain(..) {
-                let (seq, lamport) = self.record_sent(i, to, &msg);
-                pending.push((i, to, seq, lamport, msg));
-            }
+        for &i in &live {
+            net.tick(i, at, fd, &mut outbox);
+            net.send_all(i, at, &mut outbox, &mut pending);
         }
 
         // Phase 2: deliveries. Sends from handlers go to the next round.
-        for (from, to, seq, send_lamport, msg) in pending {
-            if !self.alive[to] {
-                self.metrics.messages_dropped += 1;
-                self.tracer.emit(|| TraceEvent::MessageDropped {
-                    from,
-                    to,
-                    reason: DropReason::Crashed,
-                });
-                continue;
-            }
-            let mut ctx = Context::new(
-                to,
-                self.topo.neighbors(to),
-                &mut self.rr_cursors[to],
-                &mut self.node_rngs[to],
-                &mut outbox,
-                self.round,
-            );
-            if self.failure_detector {
-                ctx = ctx.with_alive(&self.alive);
-            }
-            let mut bytes = 0u64;
-            if let Some(sizer) = self.sizer {
-                bytes = sizer(&msg) as u64;
-                self.metrics.bytes_delivered += bytes;
-            }
-            self.nodes[to].on_message(from, msg, &mut ctx);
-            self.metrics.messages_delivered += 1;
-            // Lamport receive rule, then stamp the delivery with the
-            // receiver's new clock and the send's span id.
-            self.lamport[to] = self.lamport[to].max(send_lamport) + 1;
-            let lamport = self.lamport[to];
-            let at = self.round as f64;
-            self.tracer.emit(|| TraceEvent::MessageDelivered {
-                from,
-                to,
-                bytes,
-                at,
-                lamport: Some(lamport),
-                span_seq: Some(seq),
-            });
-            for (nto, nmsg) in outbox.drain(..) {
-                let (nseq, nlamport) = self.record_sent(to, nto, &nmsg);
-                self.carried.push((to, nto, nseq, nlamport, nmsg));
-            }
+        for e in pending {
+            let to = e.to;
+            net.deliver(e, at, fd, &mut outbox);
+            net.send_all(to, at, &mut outbox, &mut self.carried);
         }
 
         // Phase 3: round end (where the protocol merges received halves
         // and runs its EM-style reduction).
         let merge_span = prof.span(Phase::EmReduce);
-        for i in 0..n {
-            if !self.alive[i] {
-                continue;
-            }
-            let mut ctx = Context::new(
-                i,
-                self.topo.neighbors(i),
-                &mut self.rr_cursors[i],
-                &mut self.node_rngs[i],
-                &mut outbox,
-                self.round,
-            );
-            if self.failure_detector {
-                ctx = ctx.with_alive(&self.alive);
-            }
-            self.nodes[i].on_round_end(&mut ctx);
-            for (to, msg) in outbox.drain(..) {
-                let (seq, lamport) = self.record_sent(i, to, &msg);
-                self.carried.push((i, to, seq, lamport, msg));
-            }
+        for &i in &live {
+            net.turn(i, at, fd, &mut outbox, |p, ctx| p.on_round_end(ctx));
+            net.send_all(i, at, &mut outbox, &mut self.carried);
         }
         drop(merge_span);
 
@@ -345,18 +198,14 @@ impl<P: Protocol> RoundEngine<P> {
         drop(round_span);
         self.prof = prof;
         self.round += 1;
-        self.metrics.rounds += 1;
-        if self.tracer.enabled() {
-            let live = self.live_count();
-            let m = self.metrics;
-            self.tracer.emit(|| TraceEvent::RoundCompleted {
-                round: self.round - 1,
-                live,
-                sent: m.messages_sent,
-                delivered: m.messages_delivered,
-                dropped: m.messages_dropped,
-            });
-        }
+        self.net.metrics.rounds += 1;
+        self.net.tracer.emit(|| TraceEvent::RoundCompleted {
+            round: self.round - 1,
+            live: self.net.live_count(),
+            sent: self.net.metrics.messages_sent,
+            delivered: self.net.metrics.messages_delivered,
+            dropped: self.net.metrics.messages_dropped,
+        });
     }
 
     /// Runs `rounds` rounds.
@@ -376,50 +225,33 @@ impl<P: Protocol> RoundEngine<P> {
         self.round - start
     }
 
+    /// Fail-stops nodes at the end of the current round.
     fn apply_crashes(&mut self) {
+        let at = self.round as f64;
         match &self.crash {
             CrashModel::None => {}
             CrashModel::PerRound { prob } => {
-                let prob = *prob;
-                for i in 0..self.nodes.len() {
-                    if self.alive[i] && self.live_count() > 1 && self.crash_rng.gen::<f64>() < prob
-                    {
-                        self.crash(i);
+                for i in 0..self.net.nodes().len() {
+                    if self.net.may_crash(i) && self.crash_rng.gen::<f64>() < *prob {
+                        self.net.crash(i, at);
                     }
                 }
             }
             CrashModel::Scheduled(plan) => {
-                let round = self.round;
-                let to_crash: Vec<NodeId> = plan
-                    .iter()
-                    .filter(|(r, _)| *r == round)
-                    .map(|&(_, node)| node)
-                    .collect();
-                for node in to_crash {
-                    if node < self.alive.len() && self.alive[node] && self.live_count() > 1 {
-                        self.crash(node);
+                for &(_, node) in plan.iter().filter(|(r, _)| *r == self.round) {
+                    if self.net.may_crash(node) {
+                        self.net.crash(node, at);
                     }
                 }
             }
         }
-    }
-
-    /// Fail-stops `node` at the end of the current round.
-    fn crash(&mut self, node: NodeId) {
-        self.alive[node] = false;
-        self.metrics.crashes += 1;
-        let at = self.round as f64;
-        self.tracer.emit(|| TraceEvent::FaultActivated {
-            kind: "crash".to_string(),
-            node: Some(node),
-            at,
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Context;
 
     /// Floods the maximum value seen so far to every neighbor.
     struct Flood {

@@ -269,7 +269,7 @@ impl LiveAggregator {
 
     /// Answers one `/events` poll: samples with id ≥ `since`, the next
     /// cursor, and the cumulative drop counter. Parks up to
-    /// [`LONG_POLL_WAIT`] when nothing new has arrived yet.
+    /// `LONG_POLL_WAIT` (1.5 s) when nothing new has arrived yet.
     pub fn poll_events(&self, since: u64) -> Json {
         let mut s = self.state.lock().expect("live state lock");
         let deadline = std::time::Instant::now() + LONG_POLL_WAIT;

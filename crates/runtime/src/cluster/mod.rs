@@ -2,7 +2,7 @@
 //!
 //! A cluster run turns a membership list into a running deployment of
 //! [`ClassifierNode`](distclass_core::ClassifierNode)s, each behind the
-//! reliability layer of [`crate::peer`], and supervises it:
+//! peer's reliability layer, and supervises it:
 //!
 //! * **gossip phase** — peers exchange halves on their own clocks; the
 //!   supervisor folds their periodic status reports into a dispersion
@@ -36,7 +36,6 @@ use std::time::Duration;
 
 use distclass_core::{Classification, Instance, Quantum};
 use distclass_gossip::wire::WireSummary;
-use distclass_gossip::SelectorKind;
 use distclass_net::{NodeId, Topology};
 use distclass_obs::{Metrics, ProfileReport, Profiler, Tracer};
 
@@ -206,8 +205,6 @@ pub struct ClusterConfig {
     pub quantum: Quantum,
     /// Seed for all per-peer randomness (neighbor choice, loss models).
     pub seed: u64,
-    /// Neighbor selection discipline.
-    pub selector: SelectorKind,
     /// Convergence: dispersion threshold …
     pub tol: f64,
     /// … that must hold continuously for this long.
@@ -273,7 +270,6 @@ impl Default for ClusterConfig {
             tick: Duration::from_millis(2),
             quantum: Quantum::default(),
             seed: 0,
-            selector: SelectorKind::default(),
             tol: 1e-2,
             stable_window: Duration::from_millis(200),
             status_interval: Duration::from_millis(10),

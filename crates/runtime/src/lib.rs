@@ -11,7 +11,7 @@
 //!   ([`ChannelTransport`]) or real UDP datagrams ([`UdpTransport`]);
 //! * classifications travel as bytes, encoded with the gossip
 //!   [`codec`](distclass_gossip::codec) inside a versioned, sequenced
-//!   [`frame`](crate::frame);
+//!   [`frame`];
 //! * links are fair-loss, so a reliability layer (acknowledgements,
 //!   bounded retransmission with exponential backoff, duplicate
 //!   suppression) recovers the reliable links the paper assumes in §3.1 —
@@ -21,12 +21,12 @@
 //! * a [`cluster`] harness spawns the peers, detects convergence by
 //!   watching dispersion, then quiesces and drains the network before
 //!   snapshotting every node's final classification;
-//! * a deterministic [`chaos`](crate::chaos) layer scripts faults — data
+//! * a deterministic [`chaos`] layer scripts faults — data
 //!   loss, link partitions, delay, duplication, reordering, and per-peer
 //!   crash–restart — while the harness supervises: peers checkpoint
 //!   their recovery state, crashed peers are respawned as fresh
 //!   incarnations from their last checkpoint, and an
-//!   [`audit`](crate::audit) pass proves after the run that every grain
+//!   [`audit`] pass proves after the run that every grain
 //!   is conserved or explicitly accounted for;
 //! * the peer and the supervisor are clock-free cores, so the same run
 //!   also executes in virtual time on one thread

@@ -59,7 +59,6 @@ use std::time::{Duration, Instant};
 
 use distclass_core::{Classification, ClassifierNode, Instance};
 use distclass_gossip::wire::WireSummary;
-use distclass_gossip::SelectorKind;
 use distclass_net::{derive_seed, NodeId};
 use distclass_obs::{Counter, GrainOp, Histogram, Metrics, Phase, ThreadProfiler, TraceEvent};
 use rand::rngs::StdRng;
@@ -171,7 +170,7 @@ pub(crate) struct RestoreState {
 /// configuration plus the fields that differ from peer to peer.
 pub(crate) struct PeerConfig {
     /// The run's one configuration, shared by the supervisor and every
-    /// peer: timing, retry policy, selector, seed, quantum, defense,
+    /// peer: timing, retry policy, seed, quantum, defense,
     /// drift decay, and the observability handles. Its tracer is the
     /// run's trace path, with the live console teed in when one runs.
     pub run: Arc<ClusterConfig>,
@@ -467,8 +466,6 @@ pub(crate) struct PeerCore<'p, I: Instance> {
     pending: BTreeMap<(u16, u64), PendingSend>,
     seq: u64,
     clock: u64,
-    /// Round-robin neighbor cursor.
-    rr: usize,
     quiescing: bool,
     retiring: bool,
     crashed: bool,
@@ -554,13 +551,6 @@ where
             // resumes from the restore and only ever moves forward.
             seq: 0,
             clock: restore.lamport,
-            // Stagger round-robin starts so structured topologies don't aim
-            // every node at the same recipient in lockstep.
-            rr: if cfg.neighbors.is_empty() {
-                0
-            } else {
-                cfg.id % cfg.neighbors.len()
-            },
             quiescing: false,
             retiring: false,
             crashed: false,
@@ -860,14 +850,7 @@ where
     /// held this tick.
     fn pick_target(&mut self) -> Option<NodeId> {
         let n = self.neighbors.len();
-        let mut next_pick = || match self.cfg.run.selector {
-            SelectorKind::RoundRobin => {
-                let pick = self.neighbors[self.rr % n];
-                self.rr = (self.rr + 1) % n;
-                pick
-            }
-            SelectorKind::UniformRandom => self.neighbors[self.rng.gen_range(0..n)],
-        };
+        let mut next_pick = || self.neighbors[self.rng.gen_range(0..n)];
         let mut pick = next_pick();
         let Some(d) = &self.defense else {
             return Some(pick);

@@ -809,6 +809,8 @@ fn cluster_metrics_json<S>(report: &ClusterReport<S>, config: &ClusterConfig, n:
                 field("grains_injected", unum(totals.grains_injected)),
                 field("grains_forgotten", unum(totals.grains_forgotten)),
                 field("vacuous_passes", unum(totals.vacuous_passes)),
+                field("wait_us", unum(totals.wait_us)),
+                field("transit_us", unum(totals.transit_us)),
             ]),
         ),
         field("audit", audit),

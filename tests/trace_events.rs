@@ -11,8 +11,10 @@ use distclass::core::CentroidInstance;
 use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
-use distclass::obs::{GrainOp, RingSink, TraceEvent, Tracer};
-use distclass::runtime::{run_cluster_with_faults, ChannelNet, ClusterConfig, FaultPlan};
+use distclass::obs::{GrainOp, Json, RingSink, TraceEvent, Tracer};
+use distclass::runtime::{
+    run_cluster_with_faults, ChannelNet, ClusterConfig, FaultPlan, RuntimeMetrics,
+};
 
 fn two_site_values(n: usize) -> Vec<Vector> {
     (0..n)
@@ -246,6 +248,47 @@ fn cli_trace_jsonl_reconciles() {
     let metrics_doc = std::fs::read_to_string(&metrics).expect("metrics file written");
     for key in ["\"nodes\"", "\"audit\"", "\"metrics\"", "\"total_grains\""] {
         assert!(metrics_doc.contains(key), "metrics json missing {key}");
+    }
+    let doc = Json::parse(&metrics_doc).expect("metrics json parses");
+    let counters = doc.get("metrics").expect("metrics json has `metrics`");
+    // The pattern has no `..`: a counter added to `RuntimeMetrics` stops
+    // this test compiling until it is listed here, and so written out.
+    macro_rules! every_counter {
+        ($($name:ident),* $(,)?) => {{
+            let RuntimeMetrics { $($name: _),* } = RuntimeMetrics::default();
+            [$(stringify!($name)),*]
+        }};
+    }
+    let every_counter = every_counter!(
+        ticks,
+        msgs_sent,
+        msgs_received,
+        acks_received,
+        duplicates,
+        retries,
+        returned,
+        bytes_sent,
+        bytes_received,
+        decode_errors,
+        send_errors,
+        checkpoints,
+        grains_split,
+        grains_merged,
+        grains_returned,
+        audit_bytes,
+        frames_rejected,
+        drift_events,
+        grains_injected,
+        grains_forgotten,
+        vacuous_passes,
+        wait_us,
+        transit_us,
+    );
+    for name in every_counter {
+        assert!(
+            counters.req_u64(name).is_ok(),
+            "metrics json lacks the counter {name}"
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir);
