@@ -15,6 +15,14 @@
 //! weighted inputs. Raw points are the special case `Σᵢ = 0`, which makes
 //! [`fit_points`] a standard weighted GMM fit — exactly what the
 //! centralized EM baseline uses.
+//!
+//! EM stops on the objective it climbs: the expected log-likelihood
+//! `L = Σᵢ wᵢ · log Σⱼ πⱼ exp(scoreᵢⱼ)`, which each E-step computes from
+//! its log-sum-exp. The first M-step whose gain `L_new − L_old` is at most
+//! `tol · |L_new|` ([`EmConfig::tol`]) is the last, and
+//! [`EmConfig::max_iters`] M-steps cap the run. The one test ends slow
+//! climbs, exact repeats, 2-cycles and the drop a starved component's
+//! reseed can cause.
 
 use distclass_linalg::{
     back_substitute, cholesky_factor, forward_substitute, LinalgError, Matrix, Vector,
@@ -29,9 +37,11 @@ const LN_2PI: f64 = 1.837_877_066_409_345_5;
 /// Tunables for EM mixture reduction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmConfig {
-    /// Maximum EM iterations per reduction.
+    /// Maximum EM iterations (M-steps) per reduction.
     pub max_iters: usize,
-    /// Stop when no model mean moves more than this between iterations.
+    /// Stop after the first M-step that raises the expected
+    /// log-likelihood `L` by at most `tol · |L|`, `L` as it stands after
+    /// that step; a step that lowers `L` stops EM too.
     pub tol: f64,
     /// Diagonal regularization added to model covariances before
     /// factorization (keeps singleton-born zero covariances usable).
@@ -93,7 +103,7 @@ pub struct EmOutcome {
     /// carries `1 / max(total weight, 1)` instead, so the weights need not
     /// sum to 1.
     pub model: Vec<(GaussianSummary, f64)>,
-    /// EM iterations executed.
+    /// EM iterations (M-steps) executed.
     pub iterations: usize,
 }
 
@@ -353,19 +363,27 @@ impl<D: Dim> Kernel<D> {
         }
     }
 
-    /// Seeds, then alternates M- and E-steps until no model mean moves by
-    /// `cfg.tol` or `cfg.max_iters` M-steps have run, and hard-assigns.
+    /// Seeds, then alternates M- and E-steps, and hard-assigns. It stops
+    /// after the first M-step whose gain in the expected log-likelihood,
+    /// `L_new − L_old`, is at most `cfg.tol · |L_new|`, or after
+    /// `cfg.max_iters` M-steps.
+    ///
+    /// While some input scores −∞ against every component, `L` is −∞: a
+    /// step from a finite `L` to −∞ stops EM (its gain is −∞), and one
+    /// from −∞ to −∞ does not (its gain is NaN, which no bound meets), so
+    /// EM runs on until `L` is finite again or the cap.
     fn run(mut self, cfg: &EmConfig) -> Result<EmOutcome, CoreError> {
         self.seed();
-        self.e_step()?;
+        let mut ll = self.e_step()?;
         let mut iterations = 0;
         for _ in 0..cfg.max_iters {
             iterations += 1;
-            let shift = self.m_step();
-            self.e_step()?;
-            if shift < cfg.tol {
+            self.m_step();
+            let next = self.e_step()?;
+            if next - ll <= cfg.tol * next.abs() {
                 break;
             }
+            ll = next;
         }
         Ok(self.outcome(iterations))
     }
@@ -429,13 +447,17 @@ impl<D: Dim> Kernel<D> {
 
     /// Factorizes every model component and scores every input against
     /// it by the expected log-likelihood, normalized per input in log
-    /// space.
+    /// space. Returns the model's expected log-likelihood
+    /// `L = Σᵢ wᵢ·(maxᵢ + ln sumᵢ)`, summed left to right from `-0.0`,
+    /// where `maxᵢ` is input `i`'s best score and `sumᵢ` its row's sum of
+    /// `exp(score − maxᵢ)`; an input whose best score is not finite adds
+    /// `wᵢ·maxᵢ`.
     ///
     /// # Errors
     ///
     /// [`CoreError::EmFailed`] when a model covariance cannot be
     /// factorized.
-    fn e_step(&mut self) -> Result<(), CoreError> {
+    fn e_step(&mut self) -> Result<f64, CoreError> {
         let (d, l, k) = (self.dim.get(), self.l, self.k);
         let dd = d * d;
         let vec = &mut self.vec[..d];
@@ -462,6 +484,7 @@ impl<D: Dim> Kernel<D> {
             self.log_pi[j] = self.model.pi[j].max(1e-300).ln();
         }
 
+        let mut ll = -0.0;
         for i in 0..l {
             let (mean, cov) = (at(&self.means, i, d), at(&self.covs, i, dd));
             let row = at_mut(&mut self.resp, i, k);
@@ -486,6 +509,7 @@ impl<D: Dim> Kernel<D> {
             let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             if !max.is_finite() {
                 row.fill(1.0 / k as f64);
+                ll += self.weights[i] * max;
                 continue;
             }
             for r in row.iter_mut() {
@@ -495,15 +519,16 @@ impl<D: Dim> Kernel<D> {
             for r in row.iter_mut() {
                 *r /= sum;
             }
+            ll += self.weights[i] * (max + sum.ln());
         }
-        Ok(())
+        Ok(ll)
     }
 
     /// Moment-matches each model component to its responsibility-weighted
     /// inputs; a starved component is reseeded at the input the model
     /// explains worst (the lowest maximum responsibility, the first on
-    /// ties). Returns how far the farthest model mean moved.
-    fn m_step(&mut self) -> f64 {
+    /// ties).
+    fn m_step(&mut self) {
         let (d, l, k, total_weight) = (self.dim.get(), self.l, self.k, self.total_weight);
         let dd = d * d;
         let resp = &self.resp;
@@ -558,11 +583,7 @@ impl<D: Dim> Kernel<D> {
             }
             self.next.pi[j] = wj / total_weight;
         }
-        let shift = (0..k)
-            .map(|j| distance(at(&self.model.means, j, d), at(&self.next.means, j, d)))
-            .fold(0.0, f64::max);
         std::mem::swap(&mut self.model, &mut self.next);
-        shift
     }
 
     /// Hard-assigns each input to its most responsible component (the
@@ -700,15 +721,48 @@ mod tests {
         (GaussianSummary::from_point(&Vector::from([x, y])), 1.0)
     }
 
-    #[test]
-    fn reduce_separates_two_clusters() {
-        let comps = vec![
+    /// Three points near the origin and two near (10, 10).
+    fn two_clusters() -> Vec<(GaussianSummary, f64)> {
+        vec![
             point(0.0, 0.0),
             point(0.1, 0.1),
             point(-0.1, 0.0),
             point(10.0, 10.0),
             point(10.1, 9.9),
-        ];
+        ]
+    }
+
+    /// Two heavy points on a line and a light one beside them.
+    fn weighted_line() -> Vec<(GaussianSummary, f64)> {
+        vec![
+            (GaussianSummary::from_point(&Vector::from([0.0])), 9.0),
+            (GaussianSummary::from_point(&Vector::from([1.0])), 1.0),
+            (GaussianSummary::from_point(&Vector::from([0.2])), 9.0),
+        ]
+    }
+
+    /// A tight and a wide Gaussian, and a point nearer the tight one.
+    fn tight_wide_probe() -> Vec<(GaussianSummary, f64)> {
+        let tight = GaussianSummary::new(Vector::from([0.0]), Matrix::diagonal(&[0.01]));
+        let wide = GaussianSummary::new(Vector::from([4.0]), Matrix::diagonal(&[9.0]));
+        let probe = GaussianSummary::from_point(&Vector::from([1.5]));
+        vec![(tight, 10.0), (wide, 10.0), (probe, 1.0)]
+    }
+
+    /// A grid of points on two blobs 20 apart.
+    fn two_blobs() -> Vec<Vector> {
+        let mut points = Vec::new();
+        for i in 0..20 {
+            let t = (i as f64 - 9.5) / 10.0;
+            points.push(Vector::from([t, 0.0]));
+            points.push(Vector::from([t + 20.0, 0.0]));
+        }
+        points
+    }
+
+    #[test]
+    fn reduce_separates_two_clusters() {
+        let comps = two_clusters();
         let out = reduce(&comps, 2, &EmConfig::default()).unwrap();
         assert_eq!(out.groups.len(), 2);
         let g_of = |i: usize| out.groups.iter().position(|g| g.contains(&i)).unwrap();
@@ -741,12 +795,7 @@ mod tests {
     #[test]
     fn reduce_respects_weights() {
         // A heavy component pulls the model mean toward itself.
-        let comps = vec![
-            (GaussianSummary::from_point(&Vector::from([0.0])), 9.0),
-            (GaussianSummary::from_point(&Vector::from([1.0])), 1.0),
-            (GaussianSummary::from_point(&Vector::from([0.2])), 9.0),
-        ];
-        let out = reduce(&comps, 1, &EmConfig::default()).unwrap();
+        let out = reduce(&weighted_line(), 1, &EmConfig::default()).unwrap();
         assert_eq!(out.groups.len(), 1);
         let mean = out.model[0].0.mean[0];
         assert!((mean - (9.0 * 0.0 + 1.0 + 9.0 * 0.2) / 19.0).abs() < 1e-6);
@@ -756,11 +805,7 @@ mod tests {
     fn reduce_uses_covariance_not_just_means() {
         // Figure 1's moral: a point nearer to A's mean can belong to B if B
         // is much wider.
-        let tight = GaussianSummary::new(Vector::from([0.0]), Matrix::diagonal(&[0.01]));
-        let wide = GaussianSummary::new(Vector::from([4.0]), Matrix::diagonal(&[9.0]));
-        let probe = GaussianSummary::from_point(&Vector::from([1.5]));
-        let comps = vec![(tight, 10.0), (wide, 10.0), (probe, 1.0)];
-        let out = reduce(&comps, 2, &EmConfig::default()).unwrap();
+        let out = reduce(&tight_wide_probe(), 2, &EmConfig::default()).unwrap();
         let g_of = |i: usize| out.groups.iter().position(|g| g.contains(&i)).unwrap();
         assert_eq!(g_of(2), g_of(1), "probe should join the wide Gaussian");
     }
@@ -830,13 +875,7 @@ mod tests {
 
     #[test]
     fn fit_points_recovers_two_gaussians() {
-        // Deterministic grid of points from two well-separated blobs.
-        let mut points = Vec::new();
-        for i in 0..20 {
-            let t = (i as f64 - 9.5) / 10.0;
-            points.push(Vector::from([t, 0.0]));
-            points.push(Vector::from([t + 20.0, 0.0]));
-        }
+        let points = two_blobs();
         let weights = vec![1.0; points.len()];
         let out = fit_points(&points, &weights, 2, &EmConfig::default()).unwrap();
         assert_eq!(out.groups.len(), 2);
@@ -844,6 +883,114 @@ mod tests {
         means.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((means[0] - 0.0).abs() < 0.2);
         assert!((means[1] - 20.0).abs() < 0.2);
+    }
+
+    /// Every input of this module that EM iterates on (`l > k`), with its
+    /// `k`.
+    fn module_inputs() -> Vec<(Vec<(GaussianSummary, f64)>, usize)> {
+        let blobs = two_blobs()
+            .iter()
+            .map(|p| (GaussianSummary::from_point(p), 1.0))
+            .collect();
+        vec![
+            (two_clusters(), 2),
+            (two_clusters(), 3),
+            (weighted_line(), 1),
+            (weighted_line(), 2),
+            (tight_wide_probe(), 2),
+            (vec![point(0.0, 0.0), point(1.0, 1.0), point(5.0, 5.0)], 2),
+            (vec![point(1.0, 1.0); 5], 2),
+            (blobs, 2),
+        ]
+    }
+
+    /// The expected log-likelihood `L` after seeding and after each of
+    /// `cfg.max_iters` M-steps, from a kernel stepped by hand.
+    fn objective(comps: &[(GaussianSummary, f64)], k: usize, cfg: &EmConfig) -> Vec<f64> {
+        let total = comps.iter().map(WeightedGaussian::weight).sum();
+        let dim = Dynamic(comps[0].0.dim());
+        let mut kernel = Kernel::new(comps, dim, k, total, cfg.reg);
+        kernel.seed();
+        let mut ll = vec![kernel.e_step().expect("factorizes")];
+        for _ in 0..cfg.max_iters {
+            kernel.m_step();
+            ll.push(kernel.e_step().expect("factorizes"));
+        }
+        ll
+    }
+
+    /// `reduce` stops after the first M-step that gains at most `tol · |L|`,
+    /// or after `max_iters` when none does.
+    #[test]
+    fn reduce_stops_at_the_first_step_that_gains_at_most_tol() {
+        let (mut stopped, mut capped) = (0, 0);
+        for (tol, max_iters) in [(1e-6, 30), (1e-12, 30), (f64::MIN_POSITIVE, 2)] {
+            let cfg = EmConfig {
+                max_iters,
+                tol,
+                ..EmConfig::default()
+            };
+            for (comps, k) in module_inputs() {
+                let ll = objective(&comps, k, &cfg);
+                let first = (1..=max_iters).find(|&t| ll[t] - ll[t - 1] <= tol * ll[t].abs());
+                let out = reduce(&comps, k, &cfg).expect("valid input");
+                assert_eq!(
+                    out.iterations,
+                    first.unwrap_or(max_iters),
+                    "tol {tol:e}, {} inputs, k = {k}: L = {ll:?}",
+                    comps.len()
+                );
+                stopped += usize::from(first.is_some());
+                capped += usize::from(first.is_none());
+            }
+        }
+        assert!(
+            stopped > 0 && capped > 0,
+            "{stopped} stopped, {capped} capped"
+        );
+    }
+
+    /// A featherweight input so far out that its squared distance to any
+    /// component seeded elsewhere overflows: it scores −∞ against every
+    /// such component, and while it does `L` is −∞. `reduce` returns
+    /// `Ok`, and stops as `Kernel::run` documents.
+    #[test]
+    fn scores_overflowing_to_minus_infinity_still_reduce() {
+        let mut comps: Vec<(GaussianSummary, f64)> = [0.0, 0.1, 5.0, 5.1]
+            .iter()
+            .map(|&x| (GaussianSummary::from_point(&Vector::from([x])), 1.0))
+            .collect();
+        comps.push((GaussianSummary::from_point(&Vector::from([1e154])), 1e-308));
+        let cfg = EmConfig::default();
+
+        // k = 2: neither component reaches the far input, so `L` stays
+        // −∞; each gain is NaN, which no bound meets, and EM runs to the
+        // cap.
+        let ll = objective(&comps, 2, &cfg);
+        assert!(ll.iter().all(|&l| l == f64::NEG_INFINITY), "{ll:?}");
+        let out = reduce(&comps, 2, &cfg).expect("reduces");
+        assert_eq!(out.iterations, cfg.max_iters);
+        assert_eq!(out.groups.iter().map(Vec::len).sum::<usize>(), 5);
+
+        // k = 1: the first M-step widens the one component until the far
+        // input scores a finite value. The gain from −∞ is +∞, so EM goes
+        // on, and stops on the next step's gain.
+        let ll = objective(&comps, 1, &cfg);
+        assert_eq!(ll[0], f64::NEG_INFINITY);
+        assert!(
+            ll[1].is_finite() && ll[2] - ll[1] <= cfg.tol * ll[2].abs(),
+            "{ll:?}"
+        );
+        assert_eq!(reduce(&comps, 1, &cfg).expect("reduces").iterations, 2);
+
+        // Farther out, at 1e200, the seeds' moment merge squares the mean
+        // and overflows, so the seeds' widening is not finite: no model
+        // covariance factorizes, an error rather than a panic.
+        comps[4].0 = GaussianSummary::from_point(&Vector::from([1e200]));
+        assert!(matches!(
+            reduce(&comps, 2, &cfg),
+            Err(CoreError::EmFailed { .. })
+        ));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use events::{DelayModel, EventEngine};
 pub use faults::CrashModel;
 pub use metrics::NetMetrics;
 pub use queue::EventQueue;
-pub use rng::{derive_seed, seeded_pick, SeedSequence};
+pub use rng::{derive_seed, seeded_pick};
 pub use rounds::RoundEngine;
 pub use topology::{Neighbors, Topology, TopologyError};
 

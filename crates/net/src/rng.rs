@@ -49,38 +49,6 @@ pub fn seeded_pick(seed: u64, stream: u64, n: usize) -> Option<usize> {
     Some((derive_seed(seed, stream) % n as u64) as usize)
 }
 
-/// A counter-based sequence of derived seeds.
-///
-/// # Example
-///
-/// ```
-/// use distclass_net::SeedSequence;
-///
-/// let mut seq = SeedSequence::new(7);
-/// let first = seq.next_seed();
-/// let second = seq.next_seed();
-/// assert_ne!(first, second);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeedSequence {
-    base: u64,
-    counter: u64,
-}
-
-impl SeedSequence {
-    /// Creates a sequence rooted at `base`.
-    pub fn new(base: u64) -> Self {
-        SeedSequence { base, counter: 0 }
-    }
-
-    /// Returns the next derived seed.
-    pub fn next_seed(&mut self) -> u64 {
-        let s = derive_seed(self.base, self.counter);
-        self.counter += 1;
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,14 +65,5 @@ mod tests {
     #[test]
     fn different_bases_differ() {
         assert_ne!(derive_seed(1, 0), derive_seed(2, 0));
-    }
-
-    #[test]
-    fn sequence_advances() {
-        let mut seq = SeedSequence::new(3);
-        let a = seq.next_seed();
-        let b = seq.next_seed();
-        assert_ne!(a, b);
-        assert_eq!(SeedSequence::new(3).next_seed(), a);
     }
 }

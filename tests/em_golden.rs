@@ -1,7 +1,8 @@
 //! Golden bit-identity pins for the simulation hot paths.
 //!
-//! Two digests, recorded before the EM kernel was rewritten for speed,
-//! pin its outputs bit for bit:
+//! Two digests, re-recorded when EM began to stop on its expected
+//! log-likelihood instead of on how far the model means moved, pin its
+//! outputs bit for bit:
 //!
 //! * every `em::reduce` outcome (groups, iteration count, and the f64 bits
 //!   of each model mean, covariance and mixing weight) over a seeded
@@ -36,6 +37,10 @@
 //! * a traced centroid `AsyncSim` built `with_crash_rate` under
 //!   `DelayModel::Exponential`, then drained.
 //!
+//! One count pins what that stop rule saves: late in the GM `RoundSim`,
+//! when two nodes hold nearly the same mixture, EM reduces their union in
+//! at most three M-steps.
+//!
 //! A change that moves any bit fails here. If a change reorders float
 //! operations on purpose, it must say so and re-record the values.
 
@@ -52,8 +57,8 @@ use distclass::linalg::{Matrix, Vector};
 use distclass::net::{CrashModel, DelayModel, NetMetrics, Topology};
 use distclass::obs::{TraceEvent, TraceSink, Tracer};
 
-const REDUCE_DIGEST: u64 = 0x58a1_369b_352e_6580;
-const ROUNDSIM_DIGEST: u64 = 0x546c_96f1_7429_e233;
+const REDUCE_DIGEST: u64 = 0xd16a_208c_a083_53a3;
+const ROUNDSIM_DIGEST: u64 = 0x9119_6204_d6ea_895e;
 const CENTROID_COMPLETE_DIGEST: u64 = 0x5bf6_6f51_b8b5_646f;
 const CENTROID_ROUND_ROBIN_DIGEST: u64 = 0x54c1_3e9f_0fea_f4cd;
 const CENTROID_GRID_DIGEST: u64 = 0xea3f_3be0_69ab_d226;
@@ -252,8 +257,9 @@ fn em_reduce_outputs_match_the_recorded_digest() {
     );
 }
 
-#[test]
-fn gm_roundsim_classifications_match_the_recorded_digest() {
+/// A k = 7 GM `RoundSim` on 200 nodes' Fig. 2 readings, engine seed 12,
+/// run for `rounds` rounds.
+fn gm_roundsim(rounds: u64) -> RoundSim<GmInstance> {
     let n = 200;
     let (values, _labels) = sample_mixture(n, &figure2_components(), 0xF162);
     let inst = Arc::new(GmInstance::new(7).expect("k > 0"));
@@ -262,7 +268,13 @@ fn gm_roundsim_classifications_match_the_recorded_digest() {
         ..GossipConfig::default()
     };
     let mut sim = RoundSim::new(Topology::complete(n), inst, &values, &cfg);
-    sim.run_rounds(30);
+    sim.run_rounds(rounds);
+    sim
+}
+
+#[test]
+fn gm_roundsim_classifications_match_the_recorded_digest() {
+    let sim = gm_roundsim(30);
     let mut digest = Digest::new();
     for node in sim.live_nodes() {
         let c = sim.classification_of(node);
@@ -277,6 +289,30 @@ fn gm_roundsim_classifications_match_the_recorded_digest() {
         "GM RoundSim classifications changed: digest {:#018x}",
         digest.0
     );
+}
+
+/// After 36 rounds, nodes 0 and 1, 2 and 3, … 18 and 19 hold nearly the
+/// same mixture, so EM gains almost nothing on their union after a few
+/// M-steps. It must stop there: when EM stopped only once no model mean
+/// moved by `tol`, each of these unions took five M-steps.
+#[test]
+fn late_round_unions_reduce_in_at_most_three_m_steps() {
+    let sim = gm_roundsim(36);
+    let classifications = sim.live_classifications();
+    let cfg = EmConfig::default();
+    for (pair, nodes) in classifications[..20].chunks(2).enumerate() {
+        let union: Vec<_> = nodes.iter().flat_map(|c| c.iter().cloned()).collect();
+        assert!(union.len() > 7, "EM must run: {} collections", union.len());
+        let out = em::reduce(&union, 7, &cfg).expect("valid input");
+        assert!(
+            out.iterations <= 3,
+            "nodes {} and {}: {} collections took {} M-steps",
+            2 * pair,
+            2 * pair + 1,
+            union.len(),
+            out.iterations
+        );
+    }
 }
 
 /// Fig. 2 readings for `n` nodes and a config on engine seed 12.

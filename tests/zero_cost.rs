@@ -210,9 +210,10 @@ fn fig2_union(nodes: usize) -> Classification<GaussianSummary> {
         .collect()
 }
 
-/// The EM iteration loop allocates nothing: with a tolerance no shift can
-/// meet, one and five iterations make the same number of allocations
-/// (the per-call copies in and the outcome out).
+/// The EM iteration loop allocates nothing: with a tolerance that only a
+/// step that does not raise the expected log-likelihood can meet, one and
+/// five iterations make the same number of allocations (the per-call
+/// copies in and the outcome out).
 #[test]
 fn em_reduce_allocations_do_not_grow_with_iterations() {
     let comps = fig2_union(2);
