@@ -19,10 +19,11 @@
 //! EM stops on the objective it climbs: the expected log-likelihood
 //! `L = Σᵢ wᵢ · log Σⱼ πⱼ exp(scoreᵢⱼ)`, which each E-step computes from
 //! its log-sum-exp. The first M-step whose gain `L_new − L_old` is at most
-//! `tol · |L_new|` ([`EmConfig::tol`]) is the last, and
-//! [`EmConfig::max_iters`] M-steps cap the run. The one test ends slow
-//! climbs, exact repeats, 2-cycles and the drop a starved component's
-//! reseed can cause.
+//! `tol · W` ([`EmConfig::tol`], `W = Σᵢ wᵢ`) is the last, and
+//! [`EmConfig::max_iters`] M-steps cap the run. The bound is a mean gain
+//! per unit of input weight, so it does not depend on the values' units,
+//! which shift `L` by a constant. The one test ends slow climbs, exact
+//! repeats, 2-cycles and the drop a starved component's reseed can cause.
 
 use distclass_linalg::{
     back_substitute, cholesky_factor, forward_substitute, LinalgError, Matrix, Vector,
@@ -40,8 +41,9 @@ pub struct EmConfig {
     /// Maximum EM iterations (M-steps) per reduction.
     pub max_iters: usize,
     /// Stop after the first M-step that raises the expected
-    /// log-likelihood `L` by at most `tol · |L|`, `L` as it stands after
-    /// that step; a step that lowers `L` stops EM too.
+    /// log-likelihood `L` by at most `tol` per unit of input weight
+    /// (`tol · W`, `W` the inputs' total weight); a step that lowers `L`
+    /// stops EM too.
     pub tol: f64,
     /// Diagonal regularization added to model covariances before
     /// factorization (keeps singleton-born zero covariances usable).
@@ -365,8 +367,8 @@ impl<D: Dim> Kernel<D> {
 
     /// Seeds, then alternates M- and E-steps, and hard-assigns. It stops
     /// after the first M-step whose gain in the expected log-likelihood,
-    /// `L_new − L_old`, is at most `cfg.tol · |L_new|`, or after
-    /// `cfg.max_iters` M-steps.
+    /// `L_new − L_old`, is at most `cfg.tol · W` (`W` the inputs' total
+    /// weight), or after `cfg.max_iters` M-steps.
     ///
     /// While some input scores −∞ against every component, `L` is −∞: a
     /// step from a finite `L` to −∞ stops EM (its gain is −∞), and one
@@ -380,7 +382,7 @@ impl<D: Dim> Kernel<D> {
             iterations += 1;
             self.m_step();
             let next = self.e_step()?;
-            if next - ll <= cfg.tol * next.abs() {
+            if next - ll <= cfg.tol * self.total_weight {
                 break;
             }
             ll = next;
@@ -885,6 +887,16 @@ mod tests {
         assert!((means[1] - 20.0).abs() < 0.2);
     }
 
+    /// 40 evenly spaced points on [0, 20): EM's gain shrinks a little at
+    /// each step, and `L` per unit of weight is about −3, so a bound
+    /// relative to `|L|` would stop EM a step sooner than `tol · W`.
+    fn even_line() -> Vec<(GaussianSummary, f64)> {
+        (0..40)
+            .map(|i| Vector::from([i as f64 / 2.0]))
+            .map(|v| (GaussianSummary::from_point(&v), 1.0))
+            .collect()
+    }
+
     /// Every input of this module that EM iterates on (`l > k`), with its
     /// `k`.
     fn module_inputs() -> Vec<(Vec<(GaussianSummary, f64)>, usize)> {
@@ -901,6 +913,7 @@ mod tests {
             (vec![point(0.0, 0.0), point(1.0, 1.0), point(5.0, 5.0)], 2),
             (vec![point(1.0, 1.0); 5], 2),
             (blobs, 2),
+            (even_line(), 2),
         ]
     }
 
@@ -919,7 +932,7 @@ mod tests {
         ll
     }
 
-    /// `reduce` stops after the first M-step that gains at most `tol · |L|`,
+    /// `reduce` stops after the first M-step that gains at most `tol · W`,
     /// or after `max_iters` when none does.
     #[test]
     fn reduce_stops_at_the_first_step_that_gains_at_most_tol() {
@@ -932,7 +945,8 @@ mod tests {
             };
             for (comps, k) in module_inputs() {
                 let ll = objective(&comps, k, &cfg);
-                let first = (1..=max_iters).find(|&t| ll[t] - ll[t - 1] <= tol * ll[t].abs());
+                let bound = tol * comps.iter().map(|c| c.1).sum::<f64>();
+                let first = (1..=max_iters).find(|&t| ll[t] - ll[t - 1] <= bound);
                 let out = reduce(&comps, k, &cfg).expect("valid input");
                 assert_eq!(
                     out.iterations,
@@ -977,8 +991,9 @@ mod tests {
         // on, and stops on the next step's gain.
         let ll = objective(&comps, 1, &cfg);
         assert_eq!(ll[0], f64::NEG_INFINITY);
+        let total: f64 = comps.iter().map(|c| c.1).sum();
         assert!(
-            ll[1].is_finite() && ll[2] - ll[1] <= cfg.tol * ll[2].abs(),
+            ll[1].is_finite() && ll[2] - ll[1] <= cfg.tol * total,
             "{ll:?}"
         );
         assert_eq!(reduce(&comps, 1, &cfg).expect("reduces").iterations, 2);

@@ -1,8 +1,6 @@
 //! Golden bit-identity pins for the simulation hot paths.
 //!
-//! Two digests, re-recorded when EM began to stop on its expected
-//! log-likelihood instead of on how far the model means moved, pin its
-//! outputs bit for bit:
+//! Two digests pin EM's outputs bit for bit:
 //!
 //! * every `em::reduce` outcome (groups, iteration count, and the f64 bits
 //!   of each model mean, covariance and mixing weight) over a seeded
@@ -37,7 +35,7 @@
 //! * a traced centroid `AsyncSim` built `with_crash_rate` under
 //!   `DelayModel::Exponential`, then drained.
 //!
-//! One count pins what that stop rule saves: late in the GM `RoundSim`,
+//! One count pins what EM's stop rule saves: late in the GM `RoundSim`,
 //! when two nodes hold nearly the same mixture, EM reduces their union in
 //! at most three M-steps.
 //!
@@ -57,8 +55,8 @@ use distclass::linalg::{Matrix, Vector};
 use distclass::net::{CrashModel, DelayModel, NetMetrics, Topology};
 use distclass::obs::{TraceEvent, TraceSink, Tracer};
 
-const REDUCE_DIGEST: u64 = 0xd16a_208c_a083_53a3;
-const ROUNDSIM_DIGEST: u64 = 0x9119_6204_d6ea_895e;
+const REDUCE_DIGEST: u64 = 0x5b5c_8586_ced6_e2e6;
+const ROUNDSIM_DIGEST: u64 = 0x6236_ab11_7e55_2e59;
 const CENTROID_COMPLETE_DIGEST: u64 = 0x5bf6_6f51_b8b5_646f;
 const CENTROID_ROUND_ROBIN_DIGEST: u64 = 0x54c1_3e9f_0fea_f4cd;
 const CENTROID_GRID_DIGEST: u64 = 0xea3f_3be0_69ab_d226;
@@ -293,8 +291,7 @@ fn gm_roundsim_classifications_match_the_recorded_digest() {
 
 /// After 36 rounds, nodes 0 and 1, 2 and 3, … 18 and 19 hold nearly the
 /// same mixture, so EM gains almost nothing on their union after a few
-/// M-steps. It must stop there: when EM stopped only once no model mean
-/// moved by `tol`, each of these unions took five M-steps.
+/// M-steps, and must stop there.
 #[test]
 fn late_round_unions_reduce_in_at_most_three_m_steps() {
     let sim = gm_roundsim(36);
