@@ -174,6 +174,30 @@ pub fn reduce<C: WeightedGaussian>(
     k: usize,
     cfg: &EmConfig,
 ) -> Result<EmOutcome, CoreError> {
+    fit(components, k, cfg, true)
+}
+
+/// The hard-assignment groups of [`reduce`], without building its model:
+/// what [`GmInstance::partition`](crate::GmInstance) needs.
+///
+/// # Errors
+///
+/// Same as [`reduce`].
+pub(crate) fn groups<C: WeightedGaussian>(
+    components: &[C],
+    k: usize,
+    cfg: &EmConfig,
+) -> Result<Vec<Vec<usize>>, CoreError> {
+    fit(components, k, cfg, false).map(|out| out.groups)
+}
+
+/// [`reduce`]; its outcome's `model` is left empty unless `with_model`.
+fn fit<C: WeightedGaussian>(
+    components: &[C],
+    k: usize,
+    cfg: &EmConfig,
+    with_model: bool,
+) -> Result<EmOutcome, CoreError> {
     cfg.validate()?;
     if k == 0 {
         return Err(CoreError::InvalidK { k });
@@ -207,20 +231,25 @@ pub fn reduce<C: WeightedGaussian>(
     let l = components.len();
     let total_weight: f64 = components.iter().map(C::weight).sum();
     if l <= k {
-        return Ok(EmOutcome {
-            groups: (0..l).map(|i| vec![i]).collect(),
-            model: components
+        let model = if with_model {
+            components
                 .iter()
                 .map(|c| (c.summary().clone(), c.weight() / total_weight))
-                .collect(),
+                .collect()
+        } else {
+            Vec::new()
+        };
+        return Ok(EmOutcome {
+            groups: (0..l).map(|i| vec![i]).collect(),
+            model,
             iterations: 0,
         });
     }
 
     // The paper's Fig. 2 readings are planar: there the compiler sees `d`.
     match d {
-        2 => Kernel::new(components, Fixed::<2>, k, total_weight, cfg.reg).run(cfg),
-        _ => Kernel::new(components, Dynamic(d), k, total_weight, cfg.reg).run(cfg),
+        2 => Kernel::new(components, Fixed::<2>, k, total_weight, cfg.reg).run(cfg, with_model),
+        _ => Kernel::new(components, Dynamic(d), k, total_weight, cfg.reg).run(cfg, with_model),
     }
 }
 
@@ -257,19 +286,54 @@ const JITTER_TRIES: usize = 40;
 /// The dimension `d` of the value space, as the kernel reads it:
 /// [`Fixed`] when the compiler knows it, [`Dynamic`] when only the input
 /// does. The kernel is one source over `Dim`. At a fixed dimension the
-/// compiler unrolls its `d`-loops and drops their bounds checks; the
-/// float operations and their order are the same at both.
+/// compiler unrolls its `d`-loops, drops their bounds checks and keeps the
+/// steps' work space in registers; the float operations and their order
+/// are the same at both.
 trait Dim: Copy {
+    /// Work space for a `d`-vector and a `d × d` matrix: arrays at a fixed
+    /// dimension, buffers at a dynamic one. `Default` is what a step
+    /// leaves in the kernel while it holds the work space as a local.
+    type Vector: AsMut<[f64]> + Default;
+    type Matrix: AsMut<[f64]> + Default;
+
     fn get(self) -> usize;
+
+    /// Zeroed work space of this dimension.
+    fn work(self) -> (Self::Vector, Self::Matrix);
 }
 
 /// A dimension known at compile time.
 #[derive(Clone, Copy)]
 struct Fixed<const D: usize>;
 
-impl<const D: usize> Dim for Fixed<D> {
+impl<const D: usize> Dim for Fixed<D>
+where
+    [f64; D]: Default,
+{
+    type Vector = [f64; D];
+    type Matrix = Square<D>;
+
     fn get(self) -> usize {
         D
+    }
+
+    fn work(self) -> ([f64; D], Square<D>) {
+        Default::default()
+    }
+}
+
+/// A row-major `D × D` matrix of work space.
+struct Square<const D: usize>([[f64; D]; D]);
+
+impl<const D: usize> Default for Square<D> {
+    fn default() -> Self {
+        Square([[0.0; D]; D])
+    }
+}
+
+impl<const D: usize> AsMut<[f64]> for Square<D> {
+    fn as_mut(&mut self) -> &mut [f64] {
+        self.0.as_flattened_mut()
     }
 }
 
@@ -278,13 +342,46 @@ impl<const D: usize> Dim for Fixed<D> {
 struct Dynamic(usize);
 
 impl Dim for Dynamic {
+    type Vector = Vec<f64>;
+    type Matrix = Vec<f64>;
+
     fn get(self) -> usize {
         self.0
+    }
+
+    fn work(self) -> (Vec<f64>, Vec<f64>) {
+        (vec![0.0; self.0], vec![0.0; self.0 * self.0])
+    }
+}
+
+/// The length of a packed model-component record at dimension `d`, in
+/// order: the mean (`d`), the Cholesky factor and the inverse of the
+/// regularized covariance (`d × d` each), `log πⱼ` and `d·ln 2π + log det`.
+fn record_len(d: usize) -> usize {
+    2 * d * d + d + 2
+}
+
+/// Below this argument `exp` returns exactly `0.0`: it lies under
+/// ln 2⁻¹⁰⁷⁵ ≈ −745.1332, where `eᵗ` is less than half the smallest
+/// subnormal and rounds to zero.
+const EXP_UNDERFLOW: f64 = -746.0;
+
+/// `exp(t)` for a log-sum-exp argument `t = score − max`, bitwise: exactly
+/// `1.0` where `t` is zero and exactly `0.0` below [`EXP_UNDERFLOW`], the
+/// values `exp` returns there, without calling it. NaN and every other
+/// argument go through `exp`.
+fn exp_shifted(t: f64) -> f64 {
+    if t == 0.0 {
+        1.0
+    } else if t < EXP_UNDERFLOW {
+        0.0
+    } else {
+        t.exp()
     }
 }
 
 /// The working state of one [`reduce`] call: the inputs, the current and
-/// next model, each model component's factorization and the
+/// next model, each model component's packed record and the
 /// responsibilities, all in flat row-major `f64` buffers sized once on
 /// entry. Seeding, the E-step, the M-step and the hard assignment run in
 /// place, so the iterations allocate nothing.
@@ -294,7 +391,7 @@ impl Dim for Dynamic {
 /// bit for bit. Sums start from `-0.0`, as `Iterator::sum` does: it is
 /// the additive identity of every `f64`, so a sum's first term is
 /// bitwise the term itself.
-struct Kernel<D> {
+struct Kernel<D: Dim> {
     dim: D,
     l: usize,
     k: usize,
@@ -308,18 +405,14 @@ struct Kernel<D> {
     /// The model; the M-step writes `next`, then the two swap.
     model: Model,
     next: Model,
-    /// Per model component, from the E-step: the Cholesky factor and the
-    /// inverse of its regularized covariance (`k × d × d`),
-    /// `d·ln 2π + log det` and `log πⱼ` (`k`).
-    chol: Vec<f64>,
-    inv: Vec<f64>,
-    norm: Vec<f64>,
-    log_pi: Vec<f64>,
+    /// Per model component, from the E-step's factorization, the packed
+    /// record its scores read (`k ×` [`record_len`]`(d)`).
+    records: Vec<f64>,
     /// Responsibilities `r[i][j]`, `l × k`.
     resp: Vec<f64>,
-    /// Work space: a `d × d` matrix and a `d`-vector.
-    work: Vec<f64>,
-    vec: Vec<f64>,
+    /// Work space: a `d`-vector and a `d × d` matrix.
+    vec: D::Vector,
+    mat: D::Matrix,
     /// The seed widening: `0.05 · tr Σ / d` for the moment-matched
     /// covariance `Σ` of all inputs (set by [`Kernel::seed`]).
     iso: f64,
@@ -336,13 +429,13 @@ impl<D: Dim> Kernel<D> {
         reg: f64,
     ) -> Self {
         let (d, l) = (dim.get(), components.len());
-        let (dd, zeros) = (d * d, |n: usize| vec![0.0; n]);
         let mut means = Vec::with_capacity(l * d);
-        let mut covs = Vec::with_capacity(l * dd);
+        let mut covs = Vec::with_capacity(l * d * d);
         for c in components {
             means.extend_from_slice(c.summary().mean.as_slice());
             covs.extend_from_slice(c.summary().cov.as_slice());
         }
+        let (vec, mat) = dim.work();
         Kernel {
             dim,
             l,
@@ -354,13 +447,10 @@ impl<D: Dim> Kernel<D> {
             weights: components.iter().map(C::weight).collect(),
             model: Model::zeros(k, d),
             next: Model::zeros(k, d),
-            chol: zeros(k * dd),
-            inv: zeros(k * dd),
-            norm: zeros(k),
-            log_pi: zeros(k),
-            resp: zeros(l * k),
-            work: zeros(dd),
-            vec: zeros(d),
+            records: vec![0.0; k * record_len(d)],
+            resp: vec![0.0; l * k],
+            vec,
+            mat,
             iso: 0.0,
         }
     }
@@ -374,7 +464,7 @@ impl<D: Dim> Kernel<D> {
     /// step from a finite `L` to −∞ stops EM (its gain is −∞), and one
     /// from −∞ to −∞ does not (its gain is NaN, which no bound meets), so
     /// EM runs on until `L` is finite again or the cap.
-    fn run(mut self, cfg: &EmConfig) -> Result<EmOutcome, CoreError> {
+    fn run(mut self, cfg: &EmConfig, with_model: bool) -> Result<EmOutcome, CoreError> {
         self.seed();
         let mut ll = self.e_step()?;
         let mut iterations = 0;
@@ -387,7 +477,7 @@ impl<D: Dim> Kernel<D> {
             }
             ll = next;
         }
-        Ok(self.outcome(iterations))
+        Ok(self.outcome(iterations, with_model))
     }
 
     /// Seeds the model: the heaviest input first (the last on ties), then
@@ -404,8 +494,9 @@ impl<D: Dim> Kernel<D> {
         let (d, l, k) = (self.dim.get(), self.l, self.k);
         let dd = d * d;
         // The diagonal of the moment merge of every input.
+        let diag = self.vec.as_mut();
         let s = 1.0 / self.total_weight;
-        for c in 0..d {
+        for (c, var) in diag.iter_mut().enumerate() {
             let (mut mean, mut raw) = (-0.0, -0.0);
             for i in 0..l {
                 let (m, w) = (self.means[i * d + c], self.weights[i]);
@@ -413,9 +504,9 @@ impl<D: Dim> Kernel<D> {
                 raw += w * (self.covs[i * dd + c * d + c] + m * m);
             }
             let mean = mean * s;
-            self.vec[c] = raw * s - mean * mean;
+            *var = raw * s - mean * mean;
         }
-        self.iso = 0.05 * self.vec.iter().sum::<f64>() / d as f64;
+        self.iso = 0.05 * diag.iter().sum::<f64>() / d as f64;
 
         let weights = &self.weights;
         let mut seed = (0..l)
@@ -447,9 +538,9 @@ impl<D: Dim> Kernel<D> {
         }
     }
 
-    /// Factorizes every model component and scores every input against
-    /// it by the expected log-likelihood, normalized per input in log
-    /// space. Returns the model's expected log-likelihood
+    /// Factorizes every model component into its packed record and scores
+    /// every input against it by the expected log-likelihood, normalized
+    /// per input in log space. Returns the model's expected log-likelihood
     /// `L = Σᵢ wᵢ·(maxᵢ + ln sumᵢ)`, summed left to right from `-0.0`,
     /// where `maxᵢ` is input `i`'s best score and `sumᵢ` its row's sum of
     /// `exp(score − maxᵢ)`; an input whose best score is not finite adds
@@ -461,68 +552,82 @@ impl<D: Dim> Kernel<D> {
     /// factorized.
     fn e_step(&mut self) -> Result<f64, CoreError> {
         let (d, l, k) = (self.dim.get(), self.l, self.k);
-        let dd = d * d;
-        let vec = &mut self.vec[..d];
-        for j in 0..k {
-            let chol = at_mut(&mut self.chol, j, dd);
+        let (dd, len) = (d * d, record_len(d));
+        let (col, work) = (self.vec.as_mut(), self.mat.as_mut());
+        for (j, rec) in self.records.chunks_exact_mut(len).enumerate() {
+            let (mean, rest) = rec.split_at_mut(d);
+            let (chol, rest) = rest.split_at_mut(dd);
+            let (inv, rest) = rest.split_at_mut(dd);
+            mean.copy_from_slice(at(&self.model.means, j, d));
             let cov = at(&self.model.covs, j, dd);
-            factor_regularized(cov, self.reg, &mut self.work[..dd], chol, d).map_err(|e| {
-                CoreError::EmFailed {
-                    reason: format!("model covariance factorization failed: {e}"),
-                }
+            factor_regularized(cov, self.reg, work, chol, d).map_err(|e| CoreError::EmFailed {
+                reason: format!("model covariance factorization failed: {e}"),
             })?;
-            let inv = at_mut(&mut self.inv, j, dd);
             for c in 0..d {
-                vec.fill(0.0);
-                vec[c] = 1.0;
-                forward_substitute(chol, vec);
-                back_substitute(chol, vec);
+                col.fill(0.0);
+                col[c] = 1.0;
+                forward_substitute(chol, col);
+                back_substitute(chol, col);
                 for a in 0..d {
-                    inv[a * d + c] = vec[a];
+                    inv[a * d + c] = col[a];
                 }
             }
             let log_det = (0..d).map(|a| chol[a * d + a].ln()).sum::<f64>() * 2.0;
-            self.norm[j] = d as f64 * LN_2PI + log_det;
-            self.log_pi[j] = self.model.pi[j].max(1e-300).ln();
+            rest[0] = self.model.pi[j].max(1e-300).ln();
+            rest[1] = d as f64 * LN_2PI + log_det;
         }
 
+        // A local while the scores run: at a fixed dimension, registers.
+        let mut vec = std::mem::take(&mut self.vec);
+        let y = vec.as_mut();
         let mut ll = -0.0;
         for i in 0..l {
-            let (mean, cov) = (at(&self.means, i, d), at(&self.covs, i, dd));
+            let (x, s) = (at(&self.means, i, d), at(&self.covs, i, dd));
             let row = at_mut(&mut self.resp, i, k);
-            for (j, score) in row.iter_mut().enumerate() {
+            let mut max = f64::NEG_INFINITY;
+            for (score, rec) in row.iter_mut().zip(self.records.chunks_exact(len)) {
+                let (mean, rest) = rec.split_at(d);
+                let (chol, rest) = rest.split_at(dd);
+                let (inv, rest) = rest.split_at(dd);
+                let (log_pi, norm) = (rest[0], rest[1]);
                 // E[log N(x; μⱼ, Σⱼ)] for x ~ N(μᵢ, Σᵢ): the Mahalanobis
-                // term of μᵢ, then tr(Σⱼ⁻¹ Σᵢ).
-                for ((v, x), mu) in vec.iter_mut().zip(mean).zip(at(&self.model.means, j, d)) {
-                    *v = x - mu;
+                // term of μᵢ, ‖y‖² for L y = μᵢ − μⱼ by forward
+                // substitution, then tr(Σⱼ⁻¹ Σᵢ).
+                let mut maha = -0.0;
+                for a in 0..d {
+                    let mut sum = x[a] - mean[a];
+                    for b in 0..a {
+                        sum -= chol[a * d + b] * y[b];
+                    }
+                    y[a] = sum / chol[a * d + a];
+                    maha += y[a] * y[a];
                 }
-                forward_substitute(at(&self.chol, j, dd), vec);
-                let maha: f64 = vec.iter().map(|y| y * y).sum();
-                let inv = at(&self.inv, j, dd);
                 let mut trace = 0.0;
                 for a in 0..d {
                     for b in 0..d {
-                        trace += inv[a * d + b] * cov[b * d + a];
+                        trace += inv[a * d + b] * s[b * d + a];
                     }
                 }
-                *score = self.log_pi[j] - 0.5 * (self.norm[j] + maha + trace);
+                *score = log_pi - 0.5 * (norm + maha + trace);
+                max = f64::max(max, *score);
             }
             // Log-sum-exp normalization; when every score is −∞, uniform.
-            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             if !max.is_finite() {
                 row.fill(1.0 / k as f64);
                 ll += self.weights[i] * max;
                 continue;
             }
+            let mut sum = -0.0;
             for r in row.iter_mut() {
-                *r = (*r - max).exp();
+                *r = exp_shifted(*r - max);
+                sum += *r;
             }
-            let sum: f64 = row.iter().sum();
             for r in row.iter_mut() {
                 *r /= sum;
             }
             ll += self.weights[i] * (max + sum.ln());
         }
+        self.vec = vec;
         Ok(ll)
     }
 
@@ -534,23 +639,25 @@ impl<D: Dim> Kernel<D> {
         let (d, l, k, total_weight) = (self.dim.get(), self.l, self.k, self.total_weight);
         let dd = d * d;
         let resp = &self.resp;
+        // Locals while the sums run: at a fixed dimension, registers.
+        let (mut vec, mut mat) = (std::mem::take(&mut self.vec), std::mem::take(&mut self.mat));
+        let (mean_sum, cov_sum) = (vec.as_mut(), mat.as_mut());
         let mut worst = None;
         for j in 0..k {
             // The moment merge of the parts, the inputs with `rᵢⱼ > 1e-12`:
             // running sums of w·μ and w·(Σ + μμᵀ), scaled by 1/w, less
             // μμᵀ, symmetrized.
-            let mean = at_mut(&mut self.next.means, j, d);
-            let cov = at_mut(&mut self.next.covs, j, dd);
-            mean.fill(-0.0);
-            cov.fill(-0.0);
+            mean_sum.fill(-0.0);
+            cov_sum.fill(-0.0);
             let (mut wj, mut empty) = (-0.0, true);
-            for i in (0..l).filter(|&i| resp[i * k + j] > 1e-12) {
-                let w = self.weights[i] * resp[i * k + j];
+            let rows = resp.chunks_exact(k).zip(&self.weights).enumerate();
+            for (i, (row, &wi)) in rows.filter(|(_, (row, _))| row[j] > 1e-12) {
+                let w = wi * row[j];
                 let (mi, ci) = (at(&self.means, i, d), at(&self.covs, i, dd));
                 for a in 0..d {
-                    mean[a] += w * mi[a];
+                    mean_sum[a] += w * mi[a];
                     for b in 0..d {
-                        cov[a * d + b] += w * (ci[a * d + b] + mi[a] * mi[b]);
+                        cov_sum[a * d + b] += w * (ci[a * d + b] + mi[a] * mi[b]);
                     }
                 }
                 wj += w;
@@ -569,8 +676,14 @@ impl<D: Dim> Kernel<D> {
                 continue;
             }
             let s = 1.0 / wj;
-            mean.iter_mut().for_each(|m| *m *= s);
-            cov.iter_mut().for_each(|c| *c *= s);
+            let mean = at_mut(&mut self.next.means, j, d);
+            let cov = at_mut(&mut self.next.covs, j, dd);
+            for (m, sum) in mean.iter_mut().zip(&*mean_sum) {
+                *m = sum * s;
+            }
+            for (c, sum) in cov.iter_mut().zip(&*cov_sum) {
+                *c = sum * s;
+            }
             for a in 0..d {
                 for b in 0..d {
                     cov[a * d + b] -= mean[a] * mean[b];
@@ -585,12 +698,13 @@ impl<D: Dim> Kernel<D> {
             }
             self.next.pi[j] = wj / total_weight;
         }
+        (self.vec, self.mat) = (vec, mat);
         std::mem::swap(&mut self.model, &mut self.next);
     }
 
     /// Hard-assigns each input to its most responsible component (the
-    /// first on ties) and hands the model out.
-    fn outcome(self, iterations: usize) -> EmOutcome {
+    /// first on ties) and, when `with_model`, hands the model out.
+    fn outcome(self, iterations: usize, with_model: bool) -> EmOutcome {
         let (d, l, k) = (self.dim.get(), self.l, self.k);
         let owner: Vec<usize> = (0..l)
             .map(|i| {
@@ -615,15 +729,19 @@ impl<D: Dim> Kernel<D> {
                 groups.push(group);
             }
         }
-        let model = (0..k)
-            .map(|j| {
-                let mut cov = Matrix::zeros(d, d);
-                cov.as_mut_slice()
-                    .copy_from_slice(at(&self.model.covs, j, d * d));
-                let mean = Vector::from(at(&self.model.means, j, d));
-                (GaussianSummary::new(mean, cov), self.model.pi[j])
-            })
-            .collect();
+        let model = if with_model {
+            (0..k)
+                .map(|j| {
+                    let mut cov = Matrix::zeros(d, d);
+                    cov.as_mut_slice()
+                        .copy_from_slice(at(&self.model.covs, j, d * d));
+                    let mean = Vector::from(at(&self.model.means, j, d));
+                    (GaussianSummary::new(mean, cov), self.model.pi[j])
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         EmOutcome {
             groups,
             model,
@@ -1006,6 +1124,31 @@ mod tests {
             reduce(&comps, 2, &cfg),
             Err(CoreError::EmFailed { .. })
         ));
+    }
+
+    /// The log-sum-exp's two shortcuts return what `exp` does: `1.0` at
+    /// zero, and `0.0` below a constant under ln 2⁻¹⁰⁷⁵, where `exp`
+    /// rounds to zero.
+    #[test]
+    fn exp_shortcuts_match_exp_bitwise() {
+        const { assert!(EXP_UNDERFLOW < -1075.0 * std::f64::consts::LN_2) };
+        assert_eq!(EXP_UNDERFLOW.exp().to_bits(), 0.0_f64.to_bits());
+        let args = [
+            0.0,
+            -0.0,
+            -1.0,
+            -745.0,
+            -745.2,
+            EXP_UNDERFLOW.next_up(),
+            EXP_UNDERFLOW,
+            EXP_UNDERFLOW.next_down(),
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for t in args {
+            assert_eq!(exp_shifted(t).to_bits(), t.exp().to_bits(), "t = {t}");
+        }
     }
 
     #[test]

@@ -60,24 +60,6 @@ impl GaussianSummary {
         }
     }
 
-    /// Builds a summary from moment statistics (the weight is carried
-    /// separately by the collection).
-    pub fn from_moments(m: &Moments) -> Self {
-        GaussianSummary {
-            mean: m.mean.clone(),
-            cov: m.cov.clone(),
-        }
-    }
-
-    /// Converts to [`Moments`] with the given weight.
-    pub fn to_moments(&self, weight: f64) -> Moments {
-        Moments {
-            weight,
-            mean: self.mean.clone(),
-            cov: self.cov.clone(),
-        }
-    }
-
     /// The dimension of the value space.
     pub fn dim(&self) -> usize {
         self.mean.dim()
@@ -251,9 +233,10 @@ impl Instance for GmInstance {
 
     fn merge_set(&self, parts: &[(&GaussianSummary, f64)]) -> GaussianSummary {
         assert!(!parts.is_empty(), "merge_set of empty set");
-        let moments: Vec<Moments> = parts.iter().map(|(s, w)| s.to_moments(*w)).collect();
-        let merged = merge_moments(moments.iter()).expect("non-empty positive-weight merge");
-        GaussianSummary::from_moments(&merged)
+        let Moments { mean, cov, .. } =
+            merge_moments(parts.iter().map(|&(s, w)| (w, &s.mean, &s.cov)))
+                .expect("non-empty positive-weight merge");
+        GaussianSummary { mean, cov }
     }
 
     fn partition(&self, big: &Classification<GaussianSummary>) -> Vec<Vec<usize>> {
@@ -266,9 +249,8 @@ impl Instance for GmInstance {
         if self.strategy == PartitionStrategy::Greedy {
             return greedy_partition(self, big);
         }
-        match em::reduce(big.collections(), self.k, &self.em) {
-            Ok(outcome) => {
-                let mut groups = outcome.groups;
+        match em::groups(big.collections(), self.k, &self.em) {
+            Ok(mut groups) => {
                 merge_quantum_singletons(self, big, &mut groups);
                 groups
             }
@@ -290,16 +272,17 @@ impl Instance for GmInstance {
 impl MixtureSummary for GmInstance {
     fn summarize_mixture(&self, values: &[Vector], mixture: &MixtureVector) -> GaussianSummary {
         assert_eq!(values.len(), mixture.len(), "mixture length mismatch");
-        let moments: Vec<Moments> = values
+        // Each value is a point: its covariance is zero.
+        let d = values.first().map_or(0, Vector::dim);
+        let zero = Matrix::zeros(d, d);
+        let parts = values
             .iter()
             .zip(mixture.components())
             .filter(|&(_, &w)| w > 0.0)
-            .map(|(v, &w)| Moments::of_point(v.clone(), w))
-            .collect();
-        assert!(!moments.is_empty(), "cannot summarize an empty mixture");
-        GaussianSummary::from_moments(
-            &merge_moments(moments.iter()).expect("non-empty positive-weight merge"),
-        )
+            .map(|(v, &w)| (w, v, &zero));
+        let Moments { mean, cov, .. } =
+            merge_moments(parts).expect("a non-empty mixture of values of one dimension");
+        GaussianSummary { mean, cov }
     }
 }
 

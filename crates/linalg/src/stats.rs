@@ -37,7 +37,8 @@ impl Moments {
 /// Merges weighted moment sets: the result has the moments of the union of
 /// the underlying point sets (moment matching).
 ///
-/// Given components `(wᵢ, μᵢ, Σᵢ)`:
+/// Each part is `(wᵢ, &μᵢ, &Σᵢ)`, read by reference, so a caller merges
+/// what it holds without copying it into [`Moments`]. The result is:
 ///
 /// * `w = Σ wᵢ`
 /// * `μ = Σ wᵢ μᵢ / w`
@@ -45,27 +46,29 @@ impl Moments {
 ///
 /// # Errors
 ///
-/// Returns [`LinalgError::Empty`] for an empty input and
-/// [`LinalgError::DimensionMismatch`] for inconsistent dimensions.
+/// Returns [`LinalgError::Empty`] for an empty input or a total weight
+/// that is not positive, and [`LinalgError::DimensionMismatch`] when a
+/// part's mean or covariance does not match the first part's dimension
+/// `d` (a covariance must be `d × d`).
 ///
 /// # Example
 ///
 /// ```
-/// use distclass_linalg::{merge_moments, Moments, Vector};
+/// use distclass_linalg::{merge_moments, Matrix, Vector};
 ///
-/// let a = Moments::of_point(Vector::from(vec![0.0]), 1.0);
-/// let b = Moments::of_point(Vector::from(vec![2.0]), 1.0);
-/// let m = merge_moments([&a, &b])?;
+/// let zero = Matrix::zeros(1, 1);
+/// let (a, b) = (Vector::from(vec![0.0]), Vector::from(vec![2.0]));
+/// let m = merge_moments([(1.0, &a, &zero), (1.0, &b, &zero)])?;
 /// assert_eq!(m.mean.as_slice(), &[1.0]);
 /// assert_eq!(m.cov[(0, 0)], 1.0); // variance of {0, 2}
 /// # Ok::<(), distclass_linalg::LinalgError>(())
 /// ```
 pub fn merge_moments<'a, I>(parts: I) -> Result<Moments, LinalgError>
 where
-    I: IntoIterator<Item = &'a Moments>,
+    I: IntoIterator<Item = (f64, &'a Vector, &'a Matrix)>,
 {
     let mut iter = parts.into_iter().peekable();
-    let d = iter.peek().ok_or(LinalgError::Empty)?.dim();
+    let d = iter.peek().ok_or(LinalgError::Empty)?.1.dim();
 
     // Running sums of w·μ and w·(Σ + μμᵀ), added into in place. They start
     // at -0.0, the additive identity of every f64, so the first part's
@@ -74,18 +77,20 @@ where
     let mut mean = Vector::filled(d, -0.0);
     let mut cov = Matrix::zeros(d, d);
     cov.as_mut_slice().fill(-0.0);
-    for m in iter {
-        if m.dim() != d {
+    for (w, m, c) in iter {
+        let actual = [m.dim(), c.rows(), c.cols()].into_iter().find(|&n| n != d);
+        if let Some(actual) = actual {
             return Err(LinalgError::DimensionMismatch {
                 expected: d,
-                actual: m.dim(),
+                actual,
             });
         }
-        weight += m.weight;
-        mean.axpy(m.weight, &m.mean);
+        weight += w;
+        mean.axpy(w, m);
+        let (m, c, sums) = (m.as_slice(), c.as_slice(), cov.as_mut_slice());
         for i in 0..d {
             for j in 0..d {
-                cov[(i, j)] += m.weight * (m.cov[(i, j)] + m.mean[i] * m.mean[j]);
+                sums[i * d + j] += w * (c[i * d + j] + m[i] * m[j]);
             }
         }
     }
@@ -195,6 +200,11 @@ mod tests {
         (a - b).abs() < 1e-10
     }
 
+    /// A moment set as a [`merge_moments`] part.
+    fn part(m: &Moments) -> (f64, &Vector, &Matrix) {
+        (m.weight, &m.mean, &m.cov)
+    }
+
     #[test]
     fn of_point_has_zero_cov() {
         let m = Moments::of_point(Vector::from([1.0, 2.0]), 0.5);
@@ -206,7 +216,7 @@ mod tests {
     fn merge_two_points_matches_variance() {
         let a = Moments::of_point(Vector::from([0.0, 0.0]), 1.0);
         let b = Moments::of_point(Vector::from([2.0, 4.0]), 1.0);
-        let m = merge_moments([&a, &b]).unwrap();
+        let m = merge_moments([part(&a), part(&b)]).unwrap();
         assert!(close(m.weight, 2.0));
         assert_eq!(m.mean.as_slice(), &[1.0, 2.0]);
         assert!(close(m.cov[(0, 0)], 1.0));
@@ -218,7 +228,7 @@ mod tests {
     fn merge_respects_weights() {
         let a = Moments::of_point(Vector::from([0.0]), 3.0);
         let b = Moments::of_point(Vector::from([4.0]), 1.0);
-        let m = merge_moments([&a, &b]).unwrap();
+        let m = merge_moments([part(&a), part(&b)]).unwrap();
         assert!(close(m.mean[0], 1.0));
         // E[x²] = (3*0 + 1*16)/4 = 4; var = 4 - 1 = 3.
         assert!(close(m.cov[(0, 0)], 3.0));
@@ -231,10 +241,10 @@ mod tests {
             .iter()
             .map(|p| Moments::of_point(Vector::from(*p), 1.0))
             .collect();
-        let all = merge_moments(moments.iter()).unwrap();
-        let left = merge_moments([&moments[0], &moments[1]]).unwrap();
-        let right = merge_moments([&moments[2], &moments[3]]).unwrap();
-        let two_step = merge_moments([&left, &right]).unwrap();
+        let all = merge_moments(moments.iter().map(part)).unwrap();
+        let left = merge_moments([part(&moments[0]), part(&moments[1])]).unwrap();
+        let right = merge_moments([part(&moments[2]), part(&moments[3])]).unwrap();
+        let two_step = merge_moments([part(&left), part(&right)]).unwrap();
         assert!(all.mean.approx_eq(&two_step.mean, 1e-10));
         assert!(all.cov.approx_eq(&two_step.cov, 1e-10));
         assert!(close(all.weight, two_step.weight));
@@ -242,10 +252,7 @@ mod tests {
 
     #[test]
     fn merge_empty_errors() {
-        assert_eq!(
-            merge_moments(std::iter::empty::<&Moments>()),
-            Err(LinalgError::Empty)
-        );
+        assert_eq!(merge_moments(std::iter::empty()), Err(LinalgError::Empty));
     }
 
     #[test]
@@ -253,9 +260,35 @@ mod tests {
         let a = Moments::of_point(Vector::from([0.0]), 1.0);
         let b = Moments::of_point(Vector::from([0.0, 1.0]), 1.0);
         assert!(matches!(
-            merge_moments([&a, &b]),
+            merge_moments([part(&a), part(&b)]),
             Err(LinalgError::DimensionMismatch { .. })
         ));
+    }
+
+    /// Every part's covariance must be `d × d`: a smaller one would be
+    /// read out of bounds and a larger one through its top-left block.
+    #[test]
+    fn merge_rejects_a_covariance_of_the_wrong_shape() {
+        let mean = Vector::from([0.0, 1.0]);
+        let square = Matrix::zeros(2, 2);
+        for bad in [
+            Matrix::zeros(1, 1),
+            Matrix::zeros(3, 3),
+            Matrix::zeros(2, 3),
+        ] {
+            let actual = if bad.rows() == 2 {
+                bad.cols()
+            } else {
+                bad.rows()
+            };
+            let expected = Err(LinalgError::DimensionMismatch {
+                expected: 2,
+                actual,
+            });
+            let (good, bad) = ((1.0, &mean, &square), (1.0, &mean, &bad));
+            assert_eq!(merge_moments([good, bad]), expected);
+            assert_eq!(merge_moments([bad, good]), expected);
+        }
     }
 
     #[test]
@@ -268,7 +301,7 @@ mod tests {
             acc.push(&Vector::from(*p), w);
             moments.push(Moments::of_point(Vector::from(*p), w));
         }
-        let direct = merge_moments(moments.iter()).unwrap();
+        let direct = merge_moments(moments.iter().map(part)).unwrap();
         let incremental = acc.moments().unwrap();
         assert!(close(direct.weight, incremental.weight));
         assert!(direct.mean.approx_eq(&incremental.mean, 1e-10));

@@ -88,7 +88,8 @@ proptest! {
             .iter()
             .map(|&((x, y), w)| Moments::of_point(Vector::from([x, y]), w))
             .collect();
-        let merged = merge_moments(moments.iter()).expect("non-empty");
+        let merged = merge_moments(moments.iter().map(|m| (m.weight, &m.mean, &m.cov)))
+            .expect("non-empty");
         // A covariance of real weighted points is PSD: Cholesky of
         // cov + tiny jitter must succeed.
         let chol = merged.cov.cholesky_with_jitter(1e-9, 10);
@@ -110,8 +111,9 @@ proptest! {
             .iter()
             .map(|&((x, y), w)| Moments::of_point(Vector::from([x, y]), w))
             .collect();
-        let forward = merge_moments(moments.iter()).expect("non-empty");
-        let backward = merge_moments(moments.iter().rev()).expect("non-empty");
+        let parts: Vec<_> = moments.iter().map(|m| (m.weight, &m.mean, &m.cov)).collect();
+        let forward = merge_moments(parts.iter().copied()).expect("non-empty");
+        let backward = merge_moments(parts.iter().rev().copied()).expect("non-empty");
         prop_assert!((forward.weight - backward.weight).abs() < 1e-9);
         prop_assert!(forward.mean.approx_eq(&backward.mean, 1e-8));
         prop_assert!(forward.cov.approx_eq(&backward.cov, 1e-7));

@@ -88,7 +88,8 @@ proptest! {
             acc.push(&v, w);
             parts.push(Moments::of_point(v, w));
         }
-        let merged = merge_moments(parts.iter()).expect("non-empty");
+        let merged = merge_moments(parts.iter().map(|m| (m.weight, &m.mean, &m.cov)))
+            .expect("non-empty");
         let incremental = acc.moments().expect("non-empty");
         prop_assert!((merged.weight - incremental.weight).abs() < 1e-9);
         prop_assert!(merged.mean.approx_eq(&incremental.mean, 1e-6));

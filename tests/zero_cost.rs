@@ -261,6 +261,21 @@ fn gm_partition_allocations_do_not_grow_with_collections() {
     );
 }
 
+/// `GmInstance::merge_set` reads its parts by reference: merging 2 parts
+/// and 7 parts makes the same allocations, the merged mean and covariance.
+#[test]
+fn gm_merge_set_allocates_only_the_merged_summary() {
+    let inst = GmInstance::new(7).expect("k > 0");
+    let big = fig2_union(1);
+    let parts: Vec<(&GaussianSummary, f64)> = big
+        .iter()
+        .map(|c| (&c.summary, c.weight.grains() as f64))
+        .collect();
+    assert_eq!(parts.len(), 7);
+    let merge = |m: usize| allocations(|| drop(inst.merge_set(&parts[..m])));
+    assert_eq!((merge(2), merge(7)), (2, 2), "merge_set allocations");
+}
+
 #[test]
 fn complete_graph_costs_no_allocation_at_any_size() {
     let n = 1_000_000;
