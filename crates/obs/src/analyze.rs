@@ -28,6 +28,7 @@
 //!   panicked peers, stalled peers, stale unmatched sends, and audit
 //!   verdict mismatches.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 
@@ -459,9 +460,9 @@ struct TraceFold {
     /// `unmatched` are settled in `finish`.
     links: Vec<LinkStats>,
     link_index: HashMap<(usize, usize), usize>,
-    /// Send instants not yet delivered or dropped, oldest first, for
+    /// Send instants not yet delivered or dropped, by link index, for
     /// the links that have any.
-    pending: HashMap<(usize, usize), VecDeque<f64>>,
+    pending: HashMap<usize, Pending>,
     /// The newest trace instant of any message event.
     max_at: f64,
     faults: Vec<FaultWindow>,
@@ -479,9 +480,16 @@ struct TraceFold {
     anomalies: Vec<Anomaly>,
 }
 
+/// One link's send instants not yet delivered or dropped, oldest first.
+/// The usual single one is kept inline; only those behind it take heap.
+struct Pending {
+    oldest: f64,
+    rest: VecDeque<f64>,
+}
+
 impl TraceFold {
-    /// The stats of link `from → to`, created on first sight.
-    fn link(&mut self, from: usize, to: usize) -> &mut LinkStats {
+    /// The index of link `from → to` in `links`, created on first sight.
+    fn link(&mut self, from: usize, to: usize) -> usize {
         let fresh = self.links.len();
         let i = *self.link_index.entry((from, to)).or_insert(fresh);
         if i == fresh {
@@ -491,17 +499,20 @@ impl TraceFold {
                 ..LinkStats::default()
             });
         }
-        &mut self.links[i]
+        i
     }
 
-    /// Resolves the oldest pending send on `from → to`, if any.
-    fn resolve(&mut self, from: usize, to: usize) -> Option<f64> {
-        let queue = self.pending.get_mut(&(from, to))?;
-        let sent_at = queue.pop_front();
-        if queue.is_empty() {
-            self.pending.remove(&(from, to));
+    /// Resolves the oldest pending send on link `i`, if any.
+    fn resolve(&mut self, i: usize) -> Option<f64> {
+        let pending = self.pending.get_mut(&i)?;
+        let sent_at = pending.oldest;
+        match pending.rest.pop_front() {
+            Some(next) => pending.oldest = next,
+            None => {
+                self.pending.remove(&i);
+            }
         }
-        sent_at
+        Some(sent_at)
     }
 }
 
@@ -533,13 +544,22 @@ impl Fold for TraceFold {
             }
             TraceEvent::MessageSent { from, to, at, .. } => {
                 self.max_at = self.max_at.max(*at);
-                self.link(*from, *to);
-                self.pending.entry((*from, *to)).or_default().push_back(*at);
+                let i = self.link(*from, *to);
+                match self.pending.entry(i) {
+                    Entry::Vacant(e) => {
+                        e.insert(Pending {
+                            oldest: *at,
+                            rest: VecDeque::new(),
+                        });
+                    }
+                    Entry::Occupied(e) => e.into_mut().rest.push_back(*at),
+                }
             }
             TraceEvent::MessageDelivered { from, to, at, .. } => {
                 self.max_at = self.max_at.max(*at);
-                let sent_at = self.resolve(*from, *to);
-                let link = self.link(*from, *to);
+                let i = self.link(*from, *to);
+                let sent_at = self.resolve(i);
+                let link = &mut self.links[i];
                 link.delivered += 1;
                 if let Some(sent_at) = sent_at {
                     let dt = (at - sent_at).max(0.0);
@@ -547,8 +567,9 @@ impl Fold for TraceFold {
                 }
             }
             TraceEvent::MessageDropped { from, to, .. } => {
-                self.resolve(*from, *to);
-                self.link(*from, *to).dropped += 1;
+                let i = self.link(*from, *to);
+                self.resolve(i);
+                self.links[i].dropped += 1;
             }
             TraceEvent::FaultActivated { kind, node, at } => {
                 self.faults.push(FaultWindow {
@@ -653,21 +674,24 @@ impl Fold for TraceFold {
         // later traffic pass it by and counts as unmatched.
         self.link_index = HashMap::new();
         let mut links = std::mem::take(&mut self.links);
+        for (i, pending) in std::mem::take(&mut self.pending) {
+            let link = &mut links[i];
+            for at in std::iter::once(pending.oldest).chain(pending.rest) {
+                if at < self.max_at {
+                    link.unmatched += 1;
+                } else {
+                    link.in_flight += 1;
+                }
+            }
+        }
         links.sort_unstable_by_key(|l| (l.from, l.to));
         links.shrink_to_fit();
-        for l in &mut links {
-            let Some(queue) = self.pending.remove(&(l.from, l.to)) else {
-                continue;
-            };
-            l.unmatched = queue.iter().filter(|&&at| at < self.max_at).count() as u64;
-            l.in_flight = queue.len() as u64 - l.unmatched;
-            if l.unmatched > 0 {
-                anomalies.push(Anomaly::UnmatchedSends {
-                    from: l.from,
-                    to: l.to,
-                    count: l.unmatched,
-                });
-            }
+        for l in links.iter().filter(|l| l.unmatched > 0) {
+            anomalies.push(Anomaly::UnmatchedSends {
+                from: l.from,
+                to: l.to,
+                count: l.unmatched,
+            });
         }
 
         // Grain ledgers, with the auditor's exact arithmetic. Ledgers

@@ -208,9 +208,10 @@ pub struct InfluenceMatrix {
     pub ids: Vec<usize>,
     /// `order[k]`: the stored row and column of node `ids[k]`.
     order: Vec<usize>,
-    /// Row-major `nodes × nodes` earliest markers, rows and columns in
-    /// the order nodes appeared in the trace, `NEVER` where the origin
-    /// never reached the destination.
+    /// `nodes × nodes` earliest markers, destination-major (row `d` holds
+    /// each origin's earliest marker at destination `d`), rows and
+    /// columns in the order nodes appeared in the trace, `NEVER` where
+    /// the origin never reached the destination.
     cells: Vec<u64>,
 }
 
@@ -239,10 +240,11 @@ impl InfluenceMatrix {
     }
 
     /// Row `k`: origin `ids[k]`'s earliest marker at each destination,
-    /// in `ids` order.
+    /// in `ids` order (a column of the stored cells).
     fn row(&self, k: usize) -> impl Iterator<Item = Option<u64>> + '_ {
-        let row = &self.cells[self.order[k] * self.nodes..][..self.nodes];
-        (self.order.iter()).map(|&c| Some(row[c]).filter(|&m| m != NEVER))
+        let origin = self.order[k];
+        (self.order.iter())
+            .map(move |&d| Some(self.cells[d * self.nodes + origin]).filter(|&m| m != NEVER))
     }
 }
 
@@ -443,6 +445,18 @@ const DISPLAY_MATRIX_MAX: usize = 16;
 /// simulator messages use incarnation 0 in a map of their own.
 type SpanKey = (u32, u64, u64);
 
+/// Where one node's timeline stands while the pass runs, so that a new
+/// vertex is checked without reading the node's previous one.
+#[derive(Clone, Copy)]
+struct Tip {
+    /// The node's latest vertex (`NONE` before its first).
+    vertex: usize,
+    /// That vertex's Lamport clock.
+    lamport: u64,
+    /// The highest clock among the node's vertices.
+    clock: u64,
+}
+
 /// The causal replay as a one-pass fold ([`CausalReport::fold`]).
 #[derive(Default)]
 struct CausalFold {
@@ -455,9 +469,8 @@ struct CausalFold {
     ids: Vec<usize>,
     index: HashMap<usize, u32>,
     verts: Vec<Vertex>,
-    /// Each node's latest vertex, by dense index.
-    last: Vec<usize>,
-    node_clocks: BTreeMap<usize, u64>,
+    /// Each node's timeline so far, by dense index.
+    tips: Vec<Tip>,
     /// Span mint sites: simulator messages and runtime grain halves.
     msg_spans: HashMap<SpanKey, usize>,
     grain_spans: HashMap<SpanKey, usize>,
@@ -474,8 +487,11 @@ struct CausalFold {
     /// (a drop names no span); returned halves keep theirs.
     snap_msg: BTreeMap<(u32, u64), (u32, Vec<u64>)>,
     snap_grain: HashMap<SpanKey, Vec<u64>>,
-    /// Earliest markers while the pass runs: `cap × cap`, in dense
-    /// order, `NEVER` where not reached; `cap` doubles as nodes appear.
+    /// Freed snapshots, reused by the next sends.
+    spare: Vec<Vec<u64>>,
+    /// Earliest markers while the pass runs: `cap × cap`, destination-
+    /// major in dense order (an absorb writes one destination's row),
+    /// `NEVER` where not reached; `cap` doubles as nodes appear.
     cells: Vec<u64>,
     cap: usize,
     /// Provenance: checkpoint-delimited delta segments per
@@ -522,7 +538,11 @@ impl CausalFold {
         let mut mask = vec![0u64; k / 64 + 1];
         mask[k / 64] = 1 << (k % 64);
         self.reach.push(mask);
-        self.last.push(NONE);
+        self.tips.push(Tip {
+            vertex: NONE,
+            lamport: 0,
+            clock: 0,
+        });
         self.ids.push(id);
         self.index.insert(id, k as u32);
         k as u32
@@ -539,17 +559,17 @@ impl CausalFold {
         span: Option<(u16, u64)>,
     ) -> usize {
         let id = self.verts.len();
-        let prev = std::mem::replace(&mut self.last[node as usize], id);
+        let tip = &mut self.tips[node as usize];
+        let prev = std::mem::replace(&mut tip.vertex, id);
         if prev != NONE {
-            let p = &mut self.verts[prev];
-            if p.lamport >= lamport {
+            if tip.lamport >= lamport {
                 self.lamport_violations += 1;
             }
-            p.next = id;
+            self.verts[prev].next = id;
             self.program_edges += 1;
         }
-        let clock = self.node_clocks.entry(self.ids[node as usize]).or_default();
-        *clock = (*clock).max(lamport);
+        tip.lamport = lamport;
+        tip.clock = tip.clock.max(lamport);
         self.verts.push(Vertex {
             lamport,
             stamp,
@@ -561,25 +581,34 @@ impl CausalFold {
         id
     }
 
+    /// Node `from`'s reach now, in a freed snapshot's buffer.
+    fn snapshot(&mut self, from: u32) -> Vec<u64> {
+        let mut snap = self.spare.pop().unwrap_or_default();
+        snap.clear();
+        snap.extend_from_slice(&self.reach[from as usize]);
+        snap
+    }
+
     /// ORs a span's send-time mask into node `to`'s reach; every origin
-    /// it newly reaches gets `marker` as its earliest.
-    fn absorb(&mut self, to: u32, snap: &[u64], marker: u64) {
+    /// it newly reaches gets `marker` as its earliest. The snapshot's
+    /// buffer is kept for the next send.
+    fn absorb(&mut self, to: u32, snap: Vec<u64>, marker: u64) {
         let reach = &mut self.reach[to as usize];
         if reach.len() < snap.len() {
             reach.resize(snap.len(), 0);
         }
-        for (w, (dst, src)) in reach.iter_mut().zip(snap).enumerate() {
+        let row = &mut self.cells[to as usize * self.cap..][..self.cap];
+        for (w, (dst, src)) in reach.iter_mut().zip(&snap).enumerate() {
             let mut fresh = src & !*dst;
             *dst |= src;
+            // A cell is set exactly when its origin joins the reach, so
+            // a fresh origin's cell is still `NEVER`.
             while fresh != 0 {
-                let origin = w * 64 + fresh.trailing_zeros() as usize;
-                let cell = &mut self.cells[origin * self.cap + to as usize];
-                if *cell == NEVER {
-                    *cell = marker;
-                }
+                row[w * 64 + fresh.trailing_zeros() as usize] = marker;
                 fresh &= fresh - 1;
             }
         }
+        self.spare.push(snap);
     }
 
     /// `u`'s out-edges with their hop weights, in construction order:
@@ -674,8 +703,10 @@ impl Fold for CausalFold {
                 let (from, to) = (a, b);
                 let id = self.add_vertex(from, *l, VertexKind::Send, Stamp::At(*at), Some((0, *q)));
                 self.msg_spans.insert((from, 0, *q), id);
-                let snap = self.reach[from as usize].clone();
-                self.snap_msg.insert((from, *q), (to, snap));
+                let snap = self.snapshot(from);
+                if let Some((_, old)) = self.snap_msg.insert((from, *q), (to, snap)) {
+                    self.spare.push(old);
+                }
             }
             TraceEvent::MessageDelivered {
                 at,
@@ -687,7 +718,7 @@ impl Fold for CausalFold {
                 let id = self.add_vertex(to, *l, VertexKind::Deliver, Stamp::At(*at), None);
                 self.parents.push((id, from, 0, *q));
                 if let Some((_, snap)) = self.snap_msg.remove(&(from, *q)) {
-                    self.absorb(to, &snap, marker.unwrap_or(*l));
+                    self.absorb(to, snap, marker.unwrap_or(*l));
                 }
             }
             TraceEvent::MessageDropped { .. } => {
@@ -700,7 +731,8 @@ impl Fold for CausalFold {
                     .filter(|(_, (dest, _))| *dest == to)
                     .map(|(&key, _)| key);
                 if let (Some(key), None) = (on_link.next(), on_link.next()) {
-                    self.snap_msg.remove(&key);
+                    self.spare
+                        .extend(self.snap_msg.remove(&key).map(|(_, snap)| snap));
                 }
             }
             TraceEvent::GrainDelta {
@@ -746,8 +778,8 @@ impl Fold for CausalFold {
                     if let Some(q) = seq {
                         let span = (nd, u64::from(*incarnation), *q);
                         self.grain_spans.insert(span, id);
-                        self.snap_grain
-                            .insert(span, self.reach[nd as usize].clone());
+                        let snap = self.snapshot(nd);
+                        self.spare.extend(self.snap_grain.insert(span, snap));
                     }
                     return;
                 }
@@ -758,7 +790,7 @@ impl Fold for CausalFold {
                 self.parents.push((id, span.0, span.1, span.2));
                 if *op == GrainOp::Merge {
                     if let Some(snap) = self.snap_grain.remove(&span) {
-                        self.absorb(nd, &snap, marker.unwrap_or(*l));
+                        self.absorb(nd, snap, marker.unwrap_or(*l));
                     }
                 }
             }
@@ -833,8 +865,8 @@ impl Fold for CausalFold {
 
     fn finish(mut self, unknown: usize) -> CausalReport {
         self.link();
-        (self.reach, self.snap_msg, self.snap_grain) =
-            (Vec::new(), BTreeMap::new(), HashMap::new());
+        (self.reach, self.snap_msg, self.snap_grain, self.spare) =
+            (Vec::new(), BTreeMap::new(), HashMap::new(), Vec::new());
         let verts = &self.verts;
 
         // ---- Toposort (Kahn) and longest-hop distances ----
@@ -1035,10 +1067,12 @@ impl Fold for CausalFold {
             anomalies.push(CausalAnomaly::UnknownEvents { count: unknown });
         }
 
-        let clock_skew = match (
-            self.node_clocks.values().max(),
-            self.node_clocks.values().min(),
-        ) {
+        // The clocks of the nodes that have a vertex.
+        let node_clocks: BTreeMap<usize, u64> = (self.ids.iter().zip(&self.tips))
+            .filter(|(_, tip)| tip.vertex != NONE)
+            .map(|(&id, tip)| (id, tip.clock))
+            .collect();
+        let clock_skew = match (node_clocks.values().max(), node_clocks.values().min()) {
             (Some(max), Some(min)) => max - min,
             _ => 0,
         };
@@ -1065,7 +1099,7 @@ impl Fold for CausalFold {
             unmatched_voids: self.unmatched_voids,
             program_edges: self.program_edges,
             cross_edges: self.cross.len(),
-            node_clocks: self.node_clocks,
+            node_clocks,
             clock_skew,
             depth,
             critical_path,

@@ -24,9 +24,9 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::io::BufRead;
+use std::io::{self, BufRead};
 
-use crate::json::{self, JsonError, Members};
+use crate::json::{self, JsonError, Members, Token};
 
 /// A field type of the trace format.
 trait Wire: Sized {
@@ -36,15 +36,15 @@ trait Wire: Sized {
     /// Writes the value as JSON.
     fn write(&self, out: &mut impl fmt::Write) -> fmt::Result;
 
-    /// The value that a checked JSON value's text holds; `None` when it
-    /// holds something else.
-    fn read(raw: &str) -> Option<Self>;
+    /// The value a scanned JSON value holds; `None` when it holds
+    /// something else.
+    fn read(token: Token<'_>) -> Option<Self>;
 }
 
-/// Types whose `Display` and `FromStr` are their JSON text. Integers
-/// are written exactly and read from digits alone: a sign, fraction or
-/// exponent, or a value past the type's range, is a field error.
-macro_rules! wire_parse {
+/// Integers are written exactly and read from the magnitude the scanner
+/// built: a sign, fraction or exponent, or a value past the type's range,
+/// is a field error.
+macro_rules! wire_int {
     ($($t:ty => $expected:literal),*) => {$(
         impl Wire for $t {
             const EXPECTED: &'static str = $expected;
@@ -53,15 +53,26 @@ macro_rules! wire_parse {
                 write!(out, "{self}")
             }
 
-            fn read(raw: &str) -> Option<Self> {
-                raw.parse().ok()
+            fn read(token: Token<'_>) -> Option<Self> {
+                token.as_u64()?.try_into().ok()
             }
         }
     )*};
 }
 
-wire_parse!(u16 => "integer in 0..=65535", u64 => "unsigned integer", usize => "unsigned integer");
-wire_parse!(bool => "bool");
+wire_int!(u16 => "integer in 0..=65535", u64 => "unsigned integer", usize => "unsigned integer");
+
+impl Wire for bool {
+    const EXPECTED: &'static str = "bool";
+
+    fn write(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(out, "{self}")
+    }
+
+    fn read(token: Token<'_>) -> Option<Self> {
+        token.as_bool()
+    }
+}
 
 impl Wire for f64 {
     const EXPECTED: &'static str = "number";
@@ -75,9 +86,8 @@ impl Wire for f64 {
         }
     }
 
-    /// Of the checked JSON values, only numbers parse as floats.
-    fn read(raw: &str) -> Option<Self> {
-        raw.parse().ok()
+    fn read(token: Token<'_>) -> Option<Self> {
+        token.as_f64()
     }
 }
 
@@ -93,8 +103,8 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
 
-    fn read(raw: &str) -> Option<Self> {
-        T::read(raw).map(Some)
+    fn read(token: Token<'_>) -> Option<Self> {
+        T::read(token).map(Some)
     }
 }
 
@@ -105,8 +115,8 @@ impl Wire for String {
         json::write_escaped(out, self)
     }
 
-    fn read(raw: &str) -> Option<Self> {
-        json::unquote(raw).map(Cow::into_owned)
+    fn read(token: Token<'_>) -> Option<Self> {
+        token.as_str().map(Cow::into_owned)
     }
 }
 
@@ -127,8 +137,8 @@ macro_rules! wire_enum {
                 out.write_str(match self { $( $name::$variant => concat!("\"", $wire, "\""), )* })
             }
 
-            fn read(raw: &str) -> Option<Self> {
-                match &*json::unquote(raw)? {
+            fn read(token: Token<'_>) -> Option<Self> {
+                match &*token.as_str()? {
                     $( $wire => Some($name::$variant), )*
                     _ => None,
                 }
@@ -160,11 +170,11 @@ wire_enum! {
 }
 
 /// The field rules of the module docs. `write` takes the field's
-/// `,"key":` prefix, `read` its key and raw value text, if present. An
+/// `,"key":` prefix, `read` its key and scanned value, if present. An
 /// `Option` is `null` when `None`, so on an `Option` `zero` is `opt` and
 /// `dflt` is `null`.
 mod rule {
-    use super::{fmt, JsonError, Wire};
+    use super::{fmt, JsonError, Token, Wire};
 
     pub mod req {
         use super::*;
@@ -174,9 +184,10 @@ mod rule {
             v.write(out)
         }
 
-        pub fn read<T: Wire>(key: &str, raw: Option<&str>) -> Result<T, JsonError> {
-            let raw = raw.ok_or_else(|| JsonError::field(key, "missing field"))?;
-            T::read(raw).ok_or_else(|| JsonError::field_type(key, T::EXPECTED))
+        #[inline]
+        pub fn read<T: Wire>(key: &str, token: Option<Token<'_>>) -> Result<T, JsonError> {
+            let token = token.ok_or_else(|| JsonError::field(key, "missing field"))?;
+            T::read(token).ok_or_else(|| JsonError::field_type(key, T::EXPECTED))
         }
     }
 
@@ -185,10 +196,14 @@ mod rule {
         use super::*;
 
         /// Absent or `null` is the default.
-        pub fn read<T: Wire + Default>(key: &str, raw: Option<&str>) -> Result<T, JsonError> {
-            match raw {
-                None | Some("null") => Ok(T::default()),
-                raw => req::read(key, raw),
+        #[inline]
+        pub fn read<T: Wire + Default>(
+            key: &str,
+            token: Option<Token<'_>>,
+        ) -> Result<T, JsonError> {
+            match token {
+                None | Some(Token::Null) => Ok(T::default()),
+                token => req::read(key, token),
             }
         }
     }
@@ -222,15 +237,20 @@ mod rule {
 macro_rules! trace_events {
     // Reads one field list from a line's members: the first of a
     // repeated key counts, keys the list lacks are skipped.
-    (@read $members:ident, $path:path { $( $rule:ident $field:ident = $key:literal ),* }) => {{
-        $( let mut $field = None; )*
-        while let Some((key, raw)) = $members.next_member()? {
-            match &*key {
-                $( $key => { $field.get_or_insert(raw); } )*
-                _ => {}
+    // Each field list is read by a function of its own, small enough for
+    // the scanner to be inlined into it.
+    (@read $members:ident, $ty:ty, $path:path { $( $rule:ident $field:ident = $key:literal ),* }) => {{
+        fn read(mut members: Members<'_>) -> Result<$ty, JsonError> {
+            $( let mut $field = None; )*
+            while let Some((key, token)) = members.next_member()? {
+                match &*key {
+                    $( $key => { $field.get_or_insert(token); } )*
+                    _ => {}
+                }
             }
+            Ok({ $path { $( $field: rule::$rule::read($key, $field)?, )* } })
         }
-        $path { $( $field: rule::$rule::read($key, $field)?, )* }
+        read($members)?
     }};
     (@write $out:ident, $( $rule:ident $field:ident = $key:literal ),*) => {
         $( rule::$rule::write($out, concat!(",\"", $key, "\":"), $field)?; )*
@@ -293,15 +313,16 @@ macro_rules! trace_events {
 
             /// The event of type `kind` from its line's members; `None`
             /// for a type the table lacks, once its members are checked.
-            fn decode_fields(kind: &str, mut members: Members<'_>) -> Result<Option<Self>, JsonError> {
+            fn decode_fields(kind: &str, members: Members<'_>) -> Result<Option<Self>, JsonError> {
                 Ok(Some(match kind {
-                    $( $wire => trace_events!(@read members, $name::$variant {
+                    $( $wire => trace_events!(@read members, $name, $name::$variant {
                         $( $rule $field = $key ),*
                     }), )*
-                    $twire => $name::$tvariant(trace_events!(@read members, $sample {
+                    $twire => $name::$tvariant(trace_events!(@read members, $sample, $sample {
                         $( $srule $sfield = $skey ),*
                     })),
                     _ => {
+                        let mut members = members;
                         while members.next_member()?.is_some() {}
                         return Ok(None);
                     }
@@ -718,9 +739,11 @@ impl TraceEvent {
         let mut behind = false;
         let kind = loop {
             let member = members.next_member()?;
-            let (key, raw) = member.ok_or_else(|| JsonError::field("type", "missing field"))?;
+            let (key, token) = member.ok_or_else(|| JsonError::field("type", "missing field"))?;
             if key == "type" {
-                break json::unquote(raw).ok_or_else(|| JsonError::field_type("type", "string"))?;
+                break token
+                    .as_str()
+                    .ok_or_else(|| JsonError::field_type("type", "string"))?;
             }
             behind = true;
         };
@@ -741,45 +764,96 @@ impl fmt::Display for TraceEvent {
 }
 
 /// Reads a JSONL trace one line at a time, handing each event to
-/// `on_event` in file order; nothing but the current line is held. Blank
-/// lines are skipped. Lines of event types this binary does not know are
-/// skipped and counted (the return value), so traces from a newer event
-/// taxonomy stay readable.
+/// `on_event` in file order. Each line is decoded where it lies in the
+/// reader's buffer; only a line that the buffer's end cuts is copied,
+/// into one buffer kept for the next such line. Blank lines (JSON
+/// whitespace only: spaces, tabs and carriage returns) are skipped.
+/// Lines of event types this binary does not know are skipped and
+/// counted (the return value), so traces from a newer event taxonomy
+/// stay readable.
 ///
 /// # Errors
 ///
 /// Returns a [`JsonError`] naming the offending line on the first
-/// malformed line (bad JSON, a known event with broken fields, or a read
-/// failure such as invalid UTF-8).
+/// malformed line (bad JSON, a known event with broken fields, invalid
+/// UTF-8, or any other non-blank line that is not an object) or read
+/// failure.
 pub fn read_jsonl(
     mut reader: impl BufRead,
     mut on_event: impl FnMut(TraceEvent),
 ) -> Result<usize, JsonError> {
-    let (mut buf, mut unknown) = (String::new(), 0usize);
     let at_line = |line_no: usize, message: &dyn fmt::Display, offset: usize| JsonError {
         message: format!("trace line {line_no}: {message}"),
         offset,
     };
-    for line_no in 1.. {
-        buf.clear();
-        let read = reader.read_line(&mut buf);
-        if read.map_err(|e| at_line(line_no, &e, 0))? == 0 {
-            break;
+    let mut unknown = 0usize;
+    let mut take = |line: &[u8], line_no: usize| {
+        if line.iter().all(|b| matches!(b, b' ' | b'\t' | b'\r')) {
+            return Ok(());
         }
-        // Line endings as `str::lines` strips them.
-        let line = buf
-            .strip_suffix('\n')
-            .map_or(buf.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
-        if line.trim().is_empty() {
-            continue;
-        }
+        let line = std::str::from_utf8(line).map_err(|e| at_line(line_no, &e, e.valid_up_to()))?;
         match TraceEvent::decode(line) {
             Ok((_, Some(ev))) => on_event(ev),
             Ok((_, None)) => unknown += 1,
             Err(e) => return Err(at_line(line_no, &e.message, e.offset)),
         }
+        Ok(())
+    };
+    // The start of a line that the buffer's end cut.
+    let (mut carry, mut line_no) = (Vec::new(), 0);
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(at_line(line_no + 1, &e, 0)),
+        };
+        if buf.is_empty() {
+            if !carry.is_empty() {
+                take(&carry, line_no + 1)?;
+            }
+            return Ok(unknown);
+        }
+        let mut rest = buf;
+        while let Some(end) = newline(rest) {
+            line_no += 1;
+            if carry.is_empty() {
+                take(strip_cr(&rest[..end]), line_no)?;
+            } else {
+                carry.extend_from_slice(&rest[..end]);
+                take(strip_cr(&carry), line_no)?;
+                carry.clear();
+            }
+            rest = &rest[end + 1..];
+        }
+        carry.extend_from_slice(rest);
+        let used = buf.len();
+        reader.consume(used);
     }
-    Ok(unknown)
+}
+
+/// A line without its newline, as `str::lines` strips a `\r\n` ending.
+fn strip_cr(line: &[u8]) -> &[u8] {
+    line.strip_suffix(b"\r").unwrap_or(line)
+}
+
+/// The index of the first newline in `bytes`, found eight bytes at a
+/// time.
+fn newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_ne_bytes([1; 8]);
+    const HIGHS: u64 = u64::from_ne_bytes([0x80; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        // The lowest high bit flags the first byte that was `\n`.
+        let x = word ^ (ONES * u64::from(b'\n'));
+        let zero = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zero != 0 {
+            return Some(8 * i + zero.trailing_zeros() as usize / 8);
+        }
+    }
+    let rest = words.remainder();
+    let at = bytes.len() - rest.len();
+    rest.iter().position(|&b| b == b'\n').map(|i| at + i)
 }
 
 /// An offline report computed in one pass over a trace: events go in
@@ -1139,7 +1213,7 @@ mod tests {
     #[test]
     fn line_reader_matches_str_lines() {
         let tick = r#"{"type":"tick_completed","node":0,"time":1.0}"#;
-        let text = format!("{tick}\r\n\r\n{{\"type\":\"later\"}}\n  \n{tick}");
+        let text = format!("{tick}\r\n\r\n{{\"type\":\"later\"}}\n \t\r \n{tick}");
         let mut events = Vec::new();
         let unknown = read_jsonl(text.as_bytes(), |ev| events.push(ev)).expect("parses");
         assert_eq!((events.len(), unknown), (2, 1));
@@ -1148,5 +1222,81 @@ mod tests {
         let err = read_jsonl(format!("{tick}\n\nnot json\n").as_bytes(), |_| {})
             .expect_err("line 3 is not JSON");
         assert!(err.message.starts_with("trace line 3:"), "{err}");
+    }
+
+    /// Lines that the reader's buffer cuts, anywhere, read as the lines
+    /// the whole text holds.
+    #[test]
+    fn lines_cut_by_the_buffer_read_whole() {
+        let tick = r#"{"type":"tick_completed","node":0,"time":1.0}"#;
+        let sent = r#"{"type":"message_sent","from":1,"to":2,"bytes":3,"lamport":4,"seq":5}"#;
+        let fault = r#"{"type":"fault_activated","kind":"é→\u00e9","node":null,"at":2.5}"#;
+        let text =
+            format!("{tick}\r\n{sent}\n\n {{\"type\":\"later\"}}\r\n{fault}\n{sent}\r\n{tick}");
+        let read = |reader: &mut dyn BufRead| {
+            let mut events = Vec::new();
+            let unknown = read_jsonl(reader, |ev| events.push(ev)).expect("parses");
+            (events, unknown)
+        };
+        let whole = read(&mut text.as_bytes());
+        assert_eq!((whole.0.len(), whole.1), (5, 1));
+        for capacity in [1, 2, 3, 7, 64, 1 << 16] {
+            let mut reader = io::BufReader::with_capacity(capacity, text.as_bytes());
+            assert_eq!(read(&mut reader), whole, "capacity {capacity}");
+        }
+        let bad = format!("{tick}\n{sent}\n{{\"type\":7}}\n");
+        let err = read_jsonl(io::BufReader::with_capacity(5, bad.as_bytes()), |_| {})
+            .expect_err("line 3 has no string type");
+        assert!(err.message.starts_with("trace line 3:"), "{err}");
+    }
+
+    /// The word-at-a-time newline search finds what a byte scan finds,
+    /// at every offset and next to bytes one bit away from `\n`.
+    #[test]
+    fn newline_search_matches_a_byte_scan() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for len in 0..200 {
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    [b'\n', 0x0b, 0x8a, 0x09, 0xff, b'a', 0x00, 0x0e][(x % 8) as usize]
+                })
+                .collect();
+            for start in 0..len.min(9) {
+                let rest = &bytes[start..];
+                assert_eq!(
+                    newline(rest),
+                    rest.iter().position(|&b| b == b'\n'),
+                    "{rest:?}"
+                );
+            }
+        }
+    }
+
+    /// Blank means JSON whitespace. A line of any other whitespace, or of
+    /// invalid UTF-8, is an error naming the line, as `from_json`
+    /// rejects it.
+    #[test]
+    fn only_json_whitespace_is_blank() {
+        let tick = r#"{"type":"tick_completed","node":0,"time":1.0}"#;
+        for space in [
+            "\u{b}",
+            "\u{c}",
+            " \u{85}",
+            "\u{a0}",
+            "\u{2028}\t",
+            "\u{3000}",
+        ] {
+            assert!(TraceEvent::from_json(space).is_err());
+            let text = format!("{tick}\n{space}\n{tick}\n");
+            let err = read_jsonl(text.as_bytes(), |_| {}).expect_err(space);
+            assert!(err.message.starts_with("trace line 2:"), "{space:?}: {err}");
+        }
+        let text = [tick.as_bytes(), b"\n{\"type\":\"x\xff\"}\n"].concat();
+        let err = read_jsonl(&text[..], |_| {}).expect_err("invalid UTF-8");
+        assert!(err.message.starts_with("trace line 2:"), "{err}");
+        assert_eq!(err.offset, 10);
     }
 }

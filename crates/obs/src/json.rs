@@ -3,10 +3,13 @@
 //! The workspace has no serde; reports, profiles, the live console and the
 //! bench snapshot build and read [`Json`] trees here. Trace lines do not:
 //! their codec (`crate::event`) writes straight into a buffer and reads
-//! with `Members`, a scanner over this parser that builds no tree. The
-//! parser takes the full JSON grammar, nested at most [`MAX_DEPTH`]
-//! deep. A [`Json`] number is an `f64`, so integers round-trip exactly up
-//! to 2^53, far beyond any grain count or counter this codebase produces.
+//! with `Members`, which builds no tree. Both read through one scanner
+//! that takes each value's bytes once: a key or string is borrowed unless
+//! it has escapes, and an integer's value is built while its digits are
+//! checked. The parser takes the full JSON grammar, nested at most
+//! [`MAX_DEPTH`] deep. A [`Json`] number is an `f64`, so integers
+//! round-trip exactly up to 2^53, far beyond any grain count or counter
+//! this codebase produces.
 //!
 //! # Non-finite float policy
 //!
@@ -266,8 +269,8 @@ impl std::error::Error for JsonError {}
 pub const MAX_DEPTH: usize = 128;
 
 /// The members of the one object a text holds, read in order without
-/// building a tree: each key, borrowed unless it has escapes, with the
-/// raw text of its value, which is checked but not decoded.
+/// building a tree: each key, borrowed unless it has escapes, with its
+/// value's [`Token`].
 pub(crate) struct Members<'a> {
     p: Parser<'a>,
     first: bool,
@@ -284,18 +287,90 @@ impl<'a> Members<'a> {
 
     /// The next member; `None` after the last, once the text is found to
     /// end with the object.
-    pub(crate) fn next_member(&mut self) -> Result<Option<(Cow<'a, str>, &'a str)>, JsonError> {
-        match self.p.next_member(&mut self.first)? {
-            Some(key) => Ok(Some((key, self.p.skip()?))),
+    #[inline]
+    pub(crate) fn next_member(&mut self) -> Result<Option<(Cow<'a, str>, Token<'a>)>, JsonError> {
+        match self.p.next_key(&mut self.first)? {
+            Some(key) => Ok(Some((key, self.p.token()?))),
             None => self.p.end().map(|()| None),
         }
     }
 }
 
-/// The string a raw value text (from [`Members`]) holds; `None` when the
-/// value is not a string.
-pub(crate) fn unquote(raw: &str) -> Option<Cow<'_, str>> {
-    Parser::new(raw).string().ok()
+/// One value as the scanner read it, each byte once: a scalar as what
+/// it holds, an array or object checked and skipped. No variant carries
+/// a `bool` beside other data, so moving a token moves whole words.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Token<'a> {
+    Null,
+    True,
+    False,
+    /// An integer (no fraction or exponent) in `0..=u64::MAX`, built as
+    /// its digits were read.
+    Uint(u64),
+    /// A negative integer, `-0` included, by its magnitude.
+    Neg(u64),
+    /// Any other number's text.
+    Num(&'a str),
+    /// A string without escapes: the text between its quotes.
+    Str(&'a str),
+    /// A string with escapes, checked but not decoded: the text between
+    /// its quotes.
+    Escaped(&'a str),
+    /// An array or object.
+    Nested,
+}
+
+impl<'a> Token<'a> {
+    /// The number, exactly as `str::parse::<f64>` reads its text. An
+    /// integer is converted from its magnitude: `u64 as f64` rounds to
+    /// nearest with ties to even, as the parse does, and `-0` is `-0.0`.
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self {
+            Token::Uint(m) => Some(m as f64),
+            Token::Neg(m) => Some(-(m as f64)),
+            Token::Num(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The number when it is an integer in `0..=u64::MAX` (so not `-0`).
+    pub(crate) fn as_u64(self) -> Option<u64> {
+        match self {
+            Token::Uint(m) => Some(m),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn as_bool(self) -> Option<bool> {
+        match self {
+            Token::True => Some(true),
+            Token::False => Some(false),
+            _ => None,
+        }
+    }
+
+    /// The string, borrowed unless it has escapes.
+    pub(crate) fn as_str(self) -> Option<Cow<'a, str>> {
+        match self {
+            Token::Str(s) => Some(Cow::Borrowed(s)),
+            Token::Escaped(s) => Some(Cow::Owned(unescape(s))),
+            _ => None,
+        }
+    }
+}
+
+/// Decodes the escapes of a string's text, which the scan has checked.
+#[cold]
+fn unescape(text: &str) -> String {
+    let mut p = Parser::new(text);
+    let mut out = String::with_capacity(text.len());
+    while let Some(run) = p.text[p.pos..].find('\\') {
+        out.push_str(&p.text[p.pos..p.pos + run]);
+        p.pos += run + 1;
+        out.extend(p.escape());
+    }
+    out.push_str(&p.text[p.pos..]);
+    out
 }
 
 struct Parser<'a> {
@@ -305,6 +380,9 @@ struct Parser<'a> {
     depth: usize,
 }
 
+// The functions a trace line's scan runs through are marked `#[inline]`
+// and their error paths `#[cold]`: without the hints, decoding a 200,100-
+// line trace took about 1.3 times as long.
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
@@ -314,6 +392,7 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[cold]
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             message: message.to_string(),
@@ -321,23 +400,31 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn eat(&mut self, expected: u8) -> Result<(), JsonError> {
         if self.peek() == Some(expected) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", expected as char)))
+            Err(self.expected(expected))
         }
+    }
+
+    #[cold]
+    fn expected(&self, what: u8) -> JsonError {
+        self.err(&format!("expected '{}'", what as char))
     }
 
     /// Only whitespace may follow the document.
@@ -363,6 +450,7 @@ impl<'a> Parser<'a> {
     /// Whether another element follows in the array or object that
     /// `close` ends: consumes the `,` before it, or at the end `close`
     /// itself. `first` holds until the first element.
+    #[inline]
     fn more(&mut self, close: u8, first: &mut bool) -> Result<bool, JsonError> {
         self.skip_ws();
         if self.peek() == Some(close) {
@@ -382,33 +470,36 @@ impl<'a> Parser<'a> {
 
     /// The next key of the object being read, leaving the parser at its
     /// value; `None` once the object has closed.
-    fn next_member(&mut self, first: &mut bool) -> Result<Option<Cow<'a, str>>, JsonError> {
+    #[inline]
+    fn next_key(&mut self, first: &mut bool) -> Result<Option<Cow<'a, str>>, JsonError> {
         if !self.more(b'}', first)? {
             return Ok(None);
         }
-        let key = self.string()?;
+        // `string` yields `Str` or `Escaped`.
+        let key = self.string()?.as_str().unwrap_or_default();
         self.skip_ws();
         self.eat(b':')?;
         self.skip_ws();
         Ok(Some(key))
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
+    fn literal(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
         if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
     }
 
+    /// A value as a tree.
     fn value(&mut self) -> Result<Json, JsonError> {
         let mut first = true;
         match self.peek() {
             Some(b'{') => {
                 self.open(b'{')?;
                 let mut fields = Vec::new();
-                while let Some(key) = self.next_member(&mut first)? {
+                while let Some(key) = self.next_key(&mut first)? {
                     fields.push((key.into_owned(), self.value()?));
                 }
                 Ok(Json::Obj(fields))
@@ -421,141 +512,163 @@ impl<'a> Parser<'a> {
                 }
                 Ok(Json::Arr(items))
             }
-            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => {
-                let text = self.number()?;
-                text.parse()
-                    .map(Json::Num)
-                    .map_err(|_| self.err("bad number"))
-            }
+            _ => Ok(match self.token()? {
+                Token::Null => Json::Null,
+                Token::True => Json::Bool(true),
+                Token::False => Json::Bool(false),
+                Token::Str(s) => Json::Str(s.to_string()),
+                Token::Escaped(s) => Json::Str(unescape(s)),
+                number => Json::Num(number.as_f64().ok_or_else(|| self.err("bad number"))?),
+            }),
+        }
+    }
+
+    /// One value, read once: a scalar as its token, an array or object
+    /// checked without building it.
+    #[inline]
+    fn token(&mut self) -> Result<Token<'a>, JsonError> {
+        match self.peek() {
+            Some(b'"') => self.string(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'{' | b'[') => self.nested().map(|()| Token::Nested),
+            Some(b't') => self.literal("true", Token::True),
+            Some(b'f') => self.literal("false", Token::False),
+            Some(b'n') => self.literal("null", Token::Null),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    /// Checks one value without building it; returns its text.
-    fn skip(&mut self) -> Result<&'a str, JsonError> {
-        let (start, mut first) = (self.pos, true);
-        match self.peek() {
-            Some(b'{') => {
-                self.open(b'{')?;
-                while self.next_member(&mut first)?.is_some() {
-                    self.skip()?;
-                }
+    /// Checks the array or object at `pos` without building it.
+    fn nested(&mut self) -> Result<(), JsonError> {
+        let mut first = true;
+        if self.peek() == Some(b'{') {
+            self.open(b'{')?;
+            while self.next_key(&mut first)?.is_some() {
+                self.token()?;
             }
-            Some(b'[') => {
-                self.open(b'[')?;
-                while self.more(b']', &mut first)? {
-                    self.skip()?;
-                }
-            }
-            Some(b'"') => {
-                self.string()?;
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                self.number()?;
-            }
-            // A literal, or the error.
-            _ => {
-                self.value()?;
+        } else {
+            self.open(b'[')?;
+            while self.more(b']', &mut first)? {
+                self.token()?;
             }
         }
-        Ok(&self.text[start..self.pos])
+        Ok(())
     }
 
-    /// A string, borrowed from the text unless it has escapes.
-    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    /// A string, its escapes checked but not decoded: `Str` or `Escaped`.
+    #[inline]
+    fn string(&mut self) -> Result<Token<'a>, JsonError> {
         self.eat(b'"')?;
+        let start = self.pos;
         let bytes = self.text.as_bytes();
-        let mut out: Option<String> = None;
+        let mut escaped = false;
         loop {
-            let start = self.pos;
             while let Some(&b) = bytes.get(self.pos) {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            // The run ends at an ASCII byte, so on a char boundary.
-            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
+                    let text = &self.text[start..self.pos];
                     self.pos += 1;
-                    return Ok(match out {
-                        None => Cow::Borrowed(run),
-                        Some(s) => Cow::Owned(s + run),
+                    return Ok(if escaped {
+                        Token::Escaped(text)
+                    } else {
+                        Token::Str(text)
                     });
                 }
                 Some(b'\\') => {
-                    let out = out.get_or_insert_with(String::new);
-                    out.push_str(run);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            // Exactly four hex digits: no sign.
-                            let code = hex
-                                .iter()
-                                .try_fold(0, |code, &h| {
-                                    Some(code * 16 + char::from(h).to_digit(16)?)
-                                })
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed by any producer
-                            // in this workspace; map them to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
+                    self.escape()?;
+                    escaped = true;
                 }
                 _ => return Err(self.err("unterminated string")),
             }
         }
     }
 
-    /// A number's text, checked against JSON's grammar.
-    fn number(&mut self) -> Result<&'a str, JsonError> {
-        let start = self.pos;
-        let digits = |p: &mut Self| {
-            let from = p.pos;
-            while let Some(b'0'..=b'9') = p.peek() {
-                p.pos += 1;
+    /// The char an escape stands for, read from just past its backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let hex = (self.text.as_bytes())
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.err("truncated \\u escape"))?;
+                // Exactly four hex digits: no sign.
+                let code = hex
+                    .iter()
+                    .try_fold(0, |code, &h| Some(code * 16 + char::from(h).to_digit(16)?))
+                    .ok_or_else(|| self.err("bad \\u escape"))?;
+                self.pos += 4;
+                // Surrogate pairs are not needed by any producer in this
+                // workspace; map them to U+FFFD.
+                char::from_u32(code).unwrap_or('\u{fffd}')
             }
-            if p.pos > from {
-                Ok(())
-            } else {
-                Err(p.err("bad number"))
-            }
+            _ => return Err(self.err("bad escape")),
         };
-        if self.peek() == Some(b'-') {
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// A number, checked against JSON's grammar; an integer's magnitude
+    /// is built from its digits as they are read.
+    #[inline]
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        digits(self)?;
+        let mut magnitude = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude.and_then(|m| m.checked_mul(10)?.checked_add(u64::from(d - b'0')));
+            self.pos += 1;
+        }
+        if self.pos == start + usize::from(negative) {
+            return Err(self.err("bad number"));
+        }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            digits(self)?;
+            self.digits()?;
+            magnitude = None;
         }
         if let Some(b'e' | b'E') = self.peek() {
             self.pos += 1;
             if let Some(b'+' | b'-') = self.peek() {
                 self.pos += 1;
             }
-            digits(self)?;
+            self.digits()?;
+            magnitude = None;
         }
-        Ok(&self.text[start..self.pos])
+        Ok(match magnitude {
+            Some(m) if negative => Token::Neg(m),
+            Some(m) => Token::Uint(m),
+            None => Token::Num(&self.text[start..self.pos]),
+        })
+    }
+
+    /// One or more digits.
+    #[inline]
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let from = self.pos;
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
+        if self.pos > from {
+            Ok(())
+        } else {
+            Err(self.err("bad number"))
+        }
     }
 }
 
@@ -664,7 +777,7 @@ mod tests {
         assert!(v.req_bool("live").is_err());
     }
 
-    fn scan(text: &str) -> Result<Vec<(Cow<'_, str>, &str)>, JsonError> {
+    fn scan(text: &str) -> Result<Vec<(Cow<'_, str>, Token<'_>)>, JsonError> {
         let (mut members, mut all) = (Members::new(text)?, Vec::new());
         while let Some(member) = members.next_member()? {
             all.push(member);
@@ -688,19 +801,22 @@ mod tests {
         assert_eq!(scan(&fits).expect("scans").len(), 1);
     }
 
-    /// The scanner borrows plain keys, hands over values' raw text, and
-    /// checks the whole text: numbers against JSON's grammar, and nothing
-    /// after the object.
+    /// The scanner borrows plain keys and strings, builds integers as it
+    /// reads them, and checks the whole text: numbers against JSON's
+    /// grammar, and nothing after the object.
     #[test]
     fn members_scan_one_flat_object() {
-        let text = r#" {"a": 1.5e3, "b\u0041": ["x", {"y": null}], "c":"q\"z"} "#;
+        let text = r#" {"a": 1.5e3, "b\u0041": ["x", {"y": null}], "c":"q\"z", "d":-07, "e":"p"} "#;
         let members = scan(text).expect("scans");
         assert!(matches!(members[0].0, Cow::Borrowed("a")));
         assert_eq!(members[1].0, "bA");
-        let raws: Vec<&str> = members.iter().map(|m| m.1).collect();
-        assert_eq!(raws, [r#"1.5e3"#, r#"["x", {"y": null}]"#, r#""q\"z""#]);
-        assert_eq!(unquote(raws[2]).as_deref(), Some("q\"z"));
-        assert_eq!(unquote(raws[0]), None);
+        let tokens: Vec<Token<'_>> = members.iter().map(|m| m.1).collect();
+        assert_eq!(tokens[0], Token::Num("1.5e3"));
+        assert_eq!(tokens[1], Token::Nested);
+        assert_eq!(tokens[2], Token::Escaped(r#"q\"z"#));
+        assert_eq!(tokens[2].as_str().as_deref(), Some("q\"z"));
+        assert_eq!(tokens[3], Token::Neg(7));
+        assert!(matches!(tokens[4].as_str(), Some(Cow::Borrowed("p"))));
 
         for bad in [
             r#"{"a":1} x"#,
@@ -708,9 +824,59 @@ mod tests {
             r#"{"a":-}"#,
             r#"{"a":1,}"#,
             r#"{"a" 1}"#,
+            r#"{"a":"\q"}"#,
+            r#"{"a":"\u12"}"#,
             "[1]",
         ] {
             assert!(scan(bad).is_err(), "{bad}");
+        }
+    }
+
+    /// A number reads as `str::parse::<f64>` reads its text, bit for bit:
+    /// integers through their magnitude, past 2^53, at `u64::MAX` and
+    /// beyond it, `-0` included; an integer field takes only `0..=u64::MAX`.
+    #[test]
+    fn numbers_read_as_the_standard_parse_does() {
+        let mut texts: Vec<String> = [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "007",
+            "-00",
+            "1.5",
+            "-0.0",
+            "1e3",
+            "1E-3",
+            "1e999",
+            "9007199254740992",
+            "9007199254740993",
+            "9007199254740995",
+            "18446744073709551615",
+            "-18446744073709551615",
+            "18446744073709551616",
+            "99999999999999999999999",
+            "-99999999999999999999999",
+        ]
+        .map(String::from)
+        .to_vec();
+        // Odd values past 2^53 fall between floats: ties and near-ties.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..1_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            texts.push(x.to_string());
+            texts.push(format!("-{}", x >> (x % 64)));
+        }
+        for text in &texts {
+            let token = Parser::new(text).token().expect(text);
+            let want: f64 = text.parse().expect(text);
+            let got = token.as_f64().expect(text);
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+            assert_eq!(token.as_u64(), text.parse::<u64>().ok(), "{text}");
+            let tree = Json::parse(text).expect(text).as_f64().expect(text);
+            assert_eq!(tree.to_bits(), want.to_bits(), "{text}");
         }
     }
 }

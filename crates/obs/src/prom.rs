@@ -408,23 +408,121 @@ impl std::fmt::Debug for HttpServer {
     }
 }
 
+/// The most a request head may grow to before the server stops reading
+/// it and refuses it.
+pub const MAX_HEAD: usize = 16 * 1024;
+
+/// A request method the server answers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Method {
+    /// `GET`.
+    Get,
+    /// `HEAD`: the `GET` response's headers, without its body.
+    Head,
+}
+
+/// What the server routes a request on, borrowed from the bytes received.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestHead<'a> {
+    /// The request method.
+    pub method: Method,
+    /// The request target before its first `?`.
+    pub path: &'a str,
+    /// The raw query string after the first `?`, if the target has one.
+    pub query: Option<&'a str>,
+}
+
+/// Why the server refuses a request head.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadError {
+    /// The bytes end before the blank line that closes a head.
+    Incomplete,
+    /// More than [`MAX_HEAD`] bytes arrived without that blank line.
+    Oversized,
+    /// The request line is not UTF-8 text holding a method and a target.
+    MalformedRequestLine,
+    /// A method other than `GET` or `HEAD`.
+    MethodNotAllowed,
+}
+
+impl HeadError {
+    /// The response the server answers it with.
+    fn response(self) -> HttpResponse {
+        let (status, body): (u16, &[u8]) = match self {
+            HeadError::Incomplete | HeadError::Oversized => {
+                (400, b"bad request: incomplete or oversized request head\n")
+            }
+            HeadError::MalformedRequestLine => (400, b"bad request: malformed request line\n"),
+            HeadError::MethodNotAllowed => (405, b"method not allowed\n"),
+        };
+        HttpResponse {
+            status,
+            content_type: "text/plain; charset=utf-8",
+            body: body.to_vec(),
+        }
+    }
+}
+
+/// Whether the bytes hold a whole request head: one ends at its first
+/// blank line.
+fn has_head(received: &[u8]) -> bool {
+    received.windows(4).any(|w| w == b"\r\n\r\n")
+}
+
+/// Reads the request head at the start of the bytes a connection
+/// received: its request line (up to the first `\r`) must be UTF-8 with
+/// a method and a target, split by ASCII whitespace, and the head must
+/// end with a blank line. Header lines are not read.
+///
+/// # Errors
+///
+/// A [`HeadError`] for each way a head fails, in that order: no blank
+/// line yet (the bytes are [`HeadError::Oversized`] past [`MAX_HEAD`]), a
+/// malformed request line, or a method other than `GET` or `HEAD`.
+pub fn parse_request_head(received: &[u8]) -> Result<RequestHead<'_>, HeadError> {
+    if !has_head(received) {
+        return Err(if received.len() > MAX_HEAD {
+            HeadError::Oversized
+        } else {
+            HeadError::Incomplete
+        });
+    }
+    let line = received.split(|&b| b == b'\r').next().unwrap_or_default();
+    let line = std::str::from_utf8(line).map_err(|_| HeadError::MalformedRequestLine)?;
+    let mut parts = line.split_ascii_whitespace();
+    let (Some(method), Some(target)) = (parts.next(), parts.next()) else {
+        return Err(HeadError::MalformedRequestLine);
+    };
+    let method = match method {
+        "GET" => Method::Get,
+        "HEAD" => Method::Head,
+        _ => return Err(HeadError::MethodNotAllowed),
+    };
+    let (path, query) = match target.split_once('?') {
+        Some((path, query)) => (path, Some(query)),
+        None => (target, None),
+    };
+    Ok(RequestHead {
+        method,
+        path,
+        query,
+    })
+}
+
 /// Reads one request head, dispatches it, writes one response, closes.
 fn serve_conn(mut stream: TcpStream, handler: &dyn HttpHandler) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut head = Vec::new();
+    let mut received = Vec::new();
     let mut buf = [0u8; 1024];
-    let mut complete = false;
+    // Read until the head is whole, too long, or the client stops: a
+    // slow trickle hits the read timeout and is refused as incomplete.
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => {
-                head.extend_from_slice(&buf[..n]);
-                if head.windows(4).any(|w| w == b"\r\n\r\n") {
-                    complete = true;
-                    break;
-                }
-                if head.len() > 16 * 1024 {
+                received.extend_from_slice(&buf[..n]);
+                if has_head(&received) || received.len() > MAX_HEAD {
                     break;
                 }
             }
@@ -436,60 +534,20 @@ fn serve_conn(mut stream: TcpStream, handler: &dyn HttpHandler) -> io::Result<()
             Err(e) => return Err(e),
         }
     }
-    // Oversized or never-terminated heads (slow trickle hitting the read
-    // timeout) are malformed, not served.
-    if !complete {
-        return write_response(
-            &mut stream,
-            false,
-            &HttpResponse {
-                status: 400,
-                content_type: "text/plain; charset=utf-8",
-                body: b"bad request: incomplete or oversized request head\n".to_vec(),
-            },
-        );
-    }
-    let request_line = head
-        .split(|&b| b == b'\r')
-        .next()
-        .and_then(|l| std::str::from_utf8(l).ok())
-        .unwrap_or("");
-    let mut parts = request_line.split_ascii_whitespace();
-    let (method, target) = match (parts.next(), parts.next()) {
-        (Some(m), Some(t)) => (m, t),
-        _ => {
-            return write_response(
-                &mut stream,
-                false,
-                &HttpResponse {
-                    status: 400,
+    let (head_only, response) = match parse_request_head(&received) {
+        Ok(head) => (
+            head.method == Method::Head,
+            handler
+                .handle(head.path, head.query)
+                .unwrap_or(HttpResponse {
+                    status: 404,
                     content_type: "text/plain; charset=utf-8",
-                    body: b"bad request: malformed request line\n".to_vec(),
-                },
-            );
-        }
+                    body: b"not found\n".to_vec(),
+                }),
+        ),
+        Err(e) => (false, e.response()),
     };
-    if method != "GET" && method != "HEAD" {
-        return write_response(
-            &mut stream,
-            false,
-            &HttpResponse {
-                status: 405,
-                content_type: "text/plain; charset=utf-8",
-                body: b"method not allowed\n".to_vec(),
-            },
-        );
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (target, None),
-    };
-    let response = handler.handle(path, query).unwrap_or(HttpResponse {
-        status: 404,
-        content_type: "text/plain; charset=utf-8",
-        body: b"not found\n".to_vec(),
-    });
-    write_response(&mut stream, method == "HEAD", &response)
+    write_response(&mut stream, head_only, &response)
 }
 
 /// Writes the response. `HEAD` gets the same headers — including the

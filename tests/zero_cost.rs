@@ -11,6 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::BufReader;
 use std::sync::Arc;
 
 use distclass::core::em::{self, EmConfig};
@@ -20,7 +21,7 @@ use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
 use distclass::net::Topology;
 use distclass::obs::{
-    GrainOp, JsonlSink, Phase, Profiler, ProfilerCore, TraceEvent, TraceSink, Tracer,
+    read_jsonl, GrainOp, JsonlSink, Phase, Profiler, ProfilerCore, TraceEvent, TraceSink, Tracer,
 };
 
 thread_local! {
@@ -116,6 +117,39 @@ fn jsonl_sink_records_without_allocating() {
     let text = std::fs::read_to_string(&path).expect("read the trace back");
     std::fs::remove_file(&path).ok();
     assert_eq!(text, format!("{delta}\n{sent}\n").repeat(1_001));
+}
+
+/// The trace reader decodes each line where it lies in the reader's
+/// buffer: a `&[u8]` trace of the events a simulator writes is read with
+/// no allocation at all, and through a `BufReader` the count does not
+/// grow with the number of lines.
+#[test]
+fn read_jsonl_allocates_nothing_per_line() {
+    let lines = [
+        r#"{"type":"message_sent","from":12,"to":7,"bytes":29,"at":3,"lamport":41,"seq":5}"#,
+        r#"{"type":"message_delivered","from":12,"to":7,"bytes":29,"at":3,"lamport":42,"span_seq":5}"#,
+        r#"{"type":"message_dropped","from":3,"to":9,"reason":"crashed"}"#,
+        r#"{"type":"round_completed","round":3,"live":2000,"sent":8000,"delivered":7998,"dropped":2}"#,
+        r#"{"type":"telemetry","round":4,"live":2000,"classifications_mean":1.6365,"classifications_max":2,"weight_spread":2.5,"mean_error":null,"max_error":null,"dispersion":0.125,"unix_ms":null}"#,
+    ];
+    let text = format!("{}\n", lines.join("\n")).repeat(200);
+    let mut events = 0;
+    let n = allocations(|| {
+        let unknown = read_jsonl(text.as_bytes(), |_| events += 1).expect("reads");
+        assert_eq!(unknown, 0);
+    });
+    assert_eq!((events, n), (1_000, 0), "events read, allocations");
+
+    let buffered = |copies: usize| {
+        let text = format!("{}\n", lines[1]).repeat(copies);
+        let mut events = 0;
+        let n = allocations(|| {
+            read_jsonl(BufReader::new(text.as_bytes()), |_| events += 1).expect("reads");
+        });
+        assert_eq!(events, copies);
+        n
+    };
+    assert_eq!(buffered(1_000), buffered(10_000), "allocations per line");
 }
 
 #[test]
