@@ -3,6 +3,9 @@ use std::fmt;
 use crate::collection::Collection;
 use crate::weight::Weight;
 
+/// Why a zero-weight collection is refused.
+pub(crate) const ZERO_WEIGHT: &str = "zero-weight collection pushed into classification";
+
 /// A classification: the (bounded) set of weighted collection summaries a
 /// node maintains, and the unit the algorithm sends over links.
 ///
@@ -21,7 +24,7 @@ use crate::weight::Weight;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Classification<S> {
-    collections: Vec<Collection<S>>,
+    pub(crate) collections: Vec<Collection<S>>,
 }
 
 impl<S> Default for Classification<S> {
@@ -55,10 +58,7 @@ impl<S> Classification<S> {
     /// Panics if the collection has zero weight — zero-weight collections
     /// describe nothing and must never circulate.
     pub fn push(&mut self, collection: Collection<S>) {
-        assert!(
-            !collection.weight.is_zero(),
-            "zero-weight collection pushed into classification"
-        );
+        assert!(!collection.weight.is_zero(), "{ZERO_WEIGHT}");
         self.collections.push(collection);
     }
 
@@ -147,23 +147,16 @@ impl<S> Classification<S> {
 }
 
 impl<S: Clone> Classification<S> {
-    /// Splits per Algorithm 1 (lines 5–7): every collection is halved;
-    /// `self` keeps one half and the complement is returned for sending.
+    /// Splits per Algorithm 1 (lines 5–7): every collection is halved in
+    /// place, so `self` keeps one half in its own buffer, and the
+    /// complement is returned for sending.
     ///
     /// Collections whose weight is a single grain stay whole on the kept
     /// side, so the sent classification may have fewer collections (or be
     /// empty).
     pub fn split_off_half(&mut self) -> Classification<S> {
-        let mut kept = Vec::with_capacity(self.collections.len());
         let mut sent = Vec::with_capacity(self.collections.len());
-        for c in self.collections.drain(..) {
-            let (k, s) = c.split();
-            kept.push(k);
-            if let Some(s) = s {
-                sent.push(s);
-            }
-        }
-        self.collections = kept;
+        sent.extend(self.collections.iter_mut().filter_map(Collection::halve));
         Classification { collections: sent }
     }
 }

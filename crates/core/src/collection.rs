@@ -49,26 +49,30 @@ impl<S: Clone> Collection<S> {
     /// The sent part is `None` when the collection's weight is a single
     /// grain (nothing can be sent without violating quantization).
     pub fn split(&self) -> (Collection<S>, Option<Collection<S>>) {
+        let mut kept = self.clone();
+        let sent = kept.halve();
+        (kept, sent)
+    }
+
+    /// [`Collection::split`] in place: `self` becomes the kept half, so
+    /// the summary is cloned once, for the returned sent half.
+    pub(crate) fn halve(&mut self) -> Option<Collection<S>> {
         let (keep_w, send_w) = self.weight.split();
         let ratio = if self.weight.is_zero() {
             0.5
         } else {
             keep_w.grains() as f64 / self.weight.grains() as f64
         };
-        let kept = Collection {
-            summary: self.summary.clone(),
-            weight: keep_w,
-            aux: self.aux.as_ref().map(|a| a.scaled(ratio)),
-        };
-        if send_w.is_zero() {
-            return (kept, None);
-        }
-        let sent = Collection {
+        let sent = (!send_w.is_zero()).then(|| Collection {
             summary: self.summary.clone(),
             weight: send_w,
             aux: self.aux.as_ref().map(|a| a.scaled(1.0 - ratio)),
-        };
-        (kept, Some(sent))
+        });
+        self.weight = keep_w;
+        if let Some(aux) = &mut self.aux {
+            aux.scale(ratio);
+        }
+        sent
     }
 }
 

@@ -86,40 +86,42 @@ pub trait MixtureSummary: Instance {
 /// (by `d_S` of their merged summaries) until at most `k` remain.
 ///
 /// Shared by the centroid instance and used as the Gaussian instance's
-/// fallback when EM cannot run.
+/// fallback when EM cannot run. The groups are built in one flat buffer;
+/// apart from the groups returned, a call allocates that buffer, the
+/// group summaries and one list of `merge_set` parts.
 pub fn greedy_partition<I: Instance>(
     instance: &I,
     big: &Classification<I::Summary>,
 ) -> Vec<Vec<usize>> {
-    let n = big.len();
-    let mut groups: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
-    let group_summary = |g: &[usize]| -> I::Summary {
-        let parts: Vec<(&I::Summary, f64)> = g
-            .iter()
-            .map(|&i| {
-                let c = big.collection(i);
-                (&c.summary, c.weight.grains() as f64)
-            })
-            .collect();
-        instance.merge_set(&parts)
-    };
-
+    let mut groups = FlatGroups::singletons(big.len());
     // Restriction (2): merge quantum-weight singletons with their nearest
     // other group first.
-    merge_quantum_singletons(instance, big, &mut groups);
+    join_quantum_singletons(instance, big, &mut groups);
+    if groups.count() <= instance.k() {
+        return groups.to_vecs();
+    }
 
     // Greedy closest-pair merging down to k groups. A group's summary
     // only changes when the group does, so each step re-merges just the
     // merged group: the same `merge_set` over the same parts in the same
-    // order as a full recomputation, hence the same bits.
-    if groups.len() <= instance.k() {
-        return groups;
-    }
-    let mut summaries: Vec<I::Summary> = groups.iter().map(|g| group_summary(g)).collect();
-    while groups.len() > instance.k() {
+    // order as a full recomputation, hence the same bits. A singleton's
+    // summary is the one-part `merge_set` too, never the collection's own.
+    let mut parts = Vec::with_capacity(big.len());
+    let mut group_summary = |groups: &FlatGroups, g: usize| -> I::Summary {
+        parts.clear();
+        parts.extend(groups.members(g).map(|i| {
+            let c = big.collection(i);
+            (&c.summary, c.weight.grains() as f64)
+        }));
+        instance.merge_set(&parts)
+    };
+    let mut summaries: Vec<I::Summary> = (0..groups.count())
+        .map(|g| group_summary(&groups, g))
+        .collect();
+    while groups.count() > instance.k() {
         let (mut bx, mut by, mut best) = (0, 1, f64::INFINITY);
-        for x in 0..groups.len() {
-            for y in (x + 1)..groups.len() {
+        for x in 0..groups.count() {
+            for y in (x + 1)..groups.count() {
                 let d = instance.summary_distance(&summaries[x], &summaries[y]);
                 if d < best {
                     best = d;
@@ -128,12 +130,11 @@ pub fn greedy_partition<I: Instance>(
                 }
             }
         }
-        let merged = groups.swap_remove(by);
+        groups.absorb(bx, by);
         summaries.swap_remove(by);
-        groups[bx].extend(merged);
-        summaries[bx] = group_summary(&groups[bx]);
+        summaries[bx] = group_summary(&groups, bx);
     }
-    groups
+    groups.to_vecs()
 }
 
 /// Enforces restriction (2) of §4.1 on a set of groups: every group that is
@@ -147,30 +148,142 @@ pub fn merge_quantum_singletons<I: Instance>(
     big: &Classification<I::Summary>,
     groups: &mut Vec<Vec<usize>>,
 ) {
-    loop {
-        if groups.len() <= 1 {
-            return;
-        }
-        let offender = groups
-            .iter()
-            .position(|g| g.len() == 1 && big.collection(g[0]).weight.is_quantum());
+    join_quantum_singletons(instance, big, groups);
+}
+
+/// [`merge_quantum_singletons`] over either form of a group list.
+fn join_quantum_singletons<I: Instance>(
+    instance: &I,
+    big: &Classification<I::Summary>,
+    groups: &mut impl Groups,
+) {
+    while groups.count() > 1 {
+        let offender = (0..groups.count())
+            .find(|&g| groups.size(g) == 1 && big.collection(groups.first(g)).weight.is_quantum());
         let Some(ox) = offender else { return };
-        let osum = &big.collection(groups[ox][0]).summary;
+        let osum = &big.collection(groups.first(ox)).summary;
         let (mut target, mut best) = (usize::MAX, f64::INFINITY);
-        for (y, g) in groups.iter().enumerate() {
-            if y == ox {
-                continue;
-            }
-            let d = instance.summary_distance(osum, &big.collection(g[0]).summary);
+        for y in (0..groups.count()).filter(|&y| y != ox) {
+            let d = instance.summary_distance(osum, &big.collection(groups.first(y)).summary);
             if d < best {
                 best = d;
                 target = y;
             }
         }
-        let singleton = groups.swap_remove(ox);
-        // swap_remove may have moved the target; recompute by identity.
-        let target = if target == groups.len() { ox } else { target };
-        groups[target].extend(singleton);
+        groups.absorb(target, ox);
+    }
+}
+
+/// A list of groups of collection indices, as partitioning edits it.
+trait Groups {
+    /// The number of groups.
+    fn count(&self) -> usize;
+    /// The number of members of group `g`.
+    fn size(&self, g: usize) -> usize;
+    /// Group `g`'s first member.
+    fn first(&self, g: usize) -> usize;
+    /// Appends group `from`'s members to group `into`'s, then removes
+    /// group `from` as `Vec::swap_remove` does (the last group takes its
+    /// place, `into` included).
+    fn absorb(&mut self, into: usize, from: usize);
+}
+
+impl Groups for Vec<Vec<usize>> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn size(&self, g: usize) -> usize {
+        self[g].len()
+    }
+
+    fn first(&self, g: usize) -> usize {
+        self[g][0]
+    }
+
+    fn absorb(&mut self, into: usize, from: usize) {
+        let moved = self.swap_remove(from);
+        let into = if into == self.len() { from } else { into };
+        self[into].extend(moved);
+    }
+}
+
+/// Marks the last member of a group in [`Slot::next`].
+const END: usize = usize::MAX;
+
+/// One entry of [`FlatGroups`]: the link after collection `i`, and the
+/// ends and size of the group in slot `i`.
+#[derive(Clone, Copy)]
+struct Slot {
+    next: usize,
+    head: usize,
+    tail: usize,
+    len: usize,
+}
+
+/// Groups over `n` collections in one buffer of `n` slots: each group is
+/// a linked list of its members, in order.
+struct FlatGroups {
+    slots: Vec<Slot>,
+    count: usize,
+}
+
+impl FlatGroups {
+    /// The `n` groups `{0}, …, {n − 1}`.
+    fn singletons(n: usize) -> Self {
+        let slots = (0..n)
+            .map(|i| Slot {
+                next: END,
+                head: i,
+                tail: i,
+                len: 1,
+            })
+            .collect();
+        FlatGroups { slots, count: n }
+    }
+
+    /// Group `g`'s members, in order.
+    fn members(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self.slots[g].head), |&i| {
+            Some(self.slots[i].next).filter(|&next| next != END)
+        })
+    }
+
+    /// The groups as `partition` returns them.
+    fn to_vecs(&self) -> Vec<Vec<usize>> {
+        (0..self.count)
+            .map(|g| {
+                let mut members = Vec::with_capacity(self.slots[g].len);
+                members.extend(self.members(g));
+                members
+            })
+            .collect()
+    }
+}
+
+impl Groups for FlatGroups {
+    fn count(&self) -> usize {
+        self.count
+    }
+
+    fn size(&self, g: usize) -> usize {
+        self.slots[g].len
+    }
+
+    fn first(&self, g: usize) -> usize {
+        self.slots[g].head
+    }
+
+    fn absorb(&mut self, into: usize, from: usize) {
+        let moved = self.slots[from];
+        let tail = self.slots[into].tail;
+        self.slots[tail].next = moved.head;
+        self.slots[into].tail = moved.tail;
+        self.slots[into].len += moved.len;
+        self.count -= 1;
+        let last = self.slots[self.count];
+        let slot = &mut self.slots[from];
+        (slot.head, slot.tail, slot.len) = (last.head, last.tail, last.len);
     }
 }
 
@@ -262,6 +375,31 @@ mod tests {
         let c = big(&[(1.0, 1)]);
         let groups = inst.partition(&c);
         assert_eq!(groups, vec![vec![0]]);
+    }
+
+    /// The flat buffer edits its groups exactly as `Vec<Vec<usize>>` does:
+    /// the same members, in the same order, at the same positions, after
+    /// every merge of a random sequence.
+    #[test]
+    fn flat_groups_merge_like_vectors_of_groups() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in 1..=12 {
+            for _ in 0..20 {
+                let mut flat = FlatGroups::singletons(n);
+                let mut vecs: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+                while vecs.len() > 1 {
+                    let from = rng.gen_range(0..vecs.len());
+                    let into = (from + rng.gen_range(1..vecs.len())) % vecs.len();
+                    flat.absorb(into, from);
+                    vecs.absorb(into, from);
+                    for g in 0..vecs.len() {
+                        assert_eq!((flat.size(g), flat.first(g)), (vecs.size(g), vecs.first(g)));
+                    }
+                    assert_eq!(flat.to_vecs(), vecs);
+                }
+            }
+        }
     }
 
     #[test]

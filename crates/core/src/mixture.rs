@@ -96,6 +96,14 @@ impl MixtureVector {
         }
     }
 
+    /// Scales every component by `s` in place: the bits of
+    /// [`MixtureVector::scaled`] without a new vector.
+    pub(crate) fn scale(&mut self, s: f64) {
+        for x in &mut self.components {
+            *x *= s;
+        }
+    }
+
     /// Component-wise sum (the auxiliary of a merged collection).
     ///
     /// # Panics

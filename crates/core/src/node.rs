@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use crate::classification::Classification;
+use crate::classification::{Classification, ZERO_WEIGHT};
 use crate::collection::Collection;
 use crate::instance::Instance;
 use crate::mixture::MixtureVector;
@@ -170,71 +170,107 @@ impl<I: Instance> ClassifierNode<I> {
     }
 
     fn repartition(&mut self) {
-        let big = std::mem::take(&mut self.classification);
-        let groups = self.instance.partition(&big);
-        validate_groups::<I>(&self.instance, &big, &groups);
-
-        let collections = big.into_collections();
-        let mut taken: Vec<Option<Collection<I::Summary>>> =
-            collections.into_iter().map(Some).collect();
-        let mut merged = Classification::new();
-        for group in &groups {
-            let members: Vec<Collection<I::Summary>> = group
-                .iter()
-                .map(|&i| taken[i].take().expect("group indices are unique"))
-                .collect();
-            if members.len() == 1 {
-                let mut it = members;
-                merged.push(it.pop().expect("one member"));
-                continue;
-            }
-            let weight: Weight = members.iter().map(|c| c.weight).sum();
-            let parts: Vec<(&I::Summary, f64)> = members
-                .iter()
-                .map(|c| (&c.summary, c.weight.grains() as f64))
-                .collect();
-            let summary = self.instance.merge_set(&parts);
-            let aux = merge_aux(&members);
-            match aux {
-                Some(aux) => merged.push(Collection::with_aux(summary, weight, aux)),
-                None => merged.push(Collection::new(summary, weight)),
-            }
-        }
-        self.classification = merged;
+        let groups = self.instance.partition(&self.classification);
+        let owner = validate_groups::<I>(&self.instance, &self.classification, &groups);
+        let big = std::mem::take(&mut self.classification.collections);
+        self.classification.collections = merge_groups(&*self.instance, big, &groups, owner);
     }
 }
 
-fn merge_aux<S>(members: &[Collection<S>]) -> Option<MixtureVector> {
-    let mut iter = members.iter();
-    let mut acc = iter.next()?.aux.clone()?;
-    for m in iter {
+/// Merges each group of `big` into one collection with `mergeSet`, in
+/// group order; a singleton group's collection moves over unchanged.
+/// `owner` is [`validate_groups`]' group of each collection.
+///
+/// Besides the result, a call allocates one list of `merge_set` parts,
+/// and only when some group has two members or more.
+fn merge_groups<I: Instance>(
+    instance: &I,
+    big: Vec<Collection<I::Summary>>,
+    groups: &[Vec<usize>],
+    mut owner: Vec<usize>,
+) -> Vec<Collection<I::Summary>> {
+    // The merged collections come first and the singletons after them,
+    // in index order; `owner[n..]` records each one's group, and the
+    // permutation at the end puts them in group order.
+    let n = big.len();
+    let mut merged = Vec::with_capacity(groups.len());
+    let widest = groups.iter().map(Vec::len).filter(|&len| len > 1).max();
+    let mut parts = Vec::with_capacity(widest.unwrap_or(0));
+    for (g, group) in groups.iter().enumerate() {
+        if group.len() == 1 {
+            continue;
+        }
+        parts.clear();
+        parts.extend(
+            group
+                .iter()
+                .map(|&i| (&big[i].summary, big[i].weight.grains() as f64)),
+        );
+        let weight: Weight = group.iter().map(|&i| big[i].weight).sum();
+        assert!(!weight.is_zero(), "{ZERO_WEIGHT}");
+        merged.push(Collection {
+            summary: instance.merge_set(&parts),
+            weight,
+            aux: merge_aux(group.iter().map(|&i| &big[i])),
+        });
+        owner.push(g);
+    }
+    for (i, c) in big.into_iter().enumerate() {
+        let g = owner[i];
+        if groups[g].len() == 1 {
+            assert!(!c.weight.is_zero(), "{ZERO_WEIGHT}");
+            merged.push(c);
+            owner.push(g);
+        }
+    }
+    let target = &mut owner[n..];
+    for at in 0..target.len() {
+        while target[at] != at {
+            let to = target[at];
+            merged.swap(at, to);
+            target.swap(at, to);
+        }
+    }
+    merged
+}
+
+fn merge_aux<'a, S: 'a>(
+    mut members: impl Iterator<Item = &'a Collection<S>>,
+) -> Option<MixtureVector> {
+    let mut acc = members.next()?.aux.clone()?;
+    for m in members {
         acc.add_assign(m.aux.as_ref()?);
     }
     Some(acc)
 }
 
+/// Asserts that `groups` is a partition of `big`'s indices that respects
+/// §4.1's restrictions, and returns the group of each collection, with
+/// room for [`merge_groups`] to append one entry per group.
 fn validate_groups<I: Instance>(
     instance: &I,
     big: &Classification<I::Summary>,
     groups: &[Vec<usize>],
-) {
+) -> Vec<usize> {
     assert!(
         groups.len() <= instance.k(),
         "partition produced {} groups, k = {}",
         groups.len(),
         instance.k()
     );
-    let mut seen = vec![false; big.len()];
-    for g in groups {
-        assert!(!g.is_empty(), "partition produced an empty group");
-        for &i in g {
+    const UNSEEN: usize = usize::MAX;
+    let mut owner = Vec::with_capacity(big.len() + groups.len());
+    owner.resize(big.len(), UNSEEN);
+    for (g, members) in groups.iter().enumerate() {
+        assert!(!members.is_empty(), "partition produced an empty group");
+        for &i in members {
             assert!(i < big.len(), "partition index {i} out of range");
-            assert!(!seen[i], "partition assigned index {i} twice");
-            seen[i] = true;
+            assert!(owner[i] == UNSEEN, "partition assigned index {i} twice");
+            owner[i] = g;
         }
     }
     assert!(
-        seen.iter().all(|&s| s),
+        owner.iter().all(|&g| g != UNSEEN),
         "partition did not cover all collections"
     );
     if groups.len() > 1 {
@@ -245,6 +281,7 @@ fn validate_groups<I: Instance>(
             );
         }
     }
+    owner
 }
 
 #[cfg(test)]
@@ -357,6 +394,60 @@ mod tests {
         assert_eq!(
             restored.classification().total_weight().grains(),
             a.classification().total_weight().grains()
+        );
+    }
+
+    /// Partitions into fixed groups, in an order unlike the indices', and
+    /// merges by listing its parts, so the output shows which collections
+    /// went where and in what order.
+    #[derive(Debug)]
+    struct FixedGroups(Vec<Vec<usize>>);
+
+    impl Instance for FixedGroups {
+        type Value = String;
+        type Summary = String;
+
+        fn k(&self) -> usize {
+            self.0.len()
+        }
+
+        fn val_to_summary(&self, val: &String) -> String {
+            val.clone()
+        }
+
+        fn merge_set(&self, parts: &[(&String, f64)]) -> String {
+            let names: Vec<String> = parts.iter().map(|(s, w)| format!("{s}*{w}")).collect();
+            format!("({})", names.join("+"))
+        }
+
+        fn partition(&self, _big: &Classification<String>) -> Vec<Vec<usize>> {
+            self.0.clone()
+        }
+
+        fn summary_distance(&self, _a: &String, _b: &String) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn merged_groups_come_out_in_group_order() {
+        let groups = vec![vec![3], vec![4, 0, 2], vec![1], vec![5, 6]];
+        let inst = Arc::new(FixedGroups(groups));
+        let big: Classification<String> = ["a", "b", "c", "d", "e", "f", "g"]
+            .iter()
+            .zip(1u64..)
+            .map(|(name, grains)| Collection::new(name.to_string(), Weight::from_grains(grains)))
+            .collect();
+        let mut node = ClassifierNode::from_classification(inst, Classification::new());
+        node.receive(big);
+        let out: Vec<(&str, u64)> = node
+            .classification()
+            .iter()
+            .map(|c| (c.summary.as_str(), c.weight.grains()))
+            .collect();
+        assert_eq!(
+            out,
+            [("d", 4), ("(e*5+a*1+c*3)", 9), ("b", 2), ("(f*6+g*7)", 13)]
         );
     }
 

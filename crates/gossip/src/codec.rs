@@ -70,6 +70,11 @@ pub enum CodecError {
     InvalidShape,
     /// A decoded float is non-finite.
     NonFinite,
+    /// Bytes follow the last collection the header declares.
+    TrailingBytes {
+        /// How many bytes follow it.
+        extra: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -87,6 +92,9 @@ impl fmt::Display for CodecError {
             CodecError::ZeroWeight => write!(f, "collection with zero weight on the wire"),
             CodecError::InvalidShape => write!(f, "invalid dimension or collection count"),
             CodecError::NonFinite => write!(f, "non-finite value decoded"),
+            CodecError::TrailingBytes { extra } => {
+                write!(f, "{extra} bytes after the declared collections")
+            }
         }
     }
 }
@@ -111,9 +119,9 @@ pub fn centroid_message_size(collections: usize, d: usize) -> usize {
 /// # Errors
 ///
 /// Returns [`CodecError::InvalidShape`] for empty classifications,
-/// dimensions above 255 or more than 65535 collections, and
-/// [`CodecError::ZeroWeight`] / [`CodecError::NonFinite`] for invalid
-/// contents.
+/// dimensions above 255, more than 65535 collections or a covariance that
+/// is not `d × d`, and [`CodecError::ZeroWeight`] /
+/// [`CodecError::NonFinite`] for invalid contents.
 pub fn encode_gm(c: &Classification<GaussianSummary>) -> Result<Bytes, CodecError> {
     let d = validate_shape(
         c.len(),
@@ -128,12 +136,12 @@ pub fn encode_gm(c: &Classification<GaussianSummary>) -> Result<Bytes, CodecErro
         if col.weight.is_zero() {
             return Err(CodecError::ZeroWeight);
         }
-        if col.summary.dim() != d || !col.summary.mean.is_finite() || !col.summary.cov.is_finite() {
-            return Err(if col.summary.dim() != d {
-                CodecError::InvalidShape
-            } else {
-                CodecError::NonFinite
-            });
+        let cov = &col.summary.cov;
+        if col.summary.dim() != d || cov.rows() != d || cov.cols() != d {
+            return Err(CodecError::InvalidShape);
+        }
+        if !col.summary.mean.is_finite() || !cov.is_finite() {
+            return Err(CodecError::NonFinite);
         }
         buf.put_u64(col.weight.grains());
         for &x in col.summary.mean.iter() {
@@ -180,6 +188,7 @@ pub fn decode_gm(mut buf: &[u8]) -> Result<Classification<GaussianSummary>, Code
             Weight::from_grains(grains),
         ));
     }
+    ensure_consumed(buf)?;
     Ok(out)
 }
 
@@ -237,6 +246,7 @@ pub fn decode_centroid(mut buf: &[u8]) -> Result<Classification<Vector>, CodecEr
         }
         out.push(Collection::new(centroid, Weight::from_grains(grains)));
     }
+    ensure_consumed(buf)?;
     Ok(out)
 }
 
@@ -267,6 +277,14 @@ fn decode_header(buf: &mut &[u8], magic: u8) -> Result<(usize, usize), CodecErro
         return Err(CodecError::InvalidShape);
     }
     Ok((d, count))
+}
+
+fn ensure_consumed(rest: &[u8]) -> Result<(), CodecError> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(CodecError::TrailingBytes { extra: rest.len() })
+    }
 }
 
 fn ensure(ok: bool, needed: usize) -> Result<(), CodecError> {
@@ -394,6 +412,48 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_trailing_bytes() {
+        let centroid: Classification<Vector> = std::iter::once(Collection::new(
+            Vector::from([1.0, 2.0]),
+            Weight::from_grains(3),
+        ))
+        .collect();
+        let mut bytes = encode_centroid(&centroid).unwrap().to_vec();
+        bytes.extend_from_slice(&[0; 7]);
+        assert_eq!(
+            decode_centroid(&bytes),
+            Err(CodecError::TrailingBytes { extra: 7 })
+        );
+        let mut bytes = encode_gm(&gm_classification(2, 2)).unwrap().to_vec();
+        bytes.push(0x47);
+        assert_eq!(
+            decode_gm(&bytes),
+            Err(CodecError::TrailingBytes { extra: 1 })
+        );
+    }
+
+    #[test]
+    fn encode_rejects_a_covariance_that_is_not_d_by_d() {
+        // The fields are public, so `GaussianSummary::new`'s check can be
+        // bypassed: a 3 × 3 covariance under a 2-d mean used to encode as
+        // its top-left block, and a 1 × 1 one to panic.
+        for cov in [
+            Matrix::identity(3),
+            Matrix::identity(1),
+            Matrix::zeros(2, 3),
+        ] {
+            let shape = (cov.rows(), cov.cols());
+            let summary = GaussianSummary {
+                mean: Vector::zeros(2),
+                cov,
+            };
+            let c: Classification<GaussianSummary> =
+                std::iter::once(Collection::new(summary, Weight::from_grains(1))).collect();
+            assert_eq!(encode_gm(&c), Err(CodecError::InvalidShape), "{shape:?}");
+        }
+    }
+
+    #[test]
     fn encode_rejects_empty() {
         let c: Classification<GaussianSummary> = Classification::new();
         assert_eq!(encode_gm(&c), Err(CodecError::InvalidShape));
@@ -411,6 +471,7 @@ mod tests {
             CodecError::ZeroWeight,
             CodecError::InvalidShape,
             CodecError::NonFinite,
+            CodecError::TrailingBytes { extra: 7 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

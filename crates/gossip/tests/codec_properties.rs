@@ -69,6 +69,29 @@ proptest! {
     }
 
     #[test]
+    fn any_suffix_after_a_valid_encoding_is_refused(
+        gm in arb_classification(2),
+        centroids in proptest::collection::vec(
+            (proptest::collection::vec(-1e9f64..1e9, 2..=2), 1u64..1u64 << 40),
+            1..10,
+        ),
+        suffix in proptest::collection::vec(0u8..=255, 1..64),
+    ) {
+        let trailing = Some(CodecError::TrailingBytes { extra: suffix.len() });
+        let mut bytes = codec::encode_gm(&gm).expect("valid classification").to_vec();
+        bytes.extend_from_slice(&suffix);
+        prop_assert_eq!(codec::decode_gm(&bytes).err(), trailing.clone());
+
+        let centroids: Classification<Vector> = centroids
+            .into_iter()
+            .map(|(v, w)| Collection::new(Vector::from(v), Weight::from_grains(w)))
+            .collect();
+        let mut bytes = codec::encode_centroid(&centroids).expect("valid classification").to_vec();
+        bytes.extend_from_slice(&suffix);
+        prop_assert_eq!(codec::decode_centroid(&bytes).err(), trailing);
+    }
+
+    #[test]
     fn truncation_never_panics(c in arb_classification(2), cut_frac in 0.0f64..1.0) {
         let bytes = codec::encode_gm(&c).expect("valid classification");
         let cut = ((bytes.len() as f64) * cut_frac) as usize;

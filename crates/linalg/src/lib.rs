@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 //! Small dense linear algebra for the `distclass` workspace.
 //!
@@ -9,7 +10,9 @@
 //!
 //! The dimension `d` of sensor readings is small (2–10 in the paper's
 //! scenarios), so everything is plain dense row-major storage with no
-//! attempt at blocking or SIMD; clarity and testability win.
+//! attempt at blocking or SIMD; clarity and testability win. Up to four
+//! elements are held in place, so a planar Gaussian's mean and covariance
+//! need no heap block.
 //!
 //! # Example
 //!
@@ -28,6 +31,7 @@ mod cholesky;
 mod error;
 mod matrix;
 mod stats;
+mod storage;
 mod vector;
 
 pub use cholesky::{back_substitute, cholesky_factor, forward_substitute, Cholesky};

@@ -1,6 +1,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 
+use crate::storage::Storage;
 use crate::{Cholesky, LinalgError, Vector};
 
 /// An eigenvalue paired with its (unit-length) eigenvector.
@@ -10,7 +11,8 @@ pub type EigenPair = (f64, Vector);
 ///
 /// Most call sites hold small symmetric `d × d` matrices, but the type
 /// supports general rectangular shapes so tests can express products and
-/// transposes naturally.
+/// transposes naturally. Up to four entries (a `2 × 2` covariance) are
+/// stored in place, without a heap block.
 ///
 /// # Example
 ///
@@ -26,7 +28,7 @@ pub type EigenPair = (f64, Vector);
 pub struct Matrix {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Storage,
 }
 
 impl Matrix {
@@ -35,7 +37,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: Storage::filled(rows * cols, 0.0),
         }
     }
 
@@ -79,7 +81,7 @@ impl Matrix {
         Ok(Matrix {
             rows: rows.len(),
             cols,
-            data,
+            data: Storage::from_vec(data),
         })
     }
 
@@ -111,12 +113,12 @@ impl Matrix {
 
     /// A borrowed view of the row-major storage.
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        self.data.as_slice()
     }
 
     /// A mutable borrowed view of the row-major storage.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        self.data.as_mut_slice()
     }
 
     /// Returns row `i` as a slice.
@@ -126,7 +128,7 @@ impl Matrix {
     /// Panics if `i` is out of bounds.
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index out of bounds");
-        &self.data[i * self.cols..(i + 1) * self.cols]
+        &self.as_slice()[i * self.cols..(i + 1) * self.cols]
     }
 
     /// The transpose.
@@ -185,13 +187,13 @@ impl Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|x| x * s).collect(),
+            data: self.as_slice().iter().map(|x| x * s).collect(),
         }
     }
 
     /// Scales in place.
     pub fn scale(&mut self, s: f64) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x *= s;
         }
     }
@@ -207,7 +209,7 @@ impl Matrix {
             (other.rows, other.cols),
             "axpy: shape mismatch"
         );
-        for (x, y) in self.data.iter_mut().zip(other.data.iter()) {
+        for (x, y) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
             *x += alpha * y;
         }
     }
@@ -224,7 +226,7 @@ impl Matrix {
 
     /// The Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
+        self.as_slice().iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Returns `true` when the matrix is symmetric up to `tol`.
@@ -368,15 +370,15 @@ impl Matrix {
         self.rows == other.rows
             && self.cols == other.cols
             && self
-                .data
+                .as_slice()
                 .iter()
-                .zip(other.data.iter())
+                .zip(other.as_slice())
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
 
     /// Returns `true` if all entries are finite.
     pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.as_slice().iter().all(|x| x.is_finite())
     }
 }
 
@@ -385,14 +387,15 @@ impl Index<(usize, usize)> for Matrix {
 
     fn index(&self, (i, j): (usize, usize)) -> &f64 {
         assert!(i < self.rows && j < self.cols, "matrix index out of bounds");
-        &self.data[i * self.cols + j]
+        &self.as_slice()[i * self.cols + j]
     }
 }
 
 impl IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut f64 {
         assert!(i < self.rows && j < self.cols, "matrix index out of bounds");
-        &mut self.data[i * self.cols + j]
+        let cols = self.cols;
+        &mut self.as_mut_slice()[i * cols + j]
     }
 }
 

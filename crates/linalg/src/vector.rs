@@ -1,6 +1,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
+use crate::storage::Storage;
 use crate::LinalgError;
 
 /// A dense `d`-dimensional real vector.
@@ -8,6 +9,9 @@ use crate::LinalgError;
 /// `Vector` is the value type used for sensor readings, centroids and
 /// Gaussian means throughout the workspace. Arithmetic is implemented for
 /// borrowed operands so vectors are not consumed by expressions.
+///
+/// Up to four components are stored in place, so a planar reading or
+/// mean is created, cloned and dropped without touching the heap.
 ///
 /// # Panics
 ///
@@ -27,21 +31,21 @@ use crate::LinalgError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
-    data: Vec<f64>,
+    data: Storage,
 }
 
 impl Vector {
     /// Creates a zero vector of dimension `dim`.
     pub fn zeros(dim: usize) -> Self {
         Vector {
-            data: vec![0.0; dim],
+            data: Storage::filled(dim, 0.0),
         }
     }
 
     /// Creates a vector filled with `value`.
     pub fn filled(dim: usize, value: f64) -> Self {
         Vector {
-            data: vec![value; dim],
+            data: Storage::filled(dim, value),
         }
     }
 
@@ -53,38 +57,38 @@ impl Vector {
     pub fn basis(dim: usize, i: usize) -> Self {
         assert!(i < dim, "basis index {i} out of range for dimension {dim}");
         let mut v = Vector::zeros(dim);
-        v.data[i] = 1.0;
+        v[i] = 1.0;
         v
     }
 
     /// The dimension of the vector.
     pub fn dim(&self) -> usize {
-        self.data.len()
+        self.as_slice().len()
     }
 
     /// Returns `true` if the vector has dimension zero.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.dim() == 0
     }
 
     /// A borrowed view of the components.
     pub fn as_slice(&self) -> &[f64] {
-        &self.data
+        self.data.as_slice()
     }
 
     /// A mutable borrowed view of the components.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        self.data.as_mut_slice()
     }
 
-    /// Consumes the vector, returning the underlying storage.
+    /// Consumes the vector, returning its components.
     pub fn into_inner(self) -> Vec<f64> {
-        self.data
+        self.data.into_vec()
     }
 
     /// Iterates over components.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
-        self.data.iter()
+        self.as_slice().iter()
     }
 
     /// The dot product `self · other`.
@@ -94,11 +98,7 @@ impl Vector {
     /// Panics on dimension mismatch.
     pub fn dot(&self, other: &Vector) -> f64 {
         assert_eq!(self.dim(), other.dim(), "dot: dimension mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .sum()
+        self.iter().zip(other.iter()).map(|(a, b)| a * b).sum()
     }
 
     /// The Euclidean (L2) norm.
@@ -108,12 +108,12 @@ impl Vector {
 
     /// The L1 norm (sum of absolute component values).
     pub fn norm_l1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
+        self.iter().map(|x| x.abs()).sum()
     }
 
     /// The L∞ norm (largest absolute component).
     pub fn norm_linf(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
+        self.iter().fold(0.0, |m, x| m.max(x.abs()))
     }
 
     /// Euclidean distance to `other`.
@@ -123,9 +123,8 @@ impl Vector {
     /// Panics on dimension mismatch.
     pub fn distance(&self, other: &Vector) -> f64 {
         assert_eq!(self.dim(), other.dim(), "distance: dimension mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
+        self.iter()
+            .zip(other.iter())
             .map(|(a, b)| (a - b) * (a - b))
             .sum::<f64>()
             .sqrt()
@@ -134,13 +133,13 @@ impl Vector {
     /// Returns `self * s` without consuming `self`.
     pub fn scaled(&self, s: f64) -> Vector {
         Vector {
-            data: self.data.iter().map(|x| x * s).collect(),
+            data: self.iter().map(|x| x * s).collect(),
         }
     }
 
     /// Scales the vector in place.
     pub fn scale(&mut self, s: f64) {
-        for x in &mut self.data {
+        for x in self.as_mut_slice() {
             *x *= s;
         }
     }
@@ -152,7 +151,7 @@ impl Vector {
     /// Panics on dimension mismatch.
     pub fn axpy(&mut self, alpha: f64, other: &Vector) {
         assert_eq!(self.dim(), other.dim(), "axpy: dimension mismatch");
-        for (x, y) in self.data.iter_mut().zip(other.data.iter()) {
+        for (x, y) in self.as_mut_slice().iter_mut().zip(other.iter()) {
             *x += alpha * y;
         }
     }
@@ -192,28 +191,29 @@ impl Vector {
     pub fn approx_eq(&self, other: &Vector, tol: f64) -> bool {
         self.dim() == other.dim()
             && self
-                .data
                 .iter()
-                .zip(other.data.iter())
+                .zip(other.iter())
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
 
     /// Returns `true` if all components are finite.
     pub fn is_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
+        self.iter().all(|x| x.is_finite())
     }
 }
 
 impl From<Vec<f64>> for Vector {
     fn from(data: Vec<f64>) -> Self {
-        Vector { data }
+        Vector {
+            data: Storage::from_vec(data),
+        }
     }
 }
 
 impl From<&[f64]> for Vector {
     fn from(data: &[f64]) -> Self {
         Vector {
-            data: data.to_vec(),
+            data: Storage::from_slice(data),
         }
     }
 }
@@ -221,7 +221,7 @@ impl From<&[f64]> for Vector {
 impl<const N: usize> From<[f64; N]> for Vector {
     fn from(data: [f64; N]) -> Self {
         Vector {
-            data: data.to_vec(),
+            data: Storage::from_slice(&data),
         }
     }
 }
@@ -236,7 +236,7 @@ impl FromIterator<f64> for Vector {
 
 impl AsRef<[f64]> for Vector {
     fn as_ref(&self) -> &[f64] {
-        &self.data
+        self.as_slice()
     }
 }
 
@@ -244,13 +244,13 @@ impl Index<usize> for Vector {
     type Output = f64;
 
     fn index(&self, i: usize) -> &f64 {
-        &self.data[i]
+        &self.as_slice()[i]
     }
 }
 
 impl IndexMut<usize> for Vector {
     fn index_mut(&mut self, i: usize) -> &mut f64 {
-        &mut self.data[i]
+        &mut self.as_mut_slice()[i]
     }
 }
 
@@ -260,12 +260,7 @@ impl Add for &Vector {
     fn add(self, rhs: &Vector) -> Vector {
         assert_eq!(self.dim(), rhs.dim(), "add: dimension mismatch");
         Vector {
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(a, b)| a + b)
-                .collect(),
+            data: self.iter().zip(rhs.iter()).map(|(a, b)| a + b).collect(),
         }
     }
 }
@@ -276,12 +271,7 @@ impl Sub for &Vector {
     fn sub(self, rhs: &Vector) -> Vector {
         assert_eq!(self.dim(), rhs.dim(), "sub: dimension mismatch");
         Vector {
-            data: self
-                .data
-                .iter()
-                .zip(rhs.data.iter())
-                .map(|(a, b)| a - b)
-                .collect(),
+            data: self.iter().zip(rhs.iter()).map(|(a, b)| a - b).collect(),
         }
     }
 }
@@ -317,7 +307,7 @@ impl SubAssign<&Vector> for Vector {
 impl fmt::Display for Vector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, x) in self.data.iter().enumerate() {
+        for (i, x) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }

@@ -15,7 +15,9 @@ use std::io::BufReader;
 use std::sync::Arc;
 
 use distclass::core::em::{self, EmConfig};
-use distclass::core::{CentroidInstance, Classification, GaussianSummary, GmInstance, Instance};
+use distclass::core::{
+    CentroidInstance, Classification, Collection, GaussianSummary, GmInstance, Instance, Weight,
+};
 use distclass::experiments::data::{figure2_components, sample_mixture};
 use distclass::gossip::{GossipConfig, RoundSim};
 use distclass::linalg::Vector;
@@ -296,18 +298,66 @@ fn gm_partition_allocations_do_not_grow_with_collections() {
 }
 
 /// `GmInstance::merge_set` reads its parts by reference: merging 2 parts
-/// and 7 parts makes the same allocations, the merged mean and covariance.
+/// and 7 parts makes the same allocations, those of the merged summary. A
+/// planar summary is held in place, so on Fig. 2's readings that is none;
+/// past the inline size the covariance (d = 3), then the mean as well
+/// (d = 5), takes a heap block.
 #[test]
 fn gm_merge_set_allocates_only_the_merged_summary() {
     let inst = GmInstance::new(7).expect("k > 0");
-    let big = fig2_union(1);
-    let parts: Vec<(&GaussianSummary, f64)> = big
-        .iter()
-        .map(|c| (&c.summary, c.weight.grains() as f64))
-        .collect();
-    assert_eq!(parts.len(), 7);
-    let merge = |m: usize| allocations(|| drop(inst.merge_set(&parts[..m])));
-    assert_eq!((merge(2), merge(7)), (2, 2), "merge_set allocations");
+    let count = |big: &Classification<GaussianSummary>| {
+        let parts: Vec<(&GaussianSummary, f64)> = big
+            .iter()
+            .map(|c| (&c.summary, c.weight.grains() as f64))
+            .collect();
+        assert_eq!(parts.len(), 7);
+        let merge = |m: usize| allocations(|| drop(inst.merge_set(&parts[..m])));
+        (merge(2), merge(7))
+    };
+    assert_eq!(
+        count(&fig2_union(1)),
+        (0, 0),
+        "merge_set allocations, d = 2"
+    );
+    let spread = |d: usize| -> Classification<GaussianSummary> {
+        (0..7)
+            .map(|i| {
+                let mean: Vector = (0..d).map(|j| (i * d + j) as f64 * 0.5).collect();
+                let summary = GaussianSummary::from_point(&mean);
+                Collection::new(summary, Weight::from_grains(i as u64 + 1))
+            })
+            .collect()
+    };
+    assert_eq!(count(&spread(3)), (1, 1), "merge_set allocations, d = 3");
+    assert_eq!(count(&spread(5)), (2, 2), "merge_set allocations, d = 5");
+}
+
+/// One gossip exchange allocates per message, not per collection: after
+/// warm-up, a k = 2 centroid `RoundSim` on 500 nodes makes at most eight
+/// allocations per message over rounds 11–20. They are the sent half, the
+/// receiver's union and merged result, `partition`'s groups and a few flat
+/// index buffers; a planar summary itself needs none.
+#[test]
+fn centroid_exchange_allocates_at_most_eight_per_message() {
+    let n = 500;
+    let (values, _labels) = sample_mixture(n, &figure2_components(), 3);
+    let inst = Arc::new(CentroidInstance::new(2).expect("k > 0"));
+    let mut sim = RoundSim::new(
+        Topology::complete(n),
+        inst,
+        &values,
+        &GossipConfig::default(),
+    );
+    sim.run_rounds(10);
+    let sent = sim.metrics().messages_sent;
+    let allocs = allocations(|| sim.run_rounds(10));
+    let messages = sim.metrics().messages_sent - sent;
+    let per_message = allocs as f64 / messages as f64;
+    eprintln!("{allocs} allocations for {messages} messages: {per_message:.2} each");
+    assert!(
+        per_message <= 8.0,
+        "{allocs} allocations for {messages} messages: {per_message:.2} each"
+    );
 }
 
 #[test]
