@@ -435,8 +435,8 @@ mod tests {
     #[test]
     fn encode_rejects_a_covariance_that_is_not_d_by_d() {
         // The fields are public, so `GaussianSummary::new`'s check can be
-        // bypassed: a 3 × 3 covariance under a 2-d mean used to encode as
-        // its top-left block, and a 1 × 1 one to panic.
+        // bypassed: a larger covariance must not encode as its top-left
+        // block, nor a smaller one panic.
         for cov in [
             Matrix::identity(3),
             Matrix::identity(1),
