@@ -22,11 +22,15 @@ use crate::mixture::MixtureVector;
 /// `partition` must additionally respect the two structural restrictions of
 /// §4.1: at most `k` groups, and no group may consist of a single
 /// collection of quantum weight. [`crate::ClassifierNode`] asserts both.
-pub trait Instance {
+///
+/// An instance and its summaries are shared between threads: the runtime
+/// runs each peer on its own thread, and the round simulator may merge
+/// half of its nodes on a helper thread.
+pub trait Instance: Send + Sync {
     /// The input value domain `D`.
     type Value: Clone;
     /// The summary domain `S`.
-    type Summary: Clone + fmt::Debug;
+    type Summary: Clone + fmt::Debug + Send + Sync;
 
     /// The bound `k` on the number of collections per classification.
     fn k(&self) -> usize;

@@ -154,19 +154,20 @@ impl<I: Instance> ClassifierNode<I> {
     /// Handles several incoming classifications at once, running
     /// `partition` a single time for the entire accumulated set — the
     /// batching the paper's simulations use when a node hears from multiple
-    /// neighbors in one round.
-    pub fn receive_batch(
-        &mut self,
-        incoming: impl IntoIterator<Item = Classification<I::Summary>>,
-    ) {
-        let mut any = false;
-        for c in incoming {
+    /// neighbors in one round. Takes every classification out of
+    /// `incoming`, leaving its buffer for reuse.
+    ///
+    /// The union grows once, to the batch's total, before absorbing.
+    pub fn receive_batch(&mut self, incoming: &mut Vec<Classification<I::Summary>>) {
+        if incoming.is_empty() {
+            return;
+        }
+        let total = incoming.iter().map(Classification::len).sum();
+        self.classification.collections.reserve_exact(total);
+        for c in incoming.drain(..) {
             self.classification.absorb(c);
-            any = true;
         }
-        if any {
-            self.repartition();
-        }
+        self.repartition();
     }
 
     fn repartition(&mut self) {
@@ -333,13 +334,14 @@ mod tests {
     fn receive_batch_partitions_once() {
         let inst = Arc::new(CentroidInstance::new(2).unwrap());
         let mut target = node(&inst, 0.0);
-        let msgs: Vec<_> = [10.0, 20.0, 30.0]
+        let mut msgs: Vec<_> = [10.0, 20.0, 30.0]
             .iter()
             .map(|&x| node(&inst, x).split_for_send())
             .collect();
-        target.receive_batch(msgs);
+        target.receive_batch(&mut msgs);
         assert!(target.classification().len() <= 2);
         assert_eq!(target.classification().total_weight().grains(), 8 + 3 * 4);
+        assert!(msgs.is_empty(), "the batch is taken");
     }
 
     #[test]
@@ -347,7 +349,7 @@ mod tests {
         let inst = Arc::new(CentroidInstance::new(2).unwrap());
         let mut n = node(&inst, 1.0);
         let before = n.classification().clone();
-        n.receive_batch(Vec::new());
+        n.receive_batch(&mut Vec::new());
         assert_eq!(n.classification(), &before);
     }
 

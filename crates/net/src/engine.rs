@@ -8,10 +8,12 @@ use crate::NodeId;
 ///
 /// Implementations hold per-node state; the engine owns one instance per
 /// node and invokes the callbacks below. All randomness must come from
-/// [`Context::rng`] so runs are reproducible.
-pub trait Protocol {
+/// [`Context::rng`] so runs are reproducible. The state is `Send` because
+/// the round engine may run a round end on a helper thread (see
+/// [`Protocol::on_round_end`]).
+pub trait Protocol: Send {
     /// The message type exchanged between nodes.
-    type Message: Clone;
+    type Message: Clone + Send;
 
     /// Called when this node gets a communication turn (once per round in
     /// the round engine, at tick events in the event engine).
@@ -29,6 +31,12 @@ pub trait Protocol {
     /// delivered. Protocols that batch incoming data (as the paper's
     /// simulations do: “accumulate all the received collections and run EM
     /// once for the entire set”) process their buffer here.
+    ///
+    /// It may run on another thread than the rest of the round, at the
+    /// same time as other nodes' round ends, so it must touch only its own
+    /// node's state and its [`Context`]. What it sends is sent after every
+    /// node's round end, in node order, so the run's outputs do not depend
+    /// on the thread it ran on.
     fn on_round_end(&mut self, ctx: &mut Context<'_, Self::Message>) {
         let _ = ctx;
     }

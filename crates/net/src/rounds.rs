@@ -21,7 +21,9 @@ use crate::NodeId;
 /// 2. all collected messages are delivered via [`Protocol::on_message`]
 ///    (messages sent while handling a delivery are carried into the next
 ///    round — links are reliable but asynchronous);
-/// 3. every live node's [`Protocol::on_round_end`] runs;
+/// 3. every live node's [`Protocol::on_round_end`] runs, then what those
+///    send is collected in node order (a heavy round end may run on two
+///    threads; its outputs are the same);
 /// 4. crash faults are applied per the configured [`CrashModel`].
 ///
 /// The engine is deterministic given the construction seed.
@@ -60,7 +62,9 @@ impl<P: Protocol> RoundEngine<P> {
     /// round runs under a `tick` span with the round-end merge/EM
     /// reduction nested as `em_reduce`. A profiler core built with a
     /// metrics registry feeds both into `distclass_phase_us`. A disabled
-    /// handle (the default) never reads the clock.
+    /// handle (the default) never reads the clock. While a profiler is
+    /// attached, every round end runs on the engine's own thread, so that
+    /// the spans account for all of the round's time.
     pub fn with_profiler(mut self, prof: ThreadProfiler) -> Self {
         self.prof = prof;
         self
@@ -184,12 +188,10 @@ impl<P: Protocol> RoundEngine<P> {
         }
 
         // Phase 3: round end (where the protocol merges received halves
-        // and runs its EM-style reduction).
+        // and runs its EM-style reduction), on two threads when it is
+        // heavy and unprofiled.
         let merge_span = prof.span(Phase::EmReduce);
-        for &i in &live {
-            net.turn(i, at, fd, &mut outbox, |p, ctx| p.on_round_end(ctx));
-            net.send_all(i, at, &mut outbox, &mut self.carried);
-        }
+        net.round_end(&live, at, fd, prof.enabled(), &mut self.carried);
         drop(merge_span);
 
         // Phase 4: crash faults.
@@ -420,6 +422,126 @@ mod tests {
         match &rounds.value {
             MetricValue::Histogram(h) => assert_eq!(h.count, 4),
             other => panic!("wrong kind {other:?}"),
+        }
+    }
+
+    /// Spins for about 20 µs at each round end, which makes the round end
+    /// heavy, then folds what arrived, draws from its RNG, moves its
+    /// round-robin cursor and sends: everything a round end may touch.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Spinner {
+        value: u64,
+        received: Vec<(NodeId, u64)>,
+        ends: Vec<(u64, u64)>,
+    }
+
+    impl Protocol for Spinner {
+        type Message = u64;
+
+        fn on_tick(&mut self, ctx: &mut Context<'_, u64>) {
+            let to = ctx.random_neighbor();
+            ctx.send(to, self.value);
+        }
+
+        fn on_message(&mut self, from: NodeId, msg: u64, _ctx: &mut Context<'_, u64>) {
+            self.received.push((from, msg));
+        }
+
+        fn on_round_end(&mut self, ctx: &mut Context<'_, u64>) {
+            let until = std::time::Instant::now() + std::time::Duration::from_micros(20);
+            while std::time::Instant::now() < until {
+                std::hint::spin_loop();
+            }
+            for (from, msg) in self.received.drain(..) {
+                self.value = self.value.rotate_left(7) ^ msg ^ from as u64;
+            }
+            self.value ^= ctx.rng().gen::<u64>() >> 40;
+            let to = ctx.round_robin_neighbor();
+            ctx.send(to, self.value);
+            self.ends.push((ctx.round(), self.value));
+        }
+    }
+
+    /// Everything a run outputs: node states, metrics, in-flight messages,
+    /// live nodes and the trace's JSONL bytes.
+    type SpinOutput = (Vec<Spinner>, NetMetrics, Vec<u64>, Vec<NodeId>, String);
+
+    /// Runs 12 rounds of `Spinner`s with the helper thread allowed or
+    /// not; returns the run's outputs and how many round ends the helper
+    /// ran.
+    fn spin_run(n: usize, crash: &CrashModel, fd: bool, helper: bool) -> (SpinOutput, u64) {
+        use distclass_obs::RingSink;
+        use std::sync::Arc;
+
+        const CAPACITY: usize = 1 << 14;
+        let sink = Arc::new(RingSink::new(CAPACITY));
+        let mut e = RoundEngine::new(Topology::complete(n), 11, |i| Spinner {
+            value: i as u64,
+            received: Vec::new(),
+            ends: Vec::new(),
+        })
+        .with_crash_model(crash.clone())
+        .with_failure_detector(fd)
+        .with_message_sizer(|m| 8 + (*m % 5) as usize)
+        .with_tracer(Tracer::new(Arc::clone(&sink) as _));
+        e.net.helper_allowed = helper;
+        e.run_rounds(12);
+        let events = sink.events();
+        assert!(events.len() < CAPACITY, "the ring evicted events");
+        let trace: String = events.iter().map(|ev| format!("{ev}\n")).collect();
+        let in_flight = e.in_flight_messages().copied().collect();
+        let helper_runs = e.net.helper_runs;
+        let out = (
+            e.nodes().to_vec(),
+            e.metrics(),
+            in_flight,
+            e.live_nodes(),
+            trace,
+        );
+        (out, helper_runs)
+    }
+
+    #[test]
+    fn a_round_end_on_two_threads_outputs_what_a_serial_one_does() {
+        let two_cpus = std::thread::available_parallelism().is_ok_and(|c| c.get() >= 2);
+        if !two_cpus {
+            eprintln!("one CPU: the helper cannot run here, so its use is not checked");
+        }
+        let one_live = CrashModel::Scheduled((0..4).map(|i| (0, i)).collect());
+        // (case, n, crash model, failure detector, whether a helper runs)
+        let cases = [
+            (
+                "odd n, a crash per half",
+                9,
+                CrashModel::Scheduled(vec![(0, 1), (0, 7)]),
+                true,
+                true,
+            ),
+            (
+                "per-round crashes, no detector",
+                15,
+                CrashModel::per_round(0.05),
+                false,
+                true,
+            ),
+            ("one live node per half", 2, CrashModel::None, true, true),
+            ("a single live node", 5, one_live, true, false),
+        ];
+        for (name, n, crash, fd, helps) in &cases {
+            let (serial, forbidden_runs) = spin_run(*n, crash, *fd, false);
+            let (threaded, runs) = spin_run(*n, crash, *fd, true);
+            assert_eq!(forbidden_runs, 0, "{name}: the helper ran while forbidden");
+            assert_eq!(threaded.0, serial.0, "{name}: node states differ");
+            assert_eq!(threaded.1, serial.1, "{name}: metrics differ");
+            assert_eq!(threaded.2, serial.2, "{name}: in-flight messages differ");
+            assert_eq!(threaded.3, serial.3, "{name}: live nodes differ");
+            assert_eq!(threaded.4, serial.4, "{name}: trace bytes differ");
+            assert!(serial.1.messages_sent > 0 && !serial.4.is_empty());
+            if !helps {
+                assert_eq!(runs, 0, "{name}: a helper ran with no lower half");
+            } else if two_cpus {
+                assert!(runs > 0, "{name}: the helper never ran");
+            }
         }
     }
 

@@ -403,8 +403,8 @@ pub fn run_channel_cluster<I>(
     config: &ClusterConfig,
 ) -> ClusterReport<I::Summary>
 where
-    I: Instance + Send + Sync + 'static,
-    I::Summary: WireSummary + Send + 'static,
+    I: Instance + 'static,
+    I::Summary: WireSummary + 'static,
 {
     let net = ChannelNet::new(cluster_size(topology, config));
     let plan = FaultPlan::new(config.seed);

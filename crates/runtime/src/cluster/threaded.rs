@@ -34,8 +34,8 @@ struct Threads<N, S> {
 
 impl<I, N> SupervisorIo<I> for Threads<N, I::Summary>
 where
-    I: Instance + Send + Sync + 'static,
-    I::Summary: WireSummary + Send + 'static,
+    I: Instance + 'static,
+    I::Summary: WireSummary + 'static,
     N: EndpointNet,
 {
     fn spawn(
@@ -100,8 +100,8 @@ pub fn run_cluster_with_faults<I, N>(
     config: &ClusterConfig,
 ) -> ClusterReport<I::Summary>
 where
-    I: Instance + Send + Sync + 'static,
-    I::Summary: WireSummary + Send + 'static,
+    I: Instance + 'static,
+    I::Summary: WireSummary + 'static,
     N: EndpointNet,
 {
     let epoch = Instant::now();

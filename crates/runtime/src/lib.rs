@@ -2,9 +2,10 @@
 //! Deployment runtime for the gossip classifier: real concurrent peers
 //! instead of simulator callbacks.
 //!
-//! The simulators in [`distclass_net`] drive [`ClassifierNode`]s from a
-//! single thread with perfectly reliable, free message passing. This crate
-//! runs the same nodes the way a sensor deployment would:
+//! The simulators in [`distclass_net`] drive [`ClassifierNode`]s as
+//! callbacks, with perfectly reliable, free message passing, and their
+//! outputs are a function of the seed. This crate runs the same nodes the
+//! way a sensor deployment would:
 //!
 //! * each node is an OS thread with its own clock, owning one
 //!   [`Transport`] endpoint — in-process mpsc channels

@@ -826,8 +826,8 @@ fn dispatch_cluster<I>(
     config: &ClusterConfig,
 ) -> Result<ClusterReport<I::Summary>, String>
 where
-    I: Instance + Send + Sync + 'static,
-    I::Summary: WireSummary + Send + 'static,
+    I: Instance + 'static,
+    I::Summary: WireSummary + 'static,
 {
     let empty = FaultPlan::new(config.seed);
     let plan = plan.unwrap_or(&empty);

@@ -4,15 +4,22 @@
 //! The runtime threads `Tracer` and `Profiler` handles through
 //! every hot path on the premise that the disabled state costs one
 //! branch and allocates nothing. These tests pin that premise down with
-//! a counting allocator (per-thread, so the parallel test harness can't
-//! pollute the counts), and check the stronger engine-level property:
+//! a counting allocator, and check the stronger engine-level property:
 //! a fixed-seed simulation produces bit-identical results with the
 //! profiler on and off — observation never perturbs the run.
+//!
+//! Calls that start no thread are counted on the calling thread, which
+//! the test harness's other threads cannot reach, so a count can be an
+//! exact zero. A `RoundSim` may run a heavy round end's upper half on a
+//! helper thread, so its allocations are counted process-wide (see
+//! [`allocations_in_all_threads`]). Every test holds one lock, so no two
+//! tests measure at once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::BufReader;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use distclass::core::em::{self, EmConfig};
 use distclass::core::{
@@ -26,20 +33,47 @@ use distclass::obs::{
     read_jsonl, GrainOp, JsonlSink, Phase, Profiler, ProfilerCore, TraceEvent, TraceSink, Tracer,
 };
 
+/// Allocations by counted threads while a process-wide measurement runs.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Whether a process-wide measurement runs.
+static MEASURING: AtomicBool = AtomicBool::new(false);
+/// Held by every test, so that measurements never overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 thread_local! {
     /// Allocation count for the current thread. `const`-initialized and
-    /// destructor-free, so the allocator may touch it at any point in a
-    /// thread's life without re-entrancy.
+    /// destructor-free, like `COUNTED`, so the allocator may touch both
+    /// at any point in a thread's life without re-entrancy.
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Whether this thread counts in a process-wide measurement; `None`
+    /// until its first allocation, which decides.
+    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Whether the calling thread counts in a process-wide measurement: a
+/// thread counts if its first allocation falls inside one.
+fn counted() -> bool {
+    COUNTED
+        .try_with(|c| {
+            let counted = c.get().unwrap_or_else(|| MEASURING.load(Ordering::SeqCst));
+            c.set(Some(counted));
+            counted
+        })
+        .unwrap_or(false)
 }
 
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the count is
-// a side effect on a destructor-free thread-local.
+// a side effect on atomics and a destructor-free thread-local.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1)).ok();
+        // `counted` first: a thread's first allocation decides, in or out
+        // of a measurement.
+        if counted() && MEASURING.load(Ordering::SeqCst) {
+            ALLOCS.fetch_add(1, Ordering::SeqCst);
+        }
         unsafe { System.alloc(layout) }
     }
 
@@ -51,6 +85,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Takes the lock that every test holds, and stops the calling thread
+/// from counting in other tests' process-wide measurements.
+fn serial() -> MutexGuard<'static, ()> {
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    COUNTED.with(|c| c.set(Some(false)));
+    guard
+}
+
 /// Runs `f` and returns how many heap allocations it made on this thread.
 fn allocations(f: impl FnOnce()) -> u64 {
     let before = THREAD_ALLOCS.with(Cell::get);
@@ -58,8 +100,25 @@ fn allocations(f: impl FnOnce()) -> u64 {
     THREAD_ALLOCS.with(Cell::get) - before
 }
 
+/// Runs `f` and returns how many heap allocations it made on this thread
+/// and on the threads it started; the caller holds [`serial`]. A thread
+/// counts if its first allocation falls inside `f`, so the harness's own
+/// threads never count, except that a test thread the harness starts
+/// meanwhile adds its few start-up allocations before it waits on
+/// [`serial`]: fit for a count per message, not for an exact zero.
+fn allocations_in_all_threads(f: impl FnOnce()) -> u64 {
+    COUNTED.with(|c| c.set(Some(true)));
+    let before = ALLOCS.load(Ordering::SeqCst);
+    MEASURING.store(true, Ordering::SeqCst);
+    f();
+    MEASURING.store(false, Ordering::SeqCst);
+    COUNTED.with(|c| c.set(Some(false)));
+    ALLOCS.load(Ordering::SeqCst) - before
+}
+
 #[test]
 fn disabled_tracer_emits_without_allocating_or_building_events() {
+    let _serial = serial();
     let tracer = Tracer::disabled();
     let n = allocations(|| {
         for round in 0..1_000 {
@@ -82,6 +141,7 @@ fn disabled_tracer_emits_without_allocating_or_building_events() {
 /// line straight into that buffer.
 #[test]
 fn jsonl_sink_records_without_allocating() {
+    let _serial = serial();
     let path = std::env::temp_dir().join(format!("zero_cost_sink_{}.jsonl", std::process::id()));
     let sink = JsonlSink::create(&path).expect("create the trace file");
     let delta = TraceEvent::GrainDelta {
@@ -127,6 +187,7 @@ fn jsonl_sink_records_without_allocating() {
 /// grow with the number of lines.
 #[test]
 fn read_jsonl_allocates_nothing_per_line() {
+    let _serial = serial();
     let lines = [
         r#"{"type":"message_sent","from":12,"to":7,"bytes":29,"at":3,"lamport":41,"seq":5}"#,
         r#"{"type":"message_delivered","from":12,"to":7,"bytes":29,"at":3,"lamport":42,"span_seq":5}"#,
@@ -156,6 +217,7 @@ fn read_jsonl_allocates_nothing_per_line() {
 
 #[test]
 fn disabled_profiler_spans_allocate_nothing_and_never_read_the_clock() {
+    let _serial = serial();
     let prof = Profiler::disabled();
     let n = allocations(|| {
         let thread = prof.thread("peer0");
@@ -189,6 +251,7 @@ fn bimodal_values(n: usize) -> Vec<Vector> {
 /// with the profiler attached as without.
 #[test]
 fn fixed_seed_run_is_identical_with_profiler_on_and_off() {
+    let _serial = serial();
     let run = |profile: bool| {
         let inst = Arc::new(CentroidInstance::new(2).expect("k >= 1"));
         let cfg = GossipConfig {
@@ -252,6 +315,7 @@ fn fig2_union(nodes: usize) -> Classification<GaussianSummary> {
 /// copies in and the outcome out).
 #[test]
 fn em_reduce_allocations_do_not_grow_with_iterations() {
+    let _serial = serial();
     let comps = fig2_union(2);
     assert_eq!(comps.len(), 14);
     let run = |max_iters: usize| {
@@ -280,6 +344,7 @@ fn em_reduce_allocations_do_not_grow_with_iterations() {
 /// with the number of collections it reduces.
 #[test]
 fn gm_partition_allocations_do_not_grow_with_collections() {
+    let _serial = serial();
     let inst = GmInstance::new(7).expect("k > 0");
     let run = |big: &Classification<GaussianSummary>| {
         let mut groups = 0;
@@ -304,6 +369,7 @@ fn gm_partition_allocations_do_not_grow_with_collections() {
 /// (d = 5), takes a heap block.
 #[test]
 fn gm_merge_set_allocates_only_the_merged_summary() {
+    let _serial = serial();
     let inst = GmInstance::new(7).expect("k > 0");
     let count = |big: &Classification<GaussianSummary>| {
         let parts: Vec<(&GaussianSummary, f64)> = big
@@ -333,12 +399,15 @@ fn gm_merge_set_allocates_only_the_merged_summary() {
 }
 
 /// One gossip exchange allocates per message, not per collection: after
-/// warm-up, a k = 2 centroid `RoundSim` on 500 nodes makes at most eight
-/// allocations per message over rounds 11–20. They are the sent half, the
-/// receiver's union and merged result, `partition`'s groups and a few flat
-/// index buffers; a planar summary itself needs none.
+/// warm-up, a k = 2 centroid `RoundSim` on 500 nodes makes at most 7.4
+/// allocations per message over rounds 11–20 (7.31; the bound was 8). They
+/// are the sent half, the receiver's union (grown once per round, however
+/// many messages arrive) and merged result, `partition`'s groups and a few
+/// flat index buffers; a planar summary itself needs none. The count
+/// includes a helper thread's, where a round end runs on two threads.
 #[test]
 fn centroid_exchange_allocates_at_most_eight_per_message() {
+    let _serial = serial();
     let n = 500;
     let (values, _labels) = sample_mixture(n, &figure2_components(), 3);
     let inst = Arc::new(CentroidInstance::new(2).expect("k > 0"));
@@ -350,18 +419,19 @@ fn centroid_exchange_allocates_at_most_eight_per_message() {
     );
     sim.run_rounds(10);
     let sent = sim.metrics().messages_sent;
-    let allocs = allocations(|| sim.run_rounds(10));
+    let allocs = allocations_in_all_threads(|| sim.run_rounds(10));
     let messages = sim.metrics().messages_sent - sent;
     let per_message = allocs as f64 / messages as f64;
     eprintln!("{allocs} allocations for {messages} messages: {per_message:.2} each");
     assert!(
-        per_message <= 8.0,
+        per_message <= 7.4,
         "{allocs} allocations for {messages} messages: {per_message:.2} each"
     );
 }
 
 #[test]
 fn complete_graph_costs_no_allocation_at_any_size() {
+    let _serial = serial();
     let n = 1_000_000;
     let mut degrees = 0;
     let allocs = allocations(|| {
